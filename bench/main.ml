@@ -77,6 +77,9 @@ let line fmt =
       | None -> ())
     fmt
 
+(* The driver the hand-assembled sessions below run on their client. *)
+let wavefront_dtw = Ppst.Protocol.runner_of_spec (Ppst.Protocol.spec ~strategy:`Wavefront `Dtw)
+
 let header title =
   line "";
   line "== %s" title;
@@ -535,7 +538,7 @@ let throughput_session ~params ~x ~port ~seed =
         Ppst.Client.connect ~params ~rng ~series:x ~max_value ~distance:`Dtw
           channel
       in
-      let d = Ppst.Secure_dtw_wavefront.run_dtw client in
+      let d = wavefront_dtw client in
       Ppst.Client.finish client;
       d
     with
@@ -679,7 +682,7 @@ let resilience_session ~params ~x ~port ~seed ~secure_frames ?faults () =
   let client =
     Ppst.Client.connect ~params ~rng ~series:x ~max_value ~distance:`Dtw channel
   in
-  let d = Ppst.Secure_dtw_wavefront.run_dtw client in
+  let d = wavefront_dtw client in
   Ppst.Client.finish client;
   d
 
@@ -904,7 +907,7 @@ let failover_session ~params ~x ~port ~seed () =
           Ppst.Client.connect ~params ~rng ~series:x ~max_value ~distance:`Dtw
             channel
         in
-        let d = Ppst.Secure_dtw_wavefront.run_dtw client in
+        let d = wavefront_dtw client in
         Ppst.Client.finish client;
         (d, Stats.messages (Ppst_transport.Channel.stats channel))
       with
@@ -1094,7 +1097,7 @@ let overload ~quick =
               Ppst.Client.connect ~params ~rng ~series:x ~max_value
                 ~distance:`Dtw channel
             in
-            let d = Ppst.Secure_dtw_wavefront.run_dtw client in
+            let d = wavefront_dtw client in
             Ppst.Client.finish client;
             d
           with e ->
@@ -1448,7 +1451,7 @@ let smoke () =
       Ppst.Client.connect ~offline ~rng ~series:x ~max_value ~distance:`Dtw
         (Channel.local handler)
     in
-    let d = Ppst.Secure_dtw_wavefront.run_dtw client in
+    let d = wavefront_dtw client in
     Ppst.Client.finish client;
     (Bigint.to_int_exn d, Digest.to_hex (Digest.string (Buffer.contents buf)))
   in
@@ -1642,7 +1645,7 @@ let catalog_bench ~quick =
   let catalog_wall = Unix.gettimeofday () -. t0 in
   (* naive path: the same session machinery, every record exactly *)
   let t0 = Unix.gettimeofday () in
-  let naive_best, nstats =
+  let naive, nstats =
     let rng_of sfx = Secure_rng.of_seed_string ("catalog-bench-naive/" ^ sfx) in
     let server =
       Ppst.Server.of_store ~params ~rng:(rng_of "server") ~store
@@ -1650,24 +1653,18 @@ let catalog_bench ~quick =
     in
     let channel = Channel.local (Ppst.Server.handle server) in
     let client =
-      Ppst.Client.connect ~params ~rng:(rng_of "client") ~series:x
+      Ppst.Client.connect ~params ~query:true ~rng:(rng_of "client") ~series:x
         ~max_value:bound ~distance:`Dtw channel
     in
-    let best = ref None in
-    Array.iteri
-      (fun i _len ->
-        Ppst.Client.select_record client i;
-        let d = Ppst.Protocol.runner_of_spec spec client in
-        match !best with
-        | Some (_, bd) when Bigint.compare d bd >= 0 -> ()
-        | _ -> best := Some (i, d))
-      (Ppst.Client.catalog client);
+    let report = Ppst.Query.scan ~spec client in
     Ppst.Client.finish client;
-    (!best, Channel.stats channel)
+    (report, Channel.stats channel)
   in
   let naive_wall = Unix.gettimeofday () -. t0 in
   let n_index, n_dist =
-    match naive_best with Some (i, d) -> (i, d) | None -> failwith "empty"
+    match naive.Ppst.Query.hits with
+    | [||] -> failwith "empty"
+    | hits -> (hits.(0).Ppst.Query.index, hits.(0).Ppst.Query.distance)
   in
   let hit = report.Ppst.Query.hits.(0) in
   if hit.Ppst.Query.index <> n_index
@@ -1990,7 +1987,7 @@ let observability_bench ~quick =
         channel
     in
     let t0 = Unix.gettimeofday () in
-    let d = Ppst.Secure_dtw_wavefront.run_dtw client in
+    let d = wavefront_dtw client in
     let wall = Unix.gettimeofday () -. t0 in
     let stats = Ppst.Client.stats client in
     let snapshot =

@@ -56,11 +56,10 @@ let plan max_value dimension m n key_bits k slack distance =
   with
   | session ->
     Format.printf "parameters accepted:@.%a@." Ppst.Params.pp_session session;
+    let gap = if kind = `Erp then Some (Array.make dimension 0) else None in
     Printf.printf "communication estimate (%s): %d values\n" distance
-      (match kind with
-       | (`Dtw | `Dfd) as basic ->
-         Ppst.Protocol.expected_values_transferred ~params ~m ~n ~d:dimension basic
-       | _ -> -1)
+      (Ppst.Protocol.expected_values_transferred ~params ~m ~n ~d:dimension
+         (Ppst.Protocol.spec ?gap kind))
   | exception Ppst.Params.Insecure reason ->
     Printf.printf "REJECTED: %s\n" reason;
     exit 1

@@ -4,10 +4,7 @@
      ppst_client query SERIES.csv    secure 1-vs-N catalog search
      ppst_client catalog             enumerate the server's records
      ppst_client stats               live metrics snapshot
-     ppst_client health              readiness probe
-
-   The historical flag-style invocation (no verb) still works as the
-   default command, with a one-line deprecation notice on stderr. *)
+     ppst_client health              readiness probe *)
 
 open Cmdliner
 
@@ -243,72 +240,89 @@ let with_session ~host ~port ~k ~seed ~jobs ~retries ?budget ~query ~distance
     (Ppst_transport.Channel.stats channel);
   Format.printf "cost: %a@." Ppst.Cost.pp (Ppst.Client.cost client)
 
-let kind_of_distance : _ -> Ppst.Client.distance_kind = function
-  | `Dtw -> `Dtw
-  | `Dfd -> `Dfd
-  | `Erp -> `Erp
-  | `Euclidean | `Subsequence -> `Euclidean
+(* The one place the distance flags become a [Protocol.spec]; invalid
+   combinations (a band on ERP, --wavefront on Euclidean) are refused by
+   the spec's validation rather than dropped. *)
+let spec_of_flags distance ~band ~gap ~wavefront series =
+  let strategy = if wavefront then `Wavefront else `Full in
+  let gap =
+    match distance with
+    | `Erp -> Some (Array.make (Ppst_timeseries.Series.dimension series) gap)
+    | _ -> None
+  in
+  Ppst.Protocol.spec ?band ~strategy ?gap distance
+
+let distance_name = function
+  | `Dtw -> "DTW"
+  | `Dfd -> "DFD"
+  | `Erp -> "ERP"
+  | `Euclidean -> "Euclidean"
+
+(* Greppable one-line-per-candidate summary of everything a catalog
+   scan could not resolve; [true] when anything is missing, so the
+   caller can exit with the partial-result status once the session has
+   been closed and the accounting printed. *)
+let report_incomplete (report : Ppst.Query.report) =
+  let inc = report.Ppst.Query.incomplete in
+  Array.iter
+    (fun (c : Ppst.Query.incomplete) ->
+      Printf.printf "incomplete: idx=%d id=%s reason=%s\n" c.Ppst.Query.index
+        c.Ppst.Query.id
+        (Ppst.Query.reason_to_string c.Ppst.Query.reason))
+    inc;
+  if Array.length inc > 0 then
+    Printf.printf "incomplete: %d of %d candidate(s) unresolved\n"
+      (Array.length inc) report.Ppst.Query.total;
+  Array.length inc > 0
+
+let require_catalog client =
+  if not (Ppst.Client.catalog_capable client) then
+    failwith
+      "server does not grant the catalog capability (too old, or catalog \
+       queries disabled)"
 
 (* --- pair: one secure pairwise distance ------------------------------------ *)
 
-let pair_body distance band gap wavefront search client series =
-  if search then begin
-    let metric = match distance with `Dfd -> `Dfd | _ -> `Dtw in
-    let results = Ppst.Search.scan ~metric client in
-    List.iter
-      (fun r ->
-        Printf.printf "record %d: distance %s\n" r.Ppst.Search.index
-          (Ppst_bigint.Bigint.to_string r.Ppst.Search.distance))
-      results;
-    match results with
-    | [] -> print_endline "empty catalog"
-    | first :: rest ->
-      let best =
-        List.fold_left
-          (fun b r ->
-            if Ppst_bigint.Bigint.compare r.Ppst.Search.distance
-                 b.Ppst.Search.distance < 0
-            then r else b)
-          first rest
-      in
-      Printf.printf "nearest: record %d (distance %s)\n" best.Ppst.Search.index
-        (Ppst_bigint.Bigint.to_string best.Ppst.Search.distance)
-  end
-  else begin
-    (match band with
-     | Some _ when distance <> `Dtw ->
-       failwith "--band only applies to --distance dtw"
-     | _ -> ());
-    let result =
-      match distance with
-      | `Dtw -> begin
-        match band with
-        | Some b -> Ppst.Secure_dtw_banded.run ~band:b client
-        | None ->
-          if wavefront then Ppst.Secure_dtw_wavefront.run_dtw client
-          else Ppst.Secure_dtw.run client
-      end
-      | `Dfd ->
-        if wavefront then Ppst.Secure_dtw_wavefront.run_dfd client
-        else Ppst.Secure_dfd.run client
-      | `Erp ->
-        let d = Ppst_timeseries.Series.dimension series in
-        Ppst.Secure_erp.run ~gap:(Array.make d gap) client
-      | `Euclidean -> Ppst.Secure_euclidean.run client
-      | `Subsequence ->
-        let offset, best = Ppst.Secure_euclidean.best_window client in
-        Printf.printf "best window offset = %d\n" offset;
-        best
-    in
-    Printf.printf "secure %s distance (squared-Euclidean costs) = %s\n"
-      (match distance with
-       | `Dtw -> "DTW"
-       | `Dfd -> "DFD"
-       | `Erp -> "ERP"
-       | `Euclidean -> "Euclidean"
-       | `Subsequence -> "best-window Euclidean")
-      (Ppst_bigint.Bigint.to_string result)
-  end
+let pair_body distance band gap wavefront search partial client series =
+  match distance with
+  | `Subsequence ->
+    if search || wavefront || band <> None then
+      failwith "subsequence takes no --search, --band or --wavefront";
+    let offset, best = Ppst.Secure_euclidean.best_window client in
+    Printf.printf "best window offset = %d\n" offset;
+    Printf.printf
+      "secure best-window Euclidean distance (squared-Euclidean costs) = %s\n"
+      (Ppst_bigint.Bigint.to_string best)
+  | (`Dtw | `Dfd | `Erp | `Euclidean) as distance ->
+    let spec = spec_of_flags distance ~band ~gap ~wavefront series in
+    if search then begin
+      (* the exhaustive scan: every record runs exactly, nothing pruned;
+         one line per record in catalog order, then the nearest *)
+      require_catalog client;
+      let report = Ppst.Query.scan ~spec client in
+      let by_index = Array.copy report.Ppst.Query.hits in
+      Array.sort
+        (fun (a : Ppst.Query.hit) (b : Ppst.Query.hit) ->
+          compare a.Ppst.Query.index b.Ppst.Query.index)
+        by_index;
+      Array.iter
+        (fun (h : Ppst.Query.hit) ->
+          Printf.printf "record %d: distance %s\n" h.Ppst.Query.index
+            (Ppst_bigint.Bigint.to_string h.Ppst.Query.distance))
+        by_index;
+      (match report.Ppst.Query.hits with
+       | [||] ->
+         if report.Ppst.Query.total = 0 then print_endline "empty catalog"
+       | hits ->
+         Printf.printf "nearest: record %d (distance %s)\n"
+           hits.(0).Ppst.Query.index
+           (Ppst_bigint.Bigint.to_string hits.(0).Ppst.Query.distance));
+      partial := report_incomplete report
+    end
+    else
+      Printf.printf "secure %s distance (squared-Euclidean costs) = %s\n"
+        (distance_name distance)
+        (Ppst_bigint.Bigint.to_string (Ppst.Protocol.runner_of_spec spec client))
 
 let budget_of_flag = function
   | None -> None
@@ -316,13 +330,22 @@ let budget_of_flag = function
     if s <= 0.0 then failwith "--budget-s must be positive";
     Some (Ppst_transport.Retry.Budget.create ~budget_s:s ())
 
+let kind_of_distance : _ -> Ppst.Client.distance_kind = function
+  | (`Dtw | `Dfd | `Erp | `Euclidean) as kind -> kind
+  | `Subsequence -> `Euclidean
+
 let run_pair host port series_file distance k band gap budget_s wavefront
     search seed jobs retries verbose log_level log_json trace_out =
   setup verbose log_level log_json trace_out;
   let budget = budget_of_flag budget_s in
-  with_session ~host ~port ~k ~seed ~jobs ~retries ?budget ~query:false
+  (* Partial results terminate the process with 77 — but only after the
+     session has been closed and the accounting printed, so the flag is
+     carried out of the session body. *)
+  let partial = ref false in
+  with_session ~host ~port ~k ~seed ~jobs ~retries ?budget ~query:search
     ~distance:(kind_of_distance distance) ~series_file
-    (pair_body distance band gap wavefront search)
+    (pair_body distance band gap wavefront search partial);
+  if !partial then exit 77
 
 (* --- query: secure 1-vs-N catalog search ----------------------------------- *)
 
@@ -332,28 +355,12 @@ let run_query host port series_file distance k band gap top within_r segments
   setup verbose log_level log_json trace_out;
   if top < 1 then failwith "--top must be >= 1";
   let budget = budget_of_flag budget_s in
-  (* Partial results terminate the process with 77 — but only after the
-     session has been closed and the accounting printed, so the flag is
-     carried out of the session body. *)
   let partial = ref false in
   with_session ~host ~port ~k ~seed ~jobs ~retries ?budget ~query:true
-    ~distance:(kind_of_distance distance) ~series_file
+    ~distance ~series_file
     (fun client series ->
-      if not (Ppst.Client.catalog_capable client) then
-        failwith
-          "server does not grant the catalog capability (too old, or catalog \
-           queries disabled)";
-      let strategy = if wavefront then `Wavefront else `Full in
-      let spec =
-        match distance with
-        | `Dtw -> Ppst.Protocol.spec ?band ~strategy `Dtw
-        | `Dfd -> Ppst.Protocol.spec ?band ~strategy `Dfd
-        | `Erp ->
-          let d = Ppst_timeseries.Series.dimension series in
-          Ppst.Protocol.spec ~gap:(Array.make d gap) `Erp
-        | `Euclidean -> Ppst.Protocol.spec `Euclidean
-        | `Subsequence -> failwith "query does not support subsequence"
-      in
+      require_catalog client;
+      let spec = spec_of_flags distance ~band ~gap ~wavefront series in
       let report =
         match within_r with
         | Some r ->
@@ -376,21 +383,7 @@ let run_query host port series_file distance k band gap top within_r segments
          exact run(s)\n"
         report.Ppst.Query.total report.Ppst.Query.pruned
         report.Ppst.Query.evaluated;
-      (* Greppable one-line-per-candidate summary of everything the query
-         could not resolve; distinct exit code so scripts never mistake a
-         partial answer for a complete one. *)
-      let inc = report.Ppst.Query.incomplete in
-      if Array.length inc > 0 then begin
-        Array.iter
-          (fun (c : Ppst.Query.incomplete) ->
-            Printf.printf "incomplete: idx=%d id=%s reason=%s\n"
-              c.Ppst.Query.index c.Ppst.Query.id
-              (Ppst.Query.reason_to_string c.Ppst.Query.reason))
-          inc;
-        Printf.printf "incomplete: %d of %d candidate(s) unresolved\n"
-          (Array.length inc) report.Ppst.Query.total;
-        partial := true
-      end);
+      partial := report_incomplete report);
   if !partial then exit 77
 
 (* --- argument terms --------------------------------------------------------- *)
@@ -400,10 +393,6 @@ let host =
 
 let port =
   Arg.(value & opt int 7788 & info [ "p"; "port" ] ~docv:"PORT" ~doc:"Server port.")
-
-let series_file_opt =
-  Arg.(value & pos 0 (some file) None & info [] ~docv:"SERIES.csv"
-         ~doc:"Client time series (CSV).  Required except with --stats.")
 
 let series_file_req =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"SERIES.csv"
@@ -428,7 +417,7 @@ let query_distance =
 
 let band =
   Arg.(value & opt (some int) None & info [ "band" ] ~docv:"B"
-         ~doc:"Sakoe-Chiba band for DTW (unconstrained when omitted).")
+         ~doc:"Sakoe-Chiba band for DTW/DFD (unconstrained when omitted).")
 
 let gap =
   Arg.(value & opt int 0 & info [ "gap" ] ~docv:"G"
@@ -436,7 +425,9 @@ let gap =
 
 let search =
   Arg.(value & flag & info [ "search" ]
-         ~doc:"Scan every record in the server's catalog and report the nearest.")
+         ~doc:"Scan every record in the server's catalog exactly, one line per \
+               record in catalog order, and report the nearest.  Needs a server \
+               that grants the catalog capability.")
 
 let wavefront =
   Arg.(value & flag & info [ "wavefront" ]
@@ -476,14 +467,6 @@ let retries =
   Arg.(value & opt int 8 & info [ "retries" ] ~docv:"N"
          ~doc:"Attempts to establish (and, mid-session, to resume) the                session before giving up; exponential backoff with jitter                between attempts, honouring the server's Busy hint.")
 
-let stats =
-  Arg.(value & flag & info [ "stats" ]
-         ~doc:"Fetch and print the server's live metrics snapshot, then exit (no protocol session).")
-
-let health =
-  Arg.(value & flag & info [ "health" ]
-         ~doc:"Readiness probe: print the server's health (answered even at                capacity and while shedding) and exit with its status                (0 ready, 1 at capacity, 2 shedding, 3 degraded —                durability lost).")
-
 let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Debug logging.")
 
 let log_level =
@@ -498,31 +481,7 @@ let trace_out =
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"
          ~doc:"Append every telemetry event (debug level) as JSON lines to $(docv); read it back with ppst_analyze trace.")
 
-(* --- the legacy flag-style default command ---------------------------------- *)
-
-let run_legacy host port series_file distance k band gap budget_s search
-    wavefront stats health seed jobs retries verbose log_level log_json
-    trace_out =
-  prerr_endline
-    "ppst_client: note: the flag-style interface is deprecated; use the \
-     verbs: pair, query, catalog, stats, health (see --help)";
-  setup verbose log_level log_json trace_out;
-  if stats then begin
-    fetch_stats host port;
-    exit 0
-  end;
-  if health then exit (fetch_health host port);
-  let series_file =
-    match series_file with
-    | Some f -> f
-    | None -> failwith "SERIES.csv is required unless --stats is given"
-  in
-  run_pair host port series_file distance k band gap budget_s wavefront search
-    seed jobs retries verbose log_level log_json trace_out
-
 (* --- commands ---------------------------------------------------------------- *)
-
-let common_tail = Term.(const ()) (* placeholder for readability *)
 
 let pair_cmd =
   let doc = "run one secure pairwise distance against the server's series" in
@@ -585,34 +544,11 @@ let health_cmd =
     Term.(const run_health $ host $ port $ verbose $ log_level $ log_json
           $ trace_out)
 
-let legacy_term =
-  Term.(const run_legacy $ host $ port $ series_file_opt $ distance $ k $ band
-        $ gap $ budget_s $ search $ wavefront $ stats $ health $ seed $ jobs
-        $ retries $ verbose $ log_level $ log_json $ trace_out)
-
 let doc = "secure time-series similarity client (series X owner, evaluator)"
 
-let group_cmd =
-  ignore common_tail;
-  Cmd.group
-    (Cmd.info "ppst_client" ~doc)
-    [ pair_cmd; query_cmd; catalog_cmd; stats_cmd; metrics_cmd; health_cmd ]
-
-(* The historical flat interface, parsed exactly as before the verbs
-   existed.  Cmd.group would reject `ppst_client series.csv --search'
-   ("unknown command"), so dispatch on argv(1) ourselves: anything that
-   is not a verb (or --help/--version) replays through the legacy
-   parser, which prints a one-line deprecation notice and delegates. *)
-let legacy_cmd = Cmd.v (Cmd.info "ppst_client" ~doc) legacy_term
-
 let () =
-  let is_verb s =
-    List.mem s [ "pair"; "query"; "catalog"; "stats"; "metrics"; "health" ]
-  in
-  let use_group =
-    Array.length Sys.argv <= 1
-    || is_verb Sys.argv.(1)
-    || Sys.argv.(1) = "--help" || Sys.argv.(1) = "--version"
-    || (String.length Sys.argv.(1) > 7 && String.sub Sys.argv.(1) 0 7 = "--help=")
-  in
-  exit (Cmd.eval (if use_group then group_cmd else legacy_cmd))
+  exit
+    (Cmd.eval
+       (Cmd.group
+          (Cmd.info "ppst_client" ~doc)
+          [ pair_cmd; query_cmd; catalog_cmd; stats_cmd; metrics_cmd; health_cmd ]))

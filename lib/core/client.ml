@@ -686,7 +686,7 @@ let secure_max t inputs =
       ~unmask:Masking.unmask_max inputs
 
 (* Pool draws one protocol round consumes — the bridge between the
-   drivers' provisioning formulas and the active profile.  [sizes] lists
+   engine's round plan and the active profile.  [sizes] lists
    the input count of each masked instance in the round: the default
    profile encrypts one offset per candidate; the packed profile draws
    one factor per packed ciphertext. *)

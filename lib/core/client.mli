@@ -65,7 +65,7 @@ val connect :
 val precompute_randomness : t -> int -> unit
 (** Refill the randomness pool with [count] factors (no-op when [offline]
     is false; the protocol then pays fresh exponentiations online).  The
-    DP drivers call this with the exact number of encryptions the run
+    DP engine calls this with the exact number of encryptions the run
     will need. *)
 
 val pool_remaining : t -> int
@@ -79,8 +79,8 @@ val round_randomness : t -> int array -> int
 (** Pool draws one protocol round will consume, given the input count of
     each masked instance in the round — [Σ (n_i + k - 1)] offset
     encryptions in the default profile, the resulting packed-ciphertext
-    count in the packed one.  The DP drivers sum this over their rounds
-    to provision {!precompute_randomness} exactly. *)
+    count in the packed one.  The DP engine sums this over its planned
+    rounds to provision {!precompute_randomness} exactly. *)
 
 val session : t -> Params.session
 val public_key : t -> Paillier.public_key
@@ -113,7 +113,7 @@ val max_value : t -> int
 val distance : t -> distance_kind
 (** The distance kind the session's masking parameters were planned for.
     Running a distance with a larger value bound than planned (e.g. DTW
-    on a [`Dfd] session) is unsafe; {!Search} enforces the match. *)
+    on a [`Dfd] session) is unsafe; {!require_plan} enforces the match. *)
 
 val require_plan : t -> distance_kind -> unit
 (** @raise Invalid_argument when the session was planned for a different
@@ -127,7 +127,7 @@ val client_element : t -> int -> int array
 
     When the server holds several records (see {!Server.create_db}), the
     client can enumerate them and switch the active one; each switch
-    re-plans the masking parameters for the new matrix size.  {!Search}
+    re-plans the masking parameters for the new matrix size.  {!Query}
     builds nearest-neighbour queries on top of this. *)
 
 val catalog : t -> int array

@@ -33,7 +33,13 @@ let plan_bound t ~value_bound ~modulus =
       t.gamma_slack a t.k;
   if Bigint.compare value_bound Bigint.one < 0 then
     invalid_arg "Params.plan_bound: value_bound must be positive";
-  let beta = Stdlib.max 1 (Bigint.num_bits (Bigint.pred value_bound) - 1) in
+  (* The offset range (2^γ, 2^(γ+1)] must hold k distinct offsets, so a
+     tiny value bound (an all-zero DFD, say) still plans 2^γ >= k. *)
+  let rec log2_ceil c = if 1 lsl c >= t.k then c else log2_ceil (c + 1) in
+  let beta =
+    Stdlib.max (log2_ceil 0 - t.gamma_slack)
+      (Stdlib.max 1 (Bigint.num_bits (Bigint.pred value_bound) - 1))
+  in
   let gamma = beta + t.gamma_slack in
   let offset_lo = Bigint.succ (Bigint.shift_left Bigint.one gamma) in
   let offset_hi = Bigint.shift_left Bigint.one (gamma + 1) in

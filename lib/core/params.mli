@@ -8,7 +8,9 @@
       real values, yet spread over a range larger than the plaintexts;
     - [β + γ < |P|] — no wrap-around in the Paillier plaintext space
       (checked precisely against the actual modulus and value bound);
-    - [k >= 4] — below that no [γ] satisfies the first constraint. *)
+    - [k >= 4] — below that no [γ] satisfies the first constraint;
+    - [2^γ >= k] — the offset range holds [k] distinct offsets ([β] is
+      raised for tiny value bounds). *)
 
 open Import
 

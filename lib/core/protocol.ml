@@ -99,53 +99,53 @@ let algo_name = function
   | `Euclidean -> "`Euclidean"
 
 (* Validation happens here rather than in [spec] so record literals get
-   the same checks as the smart constructor. *)
+   the same checks as the smart constructor.  [None] is Euclidean, the
+   one distance that is not a DP. *)
+let engine_of_spec s =
+  let rule =
+    match (s.algo, s.gap) with
+    | (`Dtw | `Dfd | `Euclidean), Some _ ->
+      invalid_arg "Protocol.run: gap only applies to `Erp"
+    | `Erp, None -> invalid_arg "Protocol.run: `Erp requires a gap element"
+    | `Dtw, None -> Some Secure_dp.dtw
+    | `Dfd, None -> Some Secure_dp.dfd
+    | `Erp, Some gap -> Some (Secure_dp.erp ~gap)
+    | `Euclidean, None -> None
+  in
+  let domain =
+    match (s.band, s.algo) with
+    | None, _ -> Secure_dp.Full
+    | Some b, (`Dtw | `Dfd) -> Secure_dp.Band b
+    | Some _, (`Erp | `Euclidean) ->
+      invalid_arg
+        (Printf.sprintf "Protocol.run: band does not apply to %s" (algo_name s.algo))
+  in
+  let schedule =
+    match (s.strategy, rule) with
+    | `Full, _ -> Secure_dp.Row_major
+    | `Wavefront, Some _ -> Secure_dp.Anti_diagonal
+    | `Wavefront, None -> invalid_arg "Protocol.run: wavefront does not apply to `Euclidean"
+  in
+  Option.map (fun rule -> (rule, domain, schedule)) rule
+
 let runner_of_spec s : Client.t -> Bigint.t =
-  (match (s.gap, s.algo) with
-   | Some _, (`Dtw | `Dfd | `Euclidean) ->
-     invalid_arg "Protocol.run: gap only applies to `Erp"
-   | None, `Erp -> invalid_arg "Protocol.run: `Erp requires a gap element"
-   | _ -> ());
-  (match (s.band, s.strategy, s.algo) with
-   | Some _, `Wavefront, _ ->
-     invalid_arg "Protocol.run: banded wavefront is not implemented"
-   | Some _, _, (`Erp | `Euclidean) ->
-     invalid_arg
-       (Printf.sprintf "Protocol.run: band does not apply to %s" (algo_name s.algo))
-   | None, `Wavefront, (`Erp | `Euclidean) ->
-     invalid_arg
-       (Printf.sprintf "Protocol.run: wavefront does not apply to %s"
-          (algo_name s.algo))
-   | _ -> ());
-  match (s.algo, s.band, s.strategy) with
-  | `Dtw, Some band, _ -> Secure_dtw_banded.run ~band
-  | `Dtw, None, `Wavefront -> Secure_dtw_wavefront.run_dtw
-  | `Dtw, None, `Full -> Secure_dtw.run
-  | `Dfd, Some band, _ -> Secure_dtw_banded.run_dfd ~band
-  | `Dfd, None, `Wavefront -> Secure_dtw_wavefront.run_dfd
-  | `Dfd, None, `Full -> Secure_dfd.run
-  | `Erp, _, _ ->
-    let gap = Option.get s.gap in
-    Secure_erp.run ~gap
-  | `Euclidean, _, _ -> Secure_euclidean.run
+  match engine_of_spec s with
+  | Some (rule, domain, schedule) -> Secure_dp.run rule domain schedule
+  | None -> Secure_euclidean.run
 
 let distance_kind_of_algo : algo -> Client.distance_kind = fun a -> a
 
 (* Closed-form count of protocol "values" for this implementation's exact
-   message layout; the paper's mn(d + k + 4) appears as the dominant term
-   of the DTW case. *)
-let expected_values_transferred ~params ~m ~n ~d kind =
-  let k = params.Params.k in
-  let phase1 = n * (d + 1) in
-  let reveal = 2 in
-  match kind with
-  | `Dtw ->
-    let inner = (m - 1) * (n - 1) * (k + 3) in
-    phase1 + inner + reveal
-  | `Dfd ->
-    let borders = (m - 1 + (n - 1)) * (k + 2) in
-    let inner = (m - 1) * (n - 1) * (k + 3 + k + 2) in
-    phase1 + borders + inner + reveal
+   message layout: phase 1 and the reveal, common to every spec, plus the
+   masked rounds of the engine's plan (Euclidean has none). *)
+let expected_values_transferred ~params ~m ~n ~d s =
+  let masked =
+    match engine_of_spec s with
+    | Some (rule, domain, schedule) ->
+      Secure_dp.masked_values rule domain schedule ~k:params.Params.k ~m ~n
+    | None -> 0
+  in
+  (n * (d + 1)) + 2 + masked
 
 (* The pruning stage of a 1-vs-N query, same conventions (both directions,
    unpacked profile).  Per candidate, per segment, per dimension: the two
@@ -166,59 +166,19 @@ let run ~spec:s ?params ?seed ?max_value ?decryption ?offline ?jobs ?trace ~x ~y
          ?seed ?max_value ?decryption ?offline ~packing:s.packing ?jobs ?trace ~x
          ~y ())
   in
-  (* Cost attribution: the unbanded, unpacked DTW/DFD paths have exact
-     closed forms, so every such run is checked against the model.  Banded
-     and gap variants have data-independent but spec-shaped counts this
-     module does not model; packed framing counts ciphertexts, not
-     values. *)
-  (match (s.algo, s.band, s.packing) with
-  | ((`Dtw | `Dfd) as kind), None, false ->
+  (* Cost attribution: every unpacked run is checked against the model
+     (packed framing counts ciphertexts, not values). *)
+  if not s.packing then begin
     let predicted =
       expected_values_transferred
         ~params:(Option.value params ~default:Params.default)
-        ~m:(Series.length x) ~n:(Series.length y) ~d:(Series.dimension x) kind
+        ~m:(Series.length x) ~n:(Series.length y) ~d:(Series.dimension x) s
     in
     ignore
       (Ledger.record ~workload:Ledger.Pairwise ~predicted
          ~actual:(Stats.total_values result.stats))
-  | _ -> ());
+  end;
   result
-
-(* Legacy entry points: thin wrappers over [run], kept so callers can
-   migrate incrementally.  Each preserves its historical signature
-   (run_dfd & co never took ?trace). *)
-
-let run_dtw ?params ?seed ?max_value ?decryption ?offline ?jobs ?trace ~x ~y () =
-  run ~spec:(spec `Dtw) ?params ?seed ?max_value ?decryption ?offline ?jobs
-    ?trace ~x ~y ()
-
-let run_dfd ?params ?seed ?max_value ?decryption ?offline ?jobs ~x ~y () =
-  run ~spec:(spec `Dfd) ?params ?seed ?max_value ?decryption ?offline ?jobs ~x
-    ~y ()
-
-let run_erp ?params ?seed ?max_value ?decryption ?offline ?jobs ~gap ~x ~y () =
-  run ~spec:(spec ~gap `Erp) ?params ?seed ?max_value ?decryption ?offline
-    ?jobs ~x ~y ()
-
-let run_dtw_banded ?params ?seed ?max_value ?decryption ?offline ?jobs ?trace ~band ~x ~y () =
-  run ~spec:(spec ~band `Dtw) ?params ?seed ?max_value ?decryption ?offline
-    ?jobs ?trace ~x ~y ()
-
-let run_dfd_banded ?params ?seed ?max_value ?decryption ?offline ?jobs ?trace ~band ~x ~y () =
-  run ~spec:(spec ~band `Dfd) ?params ?seed ?max_value ?decryption ?offline
-    ?jobs ?trace ~x ~y ()
-
-let run_euclidean ?params ?seed ?max_value ?decryption ?offline ?jobs ~x ~y () =
-  run ~spec:(spec `Euclidean) ?params ?seed ?max_value ?decryption ?offline
-    ?jobs ~x ~y ()
-
-let run_dtw_wavefront ?params ?seed ?max_value ?decryption ?offline ?jobs ?trace ~x ~y () =
-  run ~spec:(spec ~strategy:`Wavefront `Dtw) ?params ?seed ?max_value
-    ?decryption ?offline ?jobs ?trace ~x ~y ()
-
-let run_dfd_wavefront ?params ?seed ?max_value ?decryption ?offline ?jobs ~x ~y () =
-  run ~spec:(spec ~strategy:`Wavefront `Dfd) ?params ?seed ?max_value
-    ?decryption ?offline ?jobs ~x ~y ()
 
 type windows_result = {
   window_distances : Bigint.t array;
@@ -232,6 +192,4 @@ let subsequence ?params ?seed ?max_value ?decryption ?offline ?jobs ~x ~y () =
       ?params ?seed ?max_value ?decryption ?offline ?jobs ~x ~y ()
   in
   { window_distances = distances; windows_cost = cost; windows_stats = stats }
-
-let run_subsequence = subsequence
 

@@ -10,12 +10,11 @@
       Printf.printf "secure DTW distance = %d\n" (Bigint.to_int_exn r.distance)
     ]}
 
-    {!run} is the single engine entry point; the distance, the optional
+    {!run} is the single entry point; the distance, the optional
     Sakoe–Chiba band, and the round-trip strategy are picked by a
-    {!spec} value.  For 1-vs-N search over a server catalog, see
-    {!Query} — it reuses the same [spec].  The historical per-algorithm
-    [run_*] functions remain as deprecated thin wrappers
-    (see {!section-legacy}).
+    {!spec} value, which maps onto the {!Secure_dp} engine's rule,
+    domain and schedule.  For 1-vs-N search over a server catalog, see
+    {!Query} — it reuses the same [spec].
 
     For a real two-machine deployment use the [bin/ppst_server] and
     [bin/ppst_client] executables (TCP), which drive exactly the same
@@ -44,8 +43,8 @@ type strategy = [ `Full | `Wavefront ]
 (** Round-trip strategy.  [`Full] is the paper's cell-at-a-time
     protocol; [`Wavefront] batches each anti-diagonal into one round
     trip ([m + n - 3] rounds instead of [(m-1)(n-1)]), with identical
-    results and leakage profile.  Only DTW and DFD have wavefront
-    formulations. *)
+    results and leakage profile.  Every DP distance (DTW, DFD, ERP) has
+    both; Euclidean has no rounds to batch. *)
 
 type spec = {
   algo : algo;
@@ -95,12 +94,14 @@ val run :
     contract); [trace] records per-round message sizes for {!Netsim}
     replay.
 
+    Every unpacked run is checked against {!expected_values_transferred}
+    in the {!Ledger}.
+
     @raise Invalid_argument on an inconsistent [spec]: [gap] present
-    without [`Erp] or absent with it; [band] with [`Erp]/[`Euclidean]
-    or combined with [`Wavefront]; [`Wavefront] with
-    [`Erp]/[`Euclidean].
-    @raise Secure_dtw_banded.Band_too_narrow when a banded run's band
-    admits no warping path. *)
+    without [`Erp] or absent with it; [band] with [`Erp]/[`Euclidean];
+    [`Wavefront] with [`Euclidean]; a negative band.
+    @raise Secure_dp.Band_too_narrow when a banded run's band admits no
+    warping path. *)
 
 val runner_of_spec : spec -> Client.t -> Bigint.t
 (** The driver a [spec] denotes, as a function over an already-connected
@@ -129,168 +130,15 @@ val subsequence :
     against every window of client series [x]
     (see {!Secure_euclidean.sliding_windows}). *)
 
-(** {1:legacy Legacy per-algorithm entry points}
-
-    Thin wrappers over {!run}, one per historical [spec] combination.
-    Deprecated: prefer [run ~spec:(spec ...)] (or {!subsequence} for the
-    sliding-window variant); these remain so existing callers keep
-    compiling and will be removed in a future major version.  Each
-    preserves its historical signature, which is why some lack
-    [?trace]. *)
-
-val run_dtw :
-  ?params:Params.t ->
-  ?seed:string ->
-  ?max_value:int ->
-  ?decryption:[ `Standard | `Crt ] ->
-  ?offline:bool ->
-  ?jobs:int ->
-  ?trace:Trace.t ->
-  x:Series.t ->
-  y:Series.t ->
-  unit ->
-  result
-  [@@ocaml.deprecated
-    "Protocol.run_dtw is deprecated: use run ~spec:(spec `Dtw) instead."]
-(** Equivalent to [run ~spec:(spec `Dtw)]; see {!run} for the optional
-    arguments. *)
-
-val run_dfd :
-  ?params:Params.t ->
-  ?seed:string ->
-  ?max_value:int ->
-  ?decryption:[ `Standard | `Crt ] ->
-  ?offline:bool ->
-  ?jobs:int ->
-  x:Series.t ->
-  y:Series.t ->
-  unit ->
-  result
-  [@@ocaml.deprecated
-    "Protocol.run_dfd is deprecated: use run ~spec:(spec `Dfd) instead."]
-
-val run_erp :
-  ?params:Params.t ->
-  ?seed:string ->
-  ?max_value:int ->
-  ?decryption:[ `Standard | `Crt ] ->
-  ?offline:bool ->
-  ?jobs:int ->
-  gap:int array ->
-  x:Series.t ->
-  y:Series.t ->
-  unit ->
-  result
-  [@@ocaml.deprecated
-    "Protocol.run_erp is deprecated: use run ~spec:(spec ~gap `Erp) instead."]
-(** Secure ERP with the public gap element [gap] (see {!Secure_erp}). *)
-
-val run_dtw_banded :
-  ?params:Params.t ->
-  ?seed:string ->
-  ?max_value:int ->
-  ?decryption:[ `Standard | `Crt ] ->
-  ?offline:bool ->
-  ?jobs:int ->
-  ?trace:Trace.t ->
-  band:int ->
-  x:Series.t ->
-  y:Series.t ->
-  unit ->
-  result
-  [@@ocaml.deprecated
-    "Protocol.run_dtw_banded is deprecated: use run ~spec:(spec ~band `Dtw) instead."]
-(** Secure Sakoe–Chiba banded DTW (see {!Secure_dtw_banded}).
-    @raise Secure_dtw_banded.Band_too_narrow when no path fits. *)
-
-val run_dfd_banded :
-  ?params:Params.t ->
-  ?seed:string ->
-  ?max_value:int ->
-  ?decryption:[ `Standard | `Crt ] ->
-  ?offline:bool ->
-  ?jobs:int ->
-  ?trace:Trace.t ->
-  band:int ->
-  x:Series.t ->
-  y:Series.t ->
-  unit ->
-  result
-  [@@ocaml.deprecated
-    "Protocol.run_dfd_banded is deprecated: use run ~spec:(spec ~band `Dfd) instead."]
-(** Band-constrained secure Discrete Fréchet Distance
-    (see {!Secure_dtw_banded.run_dfd}). *)
-
-val run_euclidean :
-  ?params:Params.t ->
-  ?seed:string ->
-  ?max_value:int ->
-  ?decryption:[ `Standard | `Crt ] ->
-  ?offline:bool ->
-  ?jobs:int ->
-  x:Series.t ->
-  y:Series.t ->
-  unit ->
-  result
-  [@@ocaml.deprecated
-    "Protocol.run_euclidean is deprecated: use run ~spec:(spec `Euclidean) instead."]
-(** Secure lockstep squared Euclidean distance (equal lengths). *)
-
-val run_dtw_wavefront :
-  ?params:Params.t ->
-  ?seed:string ->
-  ?max_value:int ->
-  ?decryption:[ `Standard | `Crt ] ->
-  ?offline:bool ->
-  ?jobs:int ->
-  ?trace:Trace.t ->
-  x:Series.t ->
-  y:Series.t ->
-  unit ->
-  result
-  [@@ocaml.deprecated
-    "Protocol.run_dtw_wavefront is deprecated: use run ~spec:(spec ~strategy:`Wavefront `Dtw) instead."]
-(** Secure DTW with anti-diagonal batching: identical result and leakage
-    profile, [m + n - 3] round trips instead of [(m-1)(n-1)]
-    (see {!Secure_dtw_wavefront}). *)
-
-val run_dfd_wavefront :
-  ?params:Params.t ->
-  ?seed:string ->
-  ?max_value:int ->
-  ?decryption:[ `Standard | `Crt ] ->
-  ?offline:bool ->
-  ?jobs:int ->
-  x:Series.t ->
-  y:Series.t ->
-  unit ->
-  result
-  [@@ocaml.deprecated
-    "Protocol.run_dfd_wavefront is deprecated: use run ~spec:(spec ~strategy:`Wavefront `Dfd) instead."]
-
-val run_subsequence :
-  ?params:Params.t ->
-  ?seed:string ->
-  ?max_value:int ->
-  ?decryption:[ `Standard | `Crt ] ->
-  ?offline:bool ->
-  ?jobs:int ->
-  x:Series.t ->
-  y:Series.t ->
-  unit ->
-  windows_result
-  [@@ocaml.deprecated
-    "Protocol.run_subsequence is deprecated: use subsequence instead."]
-(** Secure subsequence matching: Euclidean distance of server series [y]
-    against every window of client series [x]
-    (see {!Secure_euclidean.sliding_windows}). *)
-
 val expected_values_transferred :
-  params:Params.t -> m:int -> n:int -> d:int -> [ `Dtw | `Dfd ] -> int
+  params:Params.t -> m:int -> n:int -> d:int -> spec -> int
 (** The paper's Section 5.2 communication formula — [mn(d + k + 4)]
-    values for DTW — adapted to this implementation's exact message
-    layout (border cells and the reveal round included).  Tests assert
-    the live accounting matches this closed form. *)
+    values for DTW — in this implementation's exact message layout
+    (border cells and the reveal round included), for the unpacked
+    profile of any [spec]: [n(d + 1)] for phase 1 and 2 for the reveal,
+    plus the masked rounds of the engine's plan
+    ({!Secure_dp.masked_values}; Euclidean has none).  Tests assert the live accounting matches it.
+    @raise Invalid_argument / Secure_dp.Band_too_narrow as {!run}. *)
 
 val expected_query_values :
   params:Params.t -> candidates:int -> segments:int -> d:int -> int

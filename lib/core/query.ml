@@ -337,8 +337,14 @@ let rec split_at n = function
     let taken, rest = split_at (n - 1) tl in
     (x :: taken, rest)
 
-let top_k ?segments ?budget ?candidate_budget_s ~spec:(s : Protocol.spec) ~k t =
-  if k <= 0 then invalid_arg "Query.top_k: k must be positive";
+(* The frame every query mode shares: validation, budgets, catalog
+   enumeration, exact runs under the per-candidate guard, and the report.
+   [select] decides which candidates run exactly ([eval]) and which go
+   through one pruning round against a threshold ([prune]); [found]
+   lists the distances resolved so far.  Exact results are kept when
+   [keep] accepts them. *)
+let run_query ?segments ?budget ?candidate_budget_s ~spec:(s : Protocol.spec) ~keep
+    t select =
   let runner = Protocol.runner_of_spec s in
   Client.require_plan t s.Protocol.algo;
   let m = Client.client_length t in
@@ -357,47 +363,25 @@ let top_k ?segments ?budget ?candidate_budget_s ~spec:(s : Protocol.spec) ~k t =
   let total = Array.length ids in
   Metrics.incr m_submitted;
   Metrics.incr ~by:total m_candidates;
-  let prunable, unprunable = partition_candidates t s lengths in
   let evaluated = ref 0 and pruned = ref 0 in
   let results = ref [] in
   let eval i =
     match guard i (fun () -> eval_exact t runner evaluated i) with
-    | Some d -> results := (i, d) :: !results
-    | None -> ()
+    | Some d when keep d -> results := (i, d) :: !results
+    | Some _ | None -> ()
   in
-  (* Every unprunable candidate must be evaluated exactly anyway; their
-     distances double as threshold seeds. *)
-  List.iter eval unprunable;
-  (* Seed the threshold: exact runs on leading prunable candidates until
-     k distances are known. *)
-  let seeds, rest = split_at (k - List.length !results) prunable in
-  List.iter eval seeds;
-  (match rest with
-   | [] -> ()
-   | rest ->
-     if List.length !results < k then
-       (* Seed shortfall — some seeds came back incomplete, so there is
-          no sound threshold to prune against.  Degrade to the
-          exhaustive scan; the per-candidate guard still applies. *)
-       List.iter eval rest
-     else begin
-       let distances =
-         List.map snd !results |> List.sort Bigint.compare |> Array.of_list
-       in
-       let tau = distances.(k - 1) in
-       let indices = Array.of_list rest in
-       let survive = prune_round_safe t s ~segments ~tau ~indices in
-       count_survivors survive;
-       Array.iteri
-         (fun j i -> if survive.(j) then eval i else incr pruned)
-         indices
-     end);
+  let prune ~tau candidates =
+    let indices = Array.of_list candidates in
+    let survive = prune_round_safe t s ~segments ~tau ~indices in
+    count_survivors survive;
+    Array.iteri (fun j i -> if survive.(j) then eval i else incr pruned) indices
+  in
+  select ~lengths ~eval ~prune ~found:(fun () -> List.map snd !results);
   let hits =
     !results
     |> List.map (fun (i, d) -> { index = i; id = ids.(i); distance = d })
     |> Array.of_list |> sort_hits
   in
-  let hits = Array.sub hits 0 (Stdlib.min k (Array.length hits)) in
   {
     hits;
     total;
@@ -406,58 +390,47 @@ let top_k ?segments ?budget ?candidate_budget_s ~spec:(s : Protocol.spec) ~k t =
     incomplete = incomplete_of ids;
   }
 
-let within ?segments ?budget ?candidate_budget_s ~spec:(s : Protocol.spec)
-    ~radius t =
+let top_k ?segments ?budget ?candidate_budget_s ~spec ~k t =
+  if k <= 0 then invalid_arg "Query.top_k: k must be positive";
+  let report =
+    run_query ?segments ?budget ?candidate_budget_s ~spec ~keep:(fun _ -> true) t
+      (fun ~lengths ~eval ~prune ~found ->
+        let prunable, unprunable = partition_candidates t spec lengths in
+        (* Every unprunable candidate must be evaluated exactly anyway;
+           their distances double as threshold seeds. *)
+        List.iter eval unprunable;
+        (* Seed the threshold: exact runs on leading prunable candidates
+           until k distances are known. *)
+        let seeds, rest = split_at (k - List.length (found ())) prunable in
+        List.iter eval seeds;
+        match rest with
+        | [] -> ()
+        | rest ->
+          let distances = List.sort Bigint.compare (found ()) in
+          if List.length distances < k then
+            (* Seed shortfall — some seeds came back incomplete, so there
+               is no sound threshold to prune against.  Degrade to the
+               exhaustive scan; the per-candidate guard still applies. *)
+            List.iter eval rest
+          else prune ~tau:(List.nth distances (k - 1)) rest)
+  in
+  { report with hits = Array.sub report.hits 0 (Stdlib.min k (Array.length report.hits)) }
+
+let within ?segments ?budget ?candidate_budget_s ~spec ~radius t =
   if Bigint.compare radius Bigint.zero < 0 then
     invalid_arg "Query.within: radius must be non-negative";
-  let runner = Protocol.runner_of_spec s in
-  Client.require_plan t s.Protocol.algo;
-  let m = Client.client_length t in
-  let segments =
-    match segments with
-    | None -> default_segments m
-    | Some s ->
-      check_segments ~segments:s ~m;
-      s
-  in
-  let guard, incomplete_of, restore_budget =
-    budget_guard ?budget ?candidate_budget_s t
-  in
-  Fun.protect ~finally:restore_budget @@ fun () ->
-  let ids, lengths = Client.catalog_list t in
-  let total = Array.length ids in
-  Metrics.incr m_submitted;
-  Metrics.incr ~by:total m_candidates;
-  let prunable, unprunable = partition_candidates t s lengths in
-  let evaluated = ref 0 and pruned = ref 0 in
-  let results = ref [] in
-  let eval i =
-    match guard i (fun () -> eval_exact t runner evaluated i) with
-    | Some d when Bigint.compare d radius <= 0 -> results := (i, d) :: !results
-    | Some _ | None -> ()
-  in
-  List.iter eval unprunable;
-  (match prunable with
-   | [] -> ()
-   | prunable ->
-     let indices = Array.of_list prunable in
-     let survive = prune_round_safe t s ~segments ~tau:radius ~indices in
-     count_survivors survive;
-     Array.iteri
-       (fun j i -> if survive.(j) then eval i else incr pruned)
-       indices);
-  let hits =
-    !results
-    |> List.map (fun (i, d) -> { index = i; id = ids.(i); distance = d })
-    |> Array.of_list |> sort_hits
-  in
-  {
-    hits;
-    total;
-    evaluated = !evaluated;
-    pruned = !pruned;
-    incomplete = incomplete_of ids;
-  }
+  run_query ?segments ?budget ?candidate_budget_s ~spec
+    ~keep:(fun d -> Bigint.compare d radius <= 0)
+    t
+    (fun ~lengths ~eval ~prune ~found:_ ->
+      let prunable, unprunable = partition_candidates t spec lengths in
+      List.iter eval unprunable;
+      if prunable <> [] then prune ~tau:radius prunable)
+
+let scan ~spec t =
+  run_query ~spec ~keep:(fun _ -> true) t
+    (fun ~lengths ~eval ~prune:_ ~found:_ ->
+      Array.iteri (fun i _ -> eval i) lengths)
 
 (* In-process conveniences, mirroring [Protocol.run]: stand up a
    store-backed server on a loopback channel and drive a query against

@@ -87,7 +87,7 @@ val top_k :
     spec's distance.  Exact protocol runs are paid for every
     non-prunable candidate, the first seeds needed to establish the
     threshold, and every pruning survivor; [hits] is bit-identical to
-    the exhaustive scan's [k] best (ascending distance, ties by index).
+    the exhaustive {!scan}'s [k] best (ascending distance, ties by index).
     [segments] (default [min 8 m]) sizes the sketch; more segments
     prune harder but cost more per candidate.
 
@@ -124,6 +124,16 @@ val within :
     Degraded mode ([?budget], [?candidate_budget_s], [incomplete]) as
     {!top_k}.
     @raise Invalid_argument on a negative radius (and as {!top_k}). *)
+
+val scan : spec:Protocol.spec -> Client.t -> report
+(** The unpruned exhaustive mode: every catalog record runs the exact
+    protocol, in catalog order, and [hits] lists all of them (ascending
+    distance, ties by index) with [pruned = 0].  It reveals every
+    record's distance — the baseline the pruned modes are measured
+    against.  Degraded mode as {!top_k}, under the channel's own
+    budget ({!Channel.set_budget}).
+    @raise Invalid_argument as {!top_k}.
+    @raise Channel.Protocol_error without the catalog capability. *)
 
 (** {1 In-process conveniences} *)
 

@@ -147,7 +147,7 @@ chaos_session() {
     "$chaos_dir/y.csv" >"$chaos_dir/server-$port.log" 2>&1 &
   server_pid=$!
   sleep 1
-  ./_build/default/bin/ppst_client.exe -p "$port" --seed ci-chaos-client \
+  ./_build/default/bin/ppst_client.exe pair -p "$port" --seed ci-chaos-client \
     "$chaos_dir/x.csv" >"$chaos_dir/client-$port.log" 2>&1
   kill "$server_pid" 2>/dev/null || true
   wait "$server_pid" 2>/dev/null || true
@@ -173,13 +173,13 @@ overload_pid=$!
 trap 'kill "$overload_pid" 2>/dev/null || true; rm -f "$trace" "$trace2" "$doctored"; rm -rf "$chaos_dir"' EXIT INT TERM
 sleep 1
 
-./_build/default/bin/ppst_client.exe -p "$overload_port" --health \
+./_build/default/bin/ppst_client.exe health -p "$overload_port" \
   >"$chaos_dir/health-before.log"
 grep -q '^status: ready$' "$chaos_dir/health-before.log"
 
 burst_pids=""
 for i in 1 2 3 4 5 6; do
-  ./_build/default/bin/ppst_client.exe -p "$overload_port" \
+  ./_build/default/bin/ppst_client.exe pair -p "$overload_port" \
     --seed "ci-overload-$i" --retries 100 "$chaos_dir/x.csv" \
     >"$chaos_dir/burst-$i.log" 2>&1 &
   burst_pids="$burst_pids $!"
@@ -204,7 +204,7 @@ done
 
 # The probe still answers once the burst drains, and the serving path
 # turned clients away at least once while it was full.
-./_build/default/bin/ppst_client.exe -p "$overload_port" --health \
+./_build/default/bin/ppst_client.exe health -p "$overload_port" \
   >"$chaos_dir/health-after.log"
 grep -q '^status:' "$chaos_dir/health-after.log"
 
@@ -220,7 +220,7 @@ tight_pid=$!
 trap 'kill "$tight_pid" 2>/dev/null || true; rm -f "$trace" "$trace2" "$doctored"; rm -rf "$chaos_dir"' EXIT INT TERM
 sleep 1
 rejected=0
-./_build/default/bin/ppst_client.exe -p "$tight_port" \
+./_build/default/bin/ppst_client.exe pair -p "$tight_port" \
   --seed ci-overload-hostile "$chaos_dir/x.csv" \
   >"$chaos_dir/hostile.log" 2>&1 || rejected=$?
 kill "$tight_pid" 2>/dev/null || true
@@ -233,7 +233,7 @@ fi
 echo "ci: overload smoke OK (6/6 burst distances correct, oversized session quota-rejected)"
 
 # Catalog smoke: a seeded 20-record catalog server; the pruned top-1 of
-# `query` must equal the exhaustive nearest of the legacy --search scan
+# `query` must equal the exhaustive nearest of the `pair --search` scan
 # (the no-false-dismissal contract, end to end over TCP), a
 # within-radius Euclidean query must actually prune, and an oversized
 # query declaration must be quota-rejected with exit 69 before any
@@ -286,7 +286,7 @@ fi
   >"$cat_dir/query.log" 2>&1
 pruned_top1="$(sed -n 's/^hit: record \([0-9]*\).*/\1/p' "$cat_dir/query.log")"
 
-./_build/default/bin/ppst_client.exe -p "$catalog_port" \
+./_build/default/bin/ppst_client.exe pair -p "$catalog_port" \
   --seed ci-catalog-s --distance dtw --search "$cat_dir/query.csv" \
   >"$cat_dir/scan.log" 2>&1
 exhaustive_top1="$(sed -n 's/^nearest: record \([0-9]*\).*/\1/p' "$cat_dir/scan.log")"
@@ -294,6 +294,18 @@ exhaustive_top1="$(sed -n 's/^nearest: record \([0-9]*\).*/\1/p' "$cat_dir/scan.
 if [ -z "$pruned_top1" ] || [ "$pruned_top1" != "$exhaustive_top1" ] || [ "$pruned_top1" != "6" ]; then
   echo "ci: catalog smoke FAILED: pruned top-1 '$pruned_top1' != exhaustive '$exhaustive_top1' (want 6)" >&2
   cat "$cat_dir/query.log" "$cat_dir/scan.log" "$cat_dir/server.log" >&2 || true
+  exit 1
+fi
+
+# The scan prints one `record i:` line per record in catalog order, and
+# its nearest is the smallest of them (ties to the lower index).
+scan_indices="$(sed -n 's/^record \([0-9]*\): distance [0-9]*$/\1/p' "$cat_dir/scan.log" | tr '\n' ' ')"
+smallest="$(sed -n 's/^record \([0-9]*\): distance \([0-9]*\)$/\2 \1/p' "$cat_dir/scan.log" \
+  | sort -n -k1,1 -k2,2 | head -n 1)"
+nearest="$(sed -n 's/^nearest: record \([0-9]*\) (distance \([0-9]*\))$/\2 \1/p' "$cat_dir/scan.log")"
+if [ "$scan_indices" != "$(seq 0 19 | tr '\n' ' ')" ] || [ -z "$nearest" ] || [ "$smallest" != "$nearest" ]; then
+  echo "ci: catalog smoke FAILED: scan record lines '$scan_indices' / nearest '$nearest' (smallest '$smallest')" >&2
+  cat "$cat_dir/scan.log" >&2 || true
   exit 1
 fi
 
@@ -380,7 +392,7 @@ ref_port=17977
   "$fo_dir/y.csv" >"$fo_dir/server-ref.log" 2>&1 &
 ref_pid=$!
 sleep 1
-./_build/default/bin/ppst_client.exe -p "$ref_port" --seed ci-failover-client \
+./_build/default/bin/ppst_client.exe pair -p "$ref_port" --seed ci-failover-client \
   "$fo_dir/x.csv" >"$fo_dir/client-ref.log" 2>&1
 kill "$ref_pid" 2>/dev/null || true
 wait "$ref_pid" 2>/dev/null || true
@@ -401,7 +413,7 @@ if [ -z "$worker0_pid" ]; then
   cat "$fo_dir/server-fo.log" >&2 || true
   exit 1
 fi
-./_build/default/bin/ppst_client.exe -p "$fo_port" --seed ci-failover-client \
+./_build/default/bin/ppst_client.exe pair -p "$fo_port" --seed ci-failover-client \
   "$fo_dir/x.csv" >"$fo_dir/client-fo.log" 2>&1 &
 fo_client_pid=$!
 sleep 0.7

@@ -472,8 +472,8 @@ let test_expected_query_values () =
   Alcotest.(check int) "no drift events" drift_before
     (Ppst.Ledger.drift_events ())
 
-(* The pairwise ledger hook fires on every full (unbanded, unpacked)
-   DTW/DFD run; a seeded paper-example session must balance exactly. *)
+(* The pairwise ledger hook fires on every unpacked run; a seeded
+   paper-example session must balance exactly. *)
 let test_ledger_pairwise_zero_drift () =
   let x = Series.of_list [ 3; 4; 5; 4; 6; 7 ]
   and y = Series.of_list [ 2; 4; 6; 5; 7 ] in
@@ -484,7 +484,7 @@ let test_ledger_pairwise_zero_drift () =
   in
   let expected =
     Ppst.Protocol.expected_values_transferred ~params:Ppst.Params.default
-      ~m:6 ~n:5 ~d:1 `Dtw
+      ~m:6 ~n:5 ~d:1 (Ppst.Protocol.spec `Dtw)
   in
   Alcotest.(check int) "closed form pinned" 272 expected;
   Alcotest.(check int) "wire accounting" expected
@@ -505,7 +505,7 @@ let test_ledger_pairwise_zero_drift () =
 let test_expected_pairwise_values_pinned () =
   Alcotest.(check int) "dtw 6x5 closed form" 272
     (Ppst.Protocol.expected_values_transferred ~params:Ppst.Params.default
-       ~m:6 ~n:5 ~d:1 `Dtw)
+       ~m:6 ~n:5 ~d:1 (Ppst.Protocol.spec `Dtw))
 
 let () =
   Alcotest.run "catalog"

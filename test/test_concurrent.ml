@@ -50,7 +50,7 @@ let run_client ~port ~seed =
         Ppst.Client.connect ~rng ~series:series_x ~max_value ~distance:`Dtw
           channel
       in
-      let d = Ppst.Secure_dtw.run client in
+      let d = Ppst.Secure_dp.(run dtw Full Row_major) client in
       Ppst.Client.finish client;
       d
     with

@@ -299,7 +299,7 @@ let run_session ~port ~seed () =
         Ppst.Client.connect ~rng ~series:series_x ~max_value:max_value9
           ~distance:`Dtw channel
       in
-      let d = Ppst.Secure_dtw.run client in
+      let d = Ppst.Secure_dp.(run dtw Full Row_major) client in
       Ppst.Client.finish client;
       d
     with

@@ -127,7 +127,7 @@ let test_banded_infeasible () =
   let x = Series.of_list [ 1; 2; 3; 4; 5 ] and y = Series.of_list [ 1 ] in
   (match Ppst.Protocol.run ~spec:(Ppst.Protocol.spec ~band:2 `Dtw) ~seed:"band-bad" ~x ~y () with
    | _ -> Alcotest.fail "narrow band accepted"
-   | exception Ppst.Secure_dtw_banded.Band_too_narrow -> ());
+   | exception Ppst.Secure_dp.Band_too_narrow -> ());
   (match Ppst.Protocol.run ~spec:(Ppst.Protocol.spec ~band:(-1) `Dtw) ~seed:"band-neg" ~x:paper_x ~y:paper_y () with
    | _ -> Alcotest.fail "negative band accepted"
    | exception Invalid_argument _ -> ())
@@ -144,7 +144,7 @@ let prop_banded_equals_plaintext =
         | None -> begin
           match Ppst.Protocol.run ~spec:(Ppst.Protocol.spec ~band `Dtw) ~seed:"bp" ~x ~y () with
           | _ -> false
-          | exception Ppst.Secure_dtw_banded.Band_too_narrow -> true
+          | exception Ppst.Secure_dp.Band_too_narrow -> true
         end
         | Some plain ->
           let r = Ppst.Protocol.run ~spec:(Ppst.Protocol.spec ~band `Dtw) ~seed:"bp" ~x ~y () in
@@ -191,7 +191,7 @@ let prop_banded_dfd_equals_plaintext =
         | None -> begin
           match Ppst.Protocol.run ~spec:(Ppst.Protocol.spec ~band `Dfd) ~seed:"dbp" ~x ~y () with
           | _ -> false
-          | exception Ppst.Secure_dtw_banded.Band_too_narrow -> true
+          | exception Ppst.Secure_dp.Band_too_narrow -> true
         end
         | Some plain ->
           Ppst.Protocol.distance_int
@@ -337,7 +337,7 @@ let with_db_client ~records ~query ~distance f =
   in
   let channel = Channel.local (Ppst.Server.handle server) in
   let client =
-    Ppst.Client.connect
+    Ppst.Client.connect ~query:true
       ~rng:(Secure_rng.of_seed_string "db-client")
       ~series:query ~max_value:50 ~distance channel
   in
@@ -357,53 +357,56 @@ let test_catalog_lengths () =
   with_db_client ~records:db_records ~query ~distance:`Dtw (fun client ->
       Alcotest.(check (array int)) "lengths" [| 3; 5; 2; 6 |] (Ppst.Client.catalog client))
 
+let scan metric client = Ppst.Query.scan ~spec:(Ppst.Protocol.spec metric) client
+
 let test_scan_matches_plaintext () =
   with_db_client ~records:db_records ~query ~distance:`Dtw (fun client ->
-      let results = Ppst.Search.scan ~metric:`Dtw client in
-      Alcotest.(check int) "all records" 4 (List.length results);
-      List.iter
-        (fun r ->
+      let report = scan `Dtw client in
+      Alcotest.(check int) "all records" 4 (Array.length report.Ppst.Query.hits);
+      Alcotest.(check int) "nothing pruned" 0 report.Ppst.Query.pruned;
+      Alcotest.(check int) "every record exact" 4 report.Ppst.Query.evaluated;
+      Array.iter
+        (fun (r : Ppst.Query.hit) ->
           Alcotest.check eq_bi
-            (Printf.sprintf "record %d" r.Ppst.Search.index)
-            (Bigint.of_int (Distance.dtw_sq query db_records.(r.Ppst.Search.index)))
-            r.Ppst.Search.distance)
-        results)
+            (Printf.sprintf "record %d" r.Ppst.Query.index)
+            (Bigint.of_int (Distance.dtw_sq query db_records.(r.Ppst.Query.index)))
+            r.Ppst.Query.distance)
+        report.Ppst.Query.hits)
 
 let test_nearest_and_within () =
   with_db_client ~records:db_records ~query ~distance:`Dtw (fun client ->
-      let best = Ppst.Search.nearest ~metric:`Dtw client in
+      let best = (scan `Dtw client).Ppst.Query.hits.(0) in
       let plain_best, plain_dist =
         Ppst_timeseries.Knn.nearest Ppst_timeseries.Knn.Dtw_sq ~query db_records
       in
-      Alcotest.(check int) "winner" plain_best best.Ppst.Search.index;
-      Alcotest.check eq_bi "distance" (Bigint.of_int plain_dist) best.Ppst.Search.distance;
-      let close = Ppst.Search.within ~metric:`Dtw ~radius:10 client in
-      List.iter
-        (fun r ->
+      Alcotest.(check int) "winner" plain_best best.Ppst.Query.index;
+      Alcotest.check eq_bi "distance" (Bigint.of_int plain_dist) best.Ppst.Query.distance;
+      let close =
+        Ppst.Query.within ~spec:(Ppst.Protocol.spec `Dtw) ~radius:(Bigint.of_int 10)
+          client
+      in
+      Array.iter
+        (fun (r : Ppst.Query.hit) ->
           Alcotest.(check bool) "within radius" true
-            (Bigint.compare r.Ppst.Search.distance (Bigint.of_int 10) <= 0))
-        close;
+            (Bigint.compare r.Ppst.Query.distance (Bigint.of_int 10) <= 0))
+        close.Ppst.Query.hits;
       (* ascending order *)
       let rec ordered = function
-        | a :: (b :: _ as rest) ->
-          Bigint.compare a.Ppst.Search.distance b.Ppst.Search.distance <= 0
+        | (a : Ppst.Query.hit) :: ((b : Ppst.Query.hit) :: _ as rest) ->
+          Bigint.compare a.Ppst.Query.distance b.Ppst.Query.distance <= 0
           && ordered rest
         | _ -> true
       in
-      Alcotest.(check bool) "sorted" true (ordered close))
-
-let test_scan_limit () =
-  with_db_client ~records:db_records ~query ~distance:`Dtw (fun client ->
-      Alcotest.(check int) "limit 2" 2
-        (List.length (Ppst.Search.scan ~limit:2 ~metric:`Dtw client)))
+      Alcotest.(check bool) "sorted" true
+        (ordered (Array.to_list close.Ppst.Query.hits)))
 
 let test_search_dfd_metric () =
   with_db_client ~records:db_records ~query ~distance:`Dfd (fun client ->
-      let best = Ppst.Search.nearest ~metric:`Dfd client in
+      let best = (scan `Dfd client).Ppst.Query.hits.(0) in
       let plain_best, _ =
         Ppst_timeseries.Knn.nearest Ppst_timeseries.Knn.Dfd_sq ~query db_records
       in
-      Alcotest.(check int) "dfd winner" plain_best best.Ppst.Search.index)
+      Alcotest.(check int) "dfd winner" plain_best best.Ppst.Query.index)
 
 let test_select_out_of_range () =
   with_db_client ~records:db_records ~query ~distance:`Dtw (fun client ->
@@ -438,7 +441,7 @@ let test_server_select_error_reply () =
 let test_search_metric_mismatch_rejected () =
   (* a `Dfd-planned session has a smaller masking bound than DTW needs *)
   with_db_client ~records:db_records ~query ~distance:`Dfd (fun client ->
-      match Ppst.Search.scan ~metric:`Dtw client with
+      match scan `Dtw client with
       | _ -> Alcotest.fail "metric mismatch accepted"
       | exception Invalid_argument _ -> ())
 
@@ -465,12 +468,17 @@ let test_drivers_reject_wrong_plan () =
     | exception Invalid_argument _ -> ()
   in
   with_client `Euclidean (fun client ->
-      expect_reject "Secure_dtw" (fun () -> Ppst.Secure_dtw.run client);
-      expect_reject "Secure_dfd" (fun () -> Ppst.Secure_dfd.run client);
-      expect_reject "Secure_erp" (fun () -> Ppst.Secure_erp.run ~gap:[| 0 |] client);
-      expect_reject "Secure_dtw_banded" (fun () ->
-          Ppst.Secure_dtw_banded.run ~band:3 client);
-      expect_reject "wavefront" (fun () -> Ppst.Secure_dtw_wavefront.run_dtw client));
+      let open Ppst.Secure_dp in
+      List.iter
+        (fun (name, rule, domain, schedule) ->
+          expect_reject name (fun () -> run rule domain schedule client))
+        [
+          ("dtw", dtw, Full, Row_major);
+          ("dfd", dfd, Full, Row_major);
+          ("erp", erp ~gap:[| 0 |], Full, Row_major);
+          ("banded dtw", dtw, Band 3, Row_major);
+          ("wavefront dtw", dtw, Full, Anti_diagonal);
+        ]);
   with_client `Dtw (fun client ->
       expect_reject "Secure_euclidean" (fun () -> Ppst.Secure_euclidean.run client))
 
@@ -538,7 +546,6 @@ let () =
           Alcotest.test_case "catalog lengths" `Quick test_catalog_lengths;
           Alcotest.test_case "scan = plaintext distances" `Quick test_scan_matches_plaintext;
           Alcotest.test_case "nearest & within" `Quick test_nearest_and_within;
-          Alcotest.test_case "scan limit" `Quick test_scan_limit;
           Alcotest.test_case "DFD metric" `Quick test_search_dfd_metric;
           Alcotest.test_case "select out of range" `Quick test_select_out_of_range;
           Alcotest.test_case "select re-plans session" `Quick test_select_replans_session;

@@ -543,7 +543,7 @@ let run_failover_client ~port ~seed ?stats_out () =
           Ppst.Client.connect ~rng ~series:series_x16 ~max_value:max_value16
             ~distance:`Dtw channel
         in
-        let d = Ppst.Secure_dtw.run client in
+        let d = Ppst.Secure_dp.(run dtw Full Row_major) client in
         Ppst.Client.finish client;
         (match stats_out with
          | Some r -> r := Stats.messages (Channel.stats channel)

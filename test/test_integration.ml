@@ -33,11 +33,7 @@ let run_over_tcp ?(params = Ppst.Params.default) ~(distance : [ `Dtw | `Dfd ]) ~
       ~distance:(distance :> Ppst.Client.distance_kind)
       channel
   in
-  let dist =
-    match distance with
-    | `Dtw -> Ppst.Secure_dtw.run client
-    | `Dfd -> Ppst.Secure_dfd.run client
-  in
+  let dist = Ppst.Protocol.runner_of_spec (Ppst.Protocol.spec (distance :> Ppst.Protocol.algo)) client in
   Ppst.Client.finish client;
   Thread.join server_thread;
   (dist, Channel.stats channel)
@@ -97,7 +93,7 @@ let test_tcp_wavefront () =
   let x = Generate.ecg_int ~seed:25 ~length:10 ~max_value:50 in
   let y = Generate.ecg_int ~seed:26 ~length:11 ~max_value:50 in
   let dist =
-    run_custom_over_tcp ~distance:`Dtw ~runner:Ppst.Secure_dtw_wavefront.run_dtw
+    run_custom_over_tcp ~distance:`Dtw ~runner:Ppst.Secure_dp.(run dtw Full Anti_diagonal)
       ~x ~y ~seed:"tcp-wavefront" ()
   in
   Alcotest.(check int) "wavefront over tcp" (Distance.dtw_sq x y)
@@ -108,11 +104,58 @@ let test_tcp_erp () =
   let y = Generate.ecg_int ~seed:28 ~length:8 ~max_value:40 in
   let gap = [| 0 |] in
   let dist =
-    run_custom_over_tcp ~distance:`Erp ~runner:(Ppst.Secure_erp.run ~gap) ~x ~y
+    run_custom_over_tcp ~distance:`Erp ~runner:(Ppst.Secure_dp.(run (erp ~gap) Full Row_major)) ~x ~y
       ~seed:"tcp-erp" ()
   in
   Alcotest.(check int) "erp over tcp" (Distance.erp_sq ~gap x y)
     (Bigint.to_int_exn dist)
+
+(* The engine combinations no per-distance driver ever had — banded
+   wavefront DTW/DFD and wavefront ERP — against the real serving loop. *)
+let test_engine_over_server_loop () =
+  let module Server_loop = Ppst_transport.Server_loop in
+  let x = Generate.ecg_int ~seed:29 ~length:9 ~max_value:40 in
+  let y = Generate.ecg_int ~seed:30 ~length:8 ~max_value:40 in
+  let _pk, sk = Paillier.keygen ~bits:64 (Secure_rng.of_seed_string "loop-engine/key") in
+  let loop =
+    Server_loop.create ~port:0
+      ~handler:(fun ~id ~peer:_ ->
+        Server_loop.respond_only
+          (Ppst.Server.handle
+             (Ppst.Server.create_with_key ~sk
+                ~rng:(Secure_rng.of_seed_string (Printf.sprintf "loop-engine/%d" id))
+                ~series:y ~max_value:40 ())))
+      ()
+  in
+  let runner = Thread.create Server_loop.run loop in
+  Fun.protect
+    ~finally:(fun () ->
+      Server_loop.shutdown loop;
+      Thread.join runner)
+  @@ fun () ->
+  let gap = [| 0 |] in
+  List.iter
+    (fun (name, spec, expected) ->
+      let channel = Channel.connect ~host:"127.0.0.1" ~port:(Server_loop.port loop) () in
+      let client =
+        Ppst.Client.connect
+          ~rng:(Secure_rng.of_seed_string ("loop-engine/" ^ name))
+          ~series:x ~max_value:40 ~distance:spec.Ppst.Protocol.algo channel
+      in
+      let dist = Ppst.Protocol.runner_of_spec spec client in
+      Ppst.Client.finish client;
+      Alcotest.(check int) name expected (Bigint.to_int_exn dist))
+    [
+      ( "banded wavefront DTW",
+        Ppst.Protocol.spec ~band:2 ~strategy:`Wavefront `Dtw,
+        Option.get (Distance.dtw_sq_banded ~band:2 x y) );
+      ( "banded wavefront DFD",
+        Ppst.Protocol.spec ~band:2 ~strategy:`Wavefront `Dfd,
+        Option.get (Distance.dfd_sq_banded ~band:2 x y) );
+      ( "wavefront ERP",
+        Ppst.Protocol.spec ~gap ~strategy:`Wavefront `Erp,
+        Distance.erp_sq ~gap x y );
+    ]
 
 let test_key_file_workflow () =
   (* keygen -> save -> load -> serve: what bin/ppst_keygen + ppst_server do *)
@@ -142,7 +185,7 @@ let test_key_file_workflow () =
           ~series:(Series.of_list [ 2; 3; 4 ])
           ~max_value:10 ~distance:`Dtw channel
       in
-      let dist = Ppst.Secure_dtw.run client in
+      let dist = Ppst.Secure_dp.(run dtw Full Row_major) client in
       Ppst.Client.finish client;
       Alcotest.(check int) "distance with loaded key"
         (Distance.dtw_sq (Series.of_list [ 2; 3; 4 ]) y)
@@ -182,7 +225,7 @@ let test_sequential_sessions_one_server () =
           ~rng:(Secure_rng.of_seed_string (Printf.sprintf "msc-%d" i))
           ~series:x ~max_value:50 ~distance:`Dtw channel
       in
-      let dist = Ppst.Secure_dtw.run client in
+      let dist = Ppst.Secure_dp.(run dtw Full Row_major) client in
       Ppst.Client.finish client;
       Alcotest.(check int)
         (Printf.sprintf "session %d" i)
@@ -234,6 +277,8 @@ let () =
           Alcotest.test_case "tcp/local parity" `Quick test_tcp_matches_local_channel;
           Alcotest.test_case "wavefront over sockets" `Quick test_tcp_wavefront;
           Alcotest.test_case "ERP over sockets" `Quick test_tcp_erp;
+          Alcotest.test_case "engine combinations over Server_loop" `Quick
+            test_engine_over_server_loop;
         ] );
       ( "deployment workflows",
         [

@@ -53,7 +53,7 @@ let run_client ?(series = series_x) ~port ~seed () =
       let client =
         Ppst.Client.connect ~rng ~series ~max_value ~distance:`Dtw channel
       in
-      let d = Ppst.Secure_dtw.run client in
+      let d = Ppst.Secure_dp.(run dtw Full Row_major) client in
       Ppst.Client.finish client;
       (d, Stats.bytes_sent (Channel.stats channel),
        Stats.bytes_received (Channel.stats channel))
@@ -703,10 +703,13 @@ let test_unsaturated_limiting_is_invisible () =
 (* --- mixed workload: hostiles rejected, honest sessions unharmed ---------- *)
 
 let test_mixed_workload () =
+  (* One slot per concurrent connection below (two honest, three
+     hostile): the hostile clients do not retry on Busy, so a capacity
+     race would read as a hostile left unhandled. *)
   let config =
     {
       Server_loop.default_config with
-      max_sessions = 4;
+      max_sessions = 5;
       admission = { Admission.unlimited with max_cells = Some 15 };
       watchdog_timeout_s = Some 0.3;
     }
@@ -718,6 +721,8 @@ let test_mixed_workload () =
     (fun () ->
       let reference = run_client ~series:series_small ~port ~seed:"mixed-ref" () in
       let ref_d, _, _ = reference in
+      eventually "reference session never released its slot" (fun () ->
+          Server_loop.active_sessions loop = 0);
       let honest = Array.make 2 (Error "did not finish") in
       let hostile_done = ref 0 in
       let hostile_mutex = Mutex.create () in

@@ -140,13 +140,13 @@ let check_deterministic ~decryption ~distance ~runner ~expected name =
 
 let test_dtw_transcript_identical () =
   check_deterministic ~decryption:`Crt ~distance:`Dtw
-    ~runner:Ppst.Secure_dtw_wavefront.run_dtw
+    ~runner:Ppst.Secure_dp.(run dtw Full Anti_diagonal)
     ~expected:(Distance.dtw_sq det_x det_y)
     "wavefront DTW (CRT)"
 
 let test_dfd_transcript_identical () =
   check_deterministic ~decryption:`Standard ~distance:`Dfd
-    ~runner:Ppst.Secure_dtw_wavefront.run_dfd
+    ~runner:Ppst.Secure_dp.(run dfd Full Anti_diagonal)
     ~expected:(Distance.dfd_sq det_x det_y)
     "wavefront DFD (standard)"
 
@@ -159,7 +159,7 @@ let test_transcript_identical_with_telemetry () =
   let module Telemetry = Ppst_telemetry.Telemetry in
   let run () =
     digest_run ~jobs:1 ~decryption:`Crt ~distance:`Dtw
-      ~runner:Ppst.Secure_dtw_wavefront.run_dtw
+      ~runner:Ppst.Secure_dp.(run dtw Full Anti_diagonal)
   in
   Telemetry.configure ();
   (* sinks off *)

@@ -63,6 +63,24 @@ let test_params_wraparound_guard () =
    | _ -> Alcotest.fail "wrap-around accepted"
    | exception Ppst.Params.Insecure _ -> ())
 
+let test_params_offset_range_fits_k () =
+  (* an all-zero DFD has value bound 2: the offset range must still hold
+     k distinct offsets, or drawing them never terminates *)
+  List.iter
+    (fun k ->
+      let gamma_slack = if k <= 4 then 1 else 2 in
+      let s =
+        plan ~params:(Ppst.Params.make ~k ~gamma_slack ()) ~max_value:1 ~m:1 ~n:1
+          ~distance:`Dfd ()
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "k = %d: 2^gamma = %d >= k" k (1 lsl s.Ppst.Params.gamma))
+        true
+        (1 lsl s.Ppst.Params.gamma >= k);
+      Alcotest.(check int) (Printf.sprintf "k = %d: slack kept" k) gamma_slack
+        (s.Ppst.Params.gamma - s.Ppst.Params.beta))
+    [ 4; 10; 16; 50 ]
+
 let test_params_bad_args () =
   List.iter
     (fun f ->
@@ -228,14 +246,14 @@ let gen_series_pair =
   in
   pair mk mk
 
-let prop_secure_dtw_equals_plaintext =
+let prop_dtw_equals_plaintext =
   qtest "secure DTW = plaintext DTW" ~count:15 gen_series_pair
     ~print:(fun (a, b) -> print_series a ^ " / " ^ print_series b)
     (fun (x, y) ->
       let r = run_dtw ~seed:"prop-dtw" x y in
       Ppst.Protocol.distance_int r = Distance.dtw_sq x y)
 
-let prop_secure_dfd_equals_plaintext =
+let prop_dfd_equals_plaintext =
   qtest "secure DFD = plaintext DFD" ~count:10 gen_series_pair
     ~print:(fun (a, b) -> print_series a ^ " / " ^ print_series b)
     (fun (x, y) ->
@@ -298,9 +316,15 @@ let test_communication_formula_dtw () =
         Series.create (Array.init n (fun j -> Array.init d (fun l -> ((j * l) mod 20) + 1)))
       in
       let r = run_dtw ~params ~seed:"comm" x y in
+      let closed_form = (n * (d + 1)) + ((m - 1) * (n - 1) * (k + 3)) + 2 in
+      Alcotest.(check int)
+        (Printf.sprintf "plan m=%d n=%d d=%d k=%d" m n d k)
+        closed_form
+        (Ppst.Protocol.expected_values_transferred ~params ~m ~n ~d
+           (Ppst.Protocol.spec `Dtw));
       Alcotest.(check int)
         (Printf.sprintf "values m=%d n=%d d=%d k=%d" m n d k)
-        (Ppst.Protocol.expected_values_transferred ~params ~m ~n ~d `Dtw)
+        closed_form
         (Stats.total_values r.Ppst.Protocol.stats))
     [ (5, 5, 1, 10); (4, 7, 2, 8); (1, 3, 1, 10); (6, 2, 3, 16) ]
 
@@ -310,8 +334,18 @@ let test_communication_formula_dfd () =
   let x = Series.create (Array.init m (fun i -> [| i + 1; 2 * (i + 1) |])) in
   let y = Series.create (Array.init n (fun j -> [| 3 * (j + 1); j + 1 |])) in
   let r = run_dfd ~params ~seed:"comm-dfd" x y in
-  Alcotest.(check int) "dfd closed form"
-    (Ppst.Protocol.expected_values_transferred ~params ~m ~n ~d `Dfd)
+  let k = 10 in
+  let closed_form =
+    (n * (d + 1))
+    + ((m - 1 + (n - 1)) * (k + 2))
+    + ((m - 1) * (n - 1) * (k + 3 + k + 2))
+    + 2
+  in
+  Alcotest.(check int) "dfd plan"
+    closed_form
+    (Ppst.Protocol.expected_values_transferred ~params ~m ~n ~d
+       (Ppst.Protocol.spec `Dfd));
+  Alcotest.(check int) "dfd closed form" closed_form
     (Stats.total_values r.Ppst.Protocol.stats)
 
 let test_paper_per_entry_formula () =
@@ -405,7 +439,7 @@ let run_dtw_with_transcript ~offline =
     Ppst.Client.connect ~offline ~rng ~series:x ~max_value:7 ~distance:`Dtw
       (Channel.local handler)
   in
-  let dist = Ppst.Secure_dtw.run client in
+  let dist = Ppst.Secure_dp.(run dtw Full Row_major) client in
   Ppst.Client.finish client;
   (dist, Buffer.contents buf)
 
@@ -463,38 +497,50 @@ let test_packing_fallback_small_key () =
 (* --- hiding ------------------------------------------------------------------ *)
 
 let test_matrix_stays_encrypted_and_path_hidden () =
-  (* Run via the lower-level API to inspect the client's matrix view. *)
-  let rng = Secure_rng.of_seed_string "hiding/client" in
-  let server_rng = Secure_rng.of_seed_string "hiding/server" in
+  (* Run the engine directly to inspect the client's matrix view, under
+     both schedules and a band. *)
   let x = Series.of_list [ 3; 4; 5; 4; 6; 7 ] and y = Series.of_list [ 2; 4; 6; 5; 7 ] in
-  let server = Ppst.Server.create ~rng:server_rng ~series:y ~max_value:7 () in
-  let channel = Channel.local (Ppst.Server.handle server) in
-  let client =
-    Ppst.Client.connect ~rng ~series:x ~max_value:7 ~distance:`Dtw channel
-  in
-  let matrix, dist = Ppst.Secure_dtw.run_matrix client in
-  Ppst.Client.finish client;
-  Alcotest.(check int) "distance" (Distance.dtw_sq x y) (Bigint.to_int_exn dist);
-  (* every pair of matrix ciphertexts must be distinct, even where the
-     plaintext matrix has equal values (e.g. m11 = m22 = 1 in Figure 1) —
-     otherwise the client learns the optimal path (Section 5.5) *)
-  let plain = Distance.dtw_sq_matrix x y in
-  let duplicates = ref 0 and equal_plaintexts = ref 0 in
-  for i1 = 0 to 5 do
-    for j1 = 0 to 4 do
-      for i2 = 0 to 5 do
-        for j2 = 0 to 4 do
-          if (i1, j1) < (i2, j2) then begin
-            if plain.(i1).(j1) = plain.(i2).(j2) then incr equal_plaintexts;
-            if Paillier.equal_ciphertext matrix.(i1).(j1) matrix.(i2).(j2) then
-              incr duplicates
-          end
-        done
-      done
-    done
-  done;
-  Alcotest.(check bool) "plaintext matrix has equal entries" true (!equal_plaintexts > 0);
-  Alcotest.(check int) "no duplicate ciphertexts" 0 !duplicates
+  List.iter
+    (fun (name, domain, schedule) ->
+      let rng = Secure_rng.of_seed_string "hiding/client" in
+      let server_rng = Secure_rng.of_seed_string "hiding/server" in
+      let server = Ppst.Server.create ~rng:server_rng ~series:y ~max_value:7 () in
+      let channel = Channel.local (Ppst.Server.handle server) in
+      let client =
+        Ppst.Client.connect ~rng ~series:x ~max_value:7 ~distance:`Dtw channel
+      in
+      let matrix, dist = Ppst.Secure_dp.(run_matrix dtw domain schedule client) in
+      Ppst.Client.finish client;
+      Alcotest.(check int) (name ^ ": distance") (Distance.dtw_sq x y)
+        (Bigint.to_int_exn dist);
+      (* every pair of matrix ciphertexts must be distinct, even where the
+         plaintext matrix has equal values (e.g. m11 = m22 = 1 in Figure
+         1) — otherwise the client learns the optimal path (Section 5.5) *)
+      let plain = Distance.dtw_sq_matrix x y in
+      let cells =
+        List.concat_map
+          (fun i -> List.filter_map (fun j -> Option.map (fun c -> (i, j, c)) matrix.(i).(j)) [ 0; 1; 2; 3; 4 ])
+          [ 0; 1; 2; 3; 4; 5 ]
+      in
+      let duplicates = ref 0 and equal_plaintexts = ref 0 in
+      List.iter
+        (fun (i1, j1, c1) ->
+          List.iter
+            (fun (i2, j2, c2) ->
+              if (i1, j1) < (i2, j2) then begin
+                if plain.(i1).(j1) = plain.(i2).(j2) then incr equal_plaintexts;
+                if Paillier.equal_ciphertext c1 c2 then incr duplicates
+              end)
+            cells)
+        cells;
+      Alcotest.(check bool) (name ^ ": plaintext matrix has equal entries") true
+        (!equal_plaintexts > 0);
+      Alcotest.(check int) (name ^ ": no duplicate ciphertexts") 0 !duplicates)
+    [
+      ("row-major", Ppst.Secure_dp.Full, Ppst.Secure_dp.Row_major);
+      ("anti-diagonal", Ppst.Secure_dp.Full, Ppst.Secure_dp.Anti_diagonal);
+      ("band 2", Ppst.Secure_dp.Band 2, Ppst.Secure_dp.Row_major);
+    ]
 
 let test_server_never_sees_unmasked_values () =
   (* instrument the channel: every Min_request candidate decrypted by the
@@ -523,7 +569,7 @@ let test_server_never_sees_unmasked_values () =
   in
   let channel = Channel.local audited in
   let client = Ppst.Client.connect ~rng ~series:x ~max_value:9 ~distance:`Dtw channel in
-  let dist = Ppst.Secure_dtw.run client in
+  let dist = Ppst.Secure_dp.(run dtw Full Row_major) client in
   Ppst.Client.finish client;
   Alcotest.(check int) "distance still right" (Distance.dtw_sq x y)
     (Bigint.to_int_exn dist);
@@ -633,6 +679,8 @@ let () =
           Alcotest.test_case "slack constraint" `Quick test_params_slack_constraint;
           Alcotest.test_case "wrap-around guard" `Quick test_params_wraparound_guard;
           Alcotest.test_case "bad arguments" `Quick test_params_bad_args;
+          Alcotest.test_case "offset range fits k" `Quick
+            test_params_offset_range_fits_k;
         ] );
       ( "masking",
         [
@@ -659,8 +707,8 @@ let () =
           Alcotest.test_case "larger keys" `Slow test_larger_keys;
           Alcotest.test_case "zero values" `Quick test_zero_values_allowed;
           Alcotest.test_case "randomness-independent" `Quick test_determinism_across_seeds;
-          prop_secure_dtw_equals_plaintext;
-          prop_secure_dfd_equals_plaintext;
+          prop_dtw_equals_plaintext;
+          prop_dfd_equals_plaintext;
         ] );
       ( "accounting",
         [

@@ -383,7 +383,7 @@ let run_chaos_client ~port ~seed ?faults () =
         Ppst.Client.connect ~rng ~series:series_x ~max_value ~distance:`Dtw
           channel
       in
-      let d = Ppst.Secure_dtw.run client in
+      let d = Ppst.Secure_dp.(run dtw Full Row_major) client in
       Ppst.Client.finish client;
       d
     with
