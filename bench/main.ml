@@ -358,7 +358,7 @@ let extensions ~length =
 (* ---- network projections (wavefront's raison d'etre) -------------------------- *)
 
 let network ~length =
-  header "Network projections: measured traces replayed on modeled links";
+  header "Network projections: measured traffic projected on modeled links";
   let x = Generate.ecg_int ~seed:9001 ~length ~max_value in
   let y = Generate.ecg_int ~seed:9002 ~length ~max_value in
   let band = length / 10 in
@@ -369,14 +369,14 @@ let network ~length =
   let variants =
     [
       ("sequential DTW", full_expected,
-       fun trace ->
-         Ppst.Protocol.run ~spec:(Ppst.Protocol.spec `Dtw) ~trace ~seed:"net-seq" ~max_value ~x ~y ());
+       fun () ->
+         Ppst.Protocol.run ~spec:(Ppst.Protocol.spec `Dtw) ~seed:"net-seq" ~max_value ~x ~y ());
       ("wavefront DTW", full_expected,
-       fun trace ->
-         Ppst.Protocol.run ~spec:(Ppst.Protocol.spec ~strategy:`Wavefront `Dtw) ~trace ~seed:"net-wf" ~max_value ~x ~y ());
+       fun () ->
+         Ppst.Protocol.run ~spec:(Ppst.Protocol.spec ~strategy:`Wavefront `Dtw) ~seed:"net-wf" ~max_value ~x ~y ());
       (Printf.sprintf "banded DTW (r=%d)" band, banded_expected,
-       fun trace ->
-         Ppst.Protocol.run ~spec:(Ppst.Protocol.spec ~band `Dtw) ~trace ~seed:"net-band" ~max_value ~x
+       fun () ->
+         Ppst.Protocol.run ~spec:(Ppst.Protocol.spec ~band `Dtw) ~seed:"net-band" ~max_value ~x
            ~y ());
     ]
   in
@@ -392,23 +392,23 @@ let network ~length =
     "WAN";
   List.iter
     (fun (name, expected, run_variant) ->
-      let trace = Ppst.Import.Trace.create () in
-      let r = run_variant trace in
+      let r = run_variant () in
+      let stats = r.Ppst.Protocol.stats in
       if Ppst.Protocol.distance_int r <> expected then
         failwith (Printf.sprintf "%s disagrees with its plaintext reference" name);
       let compute = Ppst.Cost.total_seconds r.Ppst.Protocol.cost in
       let predictions =
         List.map
           (fun (_, link) ->
-            (Ppst.Import.Netsim.estimate ~link ~compute_seconds:compute trace)
+            (Ppst.Import.Netsim.estimate ~link ~compute_seconds:compute stats)
               .Ppst.Import.Netsim.total_seconds)
           links
       in
       match predictions with
       | [ dc; lan; wan ] ->
         line "%-22s %8d %8.0f %14.3f %12.3f %12.3f" name
-          (Ppst.Import.Trace.rounds trace)
-          (float_of_int (Ppst.Import.Trace.total_bytes trace) /. 1024.0)
+          (Ppst.Import.Stats.rounds stats)
+          (float_of_int (Ppst.Import.Stats.total_bytes stats) /. 1024.0)
           dc lan wan
       | _ -> assert false)
     variants;

@@ -17,7 +17,6 @@ module Channel = Ppst_transport.Channel
 module Retry = Ppst_transport.Retry
 module Stats = Ppst_transport.Stats
 module Wire = Ppst_transport.Wire
-module Trace = Ppst_transport.Trace
 module Netsim = Ppst_transport.Netsim
 module Telemetry = Ppst_telemetry.Telemetry
 module Metrics = Ppst_telemetry.Metrics

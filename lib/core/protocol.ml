@@ -16,11 +16,11 @@ let run_session : type a.
     runner:(Client.t -> a) ->
     ?params:Params.t -> ?seed:string -> ?max_value:int ->
     ?decryption:[ `Standard | `Crt ] -> ?offline:bool -> ?packing:bool ->
-    ?jobs:int -> ?trace:Trace.t ->
+    ?jobs:int ->
     x:Series.t -> y:Series.t -> unit ->
     a * Cost.t * Stats.t * Params.session =
  fun ~distance_kind ~runner ?(params = Params.default) ?seed ?max_value
-     ?decryption ?offline ?packing ?(jobs = 1) ?trace ~x ~y () ->
+     ?decryption ?offline ?packing ?(jobs = 1) ~x ~y () ->
   let rng_of suffix =
     match seed with
     | Some s -> Secure_rng.of_seed_string (s ^ "/" ^ suffix)
@@ -58,7 +58,7 @@ let run_session : type a.
         Server.create ~params ?decryption ~workers ~rng:server_rng ~series:y
           ~max_value:server_max ()
       in
-      let channel = Channel.local ?trace (Server.handle server) in
+      let channel = Channel.local (Server.handle server) in
       let client =
         Client.connect ~params ?offline ?packing ~workers ~rng:client_rng
           ~series:x ~max_value:client_max ~distance:distance_kind channel
@@ -158,13 +158,12 @@ let expected_query_values ~params ~candidates ~segments ~d =
   let k = params.Params.k in
   (candidates * segments * d * (k + 5)) + candidates
 
-let run ~spec:s ?params ?seed ?max_value ?decryption ?offline ?jobs ?trace ~x ~y () =
+let run ~spec:s ?params ?seed ?max_value ?decryption ?offline ?jobs ~x ~y () =
   let runner = runner_of_spec s in
   let result =
     pack
       (run_session ~distance_kind:(distance_kind_of_algo s.algo) ~runner ?params
-         ?seed ?max_value ?decryption ?offline ~packing:s.packing ?jobs ?trace ~x
-         ~y ())
+         ?seed ?max_value ?decryption ?offline ~packing:s.packing ?jobs ~x ~y ())
   in
   (* Cost attribution: every unpacked run is checked against the model
      (packed framing counts ciphertexts, not values). *)

@@ -74,7 +74,6 @@ val run :
   ?decryption:[ `Standard | `Crt ] ->
   ?offline:bool ->
   ?jobs:int ->
-  ?trace:Trace.t ->
   x:Series.t ->
   y:Series.t ->
   unit ->
@@ -91,8 +90,7 @@ val run :
     Domain worker pool both parties share for their Paillier fan-outs —
     a seeded run's transcript and revealed distance are bit-identical at
     any [jobs] value (see {!Client.connect} for the determinism
-    contract); [trace] records per-round message sizes for {!Netsim}
-    replay.
+    contract).  The result's [stats] feed {!Netsim.estimate}.
 
     Every unpacked run is checked against {!expected_values_transferred}
     in the {!Ledger}.

@@ -454,5 +454,5 @@ let handle t (req : Message.request) : Message.reply =
   | Message.Resume _ ->
     Message.Resume_reject { reason = "this endpoint does not retain session state" }
   (* An in-process server sends 0: Channel.local times the handler
-     itself; TCP servers report via Channel.serve_once instead. *)
+     itself; the TCP Server_loop answers Bye with its measured total. *)
   | Message.Bye -> Message.Bye_ack { server_seconds = 0.0 }

@@ -122,9 +122,9 @@ val selected : t -> int
 val handle : t -> Message.request -> Message.reply
 (** Answer one request.  Ill-formed or out-of-range requests produce
     [Error_reply], never an exception.  Partial application
-    ([Server.handle server]) is the handler shape {!Channel.local},
-    {!Channel.serve_once} and {!Server_loop} expect.  (A [handler]
-    alias used to exist; it was the same function and is gone.) *)
+    ([Server.handle server]) is the handler shape {!Channel.local} and
+    {!Server_loop} expect.  (A [handler] alias used to exist; it was the
+    same function and is gone.) *)
 
 val public_key : t -> Paillier.public_key
 val private_key : t -> Paillier.private_key

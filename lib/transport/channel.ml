@@ -10,10 +10,10 @@ exception Quota_exceeded of { quota : string; limit : int; requested : int }
 module Telemetry = Ppst_telemetry.Telemetry
 module Metrics = Ppst_telemetry.Metrics
 
-(* Per-round observability (subsumes the deprecated Trace module): every
-   request/reply pair updates these process-wide metrics and, at Debug,
-   emits a "channel.round" point with opcode/sizes/latency — the record
-   ppst_analyze's trace table aggregates. *)
+(* Per-round observability: every request/reply pair updates these
+   process-wide metrics and, at Debug, emits a "channel.round" point with
+   opcode/sizes/latency — the record ppst_analyze's trace table
+   aggregates. *)
 let m_frame_bytes =
   Metrics.histogram
     ~buckets:[| 64.; 256.; 1024.; 4096.; 16384.; 65536.; 262144.; 1048576. |]
@@ -119,7 +119,6 @@ type t = {
   backend : backend;
   config : config;
   stats : Stats.t;
-  trace : Trace.t option;
   (* Wall budget for the operation currently driving this channel:
      checked before every round, threaded into the reconnect/resume
      retries, and mapped onto the frame-read deadline.  Mutable so a
@@ -130,7 +129,6 @@ type t = {
 }
 
 let stats t = t.stats
-let trace t = t.trace
 let server_seconds t = t.server_seconds
 let budget t = t.budget
 let set_budget t b = t.budget <- b
@@ -521,11 +519,6 @@ let request t req =
         protocol_error "frame length %d exceeds cap" (String.length reply_encoded);
       Stats.record_received t.stats ~bytes:(String.length reply_encoded)
         ~values:(Message.values_in (Message.Reply reply));
-      (match t.trace with
-       | Some tr ->
-         Trace.record tr ~request_bytes:(String.length encoded)
-           ~reply_bytes:(String.length reply_encoded)
-       | None -> ());
       (decode_reply reply_encoded, String.length reply_encoded)
     | Tcp st ->
       (* One logical round, surviving connection loss: on a typed
@@ -572,11 +565,6 @@ let request t req =
        | _ -> ());
       Stats.record_received t.stats ~bytes:(String.length frame)
         ~values:(Message.values_in (Message.Reply reply));
-      (match t.trace with
-       | Some tr ->
-         Trace.record tr ~request_bytes:(String.length encoded)
-           ~reply_bytes:(String.length frame)
-       | None -> ());
       (reply, String.length frame)
   in
   Stats.record_round t.stats;
@@ -607,20 +595,19 @@ let close t =
     | Tcp st -> (try Unix.close st.fd with Unix.Unix_error _ -> ())
   end
 
-let make ?config:cfg ?trace ?budget backend =
+let make ?config:cfg ?budget backend =
   {
     backend;
     config = (match cfg with Some c -> c | None -> default_config ());
     stats = Stats.create ();
-    trace;
     budget;
     server_seconds = 0.0;
     closed = false;
   }
 
-let local ?config ?trace handler = make ?config ?trace (Local handler)
+let local ?config handler = make ?config (Local handler)
 
-let connect ?config ?trace ?(crc = true) ?(resume = true) ?retry ?rng ?sleep
+let connect ?config ?(crc = true) ?(resume = true) ?retry ?rng ?sleep
     ?budget ?faults ~host ~port () =
   Lazy.force ignore_sigpipe;
   let rng =
@@ -643,7 +630,7 @@ let connect ?config ?trace ?(crc = true) ?(resume = true) ?retry ?rng ?sleep
     (if crc then Message.flag_crc32 else 0)
     lor if resume then Message.flag_resume else 0
   in
-  make ?config ?trace ?budget
+  make ?config ?budget
     (Tcp
        {
          fd;
@@ -654,57 +641,3 @@ let connect ?config ?trace ?(crc = true) ?(resume = true) ?retry ?rng ?sleep
          token = "";
          rounds = 0;
        })
-
-let serve_once ?config:cfg ~port ~handler () =
-  Lazy.force ignore_sigpipe;
-  let cfg = match cfg with Some c -> c | None -> default_config () in
-  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close listener with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.setsockopt listener Unix.SO_REUSEADDR true;
-      Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_any, port));
-      Unix.listen listener 1;
-      let fd, _ = Unix.accept listener in
-      Unix.setsockopt fd Unix.TCP_NODELAY true;
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          (* Measure handler time so the client's accounting can include
-             the server side even over TCP: the total is shipped back in
-             the final Bye_ack (see Message.Bye_ack).  serve_once never
-             grants capability flags (no CRC, no resume): it is the
-             minimal single-session server; Server_loop is the
-             fault-tolerant one. *)
-          let handler_seconds = ref 0.0 in
-          let timed req =
-            let t0 = Unix.gettimeofday () in
-            let reply = try handler req with e -> Message.Error_reply (Printexc.to_string e) in
-            handler_seconds := !handler_seconds +. (Unix.gettimeofday () -. t0);
-            reply
-          in
-          let rec loop () =
-            match read_frame ~max_frame:cfg.max_frame fd with
-            | None -> ()
-            | Some frame ->
-              let reply =
-                match Message.decode frame with
-                | Message.Request Message.Bye ->
-                  Message.Bye_ack { server_seconds = !handler_seconds }
-                | Message.Request (Message.Resume _) ->
-                  Message.Resume_reject
-                    { reason = "this server does not retain session state" }
-                | Message.Request Message.Health_req ->
-                  (* single-session server: serving this connection at
-                     all means it is ready *)
-                  Message.Health_reply
-                    { status = 0; active = 0; capacity = 1; retry_after_s = 0.0 }
-                | Message.Request req -> timed req
-                | Message.Reply _ -> Message.Error_reply "expected a request"
-                | exception Wire.Malformed m ->
-                  Message.Error_reply ("malformed request: " ^ m)
-              in
-              write_frame ~max_frame:cfg.max_frame fd (Message.encode (Message.Reply reply));
-              match reply with Message.Bye_ack _ -> () | _ -> loop ()
-          in
-          try loop () with Connection_lost _ -> ()))

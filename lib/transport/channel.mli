@@ -7,13 +7,11 @@
       wire format, so byte counts equal what a socket run would transfer;
       the handler's wall-clock time is accumulated separately, enabling
       per-party timing (paper Figures 6 and 10).
-    - {!connect}/{!serve_once}: TCP over [Unix], with length-prefixed
-      frames.  {!Server_loop} builds the concurrent multi-session server
-      on the same frame primitives.
+    - {!connect}: TCP over [Unix], with length-prefixed frames, to a
+      {!Server_loop} built on the same frame primitives.
 
-    Both constructors take the same optional arguments ([?config],
-    [?trace]); a channel's frame cap is part of its {!config}, not
-    process-global state. *)
+    Both constructors take the same optional [?config]; a channel's
+    frame cap is part of its {!config}, not process-global state. *)
 
 exception Protocol_error of string
 (** Raised on an [Error_reply] from the peer or a transport-level
@@ -107,8 +105,9 @@ val request : t -> Message.request -> Message.reply
     @raise Quota_exceeded when the server rejects at admission control. *)
 
 val stats : t -> Stats.t
-
-val trace : t -> Trace.t option
+(** Traffic so far: bytes and values per direction, and one round per
+    completed {!request} — the input {!Netsim.estimate} projects onto a
+    modeled link. *)
 
 val budget : t -> Retry.Budget.t option
 (** The wall budget currently governing this channel, if any. *)
@@ -139,16 +138,14 @@ val close : t -> unit
 
 (** {1 In-process} *)
 
-val local : ?config:config -> ?trace:Trace.t -> (Message.request -> Message.reply) -> t
+val local : ?config:config -> (Message.request -> Message.reply) -> t
 (** [?config] applies the per-channel frame cap to the encoded messages
-    (byte parity with a socket run includes the cap); [?trace] records
-    every request/reply pair's byte sizes for {!Netsim} replay. *)
+    (byte parity with a socket run includes the cap). *)
 
 (** {1 TCP} *)
 
 val connect :
   ?config:config ->
-  ?trace:Trace.t ->
   ?crc:bool ->
   ?resume:bool ->
   ?retry:Retry.policy ->
@@ -160,7 +157,7 @@ val connect :
   port:int ->
   unit ->
   t
-(** [?config]/[?trace] as in {!local}.  [?crc] (default [true]) and
+(** [?config] as in {!local}.  [?crc] (default [true]) and
     [?resume] (default [true]) choose the capability bits {e offered} in
     [Hello]; what is actually in force is the server's grant, observed
     on the [Welcome] reply (an old server simply grants nothing and the
@@ -188,20 +185,6 @@ val negotiated_flags : t -> int
 
 val resume_token : t -> string option
 (** The live resume token, once granted. *)
-
-val serve_once :
-  ?config:config ->
-  port:int ->
-  handler:(Message.request -> Message.reply) ->
-  unit ->
-  unit
-(** Accept a single connection on [port] and answer requests until [Bye]
-    or EOF.  Handler wall-clock time is measured per request and the
-    session total is shipped back in the final
-    [Bye_ack { server_seconds }], so a remote client's accounting can
-    include server cost (see {!server_seconds}).  Handler exceptions are
-    converted to [Error_reply] frames, keeping the server alive.  For a
-    persistent, concurrent server use {!Server_loop}. *)
 
 (** {1 Frame I/O (exposed for {!Server_loop}, the server binary and tests)} *)
 
@@ -239,8 +222,8 @@ val read_frame :
 val setup_sigpipe : unit -> unit
 (** Set SIGPIPE to ignore (idempotent), so a write to a peer-reset
     socket surfaces as [EPIPE] instead of killing the process.  Forced
-    automatically by {!connect}, {!serve_once} and
-    {!Server_loop.create}; exposed for callers doing raw frame I/O. *)
+    automatically by {!connect} and {!Server_loop.create}; exposed for
+    callers doing raw frame I/O. *)
 
 val retry_on_intr : (unit -> 'a) -> 'a
 (** Run a syscall thunk, retrying on [EINTR] (signal mid-syscall) and

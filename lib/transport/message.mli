@@ -155,7 +155,7 @@ type reply =
   | Bye_ack of { server_seconds : float }
       (** Final accounting reply: total wall-clock time the server spent
           inside its request handler this session.  A TCP server reports
-          its measured total here (see {!Channel.serve_once}); in-process
+          its measured total here (see {!Server_loop}); in-process
           servers send [0.] because {!Channel.local} times the handler
           itself. *)
   | Stats_reply of string

@@ -20,11 +20,10 @@ type estimate = {
 
 let frame_header_bytes = 4
 
-let estimate ~link ~compute_seconds trace =
-  let latency = float_of_int (Trace.rounds trace) *. link.rtt_seconds in
-  let wire_bytes =
-    Trace.total_bytes trace + (2 * frame_header_bytes * Trace.rounds trace)
-  in
+let estimate ~link ~compute_seconds stats =
+  let rounds = Stats.rounds stats in
+  let latency = float_of_int rounds *. link.rtt_seconds in
+  let wire_bytes = Stats.total_bytes stats + (2 * frame_header_bytes * rounds) in
   let transfer = float_of_int wire_bytes /. link.bandwidth_bytes_per_second in
   {
     compute_seconds;

@@ -1,6 +1,6 @@
-(** Analytic network-cost model: replay a {!Trace} against a link to
-    predict the protocol's wall-clock time on networks the benchmark
-    machine does not have.
+(** Analytic network-cost model: project a channel's {!Stats} (bytes and
+    rounds) onto a link to predict the protocol's wall-clock time on
+    networks the benchmark machine does not have.
 
     The model charges each request/reply round one round-trip time plus
     serialization delay for both payloads (headers included), on top of
@@ -36,6 +36,6 @@ type estimate = {
   total_seconds : float;
 }
 
-val estimate : link:link -> compute_seconds:float -> Trace.t -> estimate
+val estimate : link:link -> compute_seconds:float -> Stats.t -> estimate
 
 val pp_estimate : Format.formatter -> estimate -> unit

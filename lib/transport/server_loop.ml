@@ -1,11 +1,11 @@
 (* Concurrent accept loop: one worker thread per session, capacity
    enforcement with Busy replies, monotonic idle/deadline checks in the
-   frame-read path, and a drain-on-shutdown protocol.  Since the
-   fault-tolerance PR it also owns the transport capabilities: CRC-32
-   frame integrity and checkpoint/resume are negotiated here (the core
-   protocol handler stays transport-agnostic), and the state of a
-   session whose connection died is parked in a bounded TTL table keyed
-   by the random resume token issued in Welcome.
+   frame-read path, and a drain-on-shutdown protocol.  Every decision a
+   connection's frames call for is made by Session_machine; this module
+   is its I/O shell (read a frame, perform the actions) plus what spans
+   connections: the session registry, the resume table of parked
+   sessions keyed by the token issued in Welcome, the crash-safe spool,
+   admission at accept time and the supervised worker mode.
 
    Locking discipline: [t.mu] guards the session registry (active count,
    finished list, merged aggregates); [t.rng_mu] guards the token
@@ -24,12 +24,8 @@ let m_completed = Metrics.counter "server.sessions.completed"
 let m_aborted = Metrics.counter "server.sessions.aborted"
 let m_busy_rejected = Metrics.counter "server.sessions.busy_rejected"
 let m_disconnected = Metrics.counter "server.sessions.disconnected"
-let m_resume_accepted = Metrics.counter "server.resume.accepted"
-let m_resume_rejected = Metrics.counter "server.resume.rejected"
 let m_parked = Metrics.gauge "server.resume.parked"
 let m_shed = Metrics.counter "server.shed"
-let m_capability_violations = Metrics.counter "server.capability.violations"
-let m_stalled = Metrics.counter "server.sessions.stalled"
 
 (* Degraded-mode observability: spool write failures and the sticky
    durability flag they flip (surfaced as Health_reply status 3). *)
@@ -89,7 +85,7 @@ let default_config =
    after every counted round), [restore] re-applies a blob to a freshly
    built handler — how a session parked in worker A resumes in worker B
    after A is SIGKILLed. *)
-type app_handler = {
+type app_handler = Session_machine.app_handler = {
   respond : Message.request -> Message.reply;
   snapshot : (unit -> string) option;
   restore : (string -> unit) option;
@@ -97,7 +93,7 @@ type app_handler = {
 
 let respond_only respond = { respond; snapshot = None; restore = None }
 
-type outcome =
+type outcome = Session_machine.outcome =
   | Completed
   | Idle_timeout
   | Deadline_exceeded
@@ -105,33 +101,6 @@ type outcome =
   | Disconnected
   | Quota_rejected of string
   | Slow_peer
-
-(* Everything needed to continue a session on a later connection.
-   [server_rounds]/[last_reply] implement exactly-once rounds: the
-   client reconciles its own received-reply count against
-   [server_rounds], and when the server is ahead (the reply was
-   computed but lost in transit) the cached encoding is replayed inside
-   Resume_ack instead of running the round again. *)
-type session_ctx = {
-  ctx_id : int;
-  ctx_peer : Unix.sockaddr;
-  mutable handle : app_handler option;
-      (* created lazily in the session thread, exactly once per logical
-         session — a resumed connection reuses it, state intact *)
-  mutable pending_restore : string option;
-      (* application blob from a spooled snapshot, applied through the
-         handler's [restore] hook the moment the factory rebuilds it *)
-  mutable server_rounds : int;  (* replies written, control frames excluded *)
-  mutable last_reply : string;  (* encoded last counted reply *)
-  mutable handler_seconds : float;  (* cumulative across connections *)
-  mutable requests : int;  (* cumulative across connections *)
-  mutable token : string;
-  mutable granted : int;
-  ctx_deadline : float option;  (* fixed at first accept, survives resume *)
-  adm : Admission.t;  (* per-session budget ledger, survives resume *)
-  mutable server_len : int;  (* active record's length, from Welcome *)
-  mutable catalog : int array option;  (* record lengths, once seen *)
-}
 
 type session = {
   id : int;
@@ -159,7 +128,7 @@ type t = {
   mutable last_sweep : float;
   stop : bool Atomic.t;
   mu : Mutex.t;
-  resume : session_ctx Resume_table.t;
+  resume : Session_machine.session Resume_table.t;
   ratelimit : Ratelimit.t option;
   (* sessions currently inside the protocol handler — the in-flight
      crypto work the shed watermark compares against.  An Atomic so the
@@ -403,8 +372,8 @@ let health_status t =
   else if Atomic.get t.durability_lost then 3
   else 0
 
-let health_reply ?status t =
-  let status = match status with Some s -> s | None -> health_status t in
+let health_reply t =
+  let status = health_status t in
   Message.Health_reply
     {
       status;
@@ -413,575 +382,167 @@ let health_reply ?status t =
       retry_after_s = (if status = 0 then 0.0 else t.config.retry_after_s);
     }
 
-(* The earliest of the idle and overall deadlines, tagged with which one
-   it is so a timeout maps to the right outcome. *)
-let next_deadline t ~session_deadline =
-  let idle =
-    match t.config.idle_timeout_s with
-    | None -> None
-    | Some s -> Some (Monoclock.now () +. s)
-  in
-  match (idle, session_deadline) with
-  | None, None -> None
-  | Some i, None -> Some (i, Idle_timeout)
-  | None, Some d -> Some (d, Deadline_exceeded)
-  | Some i, Some d ->
-    if d <= i then Some (d, Deadline_exceeded) else Some (i, Idle_timeout)
+(* --- the I/O shell around Session_machine ----------------------------------- *)
 
-let best_effort_reply ?max_frame ?(crc = false) fd reply =
+(* A resume token's parked session: this process's memory first, then —
+   a miss may mean the session was parked by a worker that is now dead —
+   the crash-safe spool (cross-worker failover). *)
+let take_parked t token =
+  let found =
+    match Resume_table.take t.resume token with
+    | Some s -> Some (Session_machine.Live s)
+    | None ->
+      Option.bind t.spool (fun sp ->
+          Option.map (fun blob -> Session_machine.Spooled blob) (Spool.take sp ~key:token))
+  in
+  if Option.is_some found then
+    Metrics.gauge_set m_parked (float_of_int (Resume_table.size t.resume));
+  found
+
+let machine_env t =
+  {
+    Session_machine.now = Monoclock.now;
+    idle_timeout_s = t.config.idle_timeout_s;
+    deadline_s = t.config.deadline_s;
+    grants = supported_flags t;
+    admission = t.config.admission;
+    spooling = Option.is_some t.spool && t.config.enable_resume;
+    boot_id = t.boot_id;
+    mint_token = (fun () -> gen_token t);
+    take_parked = take_parked t;
+    in_handler =
+      (fun call ->
+        (* the in-flight gauge the shed watermark watches: this thread
+           is about to spend crypto cycles in the handler *)
+        Atomic.incr t.inflight;
+        Fun.protect ~finally:(fun () -> Atomic.decr t.inflight) call);
+    stats_text = (fun () -> stats_text t);
+    metrics_text;
+    health = (fun () -> health_reply t);
+  }
+
+let event_of_exn : exn -> Session_machine.event = function
+  | Channel.Stalled -> Stalled
+  | Channel.Connection_lost _ | Channel.Frame_corrupt _ -> Lost
+  | Channel.Protocol_error m -> Failed m
+  | Unix.Unix_error (e, _, _) -> Failed (Unix.error_message e)
+  | e -> Failed (Printexc.to_string e)
+
+(* Read the next frame the way the machine asks: its CRC setting and
+   deadline, plus the watchdog and fault injector when serving. *)
+let next_event t fd st =
+  let timer = Session_machine.deadline st in
+  let guarded = Session_machine.guarded st in
+  match
+    Channel.read_frame ?max_frame:t.config.max_frame ~crc:(Session_machine.crc st)
+      ?faults:(if guarded then t.config.faults else None)
+      ?progress_timeout_s:(if guarded then t.config.watchdog_timeout_s else None)
+      ?deadline:(Option.map fst timer) fd
+  with
+  | Some frame -> Session_machine.Frame frame
+  | None -> Eof
+  | exception Channel.Timeout ->
+    Timeout (match timer with Some (_, kind) -> kind | None -> Idle)
+  | exception e -> event_of_exn e
+
+(* A Busy-refused connection: the client's first request is usually
+   already in our receive buffer, and close() with unread bytes pending
+   sends RST, which can destroy the Busy frame before the client reads
+   it.  So half-close and drain briefly before the close. *)
+let drain_input fd =
+  (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
   try
-    Channel.write_frame ?max_frame ~crc fd (Message.encode (Message.Reply reply))
-  with _ -> ()
-
-(* One connection, run in its own thread.  A connection is either a
-   fresh session (first frame Hello or any other request) or the
-   continuation of a parked one (first frame Resume); both then run the
-   same request loop, with per-frame deadline checks and stats. *)
-let serve_session t ~id ~peer fd =
-  let span =
-    Telemetry.start ~name:"server.session" ~attrs:[ ("id", Telemetry.Int id) ] ()
-  in
-  let cap = t.config.max_frame in
-  let stats = Stats.create () in
-  let crc = ref false in
-  (* Whether this connection has negotiated (Hello or Resume).  Before
-     that, Metrics_req is open introspection like Stats_req; after a
-     negotiation that did not grant the flag, it is a violation. *)
-  let negotiated = ref false in
-  let attached : session_ctx option ref = ref None in
-  let base_requests = ref 0 in
-  let base_handler = ref 0.0 in
-  let accept_deadline =
-    match t.config.deadline_s with
-    | None -> None
-    | Some s -> Some (Monoclock.now () +. s)
-  in
-  let attach c =
-    attached := Some c;
-    base_requests := c.requests;
-    base_handler := c.handler_seconds
-  in
-  let ctx () =
-    match !attached with
-    | Some c -> c
-    | None ->
-      let c =
-        {
-          ctx_id = id;
-          ctx_peer = peer;
-          handle = None;
-          pending_restore = None;
-          server_rounds = 0;
-          last_reply = "";
-          handler_seconds = 0.0;
-          requests = 0;
-          token = "";
-          granted = 0;
-          ctx_deadline = accept_deadline;
-          adm = Admission.create t.config.admission;
-          server_len = 0;
-          catalog = None;
-        }
-      in
-      attach c;
-      c
-  in
-  let handle_of c =
-    match c.handle with
-    | Some h -> h.respond
-    | None ->
-      (* the factory runs in the session thread: key-sharing setup cost
-         is paid by the session, never by the accept loop *)
-      let h = t.handler ~id:c.ctx_id ~peer:c.ctx_peer in
-      (* a spooled snapshot's application blob is re-applied the moment
-         the handler exists — before the first request touches it *)
-      (match (c.pending_restore, h.restore) with
-       | Some blob, Some restore -> restore blob
-       | _ -> ());
-      c.pending_restore <- None;
-      c.handle <- Some h;
-      h.respond
-  in
-  (* The full serializable session image (Snapshot transport fields +
-     the handler's own exported state). *)
-  let snapshot_of c =
-    let app =
-      match c.handle with
-      | Some { snapshot = Some snap; _ } -> snap ()
-      | _ -> ( match c.pending_restore with Some blob -> blob | None -> "")
+    let buf = Bytes.create 4096 in
+    let rec go attempts =
+      if attempts > 0 then
+        match Unix.select [ fd ] [] [] 0.2 with
+        | [], _, _ -> ()
+        | _ -> if Unix.read fd buf 0 4096 > 0 then go (attempts - 1)
     in
-    Snapshot.encode
-      {
-        Snapshot.token = c.token;
-        granted = c.granted;
-        server_rounds = c.server_rounds;
-        last_reply = c.last_reply;
-        requests = c.requests;
-        handler_seconds = c.handler_seconds;
-        server_len = c.server_len;
-        catalog = c.catalog;
-        admission = Admission.export c.adm;
-        app;
-      }
-  in
-  (* Externalize after every counted round, BEFORE the reply frame goes
-     out: a worker SIGKILLed at any later instant leaves a snapshot the
-     resuming worker replays from (killed-after-spool-before-send means
-     the client resumes one round behind and gets the cached reply;
-     killed-before-spool means the client re-sends and the round runs
-     again — either way the revealed distance is bit-identical). *)
-  let spool_snapshot c =
+    go 8
+  with Unix.Unix_error _ -> ()
+
+let perform t fd st : Session_machine.action -> unit = function
+  | Send { frame; crc; values } ->
+    Channel.write_frame ?max_frame:t.config.max_frame ~crc ?faults:t.config.faults fd
+      frame;
+    let stats = Session_machine.stats st in
+    Stats.record_sent stats ~bytes:(String.length frame) ~values;
+    Stats.record_round stats
+  | Notify { frame; crc } -> (
+    try Channel.write_frame ?max_frame:t.config.max_frame ~crc fd frame with _ -> ())
+  | Save_snapshot { token; blob } -> (
     match t.spool with
-    | Some sp when c.token <> "" && t.config.enable_resume -> (
-      match Spool.put sp ~key:c.token (snapshot_of c) with
+    | Some sp -> (
+      match Spool.put sp ~key:token blob with
       | () -> durability_regained t
       | exception e -> durability_lost t e
         (* a full disk must not kill the live session: the spool is a
            recovery improvement, in-memory parking still works.  The
            failure demotes the server to the typed degraded state
            (Health_reply status 3) until a later write lands. *))
-    | _ -> ()
+    | None -> ())
+  | Drop_snapshot token -> Option.iter (fun sp -> Spool.delete sp ~key:token) t.spool
+  | Refuse { frame; shed } ->
+    locked t (fun () ->
+        t.rejected <- t.rejected + 1;
+        if shed then t.shed <- t.shed + 1);
+    Metrics.incr (if shed then m_shed else m_busy_rejected);
+    (try Channel.write_frame ?max_frame:t.config.max_frame fd frame with _ -> ());
+    drain_input fd
+  | Close _ -> ()
+
+(* Feed events to the machine and perform its actions in order until it
+   closes the connection; a failed action is the machine's next event. *)
+let rec drive t fd st = advance t fd (Session_machine.step st (next_event t fd st))
+
+and advance t fd (st, actions) =
+  match actions with
+  | [] -> drive t fd st
+  | Session_machine.Close { outcome; park } :: _ -> (st, outcome, park)
+  | action :: rest -> (
+    match perform t fd st action with
+    | () -> advance t fd (st, rest)
+    | exception e -> advance t fd (Session_machine.step st (event_of_exn e)))
+
+(* One connection, run in its own thread: a fresh session, or the
+   continuation of a parked one when the first frame is Resume. *)
+let serve_session t ~id ~peer fd =
+  let span =
+    Telemetry.start ~name:"server.session" ~attrs:[ ("id", Telemetry.Int id) ] ()
   in
-  let timed c req =
-    let t0 = Unix.gettimeofday () in
-    (* the in-flight gauge the shed watermark watches: this thread is
-       about to spend crypto cycles in the handler *)
-    Atomic.incr t.inflight;
-    let reply =
-      try handle_of c req with e -> Message.Error_reply (Printexc.to_string e)
-    in
-    Atomic.decr t.inflight;
-    c.handler_seconds <- c.handler_seconds +. (Unix.gettimeofday () -. t0);
-    reply
-  in
-  (* Every counted reply is cached (encoding included) BEFORE the write:
-     if the write dies half-way the client saw nothing, resumes with an
-     older count, and the cached copy is replayed.  Control frames
-     (Resume_ack/Resume_reject) are not rounds on either side. *)
-  let write_reply ?(control = false) reply =
-    let encoded = Message.encode (Message.Reply reply) in
-    if not control then begin
-      let c = ctx () in
-      c.server_rounds <- c.server_rounds + 1;
-      c.last_reply <- encoded;
-      spool_snapshot c
-    end;
-    Channel.write_frame ?max_frame:cap ~crc:!crc ?faults:t.config.faults fd
-      encoded;
-    Stats.record_sent stats ~bytes:(String.length encoded)
-      ~values:(Message.values_in (Message.Reply reply));
-    Stats.record_round stats
-  in
-  let outcome =
-    try
-      let rec loop () =
-        let session_deadline =
-          match !attached with
-          | Some c -> c.ctx_deadline
-          | None -> accept_deadline
-        in
-        let deadline = next_deadline t ~session_deadline in
-        match
-          Channel.read_frame ?max_frame:cap ~crc:!crc ?faults:t.config.faults
-            ?progress_timeout_s:t.config.watchdog_timeout_s
-            ?deadline:(Option.map fst deadline) fd
-        with
-        | None -> (
-          (* EOF without Bye: a resumable client may come back *)
-          match !attached with
-          | Some c when c.token <> "" -> Disconnected
-          | _ -> Completed)
-        | Some frame -> (
-          (* Byte/frame budgets are charged before the codec even runs:
-             an attached session pays for every frame it ships.  (The
-             opening frame of a connection — Hello or Resume, bounded by
-             the frame cap and answered without crypto — is exempt; the
-             ledger attaches with the session.) *)
-          match
-            match !attached with
-            | Some c ->
-              Admission.charge_frame c.adm ~bytes:(String.length frame)
-            | None -> Admission.Admit
-          with
-          | Admission.Reject { quota; limit; requested } ->
-            Stats.record_received stats ~bytes:(String.length frame) ~values:0;
-            write_reply (Message.Quota_exceeded { quota; limit; requested });
-            Quota_rejected quota
-          | Admission.Admit -> (
-          match Message.decode frame with
-          | exception Wire.Malformed m ->
-            Stats.record_received stats ~bytes:(String.length frame) ~values:0;
-            (* A flags-0 session shipping CRC-32 trailers surfaces here:
-               the codec chokes on 4 trailing bytes that happen to be
-               the CRC of the rest.  Name the violation instead of
-               hiding it behind a generic parse error, and end the
-               session — the peer's framing disagrees with what was
-               negotiated, so nothing after this can be trusted. *)
-            let n = String.length frame in
-            let is_unnegotiated_crc =
-              (not !crc) && n > 4
-              && Crc32.digest (String.sub frame 0 (n - 4))
-                 = (Char.code frame.[n - 4] lsl 24)
-                   lor (Char.code frame.[n - 3] lsl 16)
-                   lor (Char.code frame.[n - 2] lsl 8)
-                   lor Char.code frame.[n - 1]
-            in
-            if is_unnegotiated_crc then begin
-              Metrics.incr m_capability_violations;
-              let m =
-                "capability violation: CRC-32 trailer on a session \
-                 without the crc32 grant"
-              in
-              write_reply (Message.Error_reply m);
-              Client_error m
-            end
-            else begin
-              (* a malformed payload inside a well-framed message is
-                 answerable in-band; the session survives *)
-              write_reply (Message.Error_reply ("malformed request: " ^ m));
-              loop ()
-            end
-          | request ->
-            Stats.record_received stats ~bytes:(String.length frame)
-              ~values:(Message.values_in request);
-            (match request with
-             | Message.Request (Message.Resume { token; client_rounds; flags })
-               -> (
-               match !attached with
-               | Some _ ->
-                 write_reply ~control:true
-                   (Message.Resume_reject
-                      { reason = "resume on an established connection" });
-                 loop ()
-               | None when not t.config.enable_resume ->
-                 (* a capability the server never grants: name the
-                    violation instead of pretending the token expired *)
-                 Metrics.incr m_capability_violations;
-                 Metrics.incr m_resume_rejected;
-                 write_reply ~control:true
-                   (Message.Resume_reject
-                      {
-                        reason =
-                          "capability violation: resume is not enabled on \
-                           this server";
-                      });
-                 loop ()
-               | None -> (
-                 let accept_resume c =
-                   attach c;
-                   let granted = flags land supported_flags t in
-                   c.granted <- granted;
-                   let replay =
-                     if c.server_rounds > client_rounds then c.last_reply
-                     else ""
-                   in
-                   Metrics.incr m_resume_accepted;
-                   Metrics.gauge_set m_parked
-                     (float_of_int (Resume_table.size t.resume));
-                   write_reply ~control:true
-                     (Message.Resume_ack
-                        {
-                          server_rounds = c.server_rounds;
-                          reply = replay;
-                          flags = granted;
-                        });
-                   crc := granted land Message.flag_crc32 <> 0;
-                   negotiated := true;
-                   loop ()
-                 in
-                 match Resume_table.take t.resume token with
-                 | Some c -> accept_resume c
-                 | None -> (
-                   (* memory miss: the session may have been parked by a
-                      worker that is now dead — reconstitute it from the
-                      crash-safe spool (cross-worker failover). *)
-                   let from_spool =
-                     match t.spool with
-                     | None -> None
-                     | Some sp -> (
-                       match Spool.take sp ~key:token with
-                       | None -> None
-                       | Some blob -> (
-                         match Snapshot.decode blob with
-                         | snap -> Some snap
-                         | exception Wire.Malformed _ -> None))
-                   in
-                   match from_spool with
-                   | Some snap ->
-                     let c =
-                       {
-                         ctx_id = id;
-                         ctx_peer = peer;
-                         handle = None;
-                         pending_restore =
-                           (if snap.Snapshot.app = "" then None
-                            else Some snap.Snapshot.app);
-                         server_rounds = snap.Snapshot.server_rounds;
-                         last_reply = snap.Snapshot.last_reply;
-                         handler_seconds = snap.Snapshot.handler_seconds;
-                         requests = snap.Snapshot.requests;
-                         token = snap.Snapshot.token;
-                         granted = snap.Snapshot.granted;
-                         (* the original absolute deadline died with its
-                            worker; the failed-over session gets this
-                            connection's accept deadline *)
-                         ctx_deadline = accept_deadline;
-                         adm =
-                           Admission.import t.config.admission
-                             snap.Snapshot.admission;
-                         server_len = snap.Snapshot.server_len;
-                         catalog = snap.Snapshot.catalog;
-                       }
-                     in
-                     accept_resume c
-                   | None ->
-                     Metrics.incr m_resume_rejected;
-                     let reason =
-                       (* a token whose boot-id prefix names a previous
-                          incarnation can never become valid again: say
-                          so, typed, so the client fails fast instead of
-                          burning its retry budget *)
-                       if
-                         String.length token >= 4
-                         && String.sub token 0 4 <> t.boot_id
-                       then
-                         Channel.server_restarted_reason
-                         ^ ": resume token was minted by a previous server \
-                            incarnation"
-                       else "unknown or expired resume token"
-                     in
-                     write_reply ~control:true
-                       (Message.Resume_reject { reason });
-                     loop ())))
-             | Message.Request (Message.Hello { flags; spec } as req) -> (
-               let c = ctx () in
-               c.requests <- c.requests + 1;
-               negotiated := true;
-               let reply = timed c req in
-               let reply =
-                 match reply with
-                 | Message.Welcome
-                     {
-                       n;
-                       key_bits;
-                       series_length;
-                       dimension;
-                       max_value;
-                       flags = app_granted;
-                       _;
-                     } ->
-                   (* transport-owned negotiation: grant = offer AND
-                      support, and mint the resume token here — the core
-                      handler stays transport-agnostic.  Application
-                      capabilities the handler already granted (packing,
-                      catalog) are preserved, not clobbered. *)
-                   let granted =
-                     flags land supported_flags t
-                     lor (app_granted
-                         land (Message.flag_packing lor Message.flag_catalog))
-                   in
-                   let token =
-                     if granted land Message.flag_resume <> 0 then gen_token t
-                     else ""
-                   in
-                   c.token <- token;
-                   c.granted <- granted;
-                   c.server_len <- series_length;
-                   Message.Welcome
-                     {
-                       n;
-                       key_bits;
-                       series_length;
-                       dimension;
-                       max_value;
-                       flags = granted;
-                       resume_token = token;
-                     }
-                 | other -> other
-               in
-               (* Admission at Hello time: the declared spec against the
-                  session budgets, while everything is still plaintext
-                  bookkeeping — a rejected session never reaches
-                  Phase1's n*(d+1) encryptions, let alone the per-cell
-                  decrypt path. *)
-               let verdict =
-                 match spec with
-                 | Some sp when c.server_len > 0 ->
-                   Admission.declare c.adm ~spec:sp ~server_len:c.server_len
-                 | _ -> Admission.Admit
-               in
-               match verdict with
-               | Admission.Reject { quota; limit; requested } ->
-                 write_reply
-                   (Message.Quota_exceeded { quota; limit; requested });
-                 Quota_rejected quota
-               | Admission.Admit ->
-                 write_reply reply;
-                 (* the Welcome itself travels plain; everything after it
-                    is protected once the client has seen the grant *)
-                 if c.granted land Message.flag_crc32 <> 0 then crc := true;
-                 loop ())
-             | Message.Request Message.Bye ->
-               let c = ctx () in
-               c.requests <- c.requests + 1;
-               (* orderly end: nothing to park, the token dies here —
-                  the spooled snapshot too, or a client could resurrect
-                  a session it already closed *)
-               (match t.spool with
-                | Some sp when c.token <> "" -> Spool.delete sp ~key:c.token
-                | _ -> ());
-               c.token <- "";
-               write_reply
-                 (Message.Bye_ack { server_seconds = c.handler_seconds });
-               Completed
-             | Message.Request Message.Stats_req ->
-               (* introspection is answered by the loop, not the protocol
-                  handler: it must reflect every session, not this one *)
-               let c = ctx () in
-               c.requests <- c.requests + 1;
-               write_reply (Message.Stats_reply (stats_text t));
-               loop ()
-             | Message.Request Message.Health_req ->
-               let c = ctx () in
-               c.requests <- c.requests + 1;
-               write_reply (health_reply t);
-               loop ()
-             | Message.Request Message.Metrics_req ->
-               (* loop-answered like Stats_req.  Sessionless probes (no
-                  Hello yet) are open introspection; once a session has
-                  negotiated, the reply follows the granted capability —
-                  a session that never offered the bit gets a named
-                  violation, not a page *)
-               let c = ctx () in
-               c.requests <- c.requests + 1;
-               if t.config.enable_metrics
-                  && ((not !negotiated)
-                     || c.granted land Message.flag_metrics <> 0)
-               then write_reply (Message.Metrics_reply (metrics_text ()))
-               else begin
-                 Metrics.incr m_capability_violations;
-                 write_reply
-                   (Message.Error_reply
-                      "capability violation: metrics exposition was not \
-                       granted on this session")
-               end;
-               loop ()
-             | Message.Request req -> (
-               let c = ctx () in
-               c.requests <- c.requests + 1;
-               (* Price the request in DP cells before any decryption:
-                  a single oversized batch cannot buy crypto cycles the
-                  session's budget (configured or declared) does not
-                  cover. *)
-               match
-                 match req with
-                 | Message.Query_submit { segments; indices; _ } ->
-                   (* a query re-budgets the cell ledger up front: the
-                      declared candidate sketch is what the pruning
-                      rounds may spend *)
-                   Admission.declare_query c.adm
-                     ~candidates:(Array.length indices) ~segments
-                 | _ -> (
-                   match Admission.cells_of_request req with
-                   | Some (kind, count) ->
-                     Admission.charge_cells c.adm ~kind ~count
-                       ~server_len:c.server_len
-                   | None -> Admission.Admit)
-               with
-               | Admission.Reject { quota; limit; requested } ->
-                 write_reply
-                   (Message.Quota_exceeded { quota; limit; requested });
-                 Quota_rejected quota
-               | Admission.Admit ->
-                 let reply = timed c req in
-                 (* track the active record so the cell ledger follows
-                    catalog re-selection *)
-                 (match (req, reply) with
-                  | _, Message.Catalog_reply lengths -> c.catalog <- Some lengths
-                  | _, Message.Catalog_list_reply { lengths; _ } ->
-                    c.catalog <- Some lengths
-                  | Message.Select_request i, Message.Select_ack _ ->
-                    Admission.reselect c.adm;
-                    (match c.catalog with
-                     | Some lens when i >= 0 && i < Array.length lens ->
-                       c.server_len <- lens.(i)
-                     | _ -> ())
-                  | _ -> ());
-                 write_reply reply;
-                 loop ())
-             | Message.Reply _ ->
-               write_reply (Message.Error_reply "expected a request");
-               loop ())))
-      in
-      loop ()
-    with
-    | Channel.Timeout ->
-      let which =
-        match
-          next_deadline t
-            ~session_deadline:
-              (match !attached with
-               | Some c -> c.ctx_deadline
-               | None -> accept_deadline)
-        with
-        | Some (_, Deadline_exceeded) -> Deadline_exceeded
-        | _ -> Idle_timeout
-      in
-      best_effort_reply ?max_frame:cap ~crc:!crc fd
-        (Message.Error_reply
-           (match which with
-            | Deadline_exceeded -> "session deadline exceeded"
-            | _ -> "session idle timeout"));
-      which
-    | Channel.Stalled ->
-      (* the slow-peer watchdog fired: the peer was mid-frame but made
-         no byte progress for watchdog_timeout_s — the slowloris shape.
-         Not parked: a trickler does not deserve a resume slot. *)
-      Metrics.incr m_stalled;
-      best_effort_reply ?max_frame:cap ~crc:!crc fd
-        (Message.Error_reply "slow peer: no frame progress within watchdog");
-      Slow_peer
-    | Channel.Connection_lost _ | Channel.Frame_corrupt _ -> Disconnected
-    | Channel.Protocol_error m -> Client_error m
-    | Unix.Unix_error (e, _, _) -> Client_error (Unix.error_message e)
+  let st, outcome, park =
+    drive t fd
+      (Session_machine.serving (machine_env t) ~app:(fun () ->
+           (* the factory runs in the session thread: key-sharing setup
+              cost is paid by the session, never by the accept loop *)
+           t.handler ~id ~peer))
   in
   (try Unix.close fd with Unix.Unix_error _ -> ());
-  (* Park recoverable interruptions (connection lost, idle timeout —
-     the client may just be partitioned); a deadline or Bye is final. *)
-  (match (outcome, !attached) with
-   | (Disconnected | Idle_timeout), Some c
-     when c.token <> "" && t.config.enable_resume ->
-     Resume_table.put t.resume c.token c;
+  (match Session_machine.attached st with
+   | Some s when park ->
      (* the spool already holds this session's last counted round; keep
         it — it is what survives if THIS worker dies while parked *)
+     Resume_table.put t.resume (Session_machine.token s) s;
      Metrics.gauge_set m_parked (float_of_int (Resume_table.size t.resume))
-   | _, Some c -> (
-     (* terminal outcome: the token is dead, so the spooled snapshot
-        must die with it — otherwise a quota-rejected or deadline-cut
-        session could resurrect through the spool *)
-     match t.spool with
-     | Some sp when c.token <> "" -> Spool.delete sp ~key:c.token
-     | _ -> ())
    | _ -> ());
-  let requests_delta, handler_delta =
-    match !attached with
-    | Some c -> (c.requests - !base_requests, c.handler_seconds -. !base_handler)
-    | None -> (0, 0.0)
-  in
+  let requests = Session_machine.requests st in
+  let handler_seconds = Session_machine.handler_seconds st in
+  let stats = Session_machine.stats st in
   let record =
     {
       id;
       peer = string_of_sockaddr peer;
       outcome;
-      requests = requests_delta;
-      handler_seconds = handler_delta;
+      requests;
+      handler_seconds;
       session_stats = stats;
     }
   in
   locked t (fun () ->
       t.active <- t.active - 1;
       t.finished <- record :: t.finished;
-      t.handler_seconds_total <- t.handler_seconds_total +. handler_delta;
+      t.handler_seconds_total <- t.handler_seconds_total +. handler_seconds;
       t.merged_stats <- Stats.merge t.merged_stats stats;
       Metrics.gauge_set m_active (float_of_int t.active));
   Metrics.incr
@@ -1002,94 +563,16 @@ let serve_session t ~id ~peer fd =
              | Disconnected -> 4
              | Quota_rejected _ -> 5
              | Slow_peer -> 6) );
-        ("requests", Telemetry.Int requests_delta);
+        ("requests", Telemetry.Int requests);
       ]
     span;
   match t.on_session_end with Some f -> f record | None -> ()
 
 (* At-capacity / shedding / throttled handling, run off the accept
-   thread.  A connection whose first frame is Stats_req or Health_req is
-   an introspection probe: answer it (and any follow-ups, ending at
-   Bye/EOF) without a session slot — the monitoring channel must keep
-   working precisely when the server is refusing work.  Anything else —
-   including silence — is a protocol client and gets the Busy reply with
-   the appropriate retry-after hint (a reconnecting Resume client backs
-   off and retries like any other).  [?shed] marks a load-shed or
-   rate-limit rejection rather than a capacity one. *)
-let reject_or_probe ?(shed = false) ?retry_after t fd =
-  let retry_after =
-    match retry_after with Some s -> s | None -> t.config.retry_after_s
-  in
-  let cap = t.config.max_frame in
-  let read_req ~timeout =
-    match
-      Channel.read_frame ?max_frame:cap ~deadline:(Monoclock.now () +. timeout) fd
-    with
-    | Some frame -> (try Some (Message.decode frame) with Wire.Malformed _ -> None)
-    | None -> None
-    | exception _ -> None
-  in
-  let answer_probe = function
-    | Message.Stats_req ->
-      best_effort_reply ?max_frame:cap fd (Message.Stats_reply (stats_text t))
-    | Message.Metrics_req ->
-      (* the endpoint must work precisely when the server is saturated;
-         probe connections carry no negotiated grant, so the only gate
-         here is the server-side config switch *)
-      if t.config.enable_metrics then
-        best_effort_reply ?max_frame:cap fd
-          (Message.Metrics_reply (metrics_text ()))
-      else
-        best_effort_reply ?max_frame:cap fd
-          (Message.Error_reply
-             "capability violation: metrics exposition is disabled")
-    | _ -> best_effort_reply ?max_frame:cap fd (health_reply t)
-  in
-  let rec probe_loop budget =
-    if budget > 0 then begin
-      match read_req ~timeout:2.0 with
-      | Some
-          (Message.Request
-             ((Message.Stats_req | Message.Health_req | Message.Metrics_req) as
-              p)) ->
-        answer_probe p;
-        probe_loop (budget - 1)
-      | Some (Message.Request Message.Bye) ->
-        best_effort_reply ?max_frame:cap fd
-          (Message.Bye_ack { server_seconds = 0.0 })
-      | Some _ | None -> ()
-    end
-  in
-  let answered_probe =
-    match read_req ~timeout:0.5 with
-    | Some
-        (Message.Request
-           ((Message.Stats_req | Message.Health_req | Message.Metrics_req) as p))
-      ->
-      answer_probe p;
-      probe_loop 64;
-      true
-    | Some _ | None -> false
-  in
-  if not answered_probe then begin
-    locked t (fun () ->
-        t.rejected <- t.rejected + 1;
-        if shed then t.shed <- t.shed + 1);
-    if shed then Metrics.incr m_shed else Metrics.incr m_busy_rejected;
-    best_effort_reply ?max_frame:cap fd
-      (Message.Busy { retry_after_s = retry_after });
-    (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
-    try
-      let buf = Bytes.create 4096 in
-      let rec drain_input attempts =
-        if attempts > 0 then
-          match Unix.select [ fd ] [] [] 0.2 with
-          | [], _, _ -> ()
-          | _ -> if Unix.read fd buf 0 4096 > 0 then drain_input (attempts - 1)
-      in
-      drain_input 8
-    with Unix.Unix_error _ -> ()
-  end;
+   thread: the same machine, started refusing.  [shed] marks a
+   load-shed or rate-limit rejection rather than a capacity one. *)
+let refuse_session t ~shed ~retry_after_s fd =
+  ignore (drive t fd (Session_machine.refusing (machine_env t) ~shed ~retry_after_s));
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* Admission decision + thread spawn for one connected socket, shared by
@@ -1133,19 +616,11 @@ let inject t fd peer =
     in
     (match admitted with
      | None ->
-       (* The client's first request is usually already in our receive
-          buffer; close() with unread bytes pending sends RST, which can
-          destroy the Busy frame before the client reads it.  So: read
-          that first frame (answering a Stats_req/Health_req probe in
-          place — the introspection channel must work precisely when the
-          server is saturated), otherwise reply Busy, half-close, drain
-          briefly, then close — off the accept thread, so a hostile
-          client cannot slow admission down. *)
+       (* the refusing machine answers probes or Busy, off the accept
+          thread, so a hostile client cannot slow admission down *)
        let shed = throttled <> None || shedding in
-       ignore
-         (Thread.create
-            (fun () -> reject_or_probe ~shed ?retry_after:throttled t fd)
-            ())
+       let retry_after_s = Option.value throttled ~default:t.config.retry_after_s in
+       ignore (Thread.create (fun () -> refuse_session t ~shed ~retry_after_s fd) ())
      | Some id ->
        ignore
          (Thread.create

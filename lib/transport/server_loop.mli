@@ -1,10 +1,11 @@
 (** Persistent concurrent session server: the production accept loop.
 
-    Where {!Channel.serve_once} answers exactly one connection and
-    returns, [Server_loop] keeps accepting and hands every connection to
-    its own worker thread, so one slow session can no longer
-    head-of-line-block every other client.  It adds the capacity,
-    timeout and shutdown machinery a long-running deployment needs:
+    [Server_loop] keeps accepting and hands every connection to its own
+    worker thread, so one slow session cannot head-of-line-block every
+    other client.  What a connection's frames call for is decided by
+    {!Session_machine}; this module reads the frames, performs the
+    machine's actions, and adds the capacity, timeout and shutdown
+    machinery a long-running deployment needs:
 
     - {e capacity}: at most [config.max_sessions] sessions run at once;
       an over-capacity connection is answered with a [Message.Busy]

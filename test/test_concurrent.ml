@@ -236,6 +236,66 @@ let test_deadline () =
       in
       wait ())
 
+(* --- idle timeout just before the deadline ---------------------------------- *)
+
+let raw_exchange fd req =
+  Channel.write_frame fd (Message.encode (Message.Request req));
+  match Channel.read_frame ~deadline:(Monoclock.now () +. 5.0) fd with
+  | Some frame -> (
+    match Message.decode frame with
+    | Message.Reply r -> r
+    | Message.Request _ -> Alcotest.fail "server sent a request")
+  | None -> Alcotest.fail "no reply"
+
+let connect_raw port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+let test_idle_timeout_before_deadline () =
+  (* the idle timer (0.3 s) is the one armed when the client goes
+     silent: it must be reported as an idle timeout — parked, token
+     still good — even though it fires less than idle_timeout_s before
+     the session deadline (0.5 s) *)
+  let config =
+    { Server_loop.default_config with
+      idle_timeout_s = Some 0.3;
+      deadline_s = Some 0.5 }
+  in
+  let t = make_loop ~config ~seed:"idle-vs-deadline" () in
+  let loop = fst t in
+  let port = Server_loop.port loop in
+  Fun.protect ~finally:(fun () -> stop t)
+    (fun () ->
+      let fd = connect_raw port in
+      let token =
+        match raw_exchange fd (Message.Hello { flags = Message.flag_resume; spec = None }) with
+        | Message.Welcome { resume_token; _ } when resume_token <> "" -> resume_token
+        | _ -> Alcotest.fail "no resume token"
+      in
+      let rec wait tries =
+        match Server_loop.sessions loop with
+        | s :: _ -> s.Server_loop.outcome
+        | [] when tries > 0 ->
+          Thread.delay 0.01;
+          wait (tries - 1)
+        | [] -> Alcotest.fail "silent session never ended"
+      in
+      let outcome = wait 500 in
+      Unix.close fd;
+      Alcotest.(check bool) "outcome is Idle_timeout" true
+        (outcome = Server_loop.Idle_timeout);
+      Alcotest.(check int) "session parked" 1 (Server_loop.resume_parked loop);
+      let fd = connect_raw port in
+      Fun.protect ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          match
+            raw_exchange fd
+              (Message.Resume { token; client_rounds = 1; flags = Message.flag_resume })
+          with
+          | Message.Resume_ack { server_rounds = 1; _ } -> ()
+          | _ -> Alcotest.fail "parked token did not resume"))
+
 (* --- error isolation -------------------------------------------------------- *)
 
 let test_malformed_frame_isolated () =
@@ -275,6 +335,8 @@ let () =
           Alcotest.test_case "idle timeout isolates session" `Quick
             test_idle_timeout;
           Alcotest.test_case "session deadline fires" `Quick test_deadline;
+          Alcotest.test_case "idle timeout just before the deadline parks" `Quick
+            test_idle_timeout_before_deadline;
           Alcotest.test_case "malformed client isolated" `Quick
             test_malformed_frame_isolated;
         ] );

@@ -1,10 +1,12 @@
 (* Crash-tolerance suite: the serializable session snapshot and its
-   codecs, the crash-safe spool, SCM_RIGHTS fd passing, the supervised
-   multi-process failover matrix (a worker SIGKILLed at every frame
-   index of a seeded 16x16 DTW session must still reveal the
-   bit-identical distance through spool failover), atomic catalog
-   persistence, per-line telemetry flushing, lazy resume-table sweeping
-   on the accept path, and the whole-server-restart fail-fast reject. *)
+   codecs, the crash-safe spool, SCM_RIGHTS fd passing, the failover
+   matrices (a seeded 16x16 DTW session cut at every frame index must
+   still reveal the bit-identical distance through spool failover — in
+   one process, with a fresh worker loop taking over; the 1-vs-8 query
+   cut by a real SIGKILL at every frame index; and supervised
+   cross-worker spot checks), atomic catalog persistence, per-line
+   telemetry flushing, lazy resume-table sweeping on the accept path,
+   and the whole-server-restart fail-fast reject. *)
 
 open Ppst.Import
 open Ppst_transport
@@ -22,15 +24,21 @@ let rec rm_rf path =
 
 let fresh_dir =
   let counter = ref 0 in
-  fun tag ->
+  fun ?(base = Filename.get_temp_dir_name ()) tag ->
     incr counter;
     let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
+      Filename.concat base
         (Printf.sprintf "ppst-failover-%d-%s-%d" (Unix.getpid ()) tag !counter)
     in
     rm_rf dir;
     dir
+
+(* A memory-backed directory where the system has one: the in-process
+   matrix checks failover logic, not disk durability, and a spooled
+   round costs two fsyncs. *)
+let memory_base =
+  if Sys.file_exists "/dev/shm" && Sys.is_directory "/dev/shm" then "/dev/shm"
+  else Filename.get_temp_dir_name ()
 
 (* --- snapshot codec ---------------------------------------------------------- *)
 
@@ -449,6 +457,22 @@ let fast_restart_policy =
   { Retry.max_attempts = 8; base_delay_s = 0.002; max_delay_s = 0.02;
     multiplier = 2.0 }
 
+(* The per-session handler of the failover deployments: a seeded server
+   over the shared key (the 8-record store, or the pairwise series) with
+   the snapshot/restore hooks the spool needs. *)
+let spooled_handler ~sk ~store ~seed ~id ~peer:_ =
+  let rng = seeded (Printf.sprintf "%s/session-%d" seed id) in
+  let server =
+    match store with
+    | Some store -> Ppst.Server.of_store_with_key ~sk ~rng ~store ~max_value:max_value16 ()
+    | None -> Ppst.Server.create_with_key ~sk ~rng ~series:series_y16 ~max_value:max_value16 ()
+  in
+  {
+    Server_loop.respond = Ppst.Server.handle server;
+    snapshot = Some (fun () -> Ppst.Server.export_state server);
+    restore = Some (fun blob -> Ppst.Server.restore_state server blob);
+  }
+
 (* Fork a supervisor process: parent owns nothing but the child pid and
    the pre-bound port.  Workers run the real Server_loop worker path
    with spool failover; a non-restarted worker carries the crash
@@ -483,27 +507,10 @@ let start_supervised ?(catalog = false) ?disk_faults ~workers ~spool ~crash_at
           drain_timeout_s = 5.0;
         }
       in
-      let handler ~id ~peer:_ =
-        let rng = seeded (Printf.sprintf "%s/session-%d" seed id) in
-        let server =
-          match store with
-          | Some store ->
-            Ppst.Server.of_store_with_key ~sk ~rng ~store
-              ~max_value:max_value16 ()
-          | None ->
-            Ppst.Server.create_with_key ~sk ~rng ~series:series_y16
-              ~max_value:max_value16 ()
-        in
-        {
-          Server_loop.respond = Ppst.Server.handle server;
-          snapshot = Some (fun () -> Ppst.Server.export_state server);
-          restore = Some (fun blob -> Ppst.Server.restore_state server blob);
-        }
-      in
       let loop =
         Server_loop.create_worker ~config
           ~rng:(seeded (Printf.sprintf "%s/worker-%d" seed slot))
-          ~boot_id:"bt01" ~handler ()
+          ~boot_id:"bt01" ~handler:(spooled_handler ~sk ~store ~seed) ()
       in
       Sys.set_signal Sys.sigterm
         (Sys.Signal_handle (fun _ -> Server_loop.shutdown loop));
@@ -572,54 +579,126 @@ let run_failover_client ~port ~seed ?stats_out () =
 let plaintext_reference =
   lazy (Distance.dtw_sq series_x16 series_y16)
 
+(* The per-frame matrix runs in this process, with the test as the
+   dispatcher.  The session's first connection goes to worker loop A,
+   whose injector drops the connection at frame [drop_at] — the I/O
+   position at which [Crash_at] would SIGKILL a supervised worker.  Every
+   later connection goes to worker loop B: a fresh loop with empty memory
+   sharing A's spool and boot id, so the only way B can continue the
+   session is from its spooled snapshot, exactly as a restarted worker
+   would.  [f] gets the port plus the reconnect counts: Resume frames
+   and fresh sessions that reached B. *)
+let with_dispatched_pair ~spool ~drop_at ~seed f =
+  let listener, port = Supervisor.bind ~port:0 in
+  let sk = Lazy.force sk16 in
+  let worker slot faults =
+    let config =
+      { Server_loop.default_config with spool_dir = Some spool; faults; drain_timeout_s = 5.0 }
+    in
+    let loop =
+      Server_loop.create_worker ~config
+        ~rng:(seeded (Printf.sprintf "%s/worker-%d" seed slot))
+        ~boot_id:"bt01" ~handler:(spooled_handler ~sk ~store:None ~seed) ()
+    in
+    let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    (ours, theirs, Thread.create (fun () -> Server_loop.run_worker loop ~control:theirs) ())
+  in
+  let faults = if drop_at = 0 then None else Some (Faults.create (Faults.Drop_at drop_at)) in
+  let (a, _, _) as wa = worker 0 faults in
+  let (b, _, _) as wb = worker 1 None in
+  let resumes = ref 0 and fresh = ref 0 in
+  let stop = Atomic.make false in
+  let dispatcher =
+    Thread.create
+      (fun () ->
+        let first = ref true in
+        while not (Atomic.get stop) do
+          match Unix.select [ listener ] [] [] 0.01 with
+          | [], _, _ -> ()
+          | _ ->
+            let fd, _ = Unix.accept listener in
+            if !first then begin
+              first := false;
+              Fd_passing.send_fd a ~fd
+            end
+            else begin
+              (match Supervisor.peek_token fd with
+               | Some _ -> incr resumes
+               | None -> incr fresh);
+              Fd_passing.send_fd b ~fd
+            end;
+            Unix.close fd
+        done)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join dispatcher;
+      Unix.close listener;
+      List.iter
+        (fun (ours, theirs, runner) ->
+          (* EOF on the control socket: the worker drains and reports *)
+          Unix.shutdown ours Unix.SHUTDOWN_SEND;
+          Thread.join runner;
+          Unix.close ours;
+          Unix.close theirs)
+        [ wa; wb ])
+    (fun () -> f ~port ~resumes ~fresh)
+
+let resume_accepted = Ppst_telemetry.Metrics.counter "server.resume.accepted"
+
 let test_failover_kill_every_frame () =
-  (* crash-free supervised run: reference distance + the frame budget
-     that bounds the matrix (each client message is one worker frame) *)
-  let spool = fresh_dir "matrix" in
+  (* fault-free reference run: distance + the frame budget that bounds
+     the matrix (each client message is one worker frame) *)
+  let spool = fresh_dir ~base:memory_base "matrix" in
   let messages = ref 0 in
   let reference =
-    let pid, port =
-      start_supervised ~workers:1 ~spool ~crash_at:0 ~seed:"matrix-ref" ()
-    in
-    Fun.protect ~finally:(fun () -> ignore (stop_supervised pid))
+    Fun.protect ~finally:(fun () -> rm_rf spool)
       (fun () ->
-        run_failover_client ~port ~seed:"matrix-ref" ~stats_out:messages ())
+        with_dispatched_pair ~spool ~drop_at:0 ~seed:"matrix-ref" (fun ~port ~resumes:_ ~fresh:_ ->
+            run_failover_client ~port ~seed:"matrix-ref" ~stats_out:messages ()))
   in
-  rm_rf spool;
-  Alcotest.(check int) "crash-free distance = plaintext DTW"
+  Alcotest.(check int) "fault-free distance = plaintext DTW"
     (Lazy.force plaintext_reference)
     (Bigint.to_int_exn reference);
   let frames = !messages in
-  Alcotest.(check bool) "session exchanged frames" true (frames > 16);
-  let restarted_runs = ref 0 in
+  Alcotest.(check bool) (Printf.sprintf "session exchanged %d frames" frames) true (frames > 16);
   for k = 1 to frames do
-    let spool = fresh_dir "matrix" in
-    let pid, port =
-      start_supervised ~workers:1 ~spool ~crash_at:k
-        ~seed:(Printf.sprintf "matrix-%d" k) ()
-    in
-    let d =
-      Fun.protect ~finally:(fun () ->
-          let restarts = stop_supervised pid in
-          if restarts > 0 then incr restarted_runs;
-          rm_rf spool)
+    let spool = fresh_dir ~base:memory_base "matrix" in
+    let seed = Printf.sprintf "matrix-%d" k in
+    let accepted_before = Ppst_telemetry.Metrics.counter_value resume_accepted in
+    let d, resumes, fresh =
+      Fun.protect ~finally:(fun () -> rm_rf spool)
         (fun () ->
-          run_failover_client ~port ~seed:(Printf.sprintf "matrix-%d" k) ())
+          with_dispatched_pair ~spool ~drop_at:k ~seed (fun ~port ~resumes ~fresh ->
+              let d = run_failover_client ~port ~seed () in
+              (d, !resumes, !fresh)))
     in
+    let from_spool = Ppst_telemetry.Metrics.counter_value resume_accepted - accepted_before in
     Alcotest.check eq_bi
-      (Printf.sprintf "distance identical with worker killed at frame %d" k)
-      reference d
-  done;
-  (* every run kills its worker at some frame, so every run restarts *)
-  Alcotest.(check int) "every matrix run saw a worker restart" frames
-    !restarted_runs
+      (Printf.sprintf "distance identical with worker cut at frame %d" k)
+      reference d;
+    (* frames 1-2 are Hello and Welcome: the client never held a token
+       and starts over.  From frame 3 on it resumes, and B (empty memory)
+       can only take the session from the spool — except at the last
+       frame, the Bye_ack, whose session has already ended. *)
+    if k <= 2 then
+      Alcotest.(check bool) (Printf.sprintf "frame %d: fresh session on B" k) true
+        (fresh >= 1 && resumes = 0)
+    else if k < frames then
+      Alcotest.(check bool)
+        (Printf.sprintf "frame %d: resumed on B from the spool" k)
+        true
+        (resumes >= 1 && fresh = 0 && from_spool >= 1)
+  done
 
 let test_failover_cross_worker () =
   (* two workers sharing one spool: the session's worker is SIGKILLed
      mid-stream and the resume token hashes to whichever worker is
      alive — the snapshot travels between processes through the spool.
-     Spot-checks a spread of frame indexes; the exhaustive per-frame
-     matrix runs single-worker above. *)
+     Spot-checks a spread of frame indexes with real SIGKILLs; the
+     exhaustive per-frame matrix runs in one process above. *)
   let reference = Lazy.force plaintext_reference in
   List.iter
     (fun k ->

@@ -7,24 +7,24 @@ open Ppst.Import
 module Generate = Ppst_timeseries.Generate
 module Csv = Ppst_timeseries.Csv
 
-let next_port =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    18900 + !counter
+(* A Server_loop that serves one session and stops. *)
+let serve_one server =
+  let loop =
+    Ppst_transport.Server_loop.create
+      ~config:{ Ppst_transport.Server_loop.default_config with max_total = Some 1 }
+      ~port:0
+      ~handler:(fun ~id:_ ~peer:_ ->
+        Ppst_transport.Server_loop.respond_only (Ppst.Server.handle server))
+      ()
+  in
+  (Ppst_transport.Server_loop.port loop, Thread.create Ppst_transport.Server_loop.run loop)
 
 let run_over_tcp ?(params = Ppst.Params.default) ~(distance : [ `Dtw | `Dfd ]) ~x ~y
     ~seed () =
-  let port = next_port () in
   let server_rng = Secure_rng.of_seed_string (seed ^ "/server") in
   let max_value_y = Stdlib.max 1 (Series.max_abs_value y) in
   let server = Ppst.Server.create ~params ~rng:server_rng ~series:y ~max_value:max_value_y () in
-  let server_thread =
-    Thread.create
-      (fun () -> Channel.serve_once ~port ~handler:(Ppst.Server.handle server) ())
-      ()
-  in
-  Thread.delay 0.15;
+  let port, server_thread = serve_one server in
   let channel = Channel.connect ~host:"127.0.0.1" ~port () in
   let client_rng = Secure_rng.of_seed_string (seed ^ "/client") in
   let max_value_x = Stdlib.max 1 (Series.max_abs_value x) in
@@ -68,16 +68,10 @@ let test_tcp_matches_local_channel () =
     (Stats.rounds tcp_stats)
 
 let run_custom_over_tcp ~distance ~runner ~x ~y ~seed () =
-  let port = next_port () in
   let server_rng = Secure_rng.of_seed_string (seed ^ "/server") in
   let maxv s = Stdlib.max 1 (Series.max_abs_value s) in
   let server = Ppst.Server.create ~rng:server_rng ~series:y ~max_value:(maxv y) () in
-  let server_thread =
-    Thread.create
-      (fun () -> Channel.serve_once ~port ~handler:(Ppst.Server.handle server) ())
-      ()
-  in
-  Thread.delay 0.15;
+  let port, server_thread = serve_one server in
   let channel = Channel.connect ~host:"127.0.0.1" ~port () in
   let client =
     Ppst.Client.connect

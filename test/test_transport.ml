@@ -295,31 +295,38 @@ let test_busy_reply_raises () =
    | exception Channel.Busy { retry_after_s } ->
      Alcotest.(check (float 1e-9)) "retry hint carried" 2.5 retry_after_s)
 
-(* --- trace & netsim ---------------------------------------------------------- *)
+(* --- netsim over channel stats ------------------------------------------------ *)
 
-let test_trace_records_rounds () =
-  let trace = Trace.create () in
-  let ch = Channel.local ~trace echo_handler in
+(* [rounds] request/reply pairs of the given payload sizes. *)
+let stats_of ~rounds ~request_bytes ~reply_bytes =
+  let stats = Stats.create () in
+  for _ = 1 to rounds do
+    Stats.record_sent stats ~bytes:request_bytes ~values:1;
+    Stats.record_received stats ~bytes:reply_bytes ~values:1;
+    Stats.record_round stats
+  done;
+  stats
+
+let test_netsim_reads_channel_stats () =
+  let ch = Channel.local echo_handler in
   for i = 1 to 5 do
     ignore (Channel.request ch (Message.Reveal_request (Bigint.of_int i)))
   done;
-  Alcotest.(check int) "rounds" 5 (Trace.rounds trace);
-  Alcotest.(check int) "entries" 5 (List.length (Trace.entries trace));
-  (* trace bytes must equal the stats totals *)
-  Alcotest.(check int) "byte parity" (Stats.total_bytes (Channel.stats ch))
-    (Trace.total_bytes trace);
-  List.iter
-    (fun e ->
-      Alcotest.(check bool) "positive sizes" true
-        (e.Trace.request_bytes > 0 && e.Trace.reply_bytes > 0))
-    (Trace.entries trace)
+  let stats = Channel.stats ch in
+  Alcotest.(check int) "one round per request" 5 (Stats.rounds stats);
+  Alcotest.(check int) "two messages per round" 10 (Stats.messages stats);
+  let link = Netsim.link ~rtt_ms:10.0 ~mbit_per_s:8.0 in
+  let e = Netsim.estimate ~link ~compute_seconds:0.0 stats in
+  Alcotest.(check (float 1e-9)) "latency = 5 x 10ms" 0.05 e.Netsim.latency_seconds;
+  (* every payload byte plus both 4-byte headers of every round *)
+  Alcotest.(check (float 1e-9)) "transfer"
+    (float_of_int (Stats.total_bytes stats + (5 * 8)) /. 1e6)
+    e.Netsim.transfer_seconds
 
 let test_netsim_components () =
-  let trace = Trace.create () in
-  Trace.record trace ~request_bytes:1000 ~reply_bytes:500;
-  Trace.record trace ~request_bytes:1000 ~reply_bytes:500;
+  let stats = stats_of ~rounds:2 ~request_bytes:1000 ~reply_bytes:500 in
   let link = Netsim.link ~rtt_ms:10.0 ~mbit_per_s:8.0 (* = 1e6 bytes/s *) in
-  let e = Netsim.estimate ~link ~compute_seconds:1.0 trace in
+  let e = Netsim.estimate ~link ~compute_seconds:1.0 stats in
   Alcotest.(check (float 1e-9)) "compute" 1.0 e.Netsim.compute_seconds;
   Alcotest.(check (float 1e-9)) "latency = 2 x 10ms" 0.02 e.Netsim.latency_seconds;
   (* 3000 payload + 4 headers x 4 = 3016 bytes at 1e6 B/s *)
@@ -327,14 +334,11 @@ let test_netsim_components () =
   Alcotest.(check (float 1e-9)) "total" (1.0 +. 0.02 +. 0.003016) e.Netsim.total_seconds
 
 let test_netsim_monotone_in_rtt () =
-  let trace = Trace.create () in
-  for _ = 1 to 10 do
-    Trace.record trace ~request_bytes:100 ~reply_bytes:100
-  done;
+  let stats = stats_of ~rounds:10 ~request_bytes:100 ~reply_bytes:100 in
   let t rtt =
     (Netsim.estimate
        ~link:(Netsim.link ~rtt_ms:rtt ~mbit_per_s:100.0)
-       ~compute_seconds:0.5 trace)
+       ~compute_seconds:0.5 stats)
       .Netsim.total_seconds
   in
   Alcotest.(check bool) "monotone" true (t 0.1 < t 1.0 && t 1.0 < t 50.0)
@@ -447,16 +451,19 @@ let test_clean_eof_is_none () =
 
 (* --- tcp channel ------------------------------------------------------------ *)
 
-let next_port =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    17820 + !counter
+(* A Server_loop that serves one session and stops. *)
+let serve_one handler =
+  let loop =
+    Server_loop.create
+      ~config:{ Server_loop.default_config with max_total = Some 1 }
+      ~port:0
+      ~handler:(fun ~id:_ ~peer:_ -> Server_loop.respond_only handler)
+      ()
+  in
+  (Server_loop.port loop, Thread.create Server_loop.run loop)
 
 let with_tcp_server handler f =
-  let port = next_port () in
-  let server = Thread.create (fun () -> Channel.serve_once ~port ~handler ()) () in
-  Thread.delay 0.15;
+  let port, server = serve_one handler in
   let ch = Channel.connect ~host:"127.0.0.1" ~port () in
   Fun.protect
     ~finally:(fun () ->
@@ -470,26 +477,21 @@ let test_tcp_roundtrip () =
       | Message.Reveal_reply v -> Alcotest.check eq_bi "echo over tcp" (Bigint.of_int 5) v
       | _ -> Alcotest.fail "wrong reply")
 
-let test_tcp_connect_trace () =
-  (* connect takes the same ?trace as local (constructor symmetry) *)
-  let port = next_port () in
-  let server =
-    Thread.create (fun () -> Channel.serve_once ~port ~handler:echo_handler ()) ()
-  in
-  Thread.delay 0.15;
-  let trace = Trace.create () in
-  let ch = Channel.connect ~trace ~host:"127.0.0.1" ~port () in
-  Fun.protect
-    ~finally:(fun () ->
-      Channel.close ch;
-      Thread.join server)
-    (fun () ->
-      for i = 1 to 3 do
-        ignore (Channel.request ch (Message.Reveal_request (Bigint.of_int i)))
-      done;
-      Alcotest.(check int) "rounds traced" 3 (Trace.rounds trace);
-      Alcotest.(check int) "byte parity" (Stats.total_bytes (Channel.stats ch))
-        (Trace.total_bytes trace))
+let test_tcp_stats_match_local () =
+  (* the accounting Netsim projects is transport-independent: the same
+     requests count the same rounds and bytes over TCP as in process *)
+  let local = Channel.local echo_handler in
+  with_tcp_server echo_handler (fun tcp ->
+      List.iter
+        (fun ch ->
+          for i = 1 to 3 do
+            ignore (Channel.request ch (Message.Reveal_request (Bigint.of_int i)))
+          done)
+        [ local; tcp ];
+      let l = Channel.stats local and t = Channel.stats tcp in
+      Alcotest.(check int) "rounds" 3 (Stats.rounds t);
+      Alcotest.(check int) "same rounds" (Stats.rounds l) (Stats.rounds t);
+      Alcotest.(check int) "same bytes" (Stats.total_bytes l) (Stats.total_bytes t))
 
 let test_tcp_multiple_rounds () =
   with_tcp_server echo_handler (fun ch ->
@@ -518,17 +520,13 @@ let test_tcp_handler_exception_kept_alive () =
 
 let test_tcp_server_seconds_reported () =
   (* regression: TCP used to report 0.0 forever because only the local
-     backend accumulated handler time; serve_once now ships its measured
+     backend accumulated handler time; the server loop ships its measured
      total in the final Bye_ack *)
-  let port = next_port () in
   let slow_handler req =
     (match req with Message.Reveal_request _ -> Thread.delay 0.05 | _ -> ());
     echo_handler req
   in
-  let server =
-    Thread.create (fun () -> Channel.serve_once ~port ~handler:slow_handler ()) ()
-  in
-  Thread.delay 0.15;
+  let port, server = serve_one slow_handler in
   let ch = Channel.connect ~host:"127.0.0.1" ~port () in
   ignore (Channel.request ch (Message.Reveal_request (Bigint.of_int 1)));
   Alcotest.(check (float 0.0)) "0 during the session" 0.0
@@ -580,7 +578,8 @@ let () =
         ] );
       ( "trace & netsim",
         [
-          Alcotest.test_case "trace records rounds" `Quick test_trace_records_rounds;
+          Alcotest.test_case "netsim reads channel stats" `Quick
+            test_netsim_reads_channel_stats;
           Alcotest.test_case "estimate components" `Quick test_netsim_components;
           Alcotest.test_case "monotone in rtt" `Quick test_netsim_monotone_in_rtt;
           Alcotest.test_case "link validation" `Quick test_netsim_validation;
@@ -609,8 +608,8 @@ let () =
       ( "tcp channel",
         [
           Alcotest.test_case "round-trip" `Quick test_tcp_roundtrip;
-          Alcotest.test_case "connect records a trace" `Quick
-            test_tcp_connect_trace;
+          Alcotest.test_case "stats match a local channel" `Quick
+            test_tcp_stats_match_local;
           Alcotest.test_case "many rounds" `Quick test_tcp_multiple_rounds;
           Alcotest.test_case "handler failure keeps server alive" `Quick
             test_tcp_handler_exception_kept_alive;
