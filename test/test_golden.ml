@@ -48,7 +48,10 @@ let digest_run ~key_bits ~spec ~x =
   let packed = Ppst.Client.packing client in
   let d = Protocol.runner_of_spec spec client in
   Ppst.Client.finish client;
-  (Bigint.to_int_exn d, Digest.to_hex (Digest.string (Buffer.contents buf)), packed)
+  let c = Ppst.Cost.client_ops (Ppst.Client.cost client) in
+  let s = Ppst.Server.ops server in
+  let ops = Ppst.Cost.(c.encryptions, c.homomorphic, s.encryptions, s.decryptions) in
+  (Bigint.to_int_exn d, Digest.to_hex (Digest.string (Buffer.contents buf)), packed, ops)
 
 let gap = [| 3; 3 |]
 let wavefront = `Wavefront
@@ -94,12 +97,45 @@ let table =
      "7519ef84fae364a7d3db39a0e27e269f", 776);
   ]
 
+(* Crypto-op tallies of the same sessions, keyed by row name: the
+   client's encryptions and homomorphic ops, the server's encryptions and
+   decryptions.  The digests pin the bytes; these pin the counts a
+   session's cost report and the ladder's op-count reconciliation read.
+   A packed round counts one client encryption per pack and two
+   homomorphic ops per slot (offset add, pack). *)
+let ops_table =
+  [
+    ("dtw row-major", 246, 439, 35, 241);
+    ("dtw anti-diagonal", 246, 439, 35, 241);
+    ("dtw band 1", 131, 299, 26, 126);
+    ("dfd row-major", 565, 758, 64, 560);
+    ("dfd anti-diagonal", 565, 758, 64, 560);
+    ("dfd band 1", 274, 442, 39, 269);
+    ("erp", 367, 666, 45, 361);
+    ("euclidean", 5, 129, 15, 1);
+    ("packed dtw row-major", 246, 679, 35, 241);
+    ("packed dtw anti-diagonal", 246, 679, 35, 241);
+    ("packed dfd row-major", 565, 1317, 64, 560);
+    ("packed dfd anti-diagonal", 565, 1317, 64, 560);
+    ("packed dtw row-major, 64-bit", 86, 679, 35, 81);
+    ("packed dtw anti-diagonal, 64-bit", 86, 679, 35, 81);
+    ("packed dfd row-major, 64-bit", 153, 1317, 64, 148);
+    ("packed dfd anti-diagonal, 64-bit", 151, 1317, 64, 146);
+  ]
+
 let check_entry (name, spec, key_bits, x, digest, distance) =
   Alcotest.test_case name `Quick (fun () ->
-      let d, md5, packed = digest_run ~key_bits ~spec ~x in
+      let d, md5, packed, (c_enc, c_hom, s_enc, s_dec) = digest_run ~key_bits ~spec ~x in
       Alcotest.(check bool) "packed profile engaged" spec.Protocol.packing packed;
       Alcotest.(check int) "revealed distance" distance d;
-      Alcotest.(check string) "transcript MD5" digest md5)
+      Alcotest.(check string) "transcript MD5" digest md5;
+      let _, e_c_enc, e_c_hom, e_s_enc, e_s_dec =
+        List.find (fun (n, _, _, _, _) -> n = name) ops_table
+      in
+      Alcotest.(check int) "client encryptions" e_c_enc c_enc;
+      Alcotest.(check int) "client homomorphic" e_c_hom c_hom;
+      Alcotest.(check int) "server encryptions" e_s_enc s_enc;
+      Alcotest.(check int) "server decryptions" e_s_dec s_dec)
 
 (* The pinned distances are the plaintext ones, so the table itself is
    checked against an independent oracle. *)
@@ -126,7 +162,7 @@ let test_distances_are_plaintext () =
 
 let test_packing_key_is_minimal () =
   let spec = Protocol.spec ~packing:true `Dtw in
-  let _, _, below = digest_run ~key_bits:(packed_key_bits - 1) ~spec ~x in
+  let _, _, below, _ = digest_run ~key_bits:(packed_key_bits - 1) ~spec ~x in
   Alcotest.(check bool) "no packing one bit below" false below
 
 let () =
