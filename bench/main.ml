@@ -20,7 +20,6 @@
      extensions secure ERP / banded DTW / Euclidean / subsequence matching
      network  trace-replay latency projections (sequential vs wavefront vs banded)
      entropy  the Section 5.4 entropy-preservation table
-     micro    Bechamel micro-benchmarks (one per table/figure kernel)
      parallel Domain worker-pool speedup sweep (writes BENCH_parallel.json)
      throughput concurrent TCP session rate, capacity 1 vs 4 (writes
               BENCH_concurrency.json)
@@ -1491,99 +1490,6 @@ let smoke () =
   line "  plaintext reference.";
   line "  ok."
 
-(* ---- Bechamel micro-benchmarks ---------------------------------------------- *)
-
-let bechamel_suite () =
-  header "Bechamel micro-benchmarks (one kernel per table/figure)";
-  let open Bechamel in
-  let rng = Secure_rng.of_seed_string "bench-micro" in
-  let pk, sk = Paillier.keygen ~bits:64 rng in
-  let session k =
-    Ppst.Params.plan (Ppst.Params.make ~k ()) ~max_value ~dimension:1
-      ~client_length:100 ~server_length:100 ~modulus:pk.Paillier.n ~distance:`Dtw
-  in
-  let s10 = session 10 and s50 = session 50 in
-  let enc v = Paillier.encrypt pk rng (Bigint.of_int v) in
-  let triple = [| enc 123; enc 456; enc 789 |] in
-  let pairc = [| enc 123; enc 456 |] in
-  (* a complete phase-2 round: client masks, server decrypts+selects+
-     re-encrypts, client unmasks — the unit cell of figures 5, 6 and 11 *)
-  let min_round session () =
-    let prepared = Ppst.Masking.prepare_min ~pk ~rng ~session triple in
-    let plains = Array.map (Paillier.decrypt_crt sk) prepared.Ppst.Masking.candidates in
-    let m = Array.fold_left Bigint.min plains.(0) plains in
-    Ppst.Masking.unmask_min ~pk prepared (Paillier.encrypt pk rng m)
-  in
-  let max_round session () =
-    let prepared = Ppst.Masking.prepare_max ~pk ~rng ~session pairc in
-    let plains = Array.map (Paillier.decrypt_crt sk) prepared.Ppst.Masking.candidates in
-    let m = Array.fold_left Bigint.max plains.(0) plains in
-    Ppst.Masking.unmask_max ~pk prepared (Paillier.encrypt pk rng m)
-  in
-  (* a phase-1 cell at d = 50: Enc(δ²) assembly (figures 9-10 kernel) *)
-  let d50 = 50 in
-  let coords = Array.init d50 (fun i -> enc ((i * 7 mod 97) + 1)) in
-  let sum_sq = enc 4242 in
-  let xs = Array.init d50 (fun i -> (i * 13 mod 97) + 1) in
-  let phase1_cell () =
-    let acc = ref (Paillier.add pk (enc 999) sum_sq) in
-    for l = 0 to d50 - 1 do
-      acc := Paillier.add pk !acc (Paillier.scalar_mul pk coords.(l) (Bigint.of_int (-2 * xs.(l))))
-    done;
-    !acc
-  in
-  let ecg_a = Generate.ecg_int ~seed:1 ~length:100 ~max_value in
-  let ecg_b = Generate.ecg_int ~seed:2 ~length:100 ~max_value in
-  let tests =
-    Test.make_grouped ~name:"ppst"
-      [
-        Test.make ~name:"fig5-dtw-cell(min-round,k=10)" (Staged.stage (min_round s10));
-        Test.make ~name:"fig6-server-side(decrypt)"
-          (Staged.stage (fun () -> Paillier.decrypt_crt sk triple.(0)));
-        Test.make ~name:"fig7-dfd-cell(min+max rounds)"
-          (Staged.stage (fun () ->
-               ignore (min_round s10 ());
-               max_round s10 ()));
-        Test.make ~name:"fig8-phase3(max-round,k=10)" (Staged.stage (max_round s10));
-        Test.make ~name:"fig9-phase1-cell(d=50)" (Staged.stage phase1_cell);
-        Test.make ~name:"fig10-client-side(encrypt)"
-          (Staged.stage (fun () -> Paillier.encrypt pk rng (Bigint.of_int 31337)));
-        Test.make ~name:"fig11-min-round(k=50)" (Staged.stage (min_round s50));
-        Test.make ~name:"atallah-plaintext-dtw(n=100)"
-          (Staged.stage (fun () -> Distance.dtw_sq ecg_a ecg_b));
-        Test.make ~name:"entropy-table(gamma=2^16)"
-          (Staged.stage (fun () -> Ppst.Entropy.triangular_sum_entropy 65536));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name est acc ->
-        let ns =
-          match Analyze.OLS.estimates est with Some [ e ] -> e | _ -> nan
-        in
-        let r2 = match Analyze.OLS.r_square est with Some r -> r | None -> nan in
-        (name, ns, r2) :: acc)
-      results []
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-  in
-  line "%-42s %16s %8s" "kernel" "time/run" "r²";
-  List.iter
-    (fun (name, ns, r2) ->
-      let pretty =
-        if ns >= 1e9 then Printf.sprintf "%.3f s" (ns /. 1e9)
-        else if ns >= 1e6 then Printf.sprintf "%.3f ms" (ns /. 1e6)
-        else if ns >= 1e3 then Printf.sprintf "%.3f us" (ns /. 1e3)
-        else Printf.sprintf "%.0f ns" ns
-      in
-      line "%-42s %16s %8.4f" name pretty r2)
-    rows
-
 (* ---- secure 1-vs-N catalog search (Query vs naive sequential) ----------- *)
 
 (* The paper's motivating scenario at catalog scale: the client's series
@@ -2236,7 +2142,6 @@ let () =
   if want "network" then
     with_tee out_dir "network" (fun () -> network ~length:(if quick then 24 else 60));
   if want "entropy" then with_tee out_dir "entropy" (fun () -> entropy_table ());
-  if want "micro" then with_tee out_dir "micro" (fun () -> bechamel_suite ());
   if want "parallel" then
     with_tee out_dir "parallel" (fun () -> parallel_bench ~quick);
   if want "throughput" then

@@ -174,16 +174,16 @@ let run port series_file catalog_dir key_file max_value seed sessions concurrenc
       None
     end
   in
-  let total_ops = { Ppst.Cost.encryptions = 0; decryptions = 0; homomorphic = 0 } in
+  let no_ops () = { Ppst.Cost.encryptions = 0; decryptions = 0; homomorphic = 0 } in
+  let total_ops = no_ops () in
   let ops_mutex = Mutex.create () in
-  let merge_ops (ops : Ppst.Cost.ops) =
+  (* total_ops += ops - since *)
+  let merge_ops ~(since : Ppst.Cost.ops) (ops : Ppst.Cost.ops) =
+    let open Ppst.Cost in
     Mutex.lock ops_mutex;
-    total_ops.Ppst.Cost.encryptions <-
-      total_ops.Ppst.Cost.encryptions + ops.Ppst.Cost.encryptions;
-    total_ops.Ppst.Cost.decryptions <-
-      total_ops.Ppst.Cost.decryptions + ops.Ppst.Cost.decryptions;
-    total_ops.Ppst.Cost.homomorphic <-
-      total_ops.Ppst.Cost.homomorphic + ops.Ppst.Cost.homomorphic;
+    total_ops.encryptions <- total_ops.encryptions + ops.encryptions - since.encryptions;
+    total_ops.decryptions <- total_ops.decryptions + ops.decryptions - since.decryptions;
+    total_ops.homomorphic <- total_ops.homomorphic + ops.homomorphic - since.homomorphic;
     Mutex.unlock ops_mutex
   in
   let make_handler pool ~id ~peer:_ =
@@ -197,22 +197,33 @@ let run port series_file catalog_dir key_file max_value seed sessions concurrenc
         ~rng:(rng_of (Printf.sprintf "/session-%d" id))
         ~records ~max_value ()
     in
+    (* Each request's crypto work is folded into the process totals as
+       it happens: the loop answers Bye itself, so the handler never sees
+       a session's last request.  [folded] is the part already counted. *)
+    let current () =
+      let o = Ppst.Server.ops server in
+      Ppst.Cost.{ encryptions = o.encryptions; decryptions = o.decryptions; homomorphic = o.homomorphic }
+    in
+    let folded = ref (current ()) in
     let respond req =
       let reply = Ppst.Server.handle server req in
-      (match req with
-       | Ppst_transport.Message.Bye ->
-         (* last request of the session: fold this session's counters in *)
-         merge_ops (Ppst.Server.ops server)
-       | _ -> ());
+      let now = current () in
+      merge_ops ~since:!folded now;
+      folded := now;
       reply
     in
     (* Crash safety: the loop spools this after every counted round, and
        replays it into a fresh server when the session fails over to
-       another worker process. *)
+       another worker process.  The restored counters were counted by
+       the process that spooled them. *)
     {
       Ppst_transport.Server_loop.respond;
       snapshot = Some (fun () -> Ppst.Server.export_state server);
-      restore = Some (fun blob -> Ppst.Server.restore_state server blob);
+      restore =
+        Some
+          (fun blob ->
+            Ppst.Server.restore_state server blob;
+            folded := current ());
     }
   in
   let on_session_end (s : Ppst_transport.Server_loop.session) =
@@ -396,7 +407,7 @@ let run port series_file catalog_dir key_file max_value seed sessions concurrenc
                  Ppst_transport.Wire.expect_end rd;
                  { Ppst.Cost.encryptions; decryptions; homomorphic }
                with
-               | ops -> merge_ops ops
+               | ops -> merge_ops ~since:(no_ops ()) ops
                | exception Ppst_transport.Wire.Malformed _ ->
                  Logs.warn (fun m ->
                      m "worker %d: malformed crypto-ops blob" slot)))

@@ -329,8 +329,8 @@ let verdict_round t ~bound diffs =
 (* Auxiliary masking sessions: the pruning round masks lower-bound gap
    values, not DP-matrix entries, so it plans its own (β, γ) from an
    explicit bound and runs the standard extreme machinery under it.
-   [t.session] is swapped for the duration — packing_spec and the
-   secure_min/max paths all read it — and restored on any exit. *)
+   [t.session] is swapped for the duration — packing_spec and
+   [extremes] both read it — and restored on any exit. *)
 let plan_aux_session t ~value_bound =
   Params.plan_bound t.params ~value_bound ~modulus:t.pk.Paillier.n
 
@@ -495,195 +495,130 @@ let gap_costs_of t data ~gap =
 
 (* --- phases 2 and 3 -------------------------------------------------------- *)
 
-let round_extreme t phase ~prepare ~request ~unmask inputs =
-  timed t phase (fun () ->
-      let prepared =
-        prepare ~encrypt:(encrypt_online t) ~pk:t.pk ~rng:t.rng ~session:t.session
-          inputs
-      in
-      let client_ops = Cost.client_ops t.cost in
-      (* One offset encryption per candidate (counted by encrypt_online),
-         plus the homomorphic add folding it into the source ciphertext. *)
-      let n_candidates = Array.length prepared.Masking.candidates in
-      client_ops.Cost.homomorphic <- client_ops.Cost.homomorphic + n_candidates;
-      let payload =
-        Array.map Paillier.ciphertext_to_bigint prepared.Masking.candidates
-      in
-      match Channel.request t.channel (request payload) with
-      | Message.Cipher_reply v ->
-        client_ops.Cost.homomorphic <- client_ops.Cost.homomorphic + 1;
-        unmask ~pk:t.pk prepared (Paillier.ciphertext_of_bigint t.pk v)
-      | _ -> raise (Channel.Protocol_error "expected Cipher_reply"))
+(* The masked-extreme round: phase 2's secure minimum (Section 5.1) or
+   phase 3's maximum (Section 6) of every instance, in one round trip.
+   Each instance is masked as the paper's one-instance round masks it;
+   only the framing differs — [Min_request]/[Max_request] for that round
+   ([single], unpacked), one batch frame for many instances (the
+   wavefront extension), one packed frame in the packed profile.
 
-(* Wavefront extension: many independent extreme instances in a single
-   round trip.  Each instance is masked exactly as in the per-cell round;
-   only the message framing changes, so the security argument carries
-   over unchanged.
+   All randomness is consumed sequentially up front — every masking plan
+   (offsets, decoy sources, shuffle) in instance order, then every noise
+   factor — and the rest is pure and fans out over the worker pool, so
+   seeded transcripts are bit-identical at any pool size.  Masking and
+   noise draws come from independent streams, so this is also the draw
+   order of the paper's round, which interleaves them.
 
-   Parallel execution: all randomness is consumed sequentially up front —
-   the masking plans (offsets, decoy sources, shuffles), then one
-   rn_source per offset encryption, in a fixed instance-major order.
-   What remains per instance (the owed exponentiations on pool misses,
-   the g^m multiplications, the homomorphic adds) is pure and fans out
-   over the worker pool, so seeded transcripts are bit-identical at any
-   pool size. *)
-let batch_extreme t phase ~extreme ~request ~unmask (instances : Paillier.ciphertext array array) =
+   Unpacked, every offset is encrypted under its own noise factor before
+   it is folded into its source ciphertext.  Packed, offsets are added as
+   plaintext constants, the candidates of all instances are packed
+   [capacity] slots to a ciphertext in instance order, and each pack is
+   re-randomized with ONE noise factor, which makes its noise uniform
+   over every slot at once (SECURITY.md); the server then decrypts
+   ceil(total/capacity) ciphertexts instead of one per candidate. *)
+let extremes t ~extreme ~single instances =
+  if single && Array.length instances <> 1 then
+    invalid_arg "Client.extremes: ~single takes exactly one instance";
   if Array.length instances = 0 then [||]
   else
-    timed t phase (fun () ->
-        let client_ops = Cost.client_ops t.cost in
-        let planned =
-          Array.map
-            (fun inputs ->
-              let n_inputs = Array.length inputs in
-              let plan = Masking.plan ~rng:t.rng ~session:t.session ~extreme ~n_inputs in
-              let encs = Masking.plan_encryptions plan ~n_inputs in
-              client_ops.Cost.encryptions <- client_ops.Cost.encryptions + encs;
-              client_ops.Cost.homomorphic <- client_ops.Cost.homomorphic + encs;
-              let rns =
-                Array.init encs (fun _ -> Paillier.rn_acquire t.pk t.pool t.noise_rng)
-              in
-              (inputs, plan, rns))
-            instances
-        in
-        sync_pool_misses t;
+    timed t (match extreme with `Min -> Cost.Phase2 | `Max -> Cost.Phase3) @@ fun () ->
+    let ops = Cost.client_ops t.cost in
+    let plans =
+      Array.map
+        (fun inputs ->
+          Masking.plan ~rng:t.rng ~session:t.session ~extreme
+            ~n_inputs:(Array.length inputs))
+        instances
+    in
+    let counts =
+      Array.map2
+        (fun plan inputs -> Masking.plan_encryptions plan ~n_inputs:(Array.length inputs))
+        plans instances
+    in
+    let total, first = Array.fold_left_map (fun acc n -> (acc + n, acc)) 0 counts in
+    let packing = if packing_active t then Some (packing_spec t) else None in
+    let per_factor = match packing with Some (_, capacity) -> capacity | None -> 1 in
+    let noise =
+      Array.init ((total + per_factor - 1) / per_factor) (fun _ ->
+          Paillier.rn_acquire t.pk t.pool t.noise_rng)
+    in
+    sync_pool_misses t;
+    (* one encryption per noise factor; one homomorphic op per offset
+       folded in, and one more per slot packed *)
+    ops.Cost.encryptions <- ops.Cost.encryptions + Array.length noise;
+    ops.Cost.homomorphic <-
+      (ops.Cost.homomorphic + if packing = None then total else 2 * total);
+    (* Enc(m) under noise factor [u] *)
+    let encrypt u m =
+      Paillier.encrypt_with_rn t.pk ~rn:(Paillier.rn_realize t.pk noise.(u)) m
+    in
+    let apply fold =
+      Parallel.map_array t.workers
+        (fun i -> Masking.apply_plan plans.(i) instances.(i) ~fold:(fold i))
+        (Array.init (Array.length instances) Fun.id)
+    in
+    let prepared, request =
+      match packing with
+      | None ->
         let prepared =
-          Parallel.map_array t.workers
-            (fun (inputs, plan, rns) ->
-              let next = ref 0 in
-              let encrypt m =
-                let rn = Paillier.rn_realize t.pk rns.(!next) in
+          apply (fun i ->
+              let next = ref first.(i) in
+              fun c r ->
                 incr next;
-                Paillier.encrypt_with_rn t.pk ~rn m
-              in
-              Masking.apply_plan ~encrypt ~pk:t.pk plan inputs)
-            planned
+                Paillier.add t.pk c (encrypt (!next - 1) r))
         in
-        let payload =
+        let sets =
           Array.map
             (fun p -> Array.map Paillier.ciphertext_to_bigint p.Masking.candidates)
             prepared
         in
-        match Channel.request t.channel (request payload) with
-        | Message.Batch_cipher_reply replies ->
-          if Array.length replies <> Array.length instances then
-            raise (Channel.Protocol_error "batch reply count mismatch");
-          Array.mapi
-            (fun i v ->
-              client_ops.Cost.homomorphic <- client_ops.Cost.homomorphic + 1;
-              unmask ~pk:t.pk prepared.(i) (Paillier.ciphertext_of_bigint t.pk v))
-            replies
-        | _ -> raise (Channel.Protocol_error "expected Batch_cipher_reply"))
-
-(* Packed batch: same plans and plaintext relationships as
-   [batch_extreme], but the candidates are assembled with plaintext adds
-   (no per-candidate noise), concatenated across instances, packed
-   [capacity] slots to a ciphertext, and each pack re-randomized with ONE
-   pooled r^n factor — which makes the pack's noise uniform, covering
-   every slot at once (SECURITY.md).  The server decrypts
-   ceil(total/capacity) ciphertexts instead of one per candidate and
-   replies as in the unpacked batch. *)
-let batch_extreme_packed t phase ~extreme ~request ~unmask
-    (instances : Paillier.ciphertext array array) =
-  if Array.length instances = 0 then [||]
-  else
-    timed t phase (fun () ->
-        let client_ops = Cost.client_ops t.cost in
-        let slot_bits, capacity = packing_spec t in
-        let planned =
-          Array.map
-            (fun inputs ->
-              let n_inputs = Array.length inputs in
-              let plan = Masking.plan ~rng:t.rng ~session:t.session ~extreme ~n_inputs in
-              client_ops.Cost.homomorphic <-
-                client_ops.Cost.homomorphic + Masking.plan_encryptions plan ~n_inputs;
-              (inputs, plan))
-            instances
-        in
-        let prepared =
-          Parallel.map_array t.workers
-            (fun (inputs, plan) -> Masking.apply_plan_plain ~pk:t.pk plan inputs)
-            planned
-        in
-        let counts = Array.map (fun p -> Array.length p.Masking.candidates) prepared in
+        ( prepared,
+          match (extreme, single) with
+          | `Min, true -> Message.Min_request sets.(0)
+          | `Max, true -> Message.Max_request sets.(0)
+          | `Min, false -> Message.Batch_min_request sets
+          | `Max, false -> Message.Batch_max_request sets )
+      | Some (slot_bits, capacity) ->
+        let prepared = apply (fun _ -> Paillier.add_plain t.pk) in
         let flat =
           Array.concat (Array.to_list (Array.map (fun p -> p.Masking.candidates) prepared))
         in
-        let total = Array.length flat in
-        let packs = (total + capacity - 1) / capacity in
-        let chunks =
-          Array.init packs (fun i ->
-              let lo = i * capacity in
-              Array.sub flat lo (min capacity (total - lo)))
-        in
-        (* Horner packing is pure and fans out; the pooled
-           re-randomization draws stay sequential in pack order. *)
-        let packed_cts =
+        (* Horner packing; multiplying in a fresh encryption of zero
+           re-randomizes the pack *)
+        let packed =
           Parallel.map_array t.workers
-            (Paillier.pack_ciphertexts t.pk ~slot_bits)
-            chunks
+            (fun u ->
+              let lo = u * capacity in
+              let pack =
+                Paillier.pack_ciphertexts t.pk ~slot_bits
+                  (Array.sub flat lo (min capacity (total - lo)))
+              in
+              Paillier.ciphertext_to_bigint (Paillier.add t.pk pack (encrypt u Bigint.zero)))
+            (Array.init (Array.length noise) Fun.id)
         in
-        client_ops.Cost.homomorphic <- client_ops.Cost.homomorphic + total;
-        client_ops.Cost.encryptions <- client_ops.Cost.encryptions + packs;
-        let payload =
-          Array.map
-            (fun c ->
-              Paillier.ciphertext_to_bigint
-                (Paillier.rerandomize_pooled t.pk t.pool t.noise_rng c))
-            packed_cts
-        in
-        sync_pool_misses t;
-        match Channel.request t.channel (request ~slot_bits ~counts ~packed:payload) with
-        | Message.Batch_cipher_reply replies ->
-          if Array.length replies <> Array.length instances then
-            raise (Channel.Protocol_error "batch reply count mismatch");
-          Array.mapi
-            (fun i v ->
-              client_ops.Cost.homomorphic <- client_ops.Cost.homomorphic + 1;
-              unmask ~pk:t.pk prepared.(i) (Paillier.ciphertext_of_bigint t.pk v))
-            replies
-        | _ -> raise (Channel.Protocol_error "expected Batch_cipher_reply"))
-
-let secure_min_batch t instances =
-  if packing_active t then
-    batch_extreme_packed t Cost.Phase2 ~extreme:`Min
-      ~request:(fun ~slot_bits ~counts ~packed ->
-        Message.Packed_min_request { slot_bits; counts; packed })
-      ~unmask:Masking.unmask_min instances
-  else
-    batch_extreme t Cost.Phase2 ~extreme:`Min
-      ~request:(fun p -> Message.Batch_min_request p)
-      ~unmask:Masking.unmask_min instances
-
-let secure_max_batch t instances =
-  if packing_active t then
-    batch_extreme_packed t Cost.Phase3 ~extreme:`Max
-      ~request:(fun ~slot_bits ~counts ~packed ->
-        Message.Packed_max_request { slot_bits; counts; packed })
-      ~unmask:Masking.unmask_max instances
-  else
-    batch_extreme t Cost.Phase3 ~extreme:`Max
-      ~request:(fun p -> Message.Batch_max_request p)
-      ~unmask:Masking.unmask_max instances
-
-(* The single-instance rounds delegate to the packed batch when packing
-   is active, so every DP driver rides the packed path without
-   structural changes. *)
-let secure_min t inputs =
-  if packing_active t then (secure_min_batch t [| inputs |]).(0)
-  else
-    round_extreme t Cost.Phase2
-      ~prepare:(fun ~encrypt -> Masking.prepare_min ~encrypt)
-      ~request:(fun p -> Message.Min_request p)
-      ~unmask:Masking.unmask_min inputs
-
-let secure_max t inputs =
-  if packing_active t then (secure_max_batch t [| inputs |]).(0)
-  else
-    round_extreme t Cost.Phase3
-      ~prepare:(fun ~encrypt -> Masking.prepare_max ~encrypt)
-      ~request:(fun p -> Message.Max_request p)
-      ~unmask:Masking.unmask_max inputs
+        ( prepared,
+          match extreme with
+          | `Min -> Message.Packed_min_request { slot_bits; counts; packed }
+          | `Max -> Message.Packed_max_request { slot_bits; counts; packed } )
+    in
+    let one = single && packing = None in
+    let replies =
+      match Channel.request t.channel request with
+      | Message.Cipher_reply v when one -> [| v |]
+      | Message.Batch_cipher_reply vs when not one ->
+        if Array.length vs <> Array.length instances then
+          raise (Channel.Protocol_error "batch reply count mismatch");
+        vs
+      | _ ->
+        raise
+          (Channel.Protocol_error
+             (if one then "expected Cipher_reply" else "expected Batch_cipher_reply"))
+    in
+    Array.mapi
+      (fun i v ->
+        ops.Cost.homomorphic <- ops.Cost.homomorphic + 1;
+        Masking.unmask ~pk:t.pk prepared.(i) (Paillier.ciphertext_of_bigint t.pk v))
+      replies
 
 (* Pool draws one protocol round consumes — the bridge between the
    engine's round plan and the active profile.  [sizes] lists

@@ -179,9 +179,9 @@ val plan_aux_session : t -> value_bound:Bigint.t -> Params.session
     ({!Params.plan_bound} against the session key). *)
 
 val with_session : t -> Params.session -> (unit -> 'a) -> 'a
-(** Run [f] with the active masking session swapped — the secure
-    min/max rounds and the packing geometry all follow.  The original
-    session is restored on any exit. *)
+(** Run [f] with the active masking session swapped — {!extremes} and
+    the packing geometry both follow.  The original session is restored
+    on any exit. *)
 
 (** {1 Phase 1} *)
 
@@ -210,26 +210,29 @@ val gap_costs_of : t -> phase1_data -> gap:int array -> Paillier.ciphertext arra
 
 (** {1 Phases 2 and 3} *)
 
-val secure_min : t -> Paillier.ciphertext array -> Paillier.ciphertext
-(** Phase 2 round: masked-candidate minimum (Section 5.1).  Exactly one
-    round trip of [k + length inputs] ciphertexts; the reply is unmasked
-    homomorphically.  Timed as phase 2. *)
+val extremes :
+  t ->
+  extreme:[ `Min | `Max ] ->
+  single:bool ->
+  Paillier.ciphertext array array ->
+  Paillier.ciphertext array
+(** The masked-extreme round: the encrypted minimum (phase 2,
+    Section 5.1) or maximum (phase 3, Section 6) of every instance, in
+    instance order, in {e one} round trip.  Each instance of [n] inputs
+    becomes [n + k - 1] candidates — the inputs masked by the pivot
+    offset plus [k - 1] decoys, shuffled — that the server decrypts,
+    compares and answers with a fresh encryption of the extreme; the
+    reply is unmasked homomorphically.
 
-val secure_max : t -> Paillier.ciphertext array -> Paillier.ciphertext
-(** Phase 3 round: masked-candidate maximum (Section 6).  Timed as
-    phase 3. *)
-
-val secure_min_batch :
-  t -> Paillier.ciphertext array array -> Paillier.ciphertext array
-(** Wavefront extension: several independent secure-minimum instances in
-    {e one} round trip.  Each instance is masked exactly as in
-    {!secure_min} — same candidates, same offsets, same re-encryption —
-    only the framing changes, so the leakage profile is identical while
-    the round count drops from one per cell to one per DP anti-diagonal.
-    Results are in instance order. *)
-
-val secure_max_batch :
-  t -> Paillier.ciphertext array array -> Paillier.ciphertext array
+    [single] asks for the paper's one-instance frame
+    ([Min_request]/[Max_request]); otherwise the instances share one
+    batch frame (the wavefront extension), which masks each instance
+    exactly as [single] would, so the leakage profile is identical while
+    the round count drops from one per cell to one per step.  In the
+    packed profile ({!packing}) both ride one packed frame.  No
+    instances means no round; timed as phase 2 ([`Min]) or 3 ([`Max]).
+    @raise Invalid_argument when [single] is given other than one
+    instance. *)
 
 (** {1 Local ciphertext arithmetic} *)
 

@@ -24,8 +24,8 @@ let draw_offsets ~rng ~session ~count =
 
 (* The candidate construction split in two: [plan] performs every rng
    draw (offsets, decoy sources, shuffle permutation) — stateful,
-   sequential — while [apply_plan] performs the encryptions and
-   homomorphic adds — pure given an encryptor, so instances can fan out
+   sequential — while [apply_plan] folds each offset into its source
+   ciphertext — pure given the folding step, so instances can fan out
    over a Domain pool without the worker count touching the rng stream. *)
 type plan = {
   pivot : Bigint.t;
@@ -51,32 +51,13 @@ let plan ~rng ~session ~extreme ~n_inputs =
 
 let plan_encryptions p ~n_inputs = n_inputs + Array.length p.decoy_offsets
 
-let apply_plan ~encrypt ~pk p (inputs : Paillier.ciphertext array) =
-  (* Encryption order is fixed — pivot per input, then each decoy — so a
+let apply_plan ~fold p (inputs : Paillier.ciphertext array) =
+  (* Fold order is fixed — pivot per input, then each decoy — so a
      caller feeding pre-acquired randomness consumes it identically at
      any pool size. *)
-  let masked = Array.map (fun c -> Paillier.add pk c (encrypt p.pivot)) inputs in
+  let masked = Array.map (fun c -> fold c p.pivot) inputs in
   let decoys =
-    Array.map2
-      (fun source r -> Paillier.add pk inputs.(source) (encrypt r))
-      p.decoy_sources p.decoy_offsets
-  in
-  let unshuffled = Array.append masked decoys in
-  { candidates = Array.map (fun i -> unshuffled.(i)) p.perm; unmask = p.pivot }
-
-(* Packed-path variant: add the offsets as plaintext constants
-   ([add_plain], one multiplication) instead of encrypting each one.
-   The candidates then carry no fresh per-candidate noise — sound only
-   when the caller re-randomizes the pack as a whole (one pooled [r^n]
-   per packed ciphertext makes the packed value's noise uniform; see
-   SECURITY.md).  Plaintext relationships, shuffle and unmask pivot are
-   exactly those of [apply_plan]. *)
-let apply_plan_plain ~pk p (inputs : Paillier.ciphertext array) =
-  let masked = Array.map (fun c -> Paillier.add_plain pk c p.pivot) inputs in
-  let decoys =
-    Array.map2
-      (fun source r -> Paillier.add_plain pk inputs.(source) r)
-      p.decoy_sources p.decoy_offsets
+    Array.map2 (fun source r -> fold inputs.(source) r) p.decoy_sources p.decoy_offsets
   in
   let unshuffled = Array.append masked decoys in
   { candidates = Array.map (fun i -> unshuffled.(i)) p.perm; unmask = p.pivot }
@@ -85,7 +66,7 @@ let prepare ?encrypt ~extreme ~pk ~rng ~session (inputs : Paillier.ciphertext ar
   if Array.length inputs = 0 then invalid_arg "Masking.prepare: no inputs";
   let encrypt = match encrypt with Some f -> f | None -> Paillier.encrypt pk rng in
   let p = plan ~rng ~session ~extreme ~n_inputs:(Array.length inputs) in
-  apply_plan ~encrypt ~pk p inputs
+  apply_plan ~fold:(fun c r -> Paillier.add pk c (encrypt r)) p inputs
 
 let prepare_min ?encrypt ~pk ~rng ~session inputs =
   prepare ?encrypt ~extreme:`Min ~pk ~rng ~session inputs

@@ -60,14 +60,15 @@ val draw_offsets :
 
 (** {1 Plan / apply split (parallel execution support)}
 
-    {!prepare_min}/{!prepare_max} = {!plan} followed by {!apply_plan}.
-    [plan] performs {e every} rng draw (offsets, decoy source indices,
-    the shuffle permutation); [apply_plan] is pure given its [encrypt]
-    function, calling it in a fixed order (the pivot offset once per
-    input, in input order, then each decoy offset).  The client plans
-    all instances of a batch sequentially, acquires encryption
-    randomness sequentially, and applies the plans on a Domain pool —
-    seeded transcripts are therefore identical at any pool size. *)
+    {!prepare_min}/{!prepare_max} = {!plan} followed by {!apply_plan}
+    with a fold that adds a fresh encryption of each offset.  [plan]
+    performs {e every} rng draw (offsets, decoy source indices, the
+    shuffle permutation); [apply_plan] is pure given its [fold], calling
+    it in a fixed order (the pivot offset once per input, in input
+    order, then each decoy offset).  The client plans all instances of a
+    round sequentially, acquires encryption randomness sequentially, and
+    applies the plans on a Domain pool — seeded transcripts are
+    therefore identical at any pool size. *)
 
 type plan = {
   pivot : Bigint.t;  (** [r_min] (or [r_max]) *)
@@ -85,20 +86,20 @@ val plan :
 (** @raise Invalid_argument when [n_inputs] is 0. *)
 
 val plan_encryptions : plan -> n_inputs:int -> int
-(** Number of [encrypt] calls {!apply_plan} will make
+(** Number of [fold] calls {!apply_plan} will make
     ([n_inputs + k - 1]). *)
 
 val apply_plan :
-  encrypt:(Bigint.t -> Paillier.ciphertext) ->
-  pk:Paillier.public_key ->
+  fold:(Paillier.ciphertext -> Bigint.t -> Paillier.ciphertext) ->
   plan ->
   Paillier.ciphertext array ->
   prepared
+(** [fold c r] masks source ciphertext [c] with offset [r].  Folding in
+    a freshly encrypted offset re-randomizes every candidate.  Folding
+    it in as a plaintext constant ([Paillier.add_plain]) adds no noise:
+    the packed path does that and re-randomizes each {e packed}
+    ciphertext with one pooled [r^n] factor instead — never send such
+    candidates unpacked. *)
 
-val apply_plan_plain :
-  pk:Paillier.public_key -> plan -> Paillier.ciphertext array -> prepared
-(** {!apply_plan} with every offset added as a plaintext constant
-    ([Paillier.add_plain]) instead of freshly encrypted — no rng, no
-    noise.  Reserved for the packed path, where the caller re-randomizes
-    each {e packed} ciphertext with one pooled [r^n] factor; never send
-    these candidates unpacked. *)
+val unmask : pk:Paillier.public_key -> prepared -> Paillier.ciphertext -> Paillier.ciphertext
+(** {!unmask_min} and {!unmask_max} are this one function. *)

@@ -160,7 +160,8 @@ let prune_round t (s : Protocol.spec) ~segments ~tau ~indices =
         done)
       sketches;
     let maxes =
-      Client.with_session t aux (fun () -> Client.secure_max_batch t instances)
+      Client.with_session t aux (fun () ->
+          Client.extremes t ~extreme:`Max ~single:false instances)
     in
     (* Sum the per-(segment, dimension) maxima: Sigma_s d*C_s = d*m*V, so
        the fold yields Enc(G + d*m*V); subtracting d*m*V + tau_G + 1

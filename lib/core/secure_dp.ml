@@ -175,17 +175,17 @@ let run_matrix rule domain schedule client =
     |> List.map (fun (p, di, dj) -> g.edge p i j (Option.get grid.(i - di).(j - dj)))
     |> Array.of_list
   in
-  (* the schedule picks the frame: singleton rounds or one batch *)
-  let extreme single batch instances =
-    match schedule with
-    | Row_major -> Array.map (single client) instances
-    | Anti_diagonal -> batch client instances
+  (* the schedule picks the frame: the paper's one-instance round or one
+     batch; a step without a contested cell has no minimum round *)
+  let extremes extreme instances =
+    if Array.length instances = 0 then [||]
+    else Client.extremes client ~extreme ~single:(schedule = Row_major) instances
   in
   Seq.iter
     (fun cells ->
       let offered = Array.map offers cells in
       let minima =
-        extreme Client.secure_min Client.secure_min_batch
+        extremes `Min
           (Array.of_list (List.filter (fun o -> Array.length o >= 2) (Array.to_list offered)))
         |> Array.to_seq |> Queue.of_seq
       in
@@ -196,7 +196,7 @@ let run_matrix rule domain schedule client =
         match rule.finish with
         | Local f -> Array.mapi (fun c (i, j) -> f client (lazy (g.cost i j)) best.(c)) cells
         | Secure_max ->
-          extreme Client.secure_max Client.secure_max_batch
+          extremes `Max
             (Array.mapi (fun c (i, j) -> [| g.cost i j; best.(c) |]) cells)
       in
       Array.iteri (fun c (i, j) -> grid.(i).(j) <- Some values.(c)) cells)

@@ -10,7 +10,6 @@ type t = {
   ops : Cost.ops;
   mutable reveals : int;
   max_reveals : int option;
-  decrypt : Paillier.private_key -> Paillier.ciphertext -> Bigint.t;
   decryption : [ `Standard | `Crt ];
   workers : Parallel.t;
   mutable noise : Paillier.noise_gen option;
@@ -48,11 +47,6 @@ let create_db_with_key ?(decryption = `Standard) ?(workers = Parallel.sequential
         invalid_arg "Server: ids and records length mismatch";
       ids
   in
-  let decrypt =
-    match decryption with
-    | `Standard -> Paillier.decrypt
-    | `Crt -> Paillier.decrypt_crt
-  in
   (match max_reveals with
    | Some limit when limit <= 0 ->
      invalid_arg "Server: max_reveals must be positive"
@@ -67,7 +61,6 @@ let create_db_with_key ?(decryption = `Standard) ?(workers = Parallel.sequential
     ops = { encryptions = 0; decryptions = 0; homomorphic = 0 };
     reveals = 0;
     max_reveals;
-    decrypt;
     decryption;
     workers;
     noise = None;
@@ -142,73 +135,19 @@ let phase1_elements t =
               Paillier.ciphertext_to_bigint encs.((j * (d + 1)) + 1 + l));
       })
 
-(* Decrypt every candidate, select by [better], and return a *fresh*
-   encryption of the selected plaintext (path hiding, Section 5.5). *)
 exception Bad_candidates of string
 
 (* Hostile-input boundary: everything the client ships into the decrypt
    path goes through the strict validator (range AND gcd(c,n)=1), so a
    garbage value is a typed [Bad_candidates] — answered in-band as
    Error_reply — and never reaches a CRT exponentiation. *)
-let wrap_candidates pk (candidates : Bigint.t array) =
-  if Array.length candidates < 2 then raise (Bad_candidates "need at least two candidates");
-  match Array.map (Paillier.validate_ciphertext pk) candidates with
+let validate pk (cs : Bigint.t array) =
+  match Array.map (Paillier.validate_ciphertext pk) cs with
   | cs -> cs
   | exception Paillier.Invalid_ciphertext m -> raise (Bad_candidates m)
 
-let fold_better ~better (plains : Bigint.t array) lo len =
-  let best = ref plains.(lo) in
-  for i = lo + 1 to lo + len - 1 do
-    if better plains.(i) !best then best := plains.(i)
-  done;
-  !best
-
-let extreme_of t ~better (candidates : Bigint.t array) =
-  let pk = public_key t in
-  let cs = wrap_candidates pk candidates in
-  let plains = decrypt_batch t cs in
-  let extreme = fold_better ~better plains 0 (Array.length plains) in
-  t.ops.encryptions <- t.ops.encryptions + 1;
-  Paillier.ciphertext_to_bigint (Paillier.encrypt_sk t.sk t.rng extreme)
-
-let select_extreme t ~better candidates =
-  match extreme_of t ~better candidates with
-  | v -> Message.Cipher_reply v
-  | exception Bad_candidates m -> Message.Error_reply m
-
-(* Wavefront extension: many independent instances in one round trip.
-   All sets are validated up front, decrypted as ONE flat batch (better
-   load balance than per-set fan-out when sets are small), then the
-   per-set extremes are re-encrypted as one batch.  The re-encryption
-   rng draws happen in set order, exactly as the sequential loop's. *)
-let select_extreme_batch t ~better (sets : Bigint.t array array) =
-  if Array.length sets = 0 then Message.Error_reply "empty batch"
-  else begin
-    let pk = public_key t in
-    match Array.map (wrap_candidates pk) sets with
-    | exception Bad_candidates m -> Message.Error_reply m
-    | wrapped ->
-      let flat = Array.concat (Array.to_list wrapped) in
-      let plains = decrypt_batch t flat in
-      let extremes = Array.make (Array.length wrapped) Bigint.zero in
-      let off = ref 0 in
-      Array.iteri
-        (fun s cs ->
-          let len = Array.length cs in
-          extremes.(s) <- fold_better ~better plains !off len;
-          off := !off + len)
-        wrapped;
-      t.ops.encryptions <- t.ops.encryptions + Array.length extremes;
-      let encs = Paillier.encrypt_batch_sk ~workers:t.workers t.sk t.rng extremes in
-      Message.Batch_cipher_reply (Array.map Paillier.ciphertext_to_bigint encs)
-  end
-
-(* Packing extension: the flattened candidate slots of many instances
-   arrive [capacity] to a ciphertext, so the whole batch costs
-   [ceil(total/capacity)] decryptions instead of [total].  Replies are
-   re-encrypted through the cached subgroup noise generator — fresh
-   noise per reply at a table-walk's cost (this is the packed/fast
-   profile; see SECURITY.md on the subgroup caveat). *)
+(* Fresh-noise table for packed-reply re-encryptions, built lazily: one
+   full-width exponentiation amortized over the session. *)
 let noise_gen t =
   match t.noise with
   | Some g -> g
@@ -217,52 +156,68 @@ let noise_gen t =
     t.noise <- Some g;
     g
 
-let select_extreme_packed t ~better ~slot_bits ~counts ~(packed : Bigint.t array) =
+(* The key holder's half of the masked-extreme round (Sections 5.1 and
+   6): decrypt the candidates of every instance, keep each instance's
+   extreme ([pick] is Bigint.min or Bigint.max), and return a *fresh*
+   encryption of it (path hiding, Section 5.5).  The whole frame is
+   validated before any decryption.  Candidates arrive one per
+   ciphertext ([`Sets]), decrypted as one flat batch, or [capacity]
+   slots to a ciphertext ([`Packed]), so the round costs
+   ceil(total/capacity) decryptions instead of total.  Re-encryption
+   draws its randomness in instance order — the packed profile's through
+   the cached subgroup noise generator (SECURITY.md on its caveat). *)
+let extremes t pick ~single frame =
   let pk = public_key t in
+  let need_two k = if k < 2 then raise (Bad_candidates "need at least two candidates") in
   match
-    if slot_bits <= 0 || slot_bits >= pk.Paillier.bits then
-      raise (Bad_candidates "packed slot width out of range for this key");
-    let capacity = Paillier.pack_capacity pk ~slot_bits in
-    if Array.length counts = 0 then raise (Bad_candidates "empty packed batch");
-    Array.iter
-      (fun k -> if k < 2 then raise (Bad_candidates "need at least two candidates"))
-      counts;
-    let total = Array.fold_left ( + ) 0 counts in
-    let expected = (total + capacity - 1) / capacity in
-    if Array.length packed <> expected then
-      raise
-        (Bad_candidates
-           (Printf.sprintf "expected %d packed ciphertexts for %d slots, got %d"
-              expected total (Array.length packed)));
-    (match Array.map (Paillier.validate_ciphertext pk) packed with
-     | cs -> (capacity, total, cs)
-     | exception Paillier.Invalid_ciphertext m -> raise (Bad_candidates m))
+    match frame with
+    | `Sets sets ->
+      if Array.length sets = 0 then raise (Bad_candidates "empty batch");
+      let cs = Array.map (fun set -> need_two (Array.length set); validate pk set) sets in
+      (Array.map Array.length sets, Array.concat (Array.to_list cs), None)
+    | `Packed (slot_bits, counts, packed) ->
+      if slot_bits <= 0 || slot_bits >= pk.Paillier.bits then
+        raise (Bad_candidates "packed slot width out of range for this key");
+      let capacity = Paillier.pack_capacity pk ~slot_bits in
+      if Array.length counts = 0 then raise (Bad_candidates "empty packed batch");
+      Array.iter need_two counts;
+      let total = Array.fold_left ( + ) 0 counts in
+      let expected = (total + capacity - 1) / capacity in
+      if Array.length packed <> expected then
+        raise
+          (Bad_candidates
+             (Printf.sprintf "expected %d packed ciphertexts for %d slots, got %d"
+                expected total (Array.length packed)));
+      (counts, validate pk packed, Some (slot_bits, capacity))
   with
   | exception Bad_candidates m -> Message.Error_reply m
-  | capacity, total, cs ->
+  | counts, cs, packing ->
     let plains = decrypt_batch t cs in
-    let slots = Array.make total Bigint.zero in
-    Array.iteri
-      (fun i p ->
-        let lo = i * capacity in
-        let len = min capacity (total - lo) in
-        Array.blit (Paillier.unpack_plain ~slot_bits ~count:len p) 0 slots lo len)
-      plains;
-    let extremes = Array.make (Array.length counts) Bigint.zero in
-    let off = ref 0 in
-    Array.iteri
-      (fun s k ->
-        extremes.(s) <- fold_better ~better slots !off k;
-        off := !off + k)
-      counts;
-    t.ops.encryptions <- t.ops.encryptions + Array.length extremes;
-    let g = noise_gen t in
-    let encs =
-      Array.map
-        (fun m -> Paillier.encrypt_with_rn pk ~rn:(Paillier.noise_gen_rn g pk t.rng) m)
-        extremes
+    let slots =
+      match packing with
+      | None -> plains
+      | Some (slot_bits, capacity) ->
+        (* the last pack's unused top slots are unpacked too, never read *)
+        Array.concat
+          (Array.to_list (Array.map (Paillier.unpack_plain ~slot_bits ~count:capacity) plains))
     in
-    Message.Batch_cipher_reply (Array.map Paillier.ciphertext_to_bigint encs)
+    let _, best =
+      Array.fold_left_map
+        (fun lo k -> (lo + k, Array.fold_left pick slots.(lo) (Array.sub slots lo k)))
+        0 counts
+    in
+    t.ops.encryptions <- t.ops.encryptions + Array.length best;
+    let encs =
+      match packing with
+      | None -> Paillier.encrypt_batch_sk ~workers:t.workers t.sk t.rng best
+      | Some _ ->
+        let g = noise_gen t in
+        Array.map
+          (fun m -> Paillier.encrypt_with_rn pk ~rn:(Paillier.noise_gen_rn g pk t.rng) m)
+          best
+    in
+    let replies = Array.map Paillier.ciphertext_to_bigint encs in
+    if single then Message.Cipher_reply replies.(0) else Message.Batch_cipher_reply replies
 
 (* Catalog extension: encrypted pruning sketches.  For each requested
    record the per-segment coupling-window extremes
@@ -319,12 +274,7 @@ let query_sketches t ~segments ~band ~indices =
 let verdicts t (blinded : Bigint.t array) =
   if Array.length blinded = 0 then raise (Bad_candidates "empty verdict set");
   let pk = public_key t in
-  let cs =
-    match Array.map (Paillier.validate_ciphertext pk) blinded with
-    | cs -> cs
-    | exception Paillier.Invalid_ciphertext m -> raise (Bad_candidates m)
-  in
-  let plains = decrypt_batch t cs in
+  let plains = decrypt_batch t (validate pk blinded) in
   let half = Bigint.shift_right pk.Paillier.n 1 in
   Array.map (fun p -> Bigint.compare p half > 0) plains
 
@@ -406,22 +356,14 @@ let handle t (req : Message.request) : Message.reply =
       Message.Select_ack i
     end
   | Message.Phase1_request -> Message.Phase1_reply (phase1_elements t)
-  | Message.Min_request candidates ->
-    select_extreme t ~better:(fun a b -> Bigint.compare a b < 0) candidates
-  | Message.Max_request candidates ->
-    select_extreme t ~better:(fun a b -> Bigint.compare a b > 0) candidates
-  | Message.Batch_min_request sets ->
-    select_extreme_batch t ~better:(fun a b -> Bigint.compare a b < 0) sets
-  | Message.Batch_max_request sets ->
-    select_extreme_batch t ~better:(fun a b -> Bigint.compare a b > 0) sets
+  | Message.Min_request set -> extremes t Bigint.min ~single:true (`Sets [| set |])
+  | Message.Max_request set -> extremes t Bigint.max ~single:true (`Sets [| set |])
+  | Message.Batch_min_request sets -> extremes t Bigint.min ~single:false (`Sets sets)
+  | Message.Batch_max_request sets -> extremes t Bigint.max ~single:false (`Sets sets)
   | Message.Packed_min_request { slot_bits; counts; packed } ->
-    select_extreme_packed t
-      ~better:(fun a b -> Bigint.compare a b < 0)
-      ~slot_bits ~counts ~packed
+    extremes t Bigint.min ~single:false (`Packed (slot_bits, counts, packed))
   | Message.Packed_max_request { slot_bits; counts; packed } ->
-    select_extreme_packed t
-      ~better:(fun a b -> Bigint.compare a b > 0)
-      ~slot_bits ~counts ~packed
+    extremes t Bigint.max ~single:false (`Packed (slot_bits, counts, packed))
   | Message.Reveal_request v -> begin
     match t.max_reveals with
     | Some limit when t.reveals >= limit ->
@@ -431,9 +373,8 @@ let handle t (req : Message.request) : Message.reply =
       match Paillier.validate_ciphertext pk v with
       | exception Paillier.Invalid_ciphertext m -> Message.Error_reply m
       | c ->
-        t.ops.decryptions <- t.ops.decryptions + 1;
         t.reveals <- t.reveals + 1;
-        Message.Reveal_reply (t.decrypt t.sk c)
+        Message.Reveal_reply (decrypt_batch t [| c |]).(0)
     end
   end
   (* In-process servers answer with the process-wide registry; a TCP

@@ -573,11 +573,6 @@ let rerandomize_sk sk rng c =
   let rn = rn_of_bigint pk (fresh_rn_sk sk r) in
   ct_of_mont pk (Montgomery.mont_mul_raw (mont_n2 pk) (ct_mont c) rn)
 
-let rerandomize_pooled pk pool rng c =
-  check_same_key pk c;
-  let rn = rn_realize pk (rn_acquire pk pool rng) in
-  ct_of_mont pk (Montgomery.mont_mul_raw (mont_n2 pk) (ct_mont c) rn)
-
 (* Plaintext packing: k values of at most [slot_bits] bits ride one
    ciphertext as sum_j v_j 2^(j*slot_bits), leaving the top bit of n as
    headroom so the packed sum never wraps mod n.  Packing encrypted

@@ -260,11 +260,6 @@ val encrypt_with_rn : public_key -> rn:rn -> Bigint.t -> ciphertext
 (** [g^m * rn mod n^2] — two multiplications, no rng.
     @raise Invalid_plaintext as {!encrypt}. *)
 
-val rerandomize_pooled :
-  public_key -> randomness_pool -> Ppst_rng.Secure_rng.t -> ciphertext -> ciphertext
-(** {!rerandomize} consuming one pooled factor (one multiplication
-    online); falls back and counts a miss as {!encrypt_pooled} does. *)
-
 type noise_gen
 (** The {!pool_refill_fast} subgroup table hoisted into a reusable value:
     one unit draw and one full-width exponentiation at creation, then a

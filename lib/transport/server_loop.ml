@@ -8,7 +8,7 @@
    admission at accept time and the supervised worker mode.
 
    Locking discipline: [t.mu] guards the session registry (active count,
-   finished list, merged aggregates); [t.rng_mu] guards the token
+   session counters, merged aggregates); [t.rng_mu] guards the token
    generator (drawn from session threads); the stop request is an
    [Atomic] so a signal handler can set it without touching any lock. *)
 
@@ -146,7 +146,7 @@ type t = {
   mutable accepted : int;
   mutable rejected : int;
   mutable shed : int;
-  mutable finished : session list;
+  mutable completed : int;
   mutable merged_stats : Stats.t;
   mutable handler_seconds_total : float;
 }
@@ -203,7 +203,7 @@ let make ~config ~on_session_end ~clock ~rng ~boot_id ~listener ~bound_port
     accepted = 0;
     rejected = 0;
     shed = 0;
-    finished = [];
+    completed = 0;
     merged_stats = Stats.create ();
     handler_seconds_total = 0.0;
   }
@@ -251,7 +251,6 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
 let active_sessions t = locked t (fun () -> t.active)
-let sessions t = locked t (fun () -> t.finished)
 let accepted t = locked t (fun () -> t.accepted)
 let rejected t = locked t (fun () -> t.rejected)
 let shed_total t = locked t (fun () -> t.shed)
@@ -306,11 +305,8 @@ let stats t =
    truth, unlike the process-wide registry a test harness may share
    across several loops), then the full metrics exposition. *)
 let stats_text t =
-  let active, accepted, rejected, finished =
-    locked t (fun () -> (t.active, t.accepted, t.rejected, t.finished))
-  in
-  let completed =
-    List.length (List.filter (fun s -> s.outcome = Completed) finished)
+  let active, accepted, rejected, completed =
+    locked t (fun () -> (t.active, t.accepted, t.rejected, t.completed))
   in
   let b = Buffer.create 1024 in
   Buffer.add_string b "# live sessions\n";
@@ -541,7 +537,7 @@ let serve_session t ~id ~peer fd =
   in
   locked t (fun () ->
       t.active <- t.active - 1;
-      t.finished <- record :: t.finished;
+      if outcome = Completed then t.completed <- t.completed + 1;
       t.handler_seconds_total <- t.handler_seconds_total +. handler_seconds;
       t.merged_stats <- Stats.merge t.merged_stats stats;
       Metrics.gauge_set m_active (float_of_int t.active));

@@ -234,9 +234,6 @@ val install_signal_handlers : t -> unit
 val active_sessions : t -> int
 (** Sessions currently in flight. *)
 
-val sessions : t -> session list
-(** Finished sessions, most recent first. *)
-
 val accepted : t -> int
 (** Sessions accepted so far (in-flight included). *)
 

@@ -20,8 +20,9 @@
 # (d) a chaos smoke: the same client/server pair is run once
 # clean and once against a server whose frame path hard-drops the
 # connection every 64 frames (--chaos-profile drop-every-64); the
-# retry + resume machinery must repair every cut and the two revealed
-# distances must be identical.  (The codec corruption fuzz and the
+# retry + resume machinery must repair every cut, the two revealed
+# distances must be identical, and both servers must print the same
+# closed-form crypto-op totals at exit.  (The codec corruption fuzz and the
 # per-frame-index disconnect matrix run inside `dune runtest` —
 # test/test_resilience.ml.)
 #
@@ -161,7 +162,19 @@ if [ -z "$clean_distance" ] || [ "$clean_distance" != "$chaos_distance" ]; then
   cat "$chaos_dir"/client-*.log "$chaos_dir"/server-*.log >&2 || true
   exit 1
 fi
-echo "ci: chaos smoke OK (distance $chaos_distance, clean = drop-every-64)"
+# Both servers must report the session's crypto work at exit: for 12x12,
+# d = 1, k = 10 row-major DTW that is n(d+1) + (m-1)(n-1) encryptions and
+# (m-1)(n-1)(k+2) + 1 decryptions; a resumed round is replayed, not
+# recomputed, so the chaos run counts the same.
+for port in 17971 17972; do
+  if ! grep -qx 'crypto ops: 145 encryptions, 1453 decryptions, 0 homomorphic' \
+      "$chaos_dir/server-$port.log"; then
+    echo "ci: chaos smoke FAILED: server on port $port misreports its crypto ops" >&2
+    cat "$chaos_dir/server-$port.log" >&2 || true
+    exit 1
+  fi
+done
+echo "ci: chaos smoke OK (distance $chaos_distance, clean = drop-every-64, crypto ops counted)"
 
 # Overload smoke: capacity 2, quotas sized to admit the honest series
 # with headroom, 6 concurrent clients.

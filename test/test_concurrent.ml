@@ -38,6 +38,13 @@ let stop (loop, runner) =
   Server_loop.shutdown loop;
   Thread.join runner
 
+(* An [on_session_end] hook and a reader of the finished sessions it has
+   seen, most recent first. *)
+let session_log () =
+  let ended = ref [] and mu = Mutex.create () in
+  ( (fun s -> Mutex.protect mu (fun () -> ended := s :: !ended)),
+    fun () -> Mutex.protect mu (fun () -> !ended) )
+
 (* A session slot is freed asynchronously after the previous client saw
    its Bye_ack, so even a nominally free server can answer Busy for a
    moment; retry as a real client would. *)
@@ -143,16 +150,10 @@ let test_busy_at_capacity () =
 (* --- idle timeout: silent session dies, server survives ------------------- *)
 
 let test_idle_timeout () =
-  let ended = Queue.create () in
-  let ended_mutex = Mutex.create () in
   let config =
     { Server_loop.default_config with idle_timeout_s = Some 0.2 }
   in
-  let on_session_end s =
-    Mutex.lock ended_mutex;
-    Queue.add s ended;
-    Mutex.unlock ended_mutex
-  in
+  let on_session_end, ended = session_log () in
   let t = make_loop ~config ~on_session_end ~seed:"idle-test" () in
   let loop = fst t in
   let port = Server_loop.port loop in
@@ -166,15 +167,9 @@ let test_idle_timeout () =
       let deadline = Unix.gettimeofday () +. 5.0 in
       let rec wait () =
         let timed_out =
-          Mutex.lock ended_mutex;
-          let v =
-            Queue.fold
-              (fun acc (s : Server_loop.session) ->
-                acc || s.outcome = Server_loop.Idle_timeout)
-              false ended
-          in
-          Mutex.unlock ended_mutex;
-          v
+          List.exists
+            (fun (s : Server_loop.session) -> s.outcome = Server_loop.Idle_timeout)
+            (ended ())
         in
         if timed_out then ()
         else if Unix.gettimeofday () > deadline then
@@ -197,7 +192,8 @@ let test_deadline () =
   let config =
     { Server_loop.default_config with deadline_s = Some 0.2 }
   in
-  let t = make_loop ~config ~seed:"deadline-test" () in
+  let on_session_end, ended = session_log () in
+  let t = make_loop ~config ~on_session_end ~seed:"deadline-test" () in
   let loop = fst t in
   let port = Server_loop.port loop in
   Fun.protect ~finally:(fun () -> stop t)
@@ -224,7 +220,7 @@ let test_deadline () =
           List.exists
             (fun (s : Server_loop.session) ->
               s.outcome = Server_loop.Deadline_exceeded)
-            (Server_loop.sessions loop)
+            (ended ())
         in
         if hit then ()
         else if Unix.gettimeofday () > deadline then
@@ -262,7 +258,8 @@ let test_idle_timeout_before_deadline () =
       idle_timeout_s = Some 0.3;
       deadline_s = Some 0.5 }
   in
-  let t = make_loop ~config ~seed:"idle-vs-deadline" () in
+  let on_session_end, ended = session_log () in
+  let t = make_loop ~config ~on_session_end ~seed:"idle-vs-deadline" () in
   let loop = fst t in
   let port = Server_loop.port loop in
   Fun.protect ~finally:(fun () -> stop t)
@@ -274,7 +271,7 @@ let test_idle_timeout_before_deadline () =
         | _ -> Alcotest.fail "no resume token"
       in
       let rec wait tries =
-        match Server_loop.sessions loop with
+        match ended () with
         | s :: _ -> s.Server_loop.outcome
         | [] when tries > 0 ->
           Thread.delay 0.01;

@@ -20,7 +20,7 @@ let max_value = 9
 let decrypted () =
   (Metrics.histogram_snapshot (Metrics.histogram "paillier.batch.decrypt")).sum
 
-let make_loop ?(config = Server_loop.default_config) ?wrap ~seed () =
+let make_loop ?(config = Server_loop.default_config) ?on_session_end ?wrap ~seed () =
   let rng = Ppst_rng.Secure_rng.of_seed_string (seed ^ "/keygen") in
   let _pk, sk =
     Ppst_paillier.Paillier.keygen ~bits:Ppst.Params.default.Ppst.Params.key_bits rng
@@ -35,7 +35,7 @@ let make_loop ?(config = Server_loop.default_config) ?wrap ~seed () =
     match wrap with Some w -> w h | None -> h
   in
   let loop =
-    Server_loop.create ~config ~port:0
+    Server_loop.create ~config ?on_session_end ~port:0
       ~handler:(fun ~id ~peer -> Server_loop.respond_only (handler ~id ~peer)) ()
   in
   let runner = Thread.create (fun () -> Server_loop.run loop) () in
@@ -44,6 +44,13 @@ let make_loop ?(config = Server_loop.default_config) ?wrap ~seed () =
 let stop (loop, runner) =
   Server_loop.shutdown loop;
   Thread.join runner
+
+(* An [on_session_end] hook and a reader of the finished sessions it has
+   seen, most recent first. *)
+let session_log () =
+  let ended = ref [] and mu = Mutex.create () in
+  ( (fun s -> Mutex.protect mu (fun () -> ended := s :: !ended)),
+    fun () -> Mutex.protect mu (fun () -> !ended) )
 
 let run_client ?(series = series_x) ~port ~seed () =
   let rec attempt tries =
@@ -325,7 +332,8 @@ let test_quota_rejects_before_crypto () =
       admission = { Admission.unlimited with max_cells = Some 15 };
     }
   in
-  let t = make_loop ~config ~seed:"quota-test" () in
+  let on_session_end, ended = session_log () in
+  let t = make_loop ~config ~on_session_end ~seed:"quota-test" () in
   let loop = fst t in
   let port = Server_loop.port loop in
   Fun.protect ~finally:(fun () -> stop t)
@@ -353,7 +361,7 @@ let test_quota_rejects_before_crypto () =
           List.exists
             (fun (s : Server_loop.session) ->
               s.outcome = Server_loop.Quota_rejected "cells")
-            (Server_loop.sessions loop));
+            (ended ()));
       (* ...and an honest client under the budget completes as ever *)
       let d, _, _ = run_client ~series:series_small ~port ~seed:"honest" () in
       Alcotest.(check bool) "honest session served" true
@@ -498,7 +506,8 @@ let test_slowloris_cut () =
   let config =
     { Server_loop.default_config with watchdog_timeout_s = Some 0.2 }
   in
-  let t = make_loop ~config ~seed:"slowloris-test" () in
+  let on_session_end, ended = session_log () in
+  let t = make_loop ~config ~on_session_end ~seed:"slowloris-test" () in
   let loop = fst t in
   let port = Server_loop.port loop in
   Fun.protect ~finally:(fun () -> stop t)
@@ -511,7 +520,7 @@ let test_slowloris_cut () =
       eventually "watchdog never cut the stalled peer" (fun () ->
           List.exists
             (fun (s : Server_loop.session) -> s.outcome = Server_loop.Slow_peer)
-            (Server_loop.sessions loop));
+            (ended ()));
       (try Unix.close fd with _ -> ());
       (* the freed slot serves an honest client immediately *)
       let d, _, _ = run_client ~port ~seed:"after-slowloris" () in
@@ -714,7 +723,8 @@ let test_mixed_workload () =
       watchdog_timeout_s = Some 0.3;
     }
   in
-  let t = make_loop ~config ~seed:"mixed-test" () in
+  let on_session_end, ended = session_log () in
+  let t = make_loop ~config ~on_session_end ~seed:"mixed-test" () in
   let loop = fst t in
   let port = Server_loop.port loop in
   Fun.protect ~finally:(fun () -> stop t)
@@ -817,7 +827,7 @@ let test_mixed_workload () =
       eventually "slowloris outcome never recorded" (fun () ->
           List.exists
             (fun (s : Server_loop.session) -> s.outcome = Server_loop.Slow_peer)
-            (Server_loop.sessions loop)))
+            (ended ())))
 
 let () =
   Alcotest.run "overload"

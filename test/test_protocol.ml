@@ -93,6 +93,88 @@ let test_params_bad_args () =
       (fun () -> ignore (plan ~m:0 ()));
     ]
 
+(* The Section 5.3 guards as properties, over generated keys (a modulus
+   of exactly [key_bits] bits), random-set sizes, valid gamma - beta
+   slacks, value bounds, dimensions, lengths and distances.  An accepted
+   plan must mask without wrap-around — also when packed — and a refused
+   one must really have needed it. *)
+type guard_case = {
+  key_bits : int;
+  modulus : Bigint.t;
+  params : Ppst.Params.t;
+  max_value : int;
+  d : int;
+  m : int;
+  n : int;
+  distance : [ `Dtw | `Dfd | `Erp | `Euclidean ];
+}
+
+let gen_guard_case =
+  let open QCheck2.Gen in
+  let* key_bits = int_range 16 256 in
+  let* seed = int in
+  let* k = int_range 4 64 in
+  let* gamma_slack = int_range 1 (Ppst.Params.alpha (Ppst.Params.make ~k ()) - 1) in
+  let* value_bits = int_range 0 20 in
+  let* max_value = int_range 1 (1 lsl value_bits) in
+  let* d = int_range 1 8 in
+  let* m = int_range 1 1000 in
+  let* n = int_range 1 1000 in
+  let+ distance = oneofl [ `Dtw; `Dfd; `Erp; `Euclidean ] in
+  let top = Bigint.shift_left Bigint.one (key_bits - 1) in
+  let v = Bigint.add top (Secure_rng.below (Secure_rng.of_seed_string (string_of_int seed)) top) in
+  let modulus = if Bigint.is_even v then Bigint.succ v else v in
+  let params = Ppst.Params.make ~key_bits ~k ~gamma_slack () in
+  { key_bits; modulus; params; max_value; d; m; n; distance }
+
+let print_guard_case c =
+  Printf.sprintf "modulus %s (%d bits), k = %d, slack %d, V = %d, d = %d, %dx%d, %s"
+    (Bigint.to_string c.modulus) c.key_bits c.params.Ppst.Params.k
+    c.params.Ppst.Params.gamma_slack c.max_value c.d c.m c.n
+    (match c.distance with
+     | `Dtw -> "dtw" | `Dfd -> "dfd" | `Erp -> "erp" | `Euclidean -> "euclidean")
+
+let prop_params_guards =
+  qtest "accepted plans never wrap; refused ones would" ~count:1000 gen_guard_case
+    ~print:print_guard_case (fun c ->
+      let plan modulus =
+        Ppst.Params.plan c.params ~max_value:c.max_value ~dimension:c.d ~client_length:c.m
+          ~server_length:c.n ~modulus ~distance:c.distance
+      in
+      match plan c.modulus with
+      | s ->
+        let open Ppst.Params in
+        (* the largest value a DP entry can hold, from the paper's bounds *)
+        let largest_value =
+          c.d * c.max_value * c.max_value
+          * (match c.distance with
+             | `Dtw -> c.m + c.n - 1
+             | `Dfd -> 1
+             | `Erp -> c.m + c.n
+             | `Euclidean -> min c.m c.n)
+        in
+        let largest = Bigint.add (Bigint.pred s.value_bound) s.offset_hi in
+        let offsets = Bigint.succ (Bigint.sub s.offset_hi s.offset_lo) in
+        let slot_bits = Bigint.num_bits (Bigint.add s.value_bound s.offset_hi) in
+        let pk = Paillier.public_of_modulus c.modulus ~bits:c.key_bits in
+        let capacity = Paillier.pack_capacity pk ~slot_bits in
+        Bigint.compare s.value_bound (Bigint.of_int largest_value) > 0
+        && Bigint.compare largest c.modulus < 0
+        && Bigint.compare offsets (Bigint.of_int c.params.k) >= 0
+        && 0 < s.gamma - s.beta
+        && s.gamma - s.beta < alpha c.params
+        && (capacity < 1
+           ||
+           let packed = Paillier.pack_plain pk ~slot_bits (Array.make capacity largest) in
+           Bigint.compare packed c.modulus < 0
+           && Array.for_all (Bigint.equal largest)
+                (Paillier.unpack_plain ~slot_bits ~count:capacity packed))
+      | exception Ppst.Params.Insecure _ ->
+        (* the same plan under a modulus far too large to matter *)
+        let s = plan (Bigint.shift_left Bigint.one 4096) in
+        Bigint.compare (Bigint.add s.Ppst.Params.value_bound s.Ppst.Params.offset_hi) c.modulus
+        >= 0)
+
 (* --- masking -------------------------------------------------------------- *)
 
 let with_session f =
@@ -681,6 +763,7 @@ let () =
           Alcotest.test_case "bad arguments" `Quick test_params_bad_args;
           Alcotest.test_case "offset range fits k" `Quick
             test_params_offset_range_fits_k;
+          prop_params_guards;
         ] );
       ( "masking",
         [
