@@ -551,6 +551,13 @@ let throughput_session ~params ~x ~port ~seed =
   in
   attempt ()
 
+(* Connections a Server_loop in this process answered with Busy so far
+   (capacity refusals plus rate-limit/watermark sheds), and the shed
+   part alone: the experiments report deltas of these registry counters. *)
+let registry_count name = Ppst_telemetry.Metrics.(counter_value (counter name))
+let shed_total () = registry_count "server.shed"
+let busy_total () = registry_count "server.sessions.busy_rejected" + shed_total ()
+
 let throughput_run ~params ~x ~y ~concurrency ~total ~client_workers =
   let rng = Ppst_rng.Secure_rng.of_seed_string "throughput/keygen" in
   let _pk, sk =
@@ -573,8 +580,15 @@ let throughput_run ~params ~x ~y ~concurrency ~total ~client_workers =
       retry_after_s = 0.05;
     }
   in
+  let traffic = ref (Ppst_transport.Stats.create ()) and traffic_mu = Mutex.create () in
+  let on_session_end (s : Ppst_transport.Server_loop.session) =
+    Mutex.lock traffic_mu;
+    traffic := Ppst_transport.Stats.merge !traffic s.session_stats;
+    Mutex.unlock traffic_mu
+  in
+  let busy_before = busy_total () in
   let loop =
-    Ppst_transport.Server_loop.create ~config ~port:0
+    Ppst_transport.Server_loop.create ~config ~on_session_end ~port:0
       ~handler:(fun ~id ~peer -> Ppst_transport.Server_loop.respond_only (handler ~id ~peer)) ()
   in
   let runner = Thread.create (fun () -> Ppst_transport.Server_loop.run loop) () in
@@ -610,9 +624,7 @@ let throughput_run ~params ~x ~y ~concurrency ~total ~client_workers =
     distances;
   if List.length distances <> total then
     failwith "throughput: lost sessions";
-  ( wall,
-    Ppst_transport.Server_loop.rejected loop,
-    Ppst_transport.Server_loop.stats loop )
+  (wall, busy_total () - busy_before, !traffic)
 
 let throughput ~quick =
   header "Throughput: concurrent TCP sessions (Server_loop)";
@@ -859,7 +871,7 @@ let failover_supervised ~sk ~y ~workers ~spool ~crash_at ~seed () =
           ~rng:
             (Ppst_rng.Secure_rng.of_seed_string
                (Printf.sprintf "%s/worker-%d" seed slot))
-          ~boot_id:"bnch" ~handler ()
+          ~boot_id:"bnch" ~slot ~workers ~handler ()
       in
       Sys.set_signal Sys.sigterm
         (Sys.Signal_handle (fun _ ->
@@ -1153,7 +1165,8 @@ let overload ~quick =
   (* -- burst handling: shed watermark vs plain capacity queueing -- *)
   let burst = 8 in
   let drain config tag =
-    with_loop ~tag config (fun loop port ->
+    let busy_before = busy_total () and shed_before = shed_total () in
+    with_loop ~tag config (fun _ port ->
         let latencies = Array.make burst 0.0 in
         let t0 = Unix.gettimeofday () in
         let threads =
@@ -1177,11 +1190,7 @@ let overload ~quick =
         let wall = Unix.gettimeofday () -. t0 in
         let mean = Array.fold_left ( +. ) 0.0 latencies /. float_of_int burst in
         let worst = Array.fold_left Float.max 0.0 latencies in
-        ( wall,
-          mean,
-          worst,
-          Ppst_transport.Server_loop.rejected loop,
-          Ppst_transport.Server_loop.shed_total loop ))
+        (wall, mean, worst, busy_total () - busy_before, shed_total () - shed_before))
   in
   (* Three admission regimes for the same staggered burst:
      - open: slots for everyone — all sessions thrash concurrently;

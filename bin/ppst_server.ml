@@ -1,7 +1,7 @@
 (* The server party over TCP: owns a time series (CSV) and the Paillier
    secret key, and serves many concurrent protocol sessions through
    Ppst_transport.Server_loop.  SIGINT/SIGTERM drain in-flight sessions
-   and print merged accounting before exit. *)
+   and print the process totals before exit. *)
 
 open Cmdliner
 
@@ -174,18 +174,6 @@ let run port series_file catalog_dir key_file max_value seed sessions concurrenc
       None
     end
   in
-  let no_ops () = { Ppst.Cost.encryptions = 0; decryptions = 0; homomorphic = 0 } in
-  let total_ops = no_ops () in
-  let ops_mutex = Mutex.create () in
-  (* total_ops += ops - since *)
-  let merge_ops ~(since : Ppst.Cost.ops) (ops : Ppst.Cost.ops) =
-    let open Ppst.Cost in
-    Mutex.lock ops_mutex;
-    total_ops.encryptions <- total_ops.encryptions + ops.encryptions - since.encryptions;
-    total_ops.decryptions <- total_ops.decryptions + ops.decryptions - since.decryptions;
-    total_ops.homomorphic <- total_ops.homomorphic + ops.homomorphic - since.homomorphic;
-    Mutex.unlock ops_mutex
-  in
   let make_handler pool ~id ~peer:_ =
     let workers =
       match pool with
@@ -193,39 +181,37 @@ let run port series_file catalog_dir key_file max_value seed sessions concurrenc
       | None -> Ppst_parallel.Pool.sequential
     in
     let server =
-      Ppst.Server.create_db_with_key ?ids ~workers ~sk
+      Ppst.Server.create_db_with_key ?ids ~decryption:`Crt ~workers ~sk
         ~rng:(rng_of (Printf.sprintf "/session-%d" id))
         ~records ~max_value ()
     in
-    (* Each request's crypto work is folded into the process totals as
-       it happens: the loop answers Bye itself, so the handler never sees
-       a session's last request.  [folded] is the part already counted. *)
-    let current () =
-      let o = Ppst.Server.ops server in
-      Ppst.Cost.{ encryptions = o.encryptions; decryptions = o.decryptions; homomorphic = o.homomorphic }
-    in
-    let folded = ref (current ()) in
-    let respond req =
-      let reply = Ppst.Server.handle server req in
-      let now = current () in
-      merge_ops ~since:!folded now;
-      folded := now;
-      reply
-    in
     (* Crash safety: the loop spools this after every counted round, and
        replays it into a fresh server when the session fails over to
-       another worker process.  The restored counters were counted by
-       the process that spooled them. *)
+       another worker process. *)
     {
-      Ppst_transport.Server_loop.respond;
+      Ppst_transport.Server_loop.respond = Ppst.Server.handle server;
       snapshot = Some (fun () -> Ppst.Server.export_state server);
-      restore =
-        Some
-          (fun blob ->
-            Ppst.Server.restore_state server blob;
-            folded := current ());
+      restore = Some (Ppst.Server.restore_state server);
     }
   in
+  (* The four exit lines, read by name from the server's process totals:
+     the live registry, or the sum of the workers' drain reports.  Only
+     [server.*] families are read; the supervisor parent never serves,
+     so they are 0 in the registry every worker inherits at fork. *)
+  let print_summary value =
+    let count name = int_of_float (value ("server." ^ name)) in
+    let shed = count "shed" in
+    Format.printf "sessions: %d accepted, %d rejected (Busy), %d shed@."
+      (count "sessions.accepted") (count "sessions.busy_rejected" + shed) shed;
+    Format.printf "handler time (all sessions): %.3f s@." (value "server.handler.seconds");
+    (* always 0: the key holder only encrypts and decrypts, every
+       homomorphic operation is the client's *)
+    Format.printf "crypto ops: %d encryptions, %d decryptions, 0 homomorphic@."
+      (count "crypto.encryptions") (count "crypto.decryptions");
+    Format.printf "communication (all sessions): %a@." Ppst_transport.Stats.pp
+      (Ppst_transport.Stats.of_fields (fun field -> count ("traffic." ^ field)))
+  in
+  let lookup scalars name = Option.value (List.assoc_opt name scalars) ~default:0.0 in
   let on_session_end (s : Ppst_transport.Server_loop.session) =
     Logs.info (fun m ->
         m "session %d (%s) ended: %s, %d requests, %.3f s in handler" s.id
@@ -310,26 +296,17 @@ let run port series_file catalog_dir key_file max_value seed sessions concurrenc
       let pool = make_pool () in
       let loop =
         Ppst_transport.Server_loop.create_worker ~config ~on_session_end ?rng
-          ~boot_id ~handler:(make_handler pool) ()
+          ~boot_id ~slot ~workers ~handler:(make_handler pool) ()
       in
       Sys.set_signal Sys.sigterm
         (Sys.Signal_handle
            (fun _ -> Ppst_transport.Server_loop.shutdown loop));
-      let extra () =
-        Mutex.lock ops_mutex;
-        let w = Ppst_transport.Wire.writer () in
-        Ppst_transport.Wire.put_u32 w total_ops.Ppst.Cost.encryptions;
-        Ppst_transport.Wire.put_u32 w total_ops.Ppst.Cost.decryptions;
-        Ppst_transport.Wire.put_u32 w total_ops.Ppst.Cost.homomorphic;
-        Mutex.unlock ops_mutex;
-        Ppst_transport.Wire.contents w
-      in
       Fun.protect
         ~finally:(fun () ->
           match pool with
           | Some pool -> Ppst_parallel.Pool.shutdown pool
           | None -> ())
-        (fun () -> Ppst_transport.Server_loop.run_worker ~extra loop ~control)
+        (fun () -> Ppst_transport.Server_loop.run_worker loop ~control)
     in
     let on_event = function
       | Ppst_transport.Supervisor.Worker_started { slot; pid; restarts } ->
@@ -372,59 +349,24 @@ let run port series_file catalog_dir key_file max_value seed sessions concurrenc
         ~drain_timeout_s:config.Ppst_transport.Server_loop.drain_timeout_s
         ?disk_faults ~stop ~listener ~workers ~worker_main ()
     in
-    (* Merge each worker's final drain report into the process totals the
-       single-process path prints, so tooling parses both modes alike. *)
-    let accepted = ref 0
-    and rejected = ref 0
-    and shed = ref 0
-    and handler_seconds = ref 0.0
-    and merged = ref (Ppst_transport.Stats.create ())
-    and reported = ref 0 in
-    List.iter
-      (fun (slot, blob) ->
-        match blob with
-        | None -> Logs.warn (fun m -> m "worker %d sent no drain report" slot)
-        | Some blob -> (
-          match Ppst_transport.Server_loop.decode_report blob with
-          | r ->
-            incr reported;
-            accepted := !accepted + r.Ppst_transport.Server_loop.w_accepted;
-            rejected := !rejected + r.Ppst_transport.Server_loop.w_rejected;
-            shed := !shed + r.Ppst_transport.Server_loop.w_shed;
-            handler_seconds :=
-              !handler_seconds +. r.Ppst_transport.Server_loop.w_handler_seconds;
-            merged :=
-              Ppst_transport.Stats.merge !merged
-                r.Ppst_transport.Server_loop.w_stats;
-            (match r.Ppst_transport.Server_loop.w_extra with
-             | "" -> ()
-             | extra -> (
-               match
-                 let rd = Ppst_transport.Wire.reader extra in
-                 let encryptions = Ppst_transport.Wire.get_u32 rd in
-                 let decryptions = Ppst_transport.Wire.get_u32 rd in
-                 let homomorphic = Ppst_transport.Wire.get_u32 rd in
-                 Ppst_transport.Wire.expect_end rd;
-                 { Ppst.Cost.encryptions; decryptions; homomorphic }
-               with
-               | ops -> merge_ops ~since:(no_ops ()) ops
-               | exception Ppst_transport.Wire.Malformed _ ->
-                 Logs.warn (fun m ->
-                     m "worker %d: malformed crypto-ops blob" slot)))
+    let reports =
+      List.filter_map
+        (fun (slot, blob) ->
+          match Option.map Ppst_transport.Server_loop.decode_report blob with
+          | Some report -> Some report
+          | None ->
+            Logs.warn (fun m -> m "worker %d sent no drain report" slot);
+            None
           | exception Ppst_transport.Wire.Malformed _ ->
-            Logs.warn (fun m -> m "worker %d: malformed drain report" slot)))
-      summary.Ppst_transport.Supervisor.reports;
+            Logs.warn (fun m -> m "worker %d: malformed drain report" slot);
+            None)
+        summary.Ppst_transport.Supervisor.reports
+    in
     Logs.info (fun m ->
-        m "done: %d worker report(s), %d session(s) served, %d restart(s)"
-          !reported !accepted summary.Ppst_transport.Supervisor.restarts);
-    Format.printf "sessions: %d accepted, %d rejected (Busy), %d shed@."
-      !accepted !rejected !shed;
-    Format.printf "handler time (all sessions): %.3f s@." !handler_seconds;
-    Format.printf "crypto ops: %d encryptions, %d decryptions, %d homomorphic@."
-      total_ops.Ppst.Cost.encryptions total_ops.Ppst.Cost.decryptions
-      total_ops.Ppst.Cost.homomorphic;
-    Format.printf "communication (all sessions): %a@." Ppst_transport.Stats.pp
-      !merged;
+        m "done: %d worker report(s), %d restart(s)" (List.length reports)
+          summary.Ppst_transport.Supervisor.restarts);
+    print_summary (fun name ->
+        List.fold_left (fun acc report -> acc +. lookup report name) 0.0 reports);
     Format.printf "supervisor restarts: %d@."
       summary.Ppst_transport.Supervisor.restarts
   end
@@ -473,21 +415,7 @@ let run port series_file catalog_dir key_file max_value seed sessions concurrenc
       | Some pool -> Ppst_parallel.Pool.shutdown pool
       | None -> ())
     (fun () -> Ppst_transport.Server_loop.run loop);
-  Logs.info (fun m ->
-      m "done: %d session(s) served, %d rejected at capacity"
-        (Ppst_transport.Server_loop.accepted loop)
-        (Ppst_transport.Server_loop.rejected loop));
-  Format.printf "sessions: %d accepted, %d rejected (Busy), %d shed@."
-    (Ppst_transport.Server_loop.accepted loop)
-    (Ppst_transport.Server_loop.rejected loop)
-    (Ppst_transport.Server_loop.shed_total loop);
-  Format.printf "handler time (all sessions): %.3f s@."
-    (Ppst_transport.Server_loop.handler_seconds_total loop);
-  Format.printf "crypto ops: %d encryptions, %d decryptions, %d homomorphic@."
-    total_ops.Ppst.Cost.encryptions total_ops.Ppst.Cost.decryptions
-    total_ops.Ppst.Cost.homomorphic;
-  Format.printf "communication (all sessions): %a@." Ppst_transport.Stats.pp
-    (Ppst_transport.Server_loop.stats loop)
+  print_summary (lookup (Ppst_telemetry.Metrics.scalars ()))
   end
 
 let port =

@@ -16,7 +16,6 @@ let zero : t = [||]
 let one : t = [| 1 |]
 
 let is_zero a = Array.length a = 0
-let is_one a = Array.length a = 1 && a.(0) = 1
 
 let normalize (a : t) : t =
   let n = ref (Array.length a) in

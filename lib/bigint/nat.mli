@@ -26,7 +26,6 @@ val zero : t
 val one : t
 
 val is_zero : t -> bool
-val is_one : t -> bool
 
 val normalize : t -> t
 (** Strip most-significant zero limbs (returns the argument when already

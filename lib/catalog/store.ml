@@ -61,11 +61,6 @@ let load_file_into t path =
   | blocks ->
     List.iteri (fun k series -> insert t ~id:(Printf.sprintf "%s#%d" base k) series) blocks
 
-let load_file path =
-  let t = create () in
-  load_file_into t path;
-  t
-
 let load_dir dir =
   let entries =
     Sys.readdir dir |> Array.to_list

@@ -48,14 +48,11 @@ val dimension : t -> int option
 val max_abs_value : t -> int
 (** Largest absolute coordinate over all records ([0] when empty). *)
 
-val load_file : string -> t
-(** Load one CSV file of blank-line-separated blocks ({!Csv.load_many}).
-    A single block gets the file's basename (sans extension) as id;
-    multiple blocks get [base#0], [base#1], ... *)
-
 val load_dir : string -> t
 (** Load every [*.csv] file in a directory, in lexicographic filename
-    order, via the {!load_file} id scheme.
+    order.  Each file holds blank-line-separated blocks
+    ({!Csv.load_many}): a single block gets the file's basename (sans
+    extension) as id, multiple blocks get [base#0], [base#1], ...
     @raise Invalid_argument if the directory has no [*.csv] files. *)
 
 val save_dir : ?disk_faults:Ppst_transport.Faults.Disk.t -> t -> string -> unit

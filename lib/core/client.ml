@@ -130,8 +130,6 @@ let precompute_randomness t count =
           Cost.add_client_offline t.cost (Unix.gettimeofday () -. t0)
         end)
 
-let pool_remaining t = Paillier.pool_size t.pool
-
 let check_own_bounds series max_value =
   let d = Series.dimension series in
   for i = 0 to Series.length series - 1 do

@@ -68,8 +68,6 @@ val precompute_randomness : t -> int -> unit
     DP engine calls this with the exact number of encryptions the run
     will need. *)
 
-val pool_remaining : t -> int
-
 val packing : t -> bool
 (** Whether the packed profile is active for this session: offered at
     {!connect}, granted by the server, and the key fits at least one

@@ -17,6 +17,11 @@ type t = {
          one full-width exponentiation amortized over the session *)
 }
 
+(* Process totals beside each session's [ops] record: a serving process
+   shares one registry between its sessions and reports it at exit. *)
+let m_encryptions = Metrics.counter "server.crypto.encryptions"
+let m_decryptions = Metrics.counter "server.crypto.decryptions"
+
 let check_bounds series max_value =
   let len = Series.length series and d = Series.dimension series in
   for i = 0 to len - 1 do
@@ -92,7 +97,6 @@ let public_key t = t.sk.Paillier.public
 let private_key t = t.sk
 let ops t = t.ops
 let reveal_count t = t.reveals
-let record_count t = Array.length t.records
 let selected t = t.selected
 let active_series t = t.records.(t.selected)
 
@@ -101,9 +105,14 @@ let active_series t = t.records.(t.selected)
    any pool size. *)
 let decrypt_batch t cs =
   t.ops.decryptions <- t.ops.decryptions + Array.length cs;
+  Metrics.incr ~by:(Array.length cs) m_decryptions;
   match t.decryption with
   | `Standard -> Paillier.decrypt_batch ~workers:t.workers t.sk cs
   | `Crt -> Paillier.decrypt_crt_batch ~workers:t.workers t.sk cs
+
+let count_encryptions t k =
+  t.ops.encryptions <- t.ops.encryptions + k;
+  Metrics.incr ~by:k m_encryptions
 
 (* Phase 1 payload: for every element y_j, Enc(Σ_l y_jl²) and each
    Enc(y_jl) — the one-way transfer of Section 3.2.  Flattened into one
@@ -125,7 +134,7 @@ let phase1_elements t =
       plains.((j * (d + 1)) + 1 + l) <- Bigint.of_int y.(l)
     done
   done;
-  t.ops.encryptions <- t.ops.encryptions + (n * (d + 1));
+  count_encryptions t (n * (d + 1));
   let encs = Paillier.encrypt_batch_sk ~workers:t.workers t.sk t.rng plains in
   Array.init n (fun j ->
       {
@@ -206,7 +215,7 @@ let extremes t pick ~single frame =
         (fun lo k -> (lo + k, Array.fold_left pick slots.(lo) (Array.sub slots lo k)))
         0 counts
     in
-    t.ops.encryptions <- t.ops.encryptions + Array.length best;
+    count_encryptions t (Array.length best);
     let encs =
       match packing with
       | None -> Paillier.encrypt_batch_sk ~workers:t.workers t.sk t.rng best
@@ -255,7 +264,7 @@ let query_sketches t ~segments ~band ~indices =
         done
       done)
     indices;
-  t.ops.encryptions <- t.ops.encryptions + Array.length plains;
+  count_encryptions t (Array.length plains);
   let encs = Paillier.encrypt_batch_sk ~workers:t.workers t.sk t.rng plains in
   Array.init (Array.length indices) (fun c ->
       {
@@ -280,7 +289,7 @@ let verdicts t (blinded : Bigint.t array) =
 
 (* Session-state codec for cross-worker failover.  Only protocol-visible
    state travels: the selected record index, the reveal count, and the
-   crypto-op counters (so merged Cost accounting survives a worker
+   crypto-op counters (so the session's Cost counters survive a worker
    death).  The key, records, worker pool, and noise cache are the
    restoring process's own configuration; the rng stream position is
    deliberately not captured — server randomness cancels at decryption,
@@ -377,13 +386,11 @@ let handle t (req : Message.request) : Message.reply =
         Message.Reveal_reply (decrypt_batch t [| c |]).(0)
     end
   end
-  (* In-process servers answer with the process-wide registry; a TCP
-     daemon's Server_loop intercepts Stats_req before it reaches here and
-     prefixes its own live session counters. *)
-  | Message.Stats_req -> Message.Stats_reply (Metrics.dump_string ())
-  (* Same story for the OpenMetrics page: the TCP daemon's Server_loop
-     answers (and capability-gates) this itself; in-process sessions get
-     the process-wide registry + rollups directly. *)
+  (* In-process servers answer both with the process-wide OpenMetrics
+     page; a TCP daemon's Server_loop intercepts them before they reach
+     here (prefixing Stats with its resume table, capability-gating
+     Metrics). *)
+  | Message.Stats_req -> Message.Stats_reply (Exposition.render ~rollup:(Rollup.global ()) ())
   | Message.Metrics_req ->
     Message.Metrics_reply (Exposition.render ~rollup:(Rollup.global ()) ())
   (* An in-process / single-session server is ready by definition; the

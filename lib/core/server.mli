@@ -116,7 +116,6 @@ val of_store_with_key :
   unit ->
   t
 
-val record_count : t -> int
 val selected : t -> int
 
 val handle : t -> Message.request -> Message.reply
@@ -130,7 +129,11 @@ val public_key : t -> Paillier.public_key
 val private_key : t -> Paillier.private_key
 val ops : t -> Cost.ops
 (** Cryptographic operation counters (decryptions dominate, per the
-    paper's Section 5.2 analysis). *)
+    paper's Section 5.2 analysis).  Every encryption and decryption is
+    also added to the process-wide [server.crypto.encryptions] /
+    [server.crypto.decryptions] counters of {!Ppst_telemetry.Metrics};
+    a restored session's counters ({!restore_state}) are not, since the
+    process that spooled them already counted them. *)
 
 val reveal_count : t -> int
 (** Number of [Reveal_request]s answered — observability hook: each

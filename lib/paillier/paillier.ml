@@ -244,8 +244,6 @@ let m_encrypt_batch =
   Ppst_telemetry.Metrics.histogram ~buckets:batch_buckets "paillier.batch.encrypt"
 let m_decrypt_batch =
   Ppst_telemetry.Metrics.histogram ~buckets:batch_buckets "paillier.batch.decrypt"
-let m_scalar_mul_batch =
-  Ppst_telemetry.Metrics.histogram ~buckets:batch_buckets "paillier.batch.scalar_mul"
 let m_pool_refill =
   Ppst_telemetry.Metrics.histogram ~buckets:batch_buckets "paillier.pool.refill"
 let m_pool_misses = Ppst_telemetry.Metrics.counter "paillier.pool.misses"
@@ -293,7 +291,6 @@ let rn_mont_of_unit pk r =
     (Bigint.magnitude pk.n)
 
 let rn_of_bigint pk v = Modular.to_mont_ctx pk.ctx_n2 v
-let rn_to_bigint pk (rn : rn) = Modular.of_mont_ctx pk.ctx_n2 rn
 
 type randomness_pool = {
   pool_n : Bigint.t;
@@ -536,16 +533,6 @@ let scalar_mul pk c k =
   check_same_key pk c;
   let k = Bigint.erem k pk.n in
   ct_of_mont pk (Montgomery.pow_raw (mont_n2 pk) (ct_mont c) (Bigint.magnitude k))
-
-let scalar_mul_batch ?(workers = Ppst_parallel.Pool.sequential) pk cks =
-  Ppst_telemetry.Metrics.observe m_scalar_mul_batch
-    (float_of_int (Array.length cks));
-  Array.iter
-    (fun (c, _) ->
-      check_same_key pk c;
-      ignore (ct_mont c))
-    cks;
-  Ppst_parallel.Pool.map_array workers (fun (c, k) -> scalar_mul pk c k) cks
 
 let neg pk c = scalar_mul pk c (Bigint.pred pk.n)
 

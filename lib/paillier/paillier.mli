@@ -129,11 +129,6 @@ val decrypt_batch :
 val decrypt_crt_batch :
   ?workers:Ppst_parallel.Pool.t -> private_key -> ciphertext array -> Bigint.t array
 
-val scalar_mul_batch :
-  ?workers:Ppst_parallel.Pool.t ->
-  public_key -> (ciphertext * Bigint.t) array -> ciphertext array
-(** Element-wise {!scalar_mul} over (ciphertext, scalar) pairs. *)
-
 val add : public_key -> ciphertext -> ciphertext -> ciphertext
 (** Homomorphic addition: multiply ciphertexts mod [n^2]. *)
 
@@ -242,7 +237,6 @@ type rn
     encryption is a single in-form multiplication. *)
 
 val rn_of_bigint : public_key -> Bigint.t -> rn
-val rn_to_bigint : public_key -> rn -> Bigint.t
 
 type rn_source
 

@@ -1,7 +1,7 @@
 (* Process-wide registry of named counters, gauges and fixed-bucket
    histograms.  Thread-safety under Domains comes from one mutex per
    metric (update hot paths never contend on a global lock); the registry
-   itself is guarded by [reg_mu] only during get-or-create and dump.
+   itself is guarded by [reg_mu] only during get-or-create and snapshot.
 
    The same leakage discipline as Telemetry applies: a metric can only
    carry numbers, and its name is a static string chosen at the
@@ -172,36 +172,15 @@ let snapshot () =
       (name, s))
     items
 
-(* --- exposition ----------------------------------------------------------- *)
-
-(* One line per metric, sorted by name, whitespace-tokenized so the text
-   is trivially machine-parsable:
-     counter transport.rounds 35
-     gauge server.sessions.active 2
-     histogram pool.batch.items count 4 sum 60 le 1 0 le 8 2 ... inf 0 *)
-let dump fmt =
-  let items =
-    locked (fun () -> Hashtbl.fold (fun name m acc -> (name, m) :: acc) registry [])
-  in
-  let items = List.sort (fun (a, _) (b, _) -> String.compare a b) items in
-  List.iter
-    (fun (name, m) ->
-      match m with
-      | Counter c -> Format.fprintf fmt "counter %s %d@." name (counter_value c)
-      | Gauge g -> Format.fprintf fmt "gauge %s %.6f@." name (gauge_value g)
-      | Histogram h ->
-        let s = histogram_snapshot h in
-        Format.fprintf fmt "histogram %s count %d sum %.6f" name s.count s.sum;
-        Array.iter (fun (b, n) -> Format.fprintf fmt " le %g %d" b n) s.buckets;
-        Format.fprintf fmt " inf %d@." s.overflow)
-    items
-
-let dump_string () =
-  let b = Buffer.create 1024 in
-  let fmt = Format.formatter_of_buffer b in
-  dump fmt;
-  Format.pp_print_flush fmt ();
-  Buffer.contents b
+(* A supervised worker's drain report: the scalar part of the registry. *)
+let scalars () =
+  List.filter_map
+    (fun (name, sample) ->
+      match sample with
+      | Counter_sample v -> Some (name, float_of_int v)
+      | Gauge_sample v -> Some (name, v)
+      | Histogram_sample _ -> None)
+    (snapshot ())
 
 let reset () =
   let items = locked (fun () -> Hashtbl.fold (fun _ m acc -> m :: acc) registry []) in

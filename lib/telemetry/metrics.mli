@@ -45,12 +45,10 @@ val snapshot : unit -> (string * sample) list
 (** Cumulative values of every registered metric, sorted by name.  The
     basis for {!Rollup} windowed deltas and {!Exposition} rendering. *)
 
-val dump : Format.formatter -> unit
-(** Text exposition: one whitespace-tokenized line per metric, sorted by
-    name ([counter NAME V] / [gauge NAME V] / [histogram NAME count N sum
-    S le B N ... inf N]).  Served over the wire by [Stats_reply]. *)
-
-val dump_string : unit -> string
+val scalars : unit -> (string * float) list
+(** Every counter and gauge as [(name, value)], sorted by name;
+    histograms are left out.  What a supervised worker reports to its
+    parent when it drains ([Server_loop.run_worker]). *)
 
 val reset : unit -> unit
 (** Zero every registered metric (registrations survive).  For tests. *)

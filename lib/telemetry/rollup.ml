@@ -240,37 +240,6 @@ let ewma t =
 
 let slot_seconds t = t.slot_s
 
-(* Same whitespace-tokenized shape as Metrics.dump so stats_text stays
-   trivially machine-parsable:
-     window 60 counter query.pruned delta 8 rate 0.133333
-     window 60 histogram query.stage1.seconds count 3 sum 0.41 p50 ... p95 ... p99 ...
-     ewma query.pruned 0.101 *)
-let dump_string ?(windows = [ 1; 5; 15 ]) t =
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun slots ->
-      let w = window t ~slots in
-      let label = int_of_float (float_of_int slots *. t.slot_s) in
-      List.iter
-        (fun c ->
-          Buffer.add_string b
-            (Printf.sprintf "window %d counter %s delta %d rate %.6f\n" label
-               c.wc_name c.wc_delta c.wc_rate))
-        w.w_counters;
-      List.iter
-        (fun h ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "window %d histogram %s count %d sum %.6f p50 %.6f p95 %.6f p99 %.6f\n"
-               label h.wh_name h.wh_count h.wh_sum h.wh_p50 h.wh_p95 h.wh_p99))
-        w.w_histograms)
-    windows;
-  List.iter
-    (fun (name, rate) ->
-      Buffer.add_string b (Printf.sprintf "ewma %s %.6f\n" name rate))
-    (ewma t);
-  Buffer.contents b
-
 (* Process-global instance with one-minute slots, created on first use so
    processes that never expose windows pay nothing. *)
 let global_mu = Mutex.create ()

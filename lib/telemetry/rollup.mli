@@ -7,7 +7,7 @@
     zero by construction; all differencing happens at exposition time.
 
     Snapshots advance opportunistically: every reader calls {!tick}
-    (directly or via {!window}/{!ewma}/{!dump_string}), which captures a
+    (directly or via {!window}/{!ewma}), which captures a
     boundary when the clock has crossed into a new slot.  The clock is
     injectable for deterministic tests. *)
 
@@ -65,13 +65,6 @@ val ewma : t -> (string * float) list
     each slot advance; sorted by name. *)
 
 val slot_seconds : t -> float
-
-val dump_string : ?windows:int list -> t -> string
-(** Whitespace-tokenized text in the same style as {!Metrics.dump}:
-    [window SECONDS counter NAME delta D rate R],
-    [window SECONDS histogram NAME count N sum S p50 A p95 B p99 C] and
-    [ewma NAME RATE] lines.  [windows] are slot counts (default
-    [\[1; 5; 15\]] — last 1/5/15 minutes at the default slot width). *)
 
 val global : unit -> t
 (** Lazily-created process-wide rollup with one-minute slots, used by the

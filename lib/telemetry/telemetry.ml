@@ -105,8 +105,6 @@ let event_pretty = function
 
 type sink = { emit : event -> unit; flush : unit -> unit }
 
-let null_sink = { emit = (fun _ -> ()); flush = (fun () -> ()) }
-
 (* Each record is flushed as one write: a SIGKILLed process loses at
    most the line being written (which Trace_reader.read_file_partial
    already tolerates), never a buffered tail of complete spans. *)

@@ -56,7 +56,6 @@ val event_pretty : event -> string
 
 type sink = { emit : event -> unit; flush : unit -> unit }
 
-val null_sink : sink
 val jsonl_sink : out_channel -> sink
 val pretty_sink : out_channel -> sink
 

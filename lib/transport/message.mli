@@ -159,9 +159,11 @@ type reply =
           servers send [0.] because {!Channel.local} times the handler
           itself. *)
   | Stats_reply of string
-      (** Observability (tag [0x8A]): the metrics text exposition
-          ({!Ppst_telemetry.Metrics.dump} format, prefixed with the
-          serving loop's live session counters).  Carries only metric
+      (** Observability (tag [0x8A]): a [# resume table] block (the
+          serving loop's [parked], [expired] and [evicted] counts, one
+          [NAME VALUE] line each), then the same OpenMetrics page as
+          [Metrics_reply] ({!Ppst_telemetry.Exposition.render}).  An
+          in-process server sends the page alone.  Carries only metric
           names and numbers — never protocol values. *)
   | Busy of { retry_after_s : float }
       (** Capacity rejection (tag [0x8E]): the server is at its

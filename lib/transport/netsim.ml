@@ -31,8 +31,3 @@ let estimate ~link ~compute_seconds stats =
     transfer_seconds = transfer;
     total_seconds = compute_seconds +. latency +. transfer;
   }
-
-let pp_estimate fmt e =
-  Format.fprintf fmt
-    "@[<h>total %.3fs (compute %.3fs + latency %.3fs + transfer %.3fs)@]"
-    e.total_seconds e.compute_seconds e.latency_seconds e.transfer_seconds

@@ -37,5 +37,3 @@ type estimate = {
 }
 
 val estimate : link:link -> compute_seconds:float -> Stats.t -> estimate
-
-val pp_estimate : Format.formatter -> estimate -> unit

@@ -7,8 +7,9 @@
    sessions keyed by the token issued in Welcome, the crash-safe spool,
    admission at accept time and the supervised worker mode.
 
-   Locking discipline: [t.mu] guards the session registry (active count,
-   session counters, merged aggregates); [t.rng_mu] guards the token
+   Locking discipline: [t.mu] guards the active and accepted counts
+   (every other process total lives in the Metrics registry);
+   [t.rng_mu] guards the token
    generator (drawn from session threads); the stop request is an
    [Atomic] so a signal handler can set it without touching any lock. *)
 
@@ -32,6 +33,15 @@ let m_shed = Metrics.counter "server.shed"
 let m_spool_write_failures = Metrics.counter "server.spool.write_failures"
 let m_degraded = Metrics.gauge "server.degraded"
 let m_accept_emfile = Metrics.counter "server.accept.emfile"
+
+(* Process totals over every finished connection: handler wall time and
+   traffic (server perspective: received = requests, sent = replies). *)
+let m_handler_seconds = Metrics.gauge "server.handler.seconds"
+
+let m_traffic =
+  List.map
+    (fun (field, _) -> Metrics.counter ("server.traffic." ^ field))
+    (Stats.fields (Stats.create ()))
 
 type config = {
   max_sessions : int;
@@ -123,6 +133,9 @@ type t = {
       (* 4-byte incarnation prefix of every minted token: lets a
          restarted server distinguish "token from a previous life"
          (terminal; client fails fast) from "unknown token" *)
+  shard : (int * int) option;
+      (* a supervised worker's (slot, workers): it mints only tokens the
+         dispatcher routes back to it *)
   spool : Spool.t option;
   clock : unit -> float;
   mutable last_sweep : float;
@@ -139,16 +152,10 @@ type t = {
      While set, sessions keep running non-durably and health probes
      answer status 3 (degraded). *)
   durability_lost : bool Atomic.t;
-  mutable spool_write_failures : int;
   rng : Ppst_rng.Secure_rng.t;
   rng_mu : Mutex.t;
   mutable active : int;
   mutable accepted : int;
-  mutable rejected : int;
-  mutable shed : int;
-  mutable completed : int;
-  mutable merged_stats : Stats.t;
-  mutable handler_seconds_total : float;
 }
 
 let string_of_sockaddr = function
@@ -156,8 +163,8 @@ let string_of_sockaddr = function
   | Unix.ADDR_INET (addr, port) ->
     Printf.sprintf "%s:%d" (Unix.string_of_inet_addr addr) port
 
-let make ~config ~on_session_end ~clock ~rng ~boot_id ~listener ~bound_port
-    ~handler =
+let make ~config ~on_session_end ~clock ~rng ~boot_id ~shard ~listener
+    ~bound_port ~handler =
   if config.max_sessions < 1 then
     invalid_arg "Server_loop.create: max_sessions must be >= 1";
   (match config.max_frame with
@@ -181,6 +188,7 @@ let make ~config ~on_session_end ~clock ~rng ~boot_id ~listener ~bound_port
     listener;
     bound_port;
     boot_id;
+    shard;
     spool =
       Option.map
         (fun dir -> Spool.create ?disk_faults:config.disk_faults ~dir ())
@@ -196,16 +204,10 @@ let make ~config ~on_session_end ~clock ~rng ~boot_id ~listener ~bound_port
       Option.map (fun cfg -> Ratelimit.create ?now:clock cfg) config.ratelimit;
     inflight = Atomic.make 0;
     durability_lost = Atomic.make false;
-    spool_write_failures = 0;
     rng;
     rng_mu = Mutex.create ();
     active = 0;
     accepted = 0;
-    rejected = 0;
-    shed = 0;
-    completed = 0;
-    merged_stats = Stats.create ();
-    handler_seconds_total = 0.0;
   }
 
 let create ?(config = default_config) ?on_session_end ?clock ?rng ?boot_id
@@ -224,8 +226,8 @@ let create ?(config = default_config) ?on_session_end ?clock ?rng ?boot_id
     | Unix.ADDR_UNIX _ -> port
   in
   match
-    make ~config ~on_session_end ~clock ~rng ~boot_id ~listener:(Some listener)
-      ~bound_port ~handler
+    make ~config ~on_session_end ~clock ~rng ~boot_id ~shard:None
+      ~listener:(Some listener) ~bound_port ~handler
   with
   | t -> t
   | exception e ->
@@ -233,9 +235,11 @@ let create ?(config = default_config) ?on_session_end ?clock ?rng ?boot_id
     raise e
 
 let create_worker ?(config = default_config) ?on_session_end ?clock ?rng
-    ?boot_id ~handler () =
-  make ~config ~on_session_end ~clock ~rng ~boot_id ~listener:None
-    ~bound_port:0 ~handler
+    ?boot_id ~slot ~workers ~handler () =
+  if slot < 0 || slot >= workers then
+    invalid_arg "Server_loop.create_worker: slot outside [0, workers)";
+  make ~config ~on_session_end ~clock ~rng ~boot_id ~shard:(Some (slot, workers))
+    ~listener:None ~bound_port:0 ~handler
 
 let port t = t.bound_port
 let boot_id t = t.boot_id
@@ -252,9 +256,6 @@ let locked t f =
 
 let active_sessions t = locked t (fun () -> t.active)
 let accepted t = locked t (fun () -> t.accepted)
-let rejected t = locked t (fun () -> t.rejected)
-let shed_total t = locked t (fun () -> t.shed)
-let handler_seconds_total t = locked t (fun () -> t.handler_seconds_total)
 let resume_parked t = Resume_table.size t.resume
 
 let sweep_resume t =
@@ -290,52 +291,41 @@ let supported_flags t =
    prefix is what lets a restarted server answer an old token with the
    terminal server-restarted reject instead of a retryable one; 96
    random bits keep tokens unguessable.  The rng is shared by all
-   session threads, hence the lock. *)
+   session threads, hence the lock.  A supervised worker redraws the
+   random part until the dispatcher's token hash names its own slot
+   (about [workers] draws), so a Resume lands where the session parks. *)
 let gen_token t =
   Mutex.lock t.rng_mu;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.rng_mu)
-    (fun () -> t.boot_id ^ Ppst_rng.Secure_rng.bytes t.rng 12)
-
-let stats t =
-  (* fresh snapshot so callers never alias the mutable accumulator *)
-  locked t (fun () -> Stats.merge t.merged_stats (Stats.create ()))
-
-(* The Stats_reply payload: this loop's live session counters (loop-local
-   truth, unlike the process-wide registry a test harness may share
-   across several loops), then the full metrics exposition. *)
-let stats_text t =
-  let active, accepted, rejected, completed =
-    locked t (fun () -> (t.active, t.accepted, t.rejected, t.completed))
-  in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "# live sessions\n";
-  Buffer.add_string b (Printf.sprintf "active %d\n" active);
-  Buffer.add_string b (Printf.sprintf "accepted %d\n" accepted);
-  Buffer.add_string b (Printf.sprintf "rejected %d\n" rejected);
-  Buffer.add_string b (Printf.sprintf "completed %d\n" completed);
-  Buffer.add_string b "# resume table\n";
-  Buffer.add_string b (Printf.sprintf "parked %d\n" (Resume_table.size t.resume));
-  Buffer.add_string b
-    (Printf.sprintf "expired %d\n" (Resume_table.expired_total t.resume));
-  Buffer.add_string b
-    (Printf.sprintf "evicted %d\n" (Resume_table.evicted_total t.resume));
-  Buffer.add_string b "# metrics\n";
-  Buffer.add_string b (Metrics.dump_string ());
-  Buffer.add_string b "# windows\n";
-  Buffer.add_string b (Rollup.dump_string (Rollup.global ()));
-  Buffer.contents b
+    (fun () ->
+      let rec draw () =
+        let token = t.boot_id ^ Ppst_rng.Secure_rng.bytes t.rng 12 in
+        match t.shard with
+        | Some (slot, workers) when Supervisor.slot_of_token ~workers token <> slot ->
+          draw ()
+        | _ -> token
+      in
+      draw ())
 
 (* The Metrics_reply / sidecar-endpoint payload: the registry and its
    windowed rollups in OpenMetrics text form. *)
 let metrics_text () = Exposition.render ~rollup:(Rollup.global ()) ()
+
+(* The Stats_reply payload: this loop's resume table, then the same
+   OpenMetrics page. *)
+let stats_text t =
+  Printf.sprintf "# resume table\nparked %d\nexpired %d\nevicted %d\n%s"
+    (Resume_table.size t.resume)
+    (Resume_table.expired_total t.resume)
+    (Resume_table.evicted_total t.resume)
+    (metrics_text ())
 
 (* A spool/snapshot write failed: sessions continue non-durably (the
    in-memory resume table still works), but cross-worker failover is
    compromised — flip the sticky durability flag so health probes answer
    "degraded" until a later write succeeds. *)
 let durability_lost t _e =
-  locked t (fun () -> t.spool_write_failures <- t.spool_write_failures + 1);
   Metrics.incr m_spool_write_failures;
   if not (Atomic.exchange t.durability_lost true) then begin
     Metrics.gauge_set m_degraded 1.0;
@@ -349,7 +339,6 @@ let durability_regained t =
     Telemetry.event ~level:Telemetry.Info ~name:"server.durability_regained" ()
   end
 
-let spool_write_failures t = locked t (fun () -> t.spool_write_failures)
 let is_degraded t = Atomic.get t.durability_lost
 
 (* Readiness, as reported to Health_req probes.  Shedding (2) dominates
@@ -480,9 +469,6 @@ let perform t fd st : Session_machine.action -> unit = function
     | None -> ())
   | Drop_snapshot token -> Option.iter (fun sp -> Spool.delete sp ~key:token) t.spool
   | Refuse { frame; shed } ->
-    locked t (fun () ->
-        t.rejected <- t.rejected + 1;
-        if shed then t.shed <- t.shed + 1);
     Metrics.incr (if shed then m_shed else m_busy_rejected);
     (try Channel.write_frame ?max_frame:t.config.max_frame fd frame with _ -> ());
     drain_input fd
@@ -535,11 +521,11 @@ let serve_session t ~id ~peer fd =
       session_stats = stats;
     }
   in
+  (* before the slot is released, so a drained loop's totals are whole *)
+  Metrics.gauge_add m_handler_seconds handler_seconds;
+  List.iter2 (fun c (_, v) -> Metrics.incr ~by:v c) m_traffic (Stats.fields stats);
   locked t (fun () ->
       t.active <- t.active - 1;
-      if outcome = Completed then t.completed <- t.completed + 1;
-      t.handler_seconds_total <- t.handler_seconds_total +. handler_seconds;
-      t.merged_stats <- Stats.merge t.merged_stats stats;
       Metrics.gauge_set m_active (float_of_int t.active));
   Metrics.incr
     (match outcome with
@@ -693,47 +679,36 @@ let run t =
 
 (* --- supervised worker mode ------------------------------------------------ *)
 
-(* The worker's final drain frame to the parent dispatcher: its session
-   counters, merged traffic stats, and an opaque application blob
-   (ppst_server ships its crypto-op totals there), so the parent's
-   summary covers every worker that drained. *)
-type worker_report = {
-  w_accepted : int;
-  w_rejected : int;
-  w_shed : int;
-  w_handler_seconds : float;
-  w_stats : Stats.t;
-  w_extra : string;
-}
-
-let encode_report t ~extra =
-  locked t (fun () ->
-      let w = Wire.writer () in
-      Wire.put_u32 w t.accepted;
-      Wire.put_u32 w t.rejected;
-      Wire.put_u32 w t.shed;
-      Wire.put_f64 w t.handler_seconds_total;
-      Wire.put_bytes w (Stats.export t.merged_stats);
-      Wire.put_bytes w extra;
-      Wire.contents w)
+(* The worker's final drain frame to the parent dispatcher: its registry's
+   counters and gauges, so the parent's summary covers every worker that
+   drained. *)
+let encode_report () =
+  let w = Wire.writer () in
+  let scalars = Metrics.scalars () in
+  Wire.put_u32 w (List.length scalars);
+  List.iter
+    (fun (name, v) ->
+      Wire.put_bytes w name;
+      Wire.put_f64 w v)
+    scalars;
+  Wire.contents w
 
 let decode_report blob =
   let r = Wire.reader blob in
-  let w_accepted = Wire.get_u32 r in
-  let w_rejected = Wire.get_u32 r in
-  let w_shed = Wire.get_u32 r in
-  let w_handler_seconds = Wire.get_f64 r in
-  let w_stats = Stats.import (Wire.get_bytes r) in
-  let w_extra = Wire.get_bytes r in
+  let scalars =
+    List.init (Wire.get_u32 r) (fun _ ->
+        let name = Wire.get_bytes r in
+        (name, Wire.get_f64 r))
+  in
   Wire.expect_end r;
-  { w_accepted; w_rejected; w_shed; w_handler_seconds; w_stats; w_extra }
+  scalars
 
 (* Worker service loop: connections arrive as passed fds on [control]
    instead of from an owned listener.  EOF on [control] (the parent
    died or closed the channel) and SIGTERM-via-[shutdown] both end the
    loop; either way the worker drains in-flight sessions and sends one
    final report frame back up the control socket. *)
-let run_worker ?(extra = fun () -> "") t ~control =
+let run_worker t ~control =
   (match t.listener with
    | Some _ ->
      invalid_arg "Server_loop.run_worker: loop owns a listener (use run)"
@@ -763,5 +738,4 @@ let run_worker ?(extra = fun () -> "") t ~control =
   in
   (try serve () with Unix.Unix_error _ -> ());
   drain t;
-  let report = encode_report t ~extra:(extra ()) in
-  try Channel.write_frame control report with _ -> ()
+  try Channel.write_frame control (encode_report ()) with _ -> ()

@@ -22,15 +22,21 @@
       SIGINT/SIGTERM handler, see {!install_signal_handlers}) stops
       accepting, drains in-flight sessions up to
       [config.drain_timeout_s], then {!run} returns so the caller can
-      print merged accounting.
+      print the process totals.
+
+    Process totals live in the {!Ppst_telemetry.Metrics} registry, not
+    in the loop: sessions accepted, completed, aborted and refused
+    ([server.sessions.*], [server.shed]), spool write failures, and —
+    added as each connection ends — its handler wall time
+    ([server.handler.seconds]) and traffic ([server.traffic.*], one
+    counter per {!Stats.fields} name).
 
     Concurrency model: one [Thread.t] per session (I/O overlaps; OCaml
     compute interleaves under the runtime lock).  The per-session
     handler closure returned by the factory is only ever called from
     that session's thread, but {e different} sessions run concurrently —
     the factory must hand each session its own mutable state (its own
-    [Server.t] in the core layer) and merge shared aggregates under a
-    mutex. *)
+    [Server.t] in the core layer). *)
 
 type config = {
   max_sessions : int;  (** concurrent-session capacity, [>= 1] *)
@@ -184,8 +190,7 @@ val create :
     [Resume] and the capability negotiation on [Hello]/[Welcome]: the
     protocol handler never sees transport concerns.  [on_session_end]
     runs in the session's thread right after its socket closes — the
-    hook for logging and for merging per-session cost into process-wide
-    aggregates.  [?clock] overrides the resume table's clock (tests
+    hook for logging and for per-session accounting.  [?clock] overrides the resume table's clock (tests
     prove TTL eviction by advancing a fake clock); [?rng] the token
     generator (system-seeded by default).  [?boot_id] is the 4-byte
     incarnation prefix carried by every issued resume token: workers of
@@ -203,12 +208,18 @@ val create_worker :
   ?clock:(unit -> float) ->
   ?rng:Ppst_rng.Secure_rng.t ->
   ?boot_id:string ->
+  slot:int ->
+  workers:int ->
   handler:(id:int -> peer:Unix.sockaddr -> app_handler) ->
   unit ->
   t
 (** Like {!create} but without binding a listener: connections arrive as
     file descriptors passed over a {!Supervisor} control socket and are
-    served by {!run_worker}.  {!port} returns [0]; {!run} raises. *)
+    served by {!run_worker}.  [slot] is this worker's index among
+    [workers]: every resume token it mints satisfies
+    [Supervisor.slot_of_token ~workers token = slot], so the dispatcher
+    routes a Resume back to it.  {!port} returns [0]; {!run} raises.
+    @raise Invalid_argument unless [0 <= slot < workers]. *)
 
 val port : t -> int
 (** The actually bound TCP port ([0] for a {!create_worker} loop). *)
@@ -237,31 +248,12 @@ val active_sessions : t -> int
 val accepted : t -> int
 (** Sessions accepted so far (in-flight included). *)
 
-val rejected : t -> int
-(** Connections answered with [Busy] — capacity, rate limit and load
-    shed combined. *)
-
-val shed_total : t -> int
-(** The subset of {!rejected} refused by the rate limiter or the shed
-    watermark (rather than plain session capacity). *)
-
 val is_degraded : t -> bool
 (** Whether the server is in the durability-lost degraded state: a
     spool/snapshot write failed (full disk, I/O error) and no later
     write has succeeded yet.  Sessions continue non-durably; health
     probes answer status [3].  Clears itself when a spool write lands
     again. *)
-
-val spool_write_failures : t -> int
-(** Spool/snapshot writes that failed so far (each one also increments
-    the [server.spool.write_failures] counter). *)
-
-val stats : t -> Stats.t
-(** Merged traffic accounting over all {e finished} sessions (fresh
-    snapshot; safe to read from any thread). *)
-
-val handler_seconds_total : t -> float
-(** Wall-clock handler total over all finished sessions. *)
 
 val resume_parked : t -> int
 (** Sessions currently parked in the resume table. *)
@@ -283,29 +275,20 @@ val resume_expired_total : t -> int
     {!create_worker} loop: accepted connections arrive as passed fds on
     the control socket instead of from an owned listener.  When the
     dispatch channel closes (supervisor shutdown or death) the worker
-    drains in-flight sessions and writes one final {!worker_report}
-    frame back up the control socket, so the parent's merged accounting
-    covers every worker that drained. *)
+    drains in-flight sessions and writes one final report frame back up
+    the control socket: its registry's counters and gauges
+    ({!Ppst_telemetry.Metrics.scalars}), so the parent's summary covers
+    every worker that drained.  The frame is a u32 count, then per
+    metric its name (length-prefixed bytes) and value (f64). *)
 
-type worker_report = {
-  w_accepted : int;
-  w_rejected : int;
-  w_shed : int;
-  w_handler_seconds : float;
-  w_stats : Stats.t;
-  w_extra : string;
-      (** opaque application blob ([run_worker]'s [?extra] thunk);
-          [ppst_server] ships its crypto-op totals here *)
-}
-
-val decode_report : string -> worker_report
-(** Decode a worker's final drain frame.
+val decode_report : string -> (string * float) list
+(** Decode a worker's final drain frame: [(name, value)] per counter
+    and gauge, sorted by name.
     @raise Wire.Malformed on a corrupt blob. *)
 
-val run_worker : ?extra:(unit -> string) -> t -> control:Unix.file_descr -> unit
+val run_worker : t -> control:Unix.file_descr -> unit
 (** Serve connections received via {!Fd_passing.recv_fd} on [control]
     until the channel reaches EOF or {!shutdown} is requested, then
     drain in-flight sessions ([drain_timeout_s]) and send the final
-    report frame (best-effort).  [?extra] is evaluated once, after the
-    drain, to fill [w_extra].
+    report frame (best-effort).
     @raise Invalid_argument on a loop that owns a listener (use {!run}). *)

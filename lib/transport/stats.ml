@@ -71,31 +71,27 @@ let pp fmt t =
     (if t.failures = 0 then ""
      else Printf.sprintf "; %d connection failure(s) recovered or fatal" t.failures)
 
-(* Cross-process accounting: a supervised worker ships its merged stats
-   to the parent dispatcher in its final drain frame. *)
-let export t =
-  let w = Wire.writer () in
-  Wire.put_u32 w t.bytes_sent;
-  Wire.put_u32 w t.bytes_received;
-  Wire.put_u32 w t.values_sent;
-  Wire.put_u32 w t.values_received;
-  Wire.put_u32 w t.rounds;
-  Wire.put_u32 w t.messages;
-  Wire.put_u32 w t.failures;
-  Wire.contents w
+let fields t =
+  [
+    ("bytes_sent", t.bytes_sent);
+    ("bytes_received", t.bytes_received);
+    ("values_sent", t.values_sent);
+    ("values_received", t.values_received);
+    ("rounds", t.rounds);
+    ("messages", t.messages);
+    ("failures", t.failures);
+  ]
 
-let import blob =
-  let r = Wire.reader blob in
-  let bytes_sent = Wire.get_u32 r in
-  let bytes_received = Wire.get_u32 r in
-  let values_sent = Wire.get_u32 r in
-  let values_received = Wire.get_u32 r in
-  let rounds = Wire.get_u32 r in
-  let messages = Wire.get_u32 r in
-  let failures = Wire.get_u32 r in
-  Wire.expect_end r;
-  { bytes_sent; bytes_received; values_sent; values_received; rounds; messages;
-    failures }
+let of_fields get =
+  {
+    bytes_sent = get "bytes_sent";
+    bytes_received = get "bytes_received";
+    values_sent = get "values_sent";
+    values_received = get "values_received";
+    rounds = get "rounds";
+    messages = get "messages";
+    failures = get "failures";
+  }
 
 let to_json t =
   Printf.sprintf

@@ -44,9 +44,9 @@ val to_json : t -> string
 (** Compact single-line JSON object (machine-readable [pp]); embedded
     verbatim in the bench BENCH_*.json reports. *)
 
-val export : t -> string
-(** Wire-encode for cross-process transfer (a supervised worker's final
-    drain frame to the parent dispatcher). *)
+val fields : t -> (string * int) list
+(** Every counter under its name ([bytes_sent], ..., [failures]), the
+    names of the server's [server.traffic.*] process totals. *)
 
-val import : string -> t
-(** Inverse of {!export}. @raise Wire.Malformed on a corrupt blob. *)
+val of_fields : (string -> int) -> t
+(** Inverse of {!fields}: read each counter by its name. *)

@@ -71,6 +71,7 @@ let bind ~port =
    its worker enforces the real idle policy. *)
 let peek_wait_s = 0.05
 let resume_peek_bytes = 25
+let slot_of_token ~workers token = Crc32.digest token mod workers
 
 let peek_token fd =
   let buf = Bytes.create 64 in
@@ -352,7 +353,7 @@ let accept_tick t =
        with Unix.Unix_error _ -> ());
       let preferred =
         match peek_token fd with
-        | Some token -> Crc32.digest token mod t.workers
+        | Some token -> slot_of_token ~workers:t.workers token
         | None ->
           let rr = t.next_rr in
           t.next_rr <- (rr + 1) mod t.workers;

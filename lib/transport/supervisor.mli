@@ -6,11 +6,14 @@
     Routing: the parent peeks (without consuming) at the connection's
     first bytes for up to 50 ms.  A [Resume] frame — recognizable from
     its fixed layout ([0x0c] tag, then the 16-byte token) — routes by
-    token hash ([Crc32.digest token mod workers]), so a resuming client
-    lands on the worker whose in-memory resume table parks the session;
-    with a shared session spool ({!Server_loop.config.spool_dir}) any
-    worker can serve it, but the hash keeps the common case on the fast
-    in-memory path.  Everything else round-robins.  The parent reads
+    token hash ({!slot_of_token}).  Every worker mints only tokens that
+    hash to its own slot ({!Server_loop.create_worker} takes [~slot]
+    and [~workers]), so a resuming client lands on the worker whose
+    in-memory resume table parks the session.  With a shared session
+    spool ({!Server_loop.config.spool_dir}) any worker can serve it,
+    which is what happens when that worker has died since; the hash
+    keeps the common case on the fast in-memory path.  Everything else
+    round-robins.  The parent reads
     nothing beyond the peek and learns nothing the server would not
     learn anyway (SECURITY.md).
 
@@ -62,6 +65,10 @@ val peek_token : Unix.file_descr -> string option
     and restored to blocking before return.  A first segment too short
     to carry the tag byte is waited out, not misread.  Exposed for
     tests; {!run} calls it on every accepted connection. *)
+
+val slot_of_token : workers:int -> string -> int
+(** The worker slot a resume token routes to:
+    [Crc32.digest token mod workers]. *)
 
 val bind : port:int -> Unix.file_descr * int
 (** Create the listening socket the parent will own ([SO_REUSEADDR],

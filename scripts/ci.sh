@@ -18,11 +18,14 @@
 # braces grep for anything bignum-sized leaking into the trace.
 #
 # (d) a chaos smoke: the same client/server pair is run once
-# clean and once against a server whose frame path hard-drops the
-# connection every 64 frames (--chaos-profile drop-every-64); the
-# retry + resume machinery must repair every cut, the two revealed
-# distances must be identical, and both servers must print the same
-# closed-form crypto-op totals at exit.  (The codec corruption fuzz and the
+# clean and twice against a server whose frame path hard-drops the
+# connection every 64 frames (--chaos-profile drop-every-64), once
+# single-process and once as a 2-worker supervised server, where every
+# Resume must be routed back to the worker that parks the session; the
+# retry + resume machinery must repair every cut, the three revealed
+# distances must be identical, and all three servers must print the same
+# closed-form crypto-op totals at exit (the 2-worker one summed from its
+# workers' drain reports).  (The codec corruption fuzz and the
 # per-frame-index disconnect matrix run inside `dune runtest` —
 # test/test_resilience.ml.)
 #
@@ -149,7 +152,7 @@ chaos_session() {
   server_pid=$!
   sleep 1
   ./_build/default/bin/ppst_client.exe pair -p "$port" --seed ci-chaos-client \
-    "$chaos_dir/x.csv" >"$chaos_dir/client-$port.log" 2>&1
+    "$chaos_dir/x.csv" >"$chaos_dir/client-$port.log" 2>&1 || true
   kill "$server_pid" 2>/dev/null || true
   wait "$server_pid" 2>/dev/null || true
   sed -n 's/^secure DTW distance.*= //p' "$chaos_dir/client-$port.log"
@@ -157,16 +160,18 @@ chaos_session() {
 
 clean_distance="$(chaos_session 17971)"
 chaos_distance="$(chaos_session 17972 --chaos-profile drop-every-64 --chaos-seed 7)"
-if [ -z "$clean_distance" ] || [ "$clean_distance" != "$chaos_distance" ]; then
-  echo "ci: chaos smoke FAILED: clean='$clean_distance' chaos='$chaos_distance'" >&2
+workers_distance="$(chaos_session 17973 --workers 2 --chaos-profile drop-every-64 --chaos-seed 7)"
+if [ -z "$clean_distance" ] || [ "$clean_distance" != "$chaos_distance" ] \
+    || [ "$clean_distance" != "$workers_distance" ]; then
+  echo "ci: chaos smoke FAILED: clean='$clean_distance' chaos='$chaos_distance' workers='$workers_distance'" >&2
   cat "$chaos_dir"/client-*.log "$chaos_dir"/server-*.log >&2 || true
   exit 1
 fi
-# Both servers must report the session's crypto work at exit: for 12x12,
+# Every server must report the session's crypto work at exit: for 12x12,
 # d = 1, k = 10 row-major DTW that is n(d+1) + (m-1)(n-1) encryptions and
 # (m-1)(n-1)(k+2) + 1 decryptions; a resumed round is replayed, not
 # recomputed, so the chaos run counts the same.
-for port in 17971 17972; do
+for port in 17971 17972 17973; do
   if ! grep -qx 'crypto ops: 145 encryptions, 1453 decryptions, 0 homomorphic' \
       "$chaos_dir/server-$port.log"; then
     echo "ci: chaos smoke FAILED: server on port $port misreports its crypto ops" >&2
@@ -174,7 +179,7 @@ for port in 17971 17972; do
     exit 1
   fi
 done
-echo "ci: chaos smoke OK (distance $chaos_distance, clean = drop-every-64, crypto ops counted)"
+echo "ci: chaos smoke OK (distance $chaos_distance, clean = drop-every-64 = 2 workers, crypto ops counted)"
 
 # Overload smoke: capacity 2, quotas sized to admit the honest series
 # with headroom, 6 concurrent clients.

@@ -318,6 +318,11 @@ let probe_health ~port =
   | Message.Health_reply { status; _ } -> status
   | _ -> Alcotest.fail "expected Health_reply"
 
+(* Spool writes that failed so far, process-wide, from the metrics
+   registry: tests compare the delta since their start. *)
+let spool_write_failures () =
+  Metrics.counter_value (Metrics.counter "server.spool.write_failures")
+
 let test_degraded_health () =
   (* every spool write fails: the session itself must still complete
      with the exact secure distance, and health flips to 3 (degraded:
@@ -329,6 +334,7 @@ let test_degraded_health () =
       Server_loop.spool_dir = Some dir;
       disk_faults = Some faults }
   in
+  let failures0 = spool_write_failures () in
   let ((loop, _) as srv) = make_loop ~config ~seed:"degraded" () in
   Fun.protect
     ~finally:(fun () ->
@@ -347,7 +353,7 @@ let test_degraded_health () =
   Alcotest.(check string) "distance identical to the undegraded run"
     (Bigint.to_string reference) (Bigint.to_string d);
   Alcotest.(check bool) "spool writes were attempted and failed" true
-    (Server_loop.spool_write_failures loop > 0);
+    (spool_write_failures () - failures0 > 0);
   Alcotest.(check bool) "loop reports degraded" true
     (Server_loop.is_degraded loop);
   Alcotest.(check int) "health status 3 = degraded" 3 (probe_health ~port)
@@ -362,6 +368,7 @@ let test_degraded_recovery () =
       Server_loop.spool_dir = Some dir;
       disk_faults = Some faults }
   in
+  let failures0 = spool_write_failures () in
   let ((loop, _) as srv) = make_loop ~config ~seed:"recovery" () in
   Fun.protect
     ~finally:(fun () ->
@@ -371,7 +378,7 @@ let test_degraded_recovery () =
   let port = Server_loop.port loop in
   let _d = run_session ~port ~seed:"recovery" () in
   Alcotest.(check int) "exactly the injected write failed" 1
-    (Server_loop.spool_write_failures loop);
+    (spool_write_failures () - failures0);
   Alcotest.(check bool) "a later write cleared the flag" false
     (Server_loop.is_degraded loop);
   Alcotest.(check int) "health status 0 = ready" 0 (probe_health ~port)

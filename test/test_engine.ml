@@ -2,7 +2,8 @@
    schedule on edge shapes, each run checked against the plaintext
    distance, against its own round plan, and against the ledger and the
    offline pool — plus the plan itself checked against counts written
-   down independently of the engine. *)
+   down independently of the engine, and DTW/DFD across packing, pool
+   size and transport. *)
 
 open Ppst.Import
 module Generate = Ppst_timeseries.Generate
@@ -164,6 +165,106 @@ let cases =
       ("erp", `Erp, [ Whole ]);
     ]
 
+(* --- packing × jobs × transport ------------------------------------------ *)
+
+module Server_loop = Ppst_transport.Server_loop
+
+(* The remaining axes of the differential matrix, for DTW and DFD under
+   both schedules: packing off/on, one job or a two-lane pool on each
+   party, and the loopback channel or TCP to an in-process Server_loop.
+   Every party advertises [max_value], which the last shape reaches in
+   every coordinate.  Default (64-bit) keys. *)
+let max_value = 30
+
+let axis_shapes =
+  let at_max m = Series.create (Array.make m [| max_value; max_value |]) in
+  List.filter (fun (name, _, _) -> name = "m <> n" || name = "d = 2") shapes
+  @ [ ("every coordinate at max_value", at_max 4, at_max 3) ]
+
+let sk =
+  lazy
+    (snd
+       (Paillier.keygen ~bits:Ppst.Params.default.Ppst.Params.key_bits
+          (Secure_rng.of_seed_string "engine/axes/keygen")))
+
+(* One TCP loop per test case; the factory serves whatever server the
+   cell about to connect has put in [serving]. *)
+let with_tcp_loop f =
+  let serving = ref None in
+  let loop =
+    Server_loop.create ~port:0
+      ~handler:(fun ~id:_ ~peer:_ ->
+        Server_loop.respond_only (Ppst.Server.handle ((Option.get !serving) ())))
+      ()
+  in
+  let runner = Thread.create Server_loop.run loop in
+  Fun.protect
+    ~finally:(fun () ->
+      Server_loop.shutdown loop;
+      Thread.join runner)
+    (fun () -> f (serving, Server_loop.port loop))
+
+let run_cell ~tcp:(serving, port) ~algo ~plain ~strategy ~packing ~jobs ~transport
+    (shape, x, y) =
+  let client_pool = Parallel.create jobs and server_pool = Parallel.create jobs in
+  Fun.protect
+    ~finally:(fun () ->
+      Parallel.shutdown client_pool;
+      Parallel.shutdown server_pool)
+  @@ fun () ->
+  let server () =
+    Ppst.Server.create_with_key ~workers:server_pool ~sk:(Lazy.force sk)
+      ~rng:(Secure_rng.of_seed_string ("engine/axes/server/" ^ shape))
+      ~series:y ~max_value ()
+  in
+  let channel =
+    match transport with
+    | `Local -> Channel.local (Ppst.Server.handle (server ()))
+    | `Tcp ->
+      serving := Some server;
+      Channel.connect ~host:"127.0.0.1" ~port ()
+  in
+  let client =
+    Ppst.Client.connect ~packing ~workers:client_pool
+      ~rng:(Secure_rng.of_seed_string ("engine/axes/client/" ^ shape))
+      ~series:x ~max_value ~distance:algo channel
+  in
+  let label what =
+    Printf.sprintf "%s, packing %b, jobs %d, %s: %s" shape packing jobs
+      (match transport with `Local -> "local" | `Tcp -> "tcp")
+      what
+  in
+  Alcotest.(check bool) (label "packing active") packing (Ppst.Client.packing client);
+  let d = Protocol.runner_of_spec (Protocol.spec ~strategy ~packing algo) client in
+  Ppst.Client.finish client;
+  Alcotest.(check int) (label "distance = plaintext") (plain x y) (Bigint.to_int_exn d)
+
+let axis_cases =
+  List.concat_map
+    (fun (name, algo, plain) ->
+      List.map
+        (fun (sname, strategy) ->
+          Alcotest.test_case
+            (Printf.sprintf "%s, %s, packing/jobs/transport" name sname)
+            `Quick
+            (fun () ->
+              with_tcp_loop (fun tcp ->
+                  List.iter
+                    (fun packing ->
+                      List.iter
+                        (fun jobs ->
+                          List.iter
+                            (fun transport ->
+                              List.iter
+                                (run_cell ~tcp ~algo ~plain ~strategy ~packing ~jobs
+                                   ~transport)
+                                axis_shapes)
+                            [ `Local; `Tcp ])
+                        [ 1; 2 ])
+                    [ false; true ])))
+        [ ("row-major", `Full); ("anti-diagonal", `Wavefront) ])
+    [ ("dtw", `Dtw, Distance.dtw_sq); ("dfd", `Dfd, Distance.dfd_sq) ]
+
 let test_plan_rejects_bad_bands () =
   (match Dp.plan Dp.dtw (Dp.Band 1) Dp.Row_major ~m:5 ~n:3 with
    | _ -> Alcotest.fail "band narrower than |m - n| planned"
@@ -176,6 +277,7 @@ let () =
   Alcotest.run "engine"
     [
       ("differential", cases);
+      ("axes", axis_cases);
       ( "plan",
         [ Alcotest.test_case "bad bands rejected" `Quick test_plan_rejects_bad_bands ] );
     ]

@@ -185,26 +185,16 @@ let test_server_state_roundtrip () =
 (* --- worker report codec ------------------------------------------------------ *)
 
 let test_worker_report_decode () =
-  let stats = Stats.create () in
-  Stats.record_sent stats ~bytes:100 ~values:7;
-  Stats.record_received stats ~bytes:50 ~values:3;
-  Stats.record_round stats;
+  (* a u32 count, then each metric's name and f64 value *)
   let w = Wire.writer () in
-  Wire.put_u32 w 5;
   Wire.put_u32 w 2;
-  Wire.put_u32 w 1;
+  Wire.put_bytes w "server.handler.seconds";
   Wire.put_f64 w 0.75;
-  Wire.put_bytes w (Stats.export stats);
-  Wire.put_bytes w "extra-blob";
-  let r = Server_loop.decode_report (Wire.contents w) in
-  Alcotest.(check int) "accepted" 5 r.Server_loop.w_accepted;
-  Alcotest.(check int) "rejected" 2 r.Server_loop.w_rejected;
-  Alcotest.(check int) "shed" 1 r.Server_loop.w_shed;
-  Alcotest.(check (float 0.0)) "handler seconds" 0.75
-    r.Server_loop.w_handler_seconds;
-  Alcotest.(check int) "stats bytes" 150 (Stats.total_bytes r.Server_loop.w_stats);
-  Alcotest.(check int) "stats rounds" 1 (Stats.rounds r.Server_loop.w_stats);
-  Alcotest.(check string) "extra" "extra-blob" r.Server_loop.w_extra;
+  Wire.put_bytes w "server.sessions.accepted";
+  Wire.put_f64 w 5.0;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "scalars" [ ("server.handler.seconds", 0.75); ("server.sessions.accepted", 5.0) ]
+    (Server_loop.decode_report (Wire.contents w));
   (match Server_loop.decode_report "nope" with
    | _ -> Alcotest.fail "garbage report accepted"
    | exception Wire.Malformed _ -> ())
@@ -510,7 +500,7 @@ let start_supervised ?(catalog = false) ?disk_faults ~workers ~spool ~crash_at
       let loop =
         Server_loop.create_worker ~config
           ~rng:(seeded (Printf.sprintf "%s/worker-%d" seed slot))
-          ~boot_id:"bt01" ~handler:(spooled_handler ~sk ~store ~seed) ()
+          ~boot_id:"bt01" ~slot ~workers ~handler:(spooled_handler ~sk ~store ~seed) ()
       in
       Sys.set_signal Sys.sigterm
         (Sys.Signal_handle (fun _ -> Server_loop.shutdown loop));
@@ -598,7 +588,7 @@ let with_dispatched_pair ~spool ~drop_at ~seed f =
     let loop =
       Server_loop.create_worker ~config
         ~rng:(seeded (Printf.sprintf "%s/worker-%d" seed slot))
-        ~boot_id:"bt01" ~handler:(spooled_handler ~sk ~store:None ~seed) ()
+        ~boot_id:"bt01" ~slot ~workers:2 ~handler:(spooled_handler ~sk ~store:None ~seed) ()
     in
     let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     (ours, theirs, Thread.create (fun () -> Server_loop.run_worker loop ~control:theirs) ())
@@ -647,6 +637,43 @@ let with_dispatched_pair ~spool ~drop_at ~seed f =
     (fun () -> f ~port ~resumes ~fresh)
 
 let resume_accepted = Ppst_telemetry.Metrics.counter "server.resume.accepted"
+
+(* The dispatcher routes a Resume by token hash, so a worker must mint
+   only tokens that hash to its own slot: 20 resume-offering Hellos to
+   worker 1 of 3, each over a connection passed in as the supervisor
+   would pass it. *)
+let test_worker_tokens_route_home () =
+  let loop =
+    Server_loop.create_worker ~rng:(seeded "route-home/tokens") ~boot_id:"bt01" ~slot:1
+      ~workers:3
+      ~handler:(spooled_handler ~sk:(Lazy.force sk16) ~store:None ~seed:"route-home")
+      ()
+  in
+  let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let runner = Thread.create (fun () -> Server_loop.run_worker loop ~control:theirs) () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.shutdown ours Unix.SHUTDOWN_SEND;
+      Thread.join runner;
+      Unix.close ours;
+      Unix.close theirs)
+    (fun () ->
+      for i = 1 to 20 do
+        let client, served = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Fd_passing.send_fd ours ~fd:served;
+        Unix.close served;
+        Channel.write_frame client
+          (Message.encode
+             (Message.Request (Message.Hello { flags = Message.flag_resume; spec = None })));
+        (match Option.map Message.decode (Channel.read_frame client) with
+         | Some (Message.Reply (Message.Welcome { resume_token; _ })) ->
+           Alcotest.(check int)
+             (Printf.sprintf "token %d routes to slot 1" i)
+             1
+             (Supervisor.slot_of_token ~workers:3 resume_token)
+         | _ -> Alcotest.fail "no Welcome");
+        Unix.close client
+      done)
 
 let test_failover_kill_every_frame () =
   (* fault-free reference run: distance + the frame budget that bounds
@@ -1134,6 +1161,8 @@ let () =
             test_server_restart_rejects_with_typed_reason;
           Alcotest.test_case "restart reason classifier" `Quick
             test_restart_reason_classifier;
+          Alcotest.test_case "worker tokens route to their own slot" `Quick
+            test_worker_tokens_route_home;
         ] );
       ( "telemetry",
         [

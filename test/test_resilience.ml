@@ -447,9 +447,9 @@ let test_chaos_drop_at_every_frame () =
             Alcotest.(check bool) "resume table section" true
               (has "# resume table");
             Alcotest.(check bool) "resume counters exposed" true
-              (has "transport.resume");
+              (has "ppst_transport_resume");
             Alcotest.(check bool) "crc counters exposed" true
-              (has "transport.crc")
+              (has "ppst_transport_crc")
           | _ -> Alcotest.fail "no stats reply"))
 
 let test_chaos_corruption_recovered () =

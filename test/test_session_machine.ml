@@ -210,7 +210,7 @@ let env w =
             Some (SM.Spooled blob)
           | None -> None));
     in_handler = (fun call -> call ());
-    stats_text = (fun () -> "# live sessions\n");
+    stats_text = (fun () -> "# resume table\n");
     metrics_text = (fun () -> "# EOF\n");
     health =
       (fun () -> Message.Health_reply { status = 0; active = 1; capacity = 2; retry_after_s = 0.0 });

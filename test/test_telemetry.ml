@@ -80,23 +80,17 @@ let contains haystack needle =
   let rec at i = i + n <= m && (String.sub haystack i n = needle || at (i + 1)) in
   at 0
 
-let test_dump_format () =
-  ignore (Metrics.counter "test.dump.a");
-  let g = Metrics.gauge "test.dump.b" in
-  Metrics.gauge_set g 1.5;
-  let lines = String.split_on_char '\n' (Metrics.dump_string ()) in
-  let index_of prefix =
-    let rec go i = function
-      | [] -> -1
-      | l :: rest -> if starts_with prefix l then i else go (i + 1) rest
-    in
-    go 0 lines
-  in
-  let ia = index_of "counter test.dump.a " in
-  let ib = index_of "gauge test.dump.b " in
-  Alcotest.(check bool) "counter line present" true (ia >= 0);
-  Alcotest.(check bool) "gauge line present" true (ib >= 0);
-  Alcotest.(check bool) "sorted by name" true (ia < ib)
+let test_scalars_format () =
+  Metrics.incr ~by:3 (Metrics.counter "test.scalars.a");
+  Metrics.gauge_set (Metrics.gauge "test.scalars.b") 1.5;
+  Metrics.observe (Metrics.histogram "test.scalars.c") 0.5;
+  let scalars = Metrics.scalars () in
+  let value name = List.assoc_opt name scalars in
+  Alcotest.(check (option (float 0.0))) "counter value" (Some 3.0) (value "test.scalars.a");
+  Alcotest.(check (option (float 0.0))) "gauge value" (Some 1.5) (value "test.scalars.b");
+  Alcotest.(check bool) "histogram excluded" false (List.mem_assoc "test.scalars.c" scalars);
+  let names = List.map fst scalars in
+  Alcotest.(check (list string)) "sorted by name" (List.sort String.compare names) names
 
 (* --- windowed rollups ---------------------------------------------------- *)
 
@@ -340,7 +334,7 @@ let fetch_stats ~port =
   Channel.close ch;
   text
 
-(* "active 2"-style lines from the live-session preamble *)
+(* A scalar family's value on the OpenMetrics page ("NAME 2" lines) *)
 let live_field text key =
   let lines = String.split_on_char '\n' text in
   let prefix = key ^ " " in
@@ -368,17 +362,15 @@ let test_stats_req_live_sessions () =
        | Message.Welcome _ -> ()
        | _ -> Alcotest.fail "B's Hello failed");
       let text = fetch_stats ~port in
-      (match live_field text "active" with
+      (match live_field text "ppst_server_sessions_active" with
        | Some n -> Alcotest.(check bool) "two live sessions visible" true (n >= 2)
-       | None -> Alcotest.fail ("no 'active' line in:\n" ^ text));
-      (match live_field text "accepted" with
+       | None -> Alcotest.fail ("no 'ppst_server_sessions_active' line in:\n" ^ text));
+      (match live_field text "ppst_server_sessions_accepted" with
        | Some n -> Alcotest.(check bool) "accepted >= 3" true (n >= 3)
-       | None -> Alcotest.fail "no 'accepted' line");
-      (* the metrics exposition rides along after the live counters *)
-      Alcotest.(check bool) "metrics section present" true
-        (List.exists
-           (starts_with "# metrics")
-           (String.split_on_char '\n' text));
+       | None -> Alcotest.fail "no 'ppst_server_sessions_accepted' line");
+      (* the OpenMetrics page rides along after the resume table *)
+      Alcotest.(check bool) "resume table first" true (starts_with "# resume table\n" text);
+      Alcotest.(check bool) "metrics page present" true (contains text "\n# EOF\n");
       Channel.close a;
       Channel.close b)
 
@@ -500,13 +492,16 @@ let test_stats_req_at_capacity () =
        | _ -> Alcotest.fail "A's Hello failed");
       (* the only slot is taken: a Stats_req probe must still be served,
          without consuming a slot and without counting as a rejection *)
-      let rejected_before = Server_loop.rejected loop in
+      let rejected () =
+        Metrics.(counter_value (counter "server.sessions.busy_rejected")
+                 + counter_value (counter "server.shed"))
+      in
+      let rejected_before = rejected () in
       let text = fetch_stats ~port in
-      (match live_field text "active" with
+      (match live_field text "ppst_server_sessions_active" with
        | Some n -> Alcotest.(check int) "probe sees the busy slot" 1 n
-       | None -> Alcotest.fail ("no 'active' line in:\n" ^ text));
-      Alcotest.(check int) "probe is not a rejection" rejected_before
-        (Server_loop.rejected loop);
+       | None -> Alcotest.fail ("no 'ppst_server_sessions_active' line in:\n" ^ text));
+      Alcotest.(check int) "probe is not a rejection" rejected_before (rejected ());
       (* a real session is still turned away *)
       let b = Channel.connect ~host:"127.0.0.1" ~port () in
       (match Channel.request b (Message.Hello { flags = 0; spec = None }) with
@@ -530,7 +525,7 @@ let () =
             test_histogram_bucket_boundaries;
           Alcotest.test_case "bad buckets rejected" `Quick
             test_histogram_rejects_bad_buckets;
-          Alcotest.test_case "dump format" `Quick test_dump_format;
+          Alcotest.test_case "scalars format" `Quick test_scalars_format;
         ] );
       ( "rollups",
         [
