@@ -214,95 +214,6 @@ let diff base_file cand_file threshold latency_floor_ms byte_floor =
       (100.0 *. threshold);
     exit 1
 
-(* ---- bench report: flatten BENCH_*.json and optionally gate ---- *)
-
-let flatten_numbers json =
-  let module R = Ppst_telemetry.Trace_reader in
-  let out = ref [] in
-  let rec walk path = function
-    | R.Num v -> out := (path, v) :: !out
-    | R.Obj fields ->
-      List.iter
-        (fun (k, v) -> walk (if path = "" then k else path ^ "." ^ k) v)
-        fields
-    | R.Arr items ->
-      List.iteri (fun i v -> walk (Printf.sprintf "%s[%d]" path i) v) items
-    | R.Null | R.Bool _ | R.Str _ -> ()
-  in
-  walk "" json;
-  List.rev !out
-
-let load_bench file =
-  let module R = Ppst_telemetry.Trace_reader in
-  let ic = open_in_bin file in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match R.json_of_string text with
-  | exception R.Parse_error msg ->
-    Printf.eprintf "%s: %s\n" file msg;
-    exit 1
-  | json -> flatten_numbers json
-
-(* Only time-like leaves are gated against a baseline: byte and value
-   counts move legitimately when the protocol changes shape, and the
-   transcript-stability tests already pin those exactly. *)
-let time_like path =
-  let has sub =
-    let n = String.length sub and m = String.length path in
-    let rec at i = i + n <= m && (String.sub path i n = sub || at (i + 1)) in
-    at 0
-  in
-  has "seconds" || has "wall" || has "latency"
-
-let report strict baseline threshold files =
-  if files = [] then begin
-    Printf.eprintf "report: no bench files given\n";
-    exit 2
-  end;
-  let worst = ref [] in
-  List.iter
-    (fun file ->
-      let metrics = load_bench file in
-      Printf.printf "== %s: %d numeric metric(s)\n" file (List.length metrics);
-      List.iter
-        (fun (path, v) ->
-          if time_like path then Printf.printf "  %-56s %.6g\n" path v)
-        metrics;
-      match baseline with
-      | None -> ()
-      | Some dir ->
-        let base_file = Filename.concat dir (Filename.basename file) in
-        if Sys.file_exists base_file then begin
-          let base = load_bench base_file in
-          List.iter
-            (fun (path, v) ->
-              if time_like path then
-                match List.assoc_opt path base with
-                | Some bv when v > bv *. (1.0 +. threshold) && v -. bv > 0.005 ->
-                  let line =
-                    Printf.sprintf "%s: %s %.6g -> %.6g (+%.0f%%)"
-                      (Filename.basename file) path bv v
-                      (100.0 *. ((v /. Float.max bv 1e-12) -. 1.0))
-                  in
-                  Printf.printf "  REGRESSION %s\n" line;
-                  worst := line :: !worst
-                | _ -> ())
-            metrics
-        end
-        else Printf.printf "  (no baseline %s)\n" base_file)
-    files;
-  match List.rev !worst with
-  | [] -> ()
-  | found ->
-    Printf.printf "report: %d regression(s) beyond +%.0f%%\n" (List.length found)
-      (100.0 *. threshold);
-    (* Advisory by default — bench timings on shared CI hardware are too
-       noisy to block on; --strict turns the same findings into a gate. *)
-    if strict then exit 1
-
 (* ---- cmdliner plumbing ---- *)
 
 let entropy_cmd =
@@ -381,30 +292,8 @@ let diff_cmd =
        ~doc:"compare two telemetry traces; exit 1 on per-phase latency or byte regressions")
     Term.(const diff $ base $ cand $ threshold $ latency_floor $ byte_floor)
 
-let report_cmd =
-  let files =
-    Arg.(value & pos_all file [] & info [] ~docv:"BENCH.json..."
-         ~doc:"Benchmark result files (bench --out artifacts).")
-  in
-  let strict =
-    Arg.(value & flag & info [ "strict" ]
-         ~doc:"Exit nonzero on baseline regressions instead of reporting them.")
-  in
-  let baseline =
-    Arg.(value & opt (some dir) None & info [ "baseline" ] ~docv:"DIR"
-         ~doc:"Directory holding baseline copies of the same files to gate against.")
-  in
-  let threshold =
-    Arg.(value & opt float 0.5 & info [ "threshold" ] ~docv:"FRAC"
-         ~doc:"Relative excess that counts as a regression (0.5 = +50%).")
-  in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:"tabulate time-like metrics from BENCH_*.json; advisory unless --strict")
-    Term.(const report $ strict $ baseline $ threshold $ files)
-
 let () =
   let doc = "security analysis for the secure time-series protocols" in
   exit (Cmd.eval (Cmd.group (Cmd.info "ppst_analyze" ~doc)
                     [ entropy_cmd; attack_cmd; plan_cmd; infer_cmd; trace_cmd;
-                      diff_cmd; report_cmd ]))
+                      diff_cmd ]))

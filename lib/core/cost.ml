@@ -57,38 +57,6 @@ let server_total_seconds t = sum t.server_time
 let total_seconds t =
   client_total_seconds t +. server_total_seconds t +. t.client_offline
 
-let merge a b =
-  {
-    client =
-      {
-        encryptions = a.client.encryptions + b.client.encryptions;
-        decryptions = a.client.decryptions + b.client.decryptions;
-        homomorphic = a.client.homomorphic + b.client.homomorphic;
-      };
-    server =
-      {
-        encryptions = a.server.encryptions + b.server.encryptions;
-        decryptions = a.server.decryptions + b.server.decryptions;
-        homomorphic = a.server.homomorphic + b.server.homomorphic;
-      };
-    client_time = Array.init 3 (fun i -> a.client_time.(i) +. b.client_time.(i));
-    server_time = Array.init 3 (fun i -> a.server_time.(i) +. b.server_time.(i));
-    client_offline = a.client_offline +. b.client_offline;
-    jobs = Stdlib.max a.jobs b.jobs;
-    pool_misses = a.pool_misses + b.pool_misses;
-  }
-
-let ops_to_json o =
-  Printf.sprintf {|{"encryptions":%d,"decryptions":%d,"homomorphic":%d}|}
-    o.encryptions o.decryptions o.homomorphic
-
-let to_json t =
-  Printf.sprintf
-    {|{"client":%s,"server":%s,"client_seconds":[%.6f,%.6f,%.6f],"server_seconds":[%.6f,%.6f,%.6f],"client_offline_seconds":%.6f,"jobs":%d,"pool_misses":%d,"total_seconds":%.6f}|}
-    (ops_to_json t.client) (ops_to_json t.server) t.client_time.(0)
-    t.client_time.(1) t.client_time.(2) t.server_time.(0) t.server_time.(1)
-    t.server_time.(2) t.client_offline t.jobs t.pool_misses (total_seconds t)
-
 let pp_ops fmt o =
   Format.fprintf fmt "enc=%d dec=%d hom=%d" o.encryptions o.decryptions o.homomorphic
 

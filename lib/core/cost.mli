@@ -53,13 +53,4 @@ val set_pool_misses : t -> int -> unit
 
 val pool_misses : t -> int
 
-val merge : t -> t -> t
-(** Counters and times add; [jobs] takes the maximum; [pool_misses]
-    add. *)
-
 val pp : Format.formatter -> t -> unit
-
-val to_json : t -> string
-(** Compact single-line JSON object (machine-readable [pp]): per-party op
-    counts, per-phase seconds arrays, offline seconds, jobs, pool misses.
-    Embedded verbatim in the bench BENCH_*.json reports. *)

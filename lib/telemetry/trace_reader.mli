@@ -13,9 +13,6 @@ type json =
 
 exception Parse_error of string
 
-val json_of_string : string -> json
-(** @raise Parse_error on malformed input or trailing bytes. *)
-
 type kind = Start | End | Point
 
 type entry = {

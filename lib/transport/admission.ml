@@ -3,8 +3,9 @@
    Every quantity checked here is public in the paper's model (series
    lengths, dimensions, frame sizes), so a rejection reveals nothing a
    passive observer could not already compute — see SECURITY.md.  The
-   checks are pure integer comparisons: their cost on the clean path is
-   a handful of nanoseconds per frame, measured by `bench overload`. *)
+   checks are pure integer comparisons on the clean path, and limits an
+   honest session never reaches leave its transcript unchanged
+   (test/test_overload.ml). *)
 
 type limits = {
   max_cells : int option;

@@ -92,9 +92,3 @@ let of_fields get =
     messages = get "messages";
     failures = get "failures";
   }
-
-let to_json t =
-  Printf.sprintf
-    {|{"bytes_sent":%d,"bytes_received":%d,"values_sent":%d,"values_received":%d,"rounds":%d,"messages":%d,"failures":%d}|}
-    t.bytes_sent t.bytes_received t.values_sent t.values_received t.rounds
-    t.messages t.failures

@@ -40,10 +40,6 @@ val merge : t -> t -> t
 
 val pp : Format.formatter -> t -> unit
 
-val to_json : t -> string
-(** Compact single-line JSON object (machine-readable [pp]); embedded
-    verbatim in the bench BENCH_*.json reports. *)
-
 val fields : t -> (string * int) list
 (** Every counter under its name ([bytes_sent], ..., [failures]), the
     names of the server's [server.traffic.*] process totals. *)

@@ -41,8 +41,9 @@
 # truncated trace tail is reported with its own exit code; the catalog
 # smoke runs with the metrics sidecar up and the exposition page (both
 # the HTTP endpoint and the in-protocol metrics verb) must carry the
-# server-side families; and `ppst_analyze report` runs advisory over
-# the checked-in BENCH_*.json artifacts.
+# server-side families; and the ladder smoke (`bash ladder/run.sh
+# smoke`) runs every benchmark workload and rung at toy size and checks
+# each emits exactly the metrics BENCHMARK.json names.
 #
 # (g) a failover smoke: a 4-worker supervised server with a
 # shared session spool serves one session whose worker is SIGKILLed
@@ -135,10 +136,11 @@ if [ "$trunc_rc" -ne 3 ]; then
 fi
 echo "ci: truncated trace tail reported with exit 3"
 
-# Advisory bench report over the checked-in artifacts (gating needs
-# --strict --baseline; here it only has to parse and summarize).
-dune exec bin/ppst_analyze.exe -- report BENCH_*.json >/dev/null
-echo "ci: bench report OK ($(ls BENCH_*.json | wc -l) artifact(s))"
+# Ladder smoke: the benchmark of record (ladder/README.md) still builds,
+# drives every workload with tracing off and on, and emits exactly the
+# metrics BENCHMARK.json declares.
+bash ladder/run.sh smoke >/dev/null
+echo "ci: ladder smoke OK"
 
 # Chaos smoke: clean run vs a fault-injected server; distances must match.
 ./_build/default/bin/ppst_datagen.exe --seed 4101 -n 12 "$chaos_dir/y.csv"
@@ -344,8 +346,8 @@ fi
 # (bound to an ephemeral port, announced on stdout) and the in-protocol
 # metrics verb must both expose the server-side families (the query.*
 # and ledger.* families live in the querying client's registry and are
-# asserted by `bench observability`), and the page must be a complete
-# OpenMetrics document.
+# asserted by test/test_catalog.ml, "query values"), and the page must
+# be a complete OpenMetrics document.
 metrics_port="$(sed -n 's/^metrics port: //p' "$cat_dir/server.log")"
 if [ -z "$metrics_port" ]; then
   echo "ci: observability smoke FAILED: server did not announce a metrics port" >&2

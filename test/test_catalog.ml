@@ -470,7 +470,15 @@ let test_expected_query_values () =
      Alcotest.(check int) "ledger drift" 0 (Ppst.Ledger.drift e)
    | [] -> Alcotest.fail "no ledger entry recorded for the query");
   Alcotest.(check int) "no drift events" drift_before
-    (Ppst.Ledger.drift_events ())
+    (Ppst.Ledger.drift_events ());
+  (* the querying process's metrics page carries the query and ledger
+     families and is a complete OpenMetrics document *)
+  let lines = String.split_on_char '\n' (Ppst_telemetry.Exposition.render ()) in
+  List.iter
+    (fun prefix ->
+      Alcotest.(check bool) ("page carries " ^ prefix) true
+        (List.exists (String.starts_with ~prefix) lines))
+    [ "ppst_query_submitted"; "ppst_ledger_checks"; "# EOF" ]
 
 (* The pairwise ledger hook fires on every unpacked run; a seeded
    paper-example session must balance exactly. *)

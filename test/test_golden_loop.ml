@@ -208,6 +208,42 @@ let pair_session ~crc ~resume loop =
   Alcotest.(check int) "granted flags" want (flags land (Message.flag_crc32 lor Message.flag_resume));
   [ collect "session" ]
 
+(* The same session while the metrics sidecar is scraped in a loop: a
+   scrape reads the registry and writes nothing to a session socket. *)
+let scraped_pair_session loop =
+  let endpoint = Metrics_endpoint.start ~port:0 () in
+  let stop = Atomic.make false and pages = Atomic.make 0 in
+  let scrape () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Unix.connect fd
+          (Unix.ADDR_INET (Unix.inet_addr_loopback, Metrics_endpoint.port endpoint));
+        let get = "GET /metrics HTTP/1.0\r\n\r\n" in
+        ignore (Unix.write_substring fd get 0 (String.length get));
+        let chunk = Bytes.create 65536 in
+        while Unix.read fd chunk 0 (Bytes.length chunk) > 0 do () done)
+  in
+  let scraper =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          scrape ();
+          Atomic.incr pages;
+          Thread.delay 0.005
+        done)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join scraper;
+      Metrics_endpoint.stop endpoint)
+    (fun () ->
+      wait_until "a first scrape" (fun () -> Atomic.get pages > 0);
+      pair_session ~crc:false ~resume:false loop)
+
 (* --- scenarios ------------------------------------------------------------------ *)
 
 let hello ?spec flags = Message.Hello { flags; spec }
@@ -335,6 +371,7 @@ let scenarios =
   [
     ("pair, crc and resume granted", None, pair_session ~crc:true ~resume:true);
     ("pair, flags 0", None, pair_session ~crc:false ~resume:false);
+    ("pair, flags 0, metrics endpoint scraped", None, scraped_pair_session);
     ("resume in sync, behind, forged, stale", None, resume_scenario);
     ( "hello over max_series_len",
       Some
@@ -400,10 +437,16 @@ let table =
       ] );
   ]
 
+(* A scenario that must leave the wire exactly as another one does is
+   checked against that scenario's row. *)
+let row_of = function
+  | "pair, flags 0, metrics endpoint scraped" -> "pair, flags 0"
+  | name -> name
+
 let check_scenario (name, config, run) =
   Alcotest.test_case name `Quick (fun () ->
       let records = with_loop ?config run in
-      let expected = List.assoc name table in
+      let expected = List.assoc (row_of name) table in
       Alcotest.(check (list string)) "connections"
         (List.map (fun (l, _, _) -> l) expected)
         (List.map (fun r -> r.label) records);

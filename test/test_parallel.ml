@@ -97,7 +97,8 @@ let det_y = Generate.ecg_int ~seed:42 ~length:5 ~max_value:50
 
 (* Run one full in-process session with every request and reply captured
    byte-for-byte (the exact encoding [Channel.tcp] would frame), and
-   return the revealed distance plus a digest of that transcript. *)
+   return the revealed distance, a digest of that transcript and the
+   channel's accounting. *)
 let digest_run ~jobs ~decryption ~distance ~runner =
   with_pool jobs (fun workers ->
       let server =
@@ -120,7 +121,9 @@ let digest_run ~jobs ~decryption ~distance ~runner =
       in
       let d = runner client in
       Ppst.Client.finish client;
-      (Bigint.to_int_exn d, Digest.to_hex (Digest.string (Buffer.contents buf))))
+      ( Bigint.to_int_exn d,
+        Digest.to_hex (Digest.string (Buffer.contents buf)),
+        Channel.stats channel ))
 
 let check_deterministic ~decryption ~distance ~runner ~expected name =
   let runs =
@@ -128,10 +131,10 @@ let check_deterministic ~decryption ~distance ~runner ~expected name =
       (fun jobs -> digest_run ~jobs ~decryption ~distance ~runner)
       [ 1; 4 ]
   in
-  let d1, t1 = List.hd runs in
+  let d1, t1, _ = List.hd runs in
   Alcotest.(check int) (name ^ ": plaintext distance") expected d1;
   List.iteri
-    (fun i (d, t) ->
+    (fun i (d, t, _) ->
       Alcotest.(check int) (Printf.sprintf "%s: distance (run %d)" name i) d1 d;
       Alcotest.(check string)
         (Printf.sprintf "%s: transcript digest (run %d)" name i)
@@ -154,16 +157,19 @@ let test_dfd_transcript_identical () =
 
 (* The determinism contract extends to observability: a seeded transcript
    must be bit-identical whether a --trace-out JSONL sink is recording
-   every span and round or telemetry is fully disabled. *)
+   every span and round or telemetry is fully disabled.  The trace itself
+   must pass the leakage lint and account for exactly the rounds and
+   bytes the channel counted. *)
 let test_transcript_identical_with_telemetry () =
   let module Telemetry = Ppst_telemetry.Telemetry in
+  let module R = Ppst_telemetry.Trace_reader in
   let run () =
     digest_run ~jobs:1 ~decryption:`Crt ~distance:`Dtw
       ~runner:Ppst.Secure_dp.(run dtw Full Anti_diagonal)
   in
   Telemetry.configure ();
   (* sinks off *)
-  let d_off, t_off = run () in
+  let d_off, t_off, _ = run () in
   let trace = Filename.temp_file "ppst_test_det" ".jsonl" in
   Fun.protect
     ~finally:(fun () ->
@@ -171,16 +177,20 @@ let test_transcript_identical_with_telemetry () =
       Sys.remove trace)
     (fun () ->
       Telemetry.configure ~trace_out:trace ();
-      let d_on, t_on = run () in
+      let d_on, t_on, stats = run () in
       Telemetry.configure ();
       (* flush the file sink *)
       Alcotest.(check int) "distance unchanged" d_off d_on;
       Alcotest.(check string) "transcript digest unchanged" t_off t_on;
-      (* and the trace really was recording — the check is not vacuous *)
-      let ic = open_in trace in
-      let len = in_channel_length ic in
-      close_in ic;
-      Alcotest.(check bool) "trace non-empty" true (len > 0))
+      let entries = R.read_file trace in
+      Alcotest.(check bool) "trace non-empty" true (entries <> []);
+      Alcotest.(check (list string)) "leakage lint clean" []
+        (List.filter_map R.lint_entry entries);
+      let s = R.summarize entries in
+      Alcotest.(check int) "trace round bytes = Stats bytes"
+        (Stats.total_bytes stats) s.R.total_round_bytes;
+      Alcotest.(check int) "trace rounds = Stats rounds" (Stats.rounds stats)
+        s.R.total_rounds)
 
 (* --- Paillier batch entry points --------------------------------------- *)
 
