@@ -13,15 +13,15 @@
    squarings, versus ~1.2*bits for a generic ladder.
 
    The table costs (2^w - 1) * ceil(bits/w) entries; w = 4 over 1088
-   bits is ~4080 entries of s limbs (~2 MB at s = 66) built with one
-   multiplication each.  Tables are immutable after [create] and safe
-   to share across Domains. *)
+   bits is ~4080 entries of 32 64-bit limbs (~1 MB for a 2048-bit
+   modulus) built with one multiplication each.  Tables are immutable
+   after [create] and safe to share across Domains. *)
 
 type t = {
   mont : Montgomery.ctx;
   window : int;                 (* digit width w in bits *)
   digits : int;                 (* number of digit positions *)
-  table : int array array array;(* table.(j).(i-1) = base^(i * 2^(jw)), mont form *)
+  table : Montgomery.elt array array; (* table.(j).(i-1) = base^(i * 2^(jw)), mont form *)
 }
 
 let default_window = 4
@@ -56,7 +56,7 @@ let create ?(window = default_window) (ctx : Modular.ctx) ~max_bits (base : Bigi
 let max_bits t = t.digits * t.window
 
 (* [exponent] must fit in [max_bits t] bits. *)
-let pow_raw (t : t) (exponent : Bigint.t) : int array =
+let pow_raw (t : t) (exponent : Bigint.t) : Montgomery.elt =
   if Bigint.is_negative exponent then
     invalid_arg "Fixed_base.pow_raw: negative exponent";
   let e = Bigint.magnitude exponent in

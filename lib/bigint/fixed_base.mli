@@ -26,6 +26,6 @@ val pow : Modular.ctx -> t -> Bigint.t -> Bigint.t
     @raise Invalid_argument if [e] is negative or wider than
     [max_bits t]. *)
 
-val pow_raw : t -> Bigint.t -> int array
-(** Same, but returns the Montgomery-form limb vector (for callers that
-    keep chaining multiplications in form). *)
+val pow_raw : t -> Bigint.t -> Montgomery.elt
+(** Same, but returns the Montgomery form (for callers that keep
+    chaining multiplications in form). *)

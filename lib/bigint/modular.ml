@@ -23,8 +23,10 @@ let mul a b m =
   check_modulus m;
   Bigint.erem (Bigint.mul a b) m
 
-(* Binary gcd would be faster but Euclid on Nat division is simple and is
-   never on the hot path (one inverse per key generation). *)
+(* Euclid on Nat division.  It runs at key generation and once per
+   encryption nonce a party holding only the public key draws
+   (Paillier.random_unit); the key holder tests units against p and q
+   instead, which costs two small divisions. *)
 let rec gcd a b =
   let a = Bigint.abs a and b = Bigint.abs b in
   if Bigint.is_zero b then a else gcd b (Bigint.rem a b)

@@ -50,8 +50,8 @@ val mont_of_ctx : ctx -> Montgomery.ctx
 (** The underlying Montgomery context, for limb-level hot paths
     ({!Fixed_base} tables, in-form homomorphic chains). *)
 
-val to_mont_ctx : ctx -> Bigint.t -> int array
+val to_mont_ctx : ctx -> Bigint.t -> Montgomery.elt
 (** Reduce mod the context modulus and convert to Montgomery form. *)
 
-val of_mont_ctx : ctx -> int array -> Bigint.t
+val of_mont_ctx : ctx -> Montgomery.elt -> Bigint.t
 (** Convert out of Montgomery form to a canonical residue. *)

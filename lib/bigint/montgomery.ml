@@ -1,188 +1,60 @@
-(* Montgomery modular multiplication (CIOS variant, Koç et al.) for odd
-   moduli, on raw Nat limb vectors.  This is the workhorse of Paillier:
-   every encryption/decryption is a modular exponentiation mod n or n^2.
+(* Montgomery modular multiplication and exponentiation for odd moduli.
+   This is the workhorse of Paillier: every encryption/decryption is a
+   modular exponentiation mod n or n^2.
 
-   A context fixes the modulus n (s limbs) and R = B^s with B = 2^31.
+   A context fixes the modulus n (w 64-bit limbs) and R = 2^(64w).
    Values are kept in Montgomery form aR mod n; mont_mul computes
-   (aR)(bR)R^-1 = abR, i.e. multiplication stays in form. *)
+   (aR)(bR)R^-1 = abR, i.e. multiplication stays in form.  The
+   arithmetic runs in C (mont_stubs.c): a value in form is a Bytes.t of
+   exactly w limbs, and the context's kernel holds the limbs of n and
+   -n^-1 mod 2^64.  Conversions to and from Nat happen only in
+   [to_mont] and [of_mont]. *)
+
+type elt = Bytes.t
 
 type ctx = {
-  modulus : Nat.t;      (* odd modulus, s limbs, normalized *)
-  s : int;              (* limb count of the modulus *)
-  n0_inv : int;         (* -modulus^{-1} mod B *)
-  r_mod : Nat.t;        (* R mod n: Montgomery form of 1 *)
-  r2_mod : Nat.t;       (* R^2 mod n: converts to Montgomery form *)
+  width : int;         (* w, the modulus's length in 64-bit limbs *)
+  kernel : Bytes.t;    (* the w limbs of the modulus, then -modulus^-1 mod 2^64 *)
+  plain_one : Bytes.t; (* the integer 1 in w limbs: a product with it leaves form *)
+  one : elt;           (* R mod n: Montgomery form of 1 *)
+  r2 : elt;            (* R^2 mod n: a product with it enters form *)
 }
 
 exception Even_modulus
 
-(* Inverse of the odd limb n0 modulo 2^31 by Newton iteration:
-   x <- x (2 - n0 x) doubles the number of correct low bits. *)
-let limb_inverse n0 =
-  let mask = Nat.base_mask in
-  let x = ref n0 in
-  for _ = 1 to 5 do
-    x := !x * (2 - (n0 * !x)) land mask land mask
-  done;
-  !x land mask
+external kernel_of_modulus : Nat.t -> Bytes.t = "ppst_mont_kernel"
+external limbs_of_nat : int -> Nat.t -> Bytes.t = "ppst_mont_limbs_of_nat"
+external nat_of_limbs : Bytes.t -> Nat.t = "ppst_mont_nat_of_limbs"
+external mul : Bytes.t -> elt -> elt -> elt = "ppst_mont_mul"
+external pow : Bytes.t -> elt -> elt -> Nat.t -> elt = "ppst_mont_pow"
 
 let create (modulus : Nat.t) : ctx =
   if Nat.is_zero modulus || not (Nat.testbit modulus 0) then raise Even_modulus;
-  let s = Array.length modulus in
-  let n0_inv = Nat.base - limb_inverse modulus.(0) in
-  let r = Nat.shift_left Nat.one (s * Nat.base_bits) in
-  let r_mod = snd (Nat.divmod r modulus) in
-  let r2 = Nat.mul r_mod r_mod in
-  let r2_mod = snd (Nat.divmod r2 modulus) in
-  { modulus; s; n0_inv; r_mod; r2_mod }
+  let kernel = kernel_of_modulus modulus in
+  let width = (Bytes.length kernel / 8) - 1 in
+  let r_mod = snd (Nat.divmod (Nat.shift_left Nat.one (64 * width)) modulus) in
+  let r2_mod = snd (Nat.divmod (Nat.mul r_mod r_mod) modulus) in
+  let limbs = limbs_of_nat width in
+  { width; kernel; plain_one = limbs Nat.one; one = limbs r_mod; r2 = limbs r2_mod }
 
-(* Pad a normalized Nat (< modulus) to exactly s limbs. *)
-let pad ctx (a : Nat.t) : int array =
-  let r = Array.make ctx.s 0 in
-  Array.blit a 0 r 0 (Array.length a);
-  r
+let mont_mul_raw ctx a b = mul ctx.kernel a b
 
-(* CIOS Montgomery multiplication on s-limb padded arrays.
-   Writes ab R^-1 mod n into a fresh s-limb array.
+(* [a] may be any value below R, reduced or not: the product with
+   R^2 mod n still lands in [0, n). *)
+let to_mont ctx (a : Nat.t) : elt =
+  mul ctx.kernel (limbs_of_nat ctx.width a) ctx.r2
 
-   The inner loops use unsafe accesses: every index is bounded by [s]
-   (for [a], [b], [n]) or [s + 2] (for [t]) by construction, and this
-   routine sits under every exponentiation in the system, so the bounds
-   checks are pure overhead. *)
-let mont_mul_raw ctx (a : int array) (b : int array) : int array =
-  let s = ctx.s in
-  let n = ctx.modulus in
-  let mask = Nat.base_mask and bits = Nat.base_bits in
-  let t = Array.make (s + 2) 0 in
-  for i = 0 to s - 1 do
-    let bi = Array.unsafe_get b i in
-    (* t += a * b_i *)
-    let carry = ref 0 in
-    for j = 0 to s - 1 do
-      let x = Array.unsafe_get t j + (Array.unsafe_get a j * bi) + !carry in
-      Array.unsafe_set t j (x land mask);
-      carry := x lsr bits
-    done;
-    let x = Array.unsafe_get t s + !carry in
-    Array.unsafe_set t s (x land mask);
-    Array.unsafe_set t (s + 1) (x lsr bits);
-    (* m = t0 * n0_inv mod B; t += m * n; t >>= one limb *)
-    let m = (Array.unsafe_get t 0 * ctx.n0_inv) land mask in
-    let x0 = Array.unsafe_get t 0 + (m * Array.unsafe_get n 0) in
-    let carry = ref (x0 lsr bits) in
-    for j = 1 to s - 1 do
-      let x = Array.unsafe_get t j + (m * Array.unsafe_get n j) + !carry in
-      Array.unsafe_set t (j - 1) (x land mask);
-      carry := x lsr bits
-    done;
-    let x = Array.unsafe_get t s + !carry in
-    Array.unsafe_set t (s - 1) (x land mask);
-    Array.unsafe_set t s (Array.unsafe_get t (s + 1) + (x lsr bits));
-    Array.unsafe_set t (s + 1) 0
-  done;
-  let result = Array.sub t 0 s in
-  (* Conditional final subtraction: result may be in [n, 2n). *)
-  let ge =
-    if t.(s) <> 0 then true
-    else begin
-      let rec cmp i =
-        if i < 0 then true (* equal counts as >= *)
-        else if result.(i) <> n.(i) then result.(i) > n.(i)
-        else cmp (i - 1)
-      in
-      cmp (s - 1)
-    end
-  in
-  if ge then begin
-    let borrow = ref 0 in
-    for i = 0 to s - 1 do
-      let d = result.(i) - n.(i) - !borrow in
-      if d < 0 then begin
-        result.(i) <- d + Nat.base;
-        borrow := 1
-      end
-      else begin
-        result.(i) <- d;
-        borrow := 0
-      end
-    done
-  end;
-  result
+let of_mont ctx (a : elt) : Nat.t = nat_of_limbs (mul ctx.kernel a ctx.plain_one)
 
-let to_mont ctx (a : Nat.t) : int array =
-  mont_mul_raw ctx (pad ctx a) (pad ctx ctx.r2_mod)
+let one_raw ctx = ctx.one
 
-let of_mont ctx (a : int array) : Nat.t =
-  let one_padded = pad ctx Nat.one in
-  Nat.normalize (mont_mul_raw ctx a one_padded)
-
-let one_raw ctx : int array = pad ctx ctx.r_mod
-
-(* Sliding-window exponentiation in Montgomery form: [x] is in form,
-   the result is in form.  Window width 4 precomputes the 8 odd powers
-   x, x^3, ..., x^15 and then scans the exponent from the top, emitting
-   one table multiplication per odd window instead of one per set bit.
-   For a 1024/2048-bit exponent this trades ~n/2 multiplications for
-   ~n/5 plus 8 precomputation squarings/multiplications.
-
-   The result is the same mathematical value the plain binary ladder
-   produced, so callers observe byte-identical outputs. *)
-let window_bits = 4
-
-let pow_raw ctx (x : int array) (exponent : Nat.t) : int array =
-  let nbits = Nat.num_bits exponent in
-  if nbits = 0 then one_raw ctx
-  else if nbits <= window_bits then begin
-    (* Tiny exponent: the table would cost more than the ladder. *)
-    let acc = ref (one_raw ctx) in
-    for i = nbits - 1 downto 0 do
-      acc := mont_mul_raw ctx !acc !acc;
-      if Nat.testbit exponent i then acc := mont_mul_raw ctx !acc x
-    done;
-    !acc
-  end
-  else begin
-    (* odd.(k) = x^(2k+1) in Montgomery form. *)
-    let table_size = 1 lsl (window_bits - 1) in
-    let x2 = mont_mul_raw ctx x x in
-    let odd = Array.make table_size x in
-    for k = 1 to table_size - 1 do
-      odd.(k) <- mont_mul_raw ctx odd.(k - 1) x2
-    done;
-    let acc = ref (one_raw ctx) in
-    let i = ref (nbits - 1) in
-    while !i >= 0 do
-      if not (Nat.testbit exponent !i) then begin
-        acc := mont_mul_raw ctx !acc !acc;
-        decr i
-      end
-      else begin
-        (* Take the widest window [i .. j] that fits and ends on a set
-           bit, so its value is odd and lives in the table. *)
-        let j = ref (max 0 (!i - window_bits + 1)) in
-        while not (Nat.testbit exponent !j) do incr j done;
-        let width = !i - !j + 1 in
-        let value = ref 0 in
-        for b = !i downto !j do
-          value := (!value lsl 1) lor (if Nat.testbit exponent b then 1 else 0)
-        done;
-        for _ = 1 to width do
-          acc := mont_mul_raw ctx !acc !acc
-        done;
-        acc := mont_mul_raw ctx !acc odd.(!value lsr 1);
-        i := !j - 1
-      end
-    done;
-    !acc
-  end
+let pow_raw ctx (x : elt) (exponent : Nat.t) : elt = pow ctx.kernel ctx.one x exponent
 
 (* [base_nat] must already be reduced mod the modulus. *)
 let pow_mod ctx (base_nat : Nat.t) (exponent : Nat.t) : Nat.t =
-  if Nat.is_zero exponent then snd (Nat.divmod Nat.one ctx.modulus)
-  else Nat.normalize (of_mont ctx (pow_raw ctx (to_mont ctx base_nat) exponent))
+  of_mont ctx (pow_raw ctx (to_mont ctx base_nat) exponent)
 
-(* Modular multiplication through Montgomery form (for callers that only
-   need a few products; exponentiation uses the in-form loop above). *)
+(* a b R^-1, then times R^2 R^-1: two products, no conversion into form. *)
 let mul_mod ctx (a : Nat.t) (b : Nat.t) : Nat.t =
-  let am = to_mont ctx a and bm = to_mont ctx b in
-  of_mont ctx (mont_mul_raw ctx am bm)
+  let limbs = limbs_of_nat ctx.width in
+  nat_of_limbs (mul ctx.kernel (mul ctx.kernel (limbs a) (limbs b)) ctx.r2)

@@ -1,9 +1,17 @@
-(** Montgomery modular multiplication and exponentiation (CIOS) for odd
-    moduli, operating on raw {!Nat} limb vectors.  Most callers should use
-    the {!Modular} wrappers; this interface exists for the few hot paths
-    that want to stay at the limb level. *)
+(** Montgomery modular multiplication and exponentiation for odd moduli,
+    run by a C kernel (CIOS over 64-bit limbs, [R = 2^(64w)] for a
+    modulus of [w] limbs).  Most callers should use the {!Modular}
+    wrappers; this interface exists for the hot paths that chain
+    products in Montgomery form.
+
+    The kernel keeps no global state, so contexts and values may be
+    shared across Domains.  It is not constant-time (SECURITY.md). *)
 
 type ctx
+
+type elt
+(** A residue in Montgomery form ([aR mod n]) under the context that
+    made it.  {!to_mont} and {!of_mont} are the only conversions. *)
 
 exception Even_modulus
 
@@ -17,14 +25,24 @@ val pow_mod : ctx -> Nat.t -> Nat.t -> Nat.t
 val mul_mod : ctx -> Nat.t -> Nat.t -> Nat.t
 (** [mul_mod ctx a b] = [a*b mod n] for reduced [a], [b]. *)
 
-val to_mont : ctx -> Nat.t -> int array
-val of_mont : ctx -> int array -> Nat.t
-val mont_mul_raw : ctx -> int array -> int array -> int array
+val to_mont : ctx -> Nat.t -> elt
+(** Montgomery form of [a], for any [a < R].
+    @raise Invalid_argument if [a] has more limbs than the context. *)
 
-val one_raw : ctx -> int array
-(** Montgomery form of 1 ([R mod n]), padded to the context width. *)
+val of_mont : ctx -> elt -> Nat.t
+(** The canonical residue in [\[0, n)]. *)
 
-val pow_raw : ctx -> int array -> Nat.t -> int array
+val mont_mul_raw : ctx -> elt -> elt -> elt
+(** [mont_mul_raw ctx a b] is the Montgomery form of the product.
+    @raise Invalid_argument if an operand was made under a context of
+    another width.  Values of two moduli of one width cannot be told
+    apart; mixing them is the caller's error. *)
+
+val one_raw : ctx -> elt
+(** Montgomery form of 1 ([R mod n]). *)
+
+val pow_raw : ctx -> elt -> Nat.t -> elt
 (** [pow_raw ctx x e] with [x] in Montgomery form returns [x^e] in
-    Montgomery form (sliding-window ladder).  [e = 0] yields
-    {!one_raw}. *)
+    Montgomery form (width-4 sliding window).  [e = 0] yields
+    {!one_raw}.
+    @raise Invalid_argument as {!mont_mul_raw}. *)

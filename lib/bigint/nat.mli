@@ -9,18 +9,15 @@
 
     The limb base 2^31 is chosen so that [limb * limb + limb + limb] never
     exceeds OCaml's 63-bit native [int] range, which lets multiplication
-    and Montgomery reduction run without boxed arithmetic. *)
+    and division run without boxed arithmetic.  Montgomery arithmetic
+    does not run on these limbs: {!Montgomery} converts to 64-bit limbs
+    for its C kernel. *)
 
 type t = int array
 
 val base_bits : int
-(** Number of bits per limb (31). *)
-
-val base : int
-(** [2 lsl (base_bits - 1)], i.e. 2^31. *)
-
-val base_mask : int
-(** [base - 1]. *)
+(** Number of bits per limb (31; [mont_stubs.c] reads limbs of this
+    width). *)
 
 val zero : t
 val one : t

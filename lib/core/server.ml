@@ -150,8 +150,8 @@ exception Bad_candidates of string
    path goes through the strict validator (range AND gcd(c,n)=1), so a
    garbage value is a typed [Bad_candidates] — answered in-band as
    Error_reply — and never reaches a CRT exponentiation. *)
-let validate pk (cs : Bigint.t array) =
-  match Array.map (Paillier.validate_ciphertext pk) cs with
+let validate t (cs : Bigint.t array) =
+  match Array.map (Paillier.validate_ciphertext t.sk) cs with
   | cs -> cs
   | exception Paillier.Invalid_ciphertext m -> raise (Bad_candidates m)
 
@@ -182,7 +182,7 @@ let extremes t pick ~single frame =
     match frame with
     | `Sets sets ->
       if Array.length sets = 0 then raise (Bad_candidates "empty batch");
-      let cs = Array.map (fun set -> need_two (Array.length set); validate pk set) sets in
+      let cs = Array.map (fun set -> need_two (Array.length set); validate t set) sets in
       (Array.map Array.length sets, Array.concat (Array.to_list cs), None)
     | `Packed (slot_bits, counts, packed) ->
       if slot_bits <= 0 || slot_bits >= pk.Paillier.bits then
@@ -197,7 +197,7 @@ let extremes t pick ~single frame =
           (Bad_candidates
              (Printf.sprintf "expected %d packed ciphertexts for %d slots, got %d"
                 expected total (Array.length packed)));
-      (counts, validate pk packed, Some (slot_bits, capacity))
+      (counts, validate t packed, Some (slot_bits, capacity))
   with
   | exception Bad_candidates m -> Message.Error_reply m
   | counts, cs, packing ->
@@ -283,7 +283,7 @@ let query_sketches t ~segments ~band ~indices =
 let verdicts t (blinded : Bigint.t array) =
   if Array.length blinded = 0 then raise (Bad_candidates "empty verdict set");
   let pk = public_key t in
-  let plains = decrypt_batch t (validate pk blinded) in
+  let plains = decrypt_batch t (validate t blinded) in
   let half = Bigint.shift_right pk.Paillier.n 1 in
   Array.map (fun p -> Bigint.compare p half > 0) plains
 
@@ -379,7 +379,7 @@ let handle t (req : Message.request) : Message.reply =
       Message.Error_reply
         (Printf.sprintf "reveal budget exhausted (%d allowed per session)" limit)
     | _ -> begin
-      match Paillier.validate_ciphertext pk v with
+      match Paillier.validate_ciphertext t.sk v with
       | exception Paillier.Invalid_ciphertext m -> Message.Error_reply m
       | c ->
         t.reveals <- t.reveals + 1;

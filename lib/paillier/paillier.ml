@@ -26,7 +26,7 @@ type private_key = {
 
 (* A ciphertext caches both representations of its residue mod n^2: the
    canonical Bigint (what the wire and decryption see) and the
-   Montgomery-form limb vector (what homomorphic chains multiply).  Each
+   Montgomery form (what homomorphic chains multiply).  Each
    is realized at most once, on demand; homomorphic add/scalar_mul
    chains therefore stay in form end to end and only pay the one
    conversion at a wire or decrypt boundary.  Both representations
@@ -41,7 +41,7 @@ type ciphertext = {
   key_n : Bigint.t;
   ctx : Modular.ctx;
   mutable value : Bigint.t option;
-  mutable mont : int array option;
+  mutable mont : Montgomery.elt option;
 }
 
 exception Invalid_plaintext of string
@@ -194,15 +194,26 @@ let check_plaintext pk m =
          (Printf.sprintf "plaintext %s outside [0, n)" (Bigint.to_string m)))
 
 (* Random r in [1, n) with gcd(r, n) = 1.  For honest keys a random unit
-   fails coprimality with probability ~ 2/sqrt(n); we re-draw. *)
-let random_unit pk rng =
+   fails coprimality with probability ~ 2/sqrt(n); we re-draw.  [is_unit]
+   decides coprimality: a party with only n runs Euclid, the key holder
+   [is_unit_sk].  Both accept exactly the same r, so the draws, and the
+   transcripts, do not depend on which party encrypts. *)
+let draw_unit pk rng is_unit =
   let rec draw () =
     let r = Ppst_rng.Secure_rng.below rng pk.n in
-    if Bigint.is_zero r then draw ()
-    else if Bigint.equal (Modular.gcd r pk.n) Bigint.one then r
-    else draw ()
+    if is_unit r then r else draw ()
   in
   draw ()
+
+let random_unit pk rng =
+  draw_unit pk rng (fun r -> Bigint.equal (Modular.gcd r pk.n) Bigint.one)
+
+(* For n = pq with p and q prime, gcd(v, n) = 1 exactly when neither
+   prime divides v.  Primality is the contract of [of_primes]. *)
+let is_unit_sk sk v =
+  not (Bigint.is_zero (Bigint.rem v sk.p) || Bigint.is_zero (Bigint.rem v sk.q))
+
+let random_unit_sk sk rng = draw_unit sk.public rng (is_unit_sk sk)
 
 (* With g = n+1: g^m = 1 + m*n (mod n^2), avoiding one exponentiation. *)
 let g_pow_m pk m = Bigint.erem (Bigint.succ (Bigint.mul m pk.n)) pk.n_squared
@@ -232,7 +243,7 @@ let encrypt pk rng m =
 let encrypt_sk sk rng m =
   let pk = sk.public in
   check_plaintext pk m;
-  let r = random_unit pk rng in
+  let r = random_unit_sk sk rng in
   ct_of_value pk (Modular.mul_ctx pk.ctx_n2 (g_pow_m pk m) (fresh_rn_sk sk r))
 
 (* Batch encryption with the randomness pre-drawn sequentially: the rng
@@ -262,7 +273,7 @@ let encrypt_batch_sk ?(workers = Ppst_parallel.Pool.sequential) sk rng ms =
   let pk = sk.public in
   Ppst_telemetry.Metrics.observe m_encrypt_batch (float_of_int (Array.length ms));
   Array.iter (check_plaintext pk) ms;
-  let rs = Array.map (fun _ -> random_unit pk rng) ms in
+  let rs = Array.map (fun _ -> random_unit_sk sk rng) ms in
   Ppst_parallel.Pool.map_array workers
     (fun (m, r) ->
       ct_of_value pk (Modular.mul_ctx pk.ctx_n2 (g_pow_m pk m) (fresh_rn_sk sk r)))
@@ -283,7 +294,7 @@ let encrypt_batch_sk ?(workers = Ppst_parallel.Pool.sequential) sk rng ms =
 
 (* An r^n factor kept in Montgomery form, ready to multiply into a
    ciphertext without conversion. *)
-type rn = int array
+type rn = Montgomery.elt
 
 let rn_mont_of_unit pk r =
   Montgomery.pow_raw (mont_n2 pk)
@@ -379,11 +390,14 @@ let noise_gen_rn g pk rng : rn =
     invalid_arg "Paillier.noise_gen_rn: generator belongs to a different key";
   Fixed_base.pow_raw g.gen_table (Ppst_rng.Secure_rng.bits rng g.gen_ebits)
 
-(* Background production on a dedicated Domain.  The producer owns [rng]
-   until the returned join completes: it draws every unit itself, in
-   order, so determinism is preserved; consumers block in [rn_acquire]
-   while [pending] entries are still owed instead of falling back to an
-   online exponentiation. *)
+(* Background production on the process's background Domain
+   (Pool.background), which runs tasks in submission order.  A producer
+   only pushes into its own pool and never waits, so refills queued by
+   two clients cannot deadlock.  The producer owns [rng] until the
+   returned join completes: it draws every unit itself, in order, so
+   determinism is preserved; consumers block in [rn_acquire] while
+   [pending] entries are still owed instead of falling back to an online
+   exponentiation. *)
 let pool_refill_async ?(fast = false) pk pool rng count =
   check_pool_key pk pool;
   Ppst_telemetry.Metrics.observe m_pool_refill (float_of_int count);
@@ -556,7 +570,7 @@ let rerandomize pk rng c =
 let rerandomize_sk sk rng c =
   let pk = sk.public in
   check_same_key pk c;
-  let r = random_unit pk rng in
+  let r = random_unit_sk sk rng in
   let rn = rn_of_bigint pk (fresh_rn_sk sk r) in
   ct_of_mont pk (Montgomery.mont_mul_raw (mont_n2 pk) (ct_mont c) rn)
 
@@ -643,8 +657,10 @@ let m_invalid_ciphertext =
    out-of-range values are not ciphertexts — decrypting them yields
    nonsense (or, for non-units, a value whose gcd with n factors the
    modulus), so they must be rejected as typed garbage before a single
-   CRT exponentiation runs. *)
-let validate_ciphertext pk v =
+   CRT exponentiation runs.  Whether v is a unit is decided by dividing
+   by p and q (is_unit_sk). *)
+let validate_ciphertext sk v =
+  let pk = sk.public in
   let invalid msg =
     Ppst_telemetry.Metrics.incr m_invalid_ciphertext;
     raise (Invalid_ciphertext msg)
@@ -653,8 +669,7 @@ let validate_ciphertext pk v =
     invalid "ciphertext outside [1, n^2-1]";
   if Bigint.compare v pk.n_squared >= 0 then
     invalid "ciphertext outside [1, n^2-1]";
-  if not (Bigint.equal (Modular.gcd v pk.n) Bigint.one) then
-    invalid "ciphertext is not a unit mod n^2";
+  if not (is_unit_sk sk v) then invalid "ciphertext is not a unit mod n^2";
   ct_of_value pk v
 
 let ciphertext_bytes pk = (Bigint.num_bits pk.n_squared + 7) / 8

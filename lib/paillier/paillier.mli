@@ -209,12 +209,13 @@ val pool_refill_fast :
 val pool_refill_async :
   ?fast:bool ->
   public_key -> randomness_pool -> Ppst_rng.Secure_rng.t -> int -> (unit -> unit)
-(** Start producing [count] entries on a dedicated background Domain
-    ([fast] selects the {!pool_refill_fast} generator) and return a join
-    function.  The producer owns [rng] until it has drawn its last unit;
-    {!rn_acquire} blocks (instead of recording a miss) while promised
-    entries are still outstanding, so online encryption overlaps offline
-    production without transcript divergence.
+(** Start producing [count] entries on the background Domain
+    ({!Ppst_parallel.Pool.background}, after any refill queued before
+    it; [fast] selects the {!pool_refill_fast} generator) and return a
+    join function.  The producer owns [rng] until it has drawn its last
+    unit; {!rn_acquire} blocks (instead of recording a miss) while
+    promised entries are still outstanding, so online encryption
+    overlaps offline production without transcript divergence.
     @raise Key_mismatch if the pool belongs to another key. *)
 
 val encrypt_pooled :
@@ -315,12 +316,16 @@ val ciphertext_to_bigint : ciphertext -> Bigint.t
 val ciphertext_of_bigint : public_key -> Bigint.t -> ciphertext
 (** @raise Invalid_plaintext when the value is outside [\[0, n^2)]. *)
 
-val validate_ciphertext : public_key -> Bigint.t -> ciphertext
+val validate_ciphertext : private_key -> Bigint.t -> ciphertext
 (** Strict re-wrap for hostile-input boundaries (the server's decrypt
     path): additionally to the range, requires the value to be a unit
     of [Z_{n^2}] — [gcd(c, n) = 1], the defining property of a genuine
-    Paillier ciphertext.  Rejections bump the
-    [paillier.invalid_ciphertext] counter.
+    Paillier ciphertext.  The key holder tests it as [p ∤ c] and
+    [q ∤ c], two small divisions instead of Euclid over [n]; that is
+    [gcd(c, n) = 1] only because [p] and [q] are prime, which
+    {!of_primes} leaves to its caller and {!private_key_of_string}
+    checks.  Rejections bump the [paillier.invalid_ciphertext]
+    counter.
     @raise Invalid_ciphertext on [0], out-of-range values or
     non-units. *)
 

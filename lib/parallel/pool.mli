@@ -12,7 +12,8 @@
 
     A pool of size 1 spawns no domains and runs everything in the
     calling thread — the default for tests and the safe fallback
-    everywhere. *)
+    everywhere.  {!background} tasks run apart from any pool, on one
+    process-wide Domain of their own. *)
 
 type t
 
@@ -43,14 +44,18 @@ val shutdown : t -> unit
 
 (** {1 Background tasks}
 
-    One detached task on a dedicated Domain, for offline work (e.g.
-    randomness-pool production) that overlaps the caller's online phase
-    instead of competing for the pool's work queue. *)
+    Detached tasks for offline work (e.g. randomness-pool production)
+    that overlaps the caller's online phase instead of competing for a
+    pool's work queue.  All of them run on one process-wide Domain,
+    spawned by the first {!background} and kept until the process
+    exits, one task at a time in submission order.  A task must
+    therefore never wait on a task submitted after it. *)
 
 type 'a background
 
 val background : (unit -> 'a) -> 'a background
-(** Start [f] on a fresh Domain immediately. *)
+(** Queue [f] on the background Domain and return at once. *)
 
 val await : 'a background -> 'a
-(** Join the task; re-raises (with backtrace) if it raised. *)
+(** Block until the task has run; re-raises (with backtrace) if it
+    raised.  A task that raised does not stop the tasks after it. *)

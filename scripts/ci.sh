@@ -1,6 +1,7 @@
 #!/bin/sh
-# CI entry point: full build, the complete test suite, and a sub-second
-# smoke bench that (a) runs one seeded wavefront-DTW session at pool
+# CI entry point: full build, the complete test suite, a sanitizer
+# build of the Montgomery kernel's tests, and a sub-second smoke bench
+# that (a) runs one seeded wavefront-DTW session at pool
 # sizes 1 and 4, cross-checks the plaintext distance and asserts the two
 # transcripts are identical (the lib/parallel determinism contract), and
 # (b) serves two concurrent TCP sessions through Server_loop with a
@@ -58,11 +59,33 @@
 # a complete catalog query — full results, zero incomplete candidates,
 # zero worker crashes — while the health probe reports status 3
 # (degraded: serving, crash-durability lost).
+#
+# The sanitizer step rebuilds test_bigint, test_paillier and test_golden
+# under the `sanitize` profile (the root dune file: C stubs compiled with
+# -fsanitize=address,undefined, no recovery) in its own build directory,
+# _build_sanitize, so the default build is left alone, and runs them.  It
+# catches an out-of-bounds access to the kernel's own scratch memory and
+# undefined behaviour in lib/bigint/mont_stubs.c.  ASan cannot see a read
+# past the end of an OCaml block; the stubs' width check covers that.
+# Leak detection is off: the OCaml runtime does not free its heap at exit.
 set -eu
 cd "$(dirname "$0")/.."
 
 dune build @all
 dune runtest
+
+dune build --profile sanitize --build-dir _build_sanitize \
+  ./test/test_bigint.exe ./test/test_paillier.exe ./test/test_golden.exe
+# --verbose leaves test output uncaptured, so a sanitizer report reaches
+# stderr instead of an alcotest log file.
+for suite in test_bigint test_paillier test_golden; do
+  if ! ASAN_OPTIONS=detect_leaks=0 "./_build_sanitize/default/test/$suite.exe" \
+      --compact --verbose >/dev/null; then
+    echo "ci: sanitizer build FAILED in $suite" >&2
+    exit 1
+  fi
+done
+echo "ci: sanitizer build of the Montgomery kernel's tests OK"
 
 trace="$(mktemp /tmp/ppst_ci_trace.XXXXXX.jsonl)"
 trace2=""

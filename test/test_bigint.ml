@@ -39,13 +39,16 @@ let qtest2 name ?(count = 500) g1 g2 prop =
        (QCheck2.Gen.pair g1 g2)
        (fun (x, y) -> prop x y))
 
-let qtest3 name ?(count = 300) g1 g2 g3 prop =
+let qtest_triples name ?(count = 300) gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count
        ~print:(fun (a, b, c) ->
          Printf.sprintf "(%s, %s, %s)" (print_bi a) (print_bi b) (print_bi c))
-       (QCheck2.Gen.triple g1 g2 g3)
+       gen
        (fun (x, y, z) -> prop x y z))
+
+let qtest3 name ?count g1 g2 g3 prop =
+  qtest_triples name ?count (QCheck2.Gen.triple g1 g2 g3) prop
 
 (* --- unit tests: conversions ------------------------------------------ *)
 
@@ -286,18 +289,52 @@ let test_powmod_edge_cases () =
   Alcotest.check eq_bi "x^1 = x" (bi "12345") (Modular.pow_mod (bi "12345") Bigint.one m);
   Alcotest.check eq_bi "mod 1 = 0" Bigint.zero (Modular.pow_mod (bi "5") (bi "5") Bigint.one)
 
-let prop_montgomery_vs_naive =
-  (* Montgomery exponentiation agrees with multiply-and-reduce. *)
-  let gen_odd =
-    QCheck2.Gen.map
-      (fun v ->
-        let v = Bigint.abs v in
-        let v = if Bigint.is_even v then Bigint.succ v else v in
-        if Bigint.compare v (Bigint.of_int 3) < 0 then Bigint.of_int 3 else v)
-      gen_bigint
+let gen_odd =
+  QCheck2.Gen.map
+    (fun v ->
+      let v = Bigint.abs v in
+      let v = if Bigint.is_even v then Bigint.succ v else v in
+      if Bigint.compare v (Bigint.of_int 3) < 0 then Bigint.of_int 3 else v)
+    gen_bigint
+
+(* (base, exponent, odd modulus) at the Montgomery kernel's edges:
+   moduli of 1 to 70 64-bit limbs (top limb partly or wholly used, or
+   all ones), bases 0, 1, n - 1, R mod n with R = 2^(64w) and unreduced
+   ones, exponents 0, 1 and all-ones. *)
+let gen_kernel_case =
+  let open QCheck2.Gen in
+  let* limbs = int_range 1 70 in
+  let* top_bits = int_range 1 64 in
+  let* all_ones_modulus = bool in
+  let* seed = int in
+  let rng = Splitmix.create seed in
+  let bits = (64 * (limbs - 1)) + top_bits in
+  let m =
+    if all_ones_modulus then Bigint.pred (Bigint.shift_left Bigint.one bits)
+    else
+      let top = Bigint.shift_left Bigint.one (bits - 1) in
+      let v = Bigint.add top (Splitmix.bits rng (bits - 1)) in
+      if Bigint.is_even v then Bigint.succ v else v
   in
-  qtest3 "montgomery = naive powmod" ~count:200 arb_positive arb_positive
-    gen_odd
+  let r_mod = Bigint.erem (Bigint.shift_left Bigint.one (64 * limbs)) m in
+  let* b =
+    oneofl
+      [ Bigint.zero; Bigint.one; Bigint.pred m; r_mod; Splitmix.bits rng bits;
+        Splitmix.bits rng (2 * bits) ]
+  in
+  let* ones = int_range 1 130 in
+  let+ e =
+    oneofl
+      [ Bigint.zero; Bigint.one; Bigint.pred (Bigint.shift_left Bigint.one ones);
+        Splitmix.bits rng 130 ]
+  in
+  (b, e, m)
+
+let prop_montgomery_vs_naive =
+  (* Montgomery exponentiation agrees with multiply-and-reduce, and so do
+     one in-form product and the to_mont/of_mont round trip. *)
+  qtest_triples "montgomery = naive powmod" ~count:200
+    QCheck2.Gen.(oneof [ triple arb_positive arb_positive gen_odd; gen_kernel_case ])
     (fun b e m ->
       let naive =
         let b = ref (Bigint.erem b m) and acc = ref (Bigint.erem Bigint.one m) in
@@ -307,7 +344,13 @@ let prop_montgomery_vs_naive =
         done;
         !acc
       in
-      Bigint.equal naive (Modular.pow_mod b e m))
+      let ctx = Modular.make_ctx m in
+      let x = Bigint.erem b m and y = Bigint.erem e m in
+      let mx = Modular.to_mont_ctx ctx x and my = Modular.to_mont_ctx ctx y in
+      let product = Montgomery.mont_mul_raw (Modular.mont_of_ctx ctx) mx my in
+      Bigint.equal naive (Modular.pow_mod b e m)
+      && Bigint.equal x (Modular.of_mont_ctx ctx mx)
+      && Bigint.equal (Bigint.erem (Bigint.mul x y) m) (Modular.of_mont_ctx ctx product))
 
 let prop_fermat =
   (* Fermat's little theorem with a fixed large prime *)
@@ -359,7 +402,45 @@ let test_modular_ctx () =
     (Modular.mul_ctx ctx (bi "111111111111") (bi "222222222222"));
   Alcotest.check_raises "even modulus rejected"
     (Invalid_argument "Modular.make_ctx: even modulus") (fun () ->
-      ignore (Modular.make_ctx (Bigint.of_int 16)))
+      ignore (Modular.make_ctx (Bigint.of_int 16)));
+  (* a value in Montgomery form is refused by a context of another width *)
+  let wide = Modular.make_ctx (bi "0xf0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f1") in
+  let x = Modular.to_mont_ctx wide (bi "12345") in
+  let mismatch = Invalid_argument "Montgomery: operand width does not match its context" in
+  let mont = Modular.mont_of_ctx ctx in
+  Alcotest.check_raises "mont_mul_raw" mismatch (fun () ->
+      ignore (Montgomery.mont_mul_raw mont x (Montgomery.one_raw mont)));
+  Alcotest.check_raises "pow_raw" mismatch (fun () ->
+      ignore (Montgomery.pow_raw mont x (Bigint.magnitude (bi "3"))));
+  Alcotest.check_raises "of_mont" mismatch (fun () -> ignore (Modular.of_mont_ctx ctx x))
+
+(* The kernel keeps no global state: two Domains exponentiating under one
+   shared context agree with one Domain doing all the work. *)
+let test_montgomery_shared_across_domains () =
+  let rng = Splitmix.create 2048 in
+  let m = Bigint.succ (Bigint.shift_left (Splitmix.bits rng 1022) 1) in
+  let ctx = Modular.make_ctx m in
+  let mont = Modular.mont_of_ctx ctx in
+  let inputs = Array.init 24 (fun _ -> (Splitmix.bits rng 1023, Splitmix.bits rng 160)) in
+  let run () =
+    Array.map
+      (fun (b, e) ->
+        let x = Modular.to_mont_ctx ctx b in
+        Modular.of_mont_ctx ctx
+          (Montgomery.mont_mul_raw mont x (Montgomery.pow_raw mont x (Bigint.magnitude e))))
+      inputs
+  in
+  let alone = run () in
+  let other = Domain.spawn run in
+  let here = run () in
+  let there = Domain.join other in
+  Array.iteri
+    (fun i (b, e) ->
+      let expected = Modular.pow_mod b (Bigint.succ e) m in
+      Alcotest.check eq_bi "one domain" expected alone.(i);
+      Alcotest.check eq_bi "shared, this domain" expected here.(i);
+      Alcotest.check eq_bi "shared, other domain" expected there.(i))
+    inputs
 
 (* Differential: the windowed Montgomery ladder against the naive
    fallback on every degenerate shape — zero exponent, modulus one, base
@@ -389,16 +470,8 @@ let test_powmod_degenerate_differential () =
 
 let prop_powmod_vs_naive_wide =
   (* wide inputs through the windowed path, odd modulus *)
-  let gen_odd =
-    QCheck2.Gen.map
-      (fun v ->
-        let v = Bigint.abs v in
-        let v = if Bigint.is_even v then Bigint.succ v else v in
-        if Bigint.compare v (Bigint.of_int 3) < 0 then Bigint.of_int 3 else v)
-      gen_bigint
-  in
-  qtest3 "windowed = naive powmod (wide)" ~count:100 arb_positive arb_positive
-    gen_odd
+  qtest_triples "windowed = naive powmod (wide)" ~count:100
+    QCheck2.Gen.(oneof [ triple arb_positive arb_positive gen_odd; gen_kernel_case ])
     (fun b e m -> Bigint.equal (Modular.pow_mod_naive b e m) (Modular.pow_mod b e m))
 
 let prop_powmod_even_vs_reference =
@@ -707,6 +780,8 @@ let () =
           Alcotest.test_case "gcd/lcm" `Quick test_gcd_lcm;
           Alcotest.test_case "invert" `Quick test_invert;
           Alcotest.test_case "montgomery context" `Quick test_modular_ctx;
+          Alcotest.test_case "montgomery context shared by two domains" `Quick
+            test_montgomery_shared_across_domains;
           Alcotest.test_case "powmod degenerate differential" `Quick
             test_powmod_degenerate_differential;
           prop_montgomery_vs_naive;

@@ -520,6 +520,47 @@ let test_pack_ciphertexts () =
     (fun i v -> Alcotest.check eq_bi (Printf.sprintf "slot %d" i) v slots.(i))
     values
 
+(* --- ciphertext validation ----------------------------------------------- *)
+
+(* The key holder tests units with p and q; it must accept exactly the
+   values Euclid calls coprime to n, including the multiples of one prime
+   that random draws never reach. *)
+let validator_accepts v =
+  match Paillier.validate_ciphertext sk v with
+  | _ -> true
+  | exception Paillier.Invalid_ciphertext _ -> false
+
+let is_unit v = Bigint.equal (Modular.gcd v pk.Paillier.n) Bigint.one
+
+let test_validate_fixed () =
+  let p = sk.Paillier.p and q = sk.Paillier.q and n = pk.Paillier.n in
+  let k = Bigint.of_int 7919 in
+  List.iter
+    (fun (name, v) -> Alcotest.(check bool) name (is_unit v) (validator_accepts v))
+    [
+      ("0", Bigint.zero); ("1", Bigint.one); ("p", p); ("q", q);
+      ("k*p", Bigint.mul k p); ("k*q", Bigint.mul k q); ("n", n);
+      ("n + 1", Bigint.succ n); ("n^2 - 1", Bigint.pred pk.Paillier.n_squared);
+    ]
+
+let prop_validate_is_gcd =
+  let n2 = pk.Paillier.n_squared in
+  let residue =
+    QCheck2.Gen.map
+      (fun s -> Bigint.erem (Bigint.of_string s) n2)
+      QCheck2.Gen.(string_size ~gen:(char_range '0' '9') (int_range 1 45))
+  in
+  qtest "validate_ciphertext = (gcd(v, n) = 1)"
+    QCheck2.Gen.(
+      oneof
+        [
+          residue;
+          map (fun k -> Bigint.erem (Bigint.mul k sk.Paillier.p) n2) residue;
+          map (fun k -> Bigint.erem (Bigint.mul k sk.Paillier.q) n2) residue;
+        ])
+    ~print:Bigint.to_string
+    (fun v -> Bool.equal (is_unit v) (validator_accepts v))
+
 let () =
   Alcotest.run "paillier"
     [
@@ -587,5 +628,7 @@ let () =
           Alcotest.test_case "ciphertext byte size" `Quick test_ciphertext_bytes;
           Alcotest.test_case "private key round-trip" `Quick test_key_serialization;
           Alcotest.test_case "key parse failures" `Quick test_key_parse_failures;
+          Alcotest.test_case "validator = gcd unit test" `Quick test_validate_fixed;
+          prop_validate_is_gcd;
         ] );
     ]

@@ -85,6 +85,29 @@ let test_shutdown_idempotent () =
   Pool.shutdown pool;
   Pool.shutdown pool
 
+(* Background tasks share one Domain: the earlier tasks are the slower
+   ones, so tasks running side by side would log out of order.  A task
+   that raises re-raises at its own await, and the next task still
+   runs. *)
+let test_background_in_order () =
+  let lock = Mutex.create () in
+  let log = ref [] in
+  let task i () =
+    Unix.sleepf (0.002 *. float_of_int (8 - i));
+    Mutex.lock lock;
+    log := i :: !log;
+    Mutex.unlock lock;
+    i
+  in
+  let first = List.init 8 (fun i -> Pool.background (task i)) in
+  let failing = Pool.background (fun () -> raise (Boom 8)) in
+  let last = Pool.background (task 9) in
+  List.iteri (fun i t -> Alcotest.(check int) "result" i (Pool.await t)) first;
+  Alcotest.check_raises "re-raised at await" (Boom 8) (fun () -> Pool.await failing);
+  Alcotest.(check int) "task after the failure" 9 (Pool.await last);
+  Alcotest.(check (list int)) "submission order" [ 0; 1; 2; 3; 4; 5; 6; 7; 9 ]
+    (List.rev !log)
+
 let test_create_rejects_zero () =
   Alcotest.check_raises "create 0"
     (Invalid_argument "Pool.create: size must be >= 1") (fun () ->
@@ -250,6 +273,8 @@ let () =
           Alcotest.test_case "shutdown idempotent" `Quick
             test_shutdown_idempotent;
           Alcotest.test_case "create 0 rejected" `Quick test_create_rejects_zero;
+          Alcotest.test_case "background tasks in submission order" `Quick
+            test_background_in_order;
         ] );
       ( "determinism",
         [
