@@ -1,7 +1,8 @@
 (* Modular arithmetic on Bigint values: exponentiation, inverses, GCD.
    Exponentiation dispatches to Montgomery for odd moduli (the only case
    Paillier needs) and falls back to divide-based square-and-multiply for
-   even moduli so the API stays total. *)
+   even moduli so it stays total.  GCD and inverses run in the C kernel;
+   the inverse takes odd moduli only. *)
 
 exception Not_invertible
 
@@ -23,19 +24,21 @@ let mul a b m =
   check_modulus m;
   Bigint.erem (Bigint.mul a b) m
 
-(* Euclid on Nat division.  It runs at key generation and once per
-   encryption nonce a party holding only the public key draws
-   (Paillier.random_unit); the key holder tests units against p and q
-   instead, which costs two small divisions. *)
-let rec gcd a b =
-  let a = Bigint.abs a and b = Bigint.abs b in
-  if Bigint.is_zero b then a else gcd b (Bigint.rem a b)
+external gcd_nat : Nat.t -> Nat.t -> Nat.t = "ppst_mont_gcd"
+external invert_nat : Nat.t -> Nat.t -> Nat.t = "ppst_mont_invert"
+
+(* Binary GCD over 64-bit limbs in C (mont_stubs.c).  It runs at key
+   generation and once per encryption nonce a party holding only the
+   public key draws (Paillier.random_unit); the key holder tests units
+   against p and q instead, which costs two small divisions. *)
+let gcd a b = Bigint.of_nat (gcd_nat (Bigint.magnitude a) (Bigint.magnitude b))
 
 let lcm a b =
   if Bigint.is_zero a || Bigint.is_zero b then Bigint.zero
   else Bigint.abs (Bigint.div (Bigint.mul a b) (gcd a b))
 
-(* Extended Euclid: returns (g, u, v) with u*a + v*b = g = gcd(a, b). *)
+(* Extended Euclid: returns (g, u, v) with u*a + v*b = g = gcd(a, b).
+   The reference the tests hold the C inverse to. *)
 let egcd a b =
   let rec go r0 r1 s0 s1 t0 t1 =
     if Bigint.is_zero r1 then (r0, s0, t0)
@@ -46,12 +49,17 @@ let egcd a b =
   in
   go a b Bigint.one Bigint.zero Bigint.zero Bigint.one
 
+(* Binary extended Euclid in C, which refuses an even modulus: every
+   caller inverts modulo n, p, q, q^2 or n^2.  The C returns 0 for a
+   non-unit, which no unit's inverse is once m > 1. *)
 let invert a m =
   check_modulus m;
-  let a = reduce a m in
-  let g, u, _ = egcd a m in
-  if not (Bigint.equal g Bigint.one) then raise Not_invertible;
-  reduce u m
+  if Bigint.equal m Bigint.one then Bigint.zero
+  else begin
+    let inv = invert_nat (Bigint.magnitude (reduce a m)) (Bigint.magnitude m) in
+    if Nat.is_zero inv then raise Not_invertible;
+    Bigint.of_nat inv
+  end
 
 (* Naive square-and-multiply with full division at each step.  Only used
    for even moduli; all cryptographic moduli here are odd. *)

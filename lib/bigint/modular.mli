@@ -14,14 +14,20 @@ val mul : Bigint.t -> Bigint.t -> Bigint.t -> Bigint.t
 (** [add a b m], [sub a b m], [mul a b m] — all reduced into [\[0, m)]. *)
 
 val gcd : Bigint.t -> Bigint.t -> Bigint.t
+(** Non-negative GCD of the magnitudes ([gcd 0 0 = 0]), by binary GCD
+    in C; variable-time. *)
+
 val lcm : Bigint.t -> Bigint.t -> Bigint.t
 
 val egcd : Bigint.t -> Bigint.t -> Bigint.t * Bigint.t * Bigint.t
-(** [egcd a b = (g, u, v)] with [u*a + v*b = g = gcd a b]. *)
+(** [egcd a b = (g, u, v)] with [u*a + v*b = g = gcd a b]: extended
+    Euclid in OCaml, the tests' reference for {!invert}. *)
 
 val invert : Bigint.t -> Bigint.t -> Bigint.t
-(** Modular inverse in [\[0, m)].
-    @raise Not_invertible when [gcd a m <> 1]. *)
+(** Modular inverse in [\[0, m)] for an odd modulus [m] (binary
+    extended Euclid in C, variable-time); [invert a 1 = 0].
+    @raise Not_invertible when [gcd a m <> 1].
+    @raise Invalid_argument on an even or non-positive modulus. *)
 
 val pow_mod : ?ctx:Montgomery.ctx -> Bigint.t -> Bigint.t -> Bigint.t -> Bigint.t
 (** [pow_mod b e m] = [b^e mod m], [e >= 0].  Uses Montgomery

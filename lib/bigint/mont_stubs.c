@@ -1,4 +1,5 @@
-/* Montgomery multiplication and exponentiation over 64-bit limbs.
+/* Montgomery multiplication, squaring and exponentiation over 64-bit
+ * limbs, and the binary GCD and inverse of modular.ml.
  *
  * montgomery.ml holds a Montgomery-form value as a Bytes.t of exactly w
  * native-endian 64-bit limbs, little-endian in limb order, holding a
@@ -6,18 +7,20 @@
  * the odd modulus n, then n' = -n^-1 mod 2^64.  R = 2^(64w).
  *
  * Products are CIOS (Koc, Acar and Kaliski 1996) with unsigned __int128
- * accumulators; exponentiation is a width-4 sliding window.  The stubs
- * keep no global state: a call writes only its own result block and the
- * heap scratch it frees before returning, so any number of Domains may
- * share one context.
+ * accumulators.  From SQR_MIN_LIMBS limbs up a square computes its cross
+ * products once and reduces separately; exponentiation is a width-4
+ * sliding window over those squares.  GCD (Stein) and the inverse modulo
+ * an odd m run on the same limbs.  The stubs keep no global state: a
+ * call writes only its own result block and the heap scratch it frees
+ * before returning, so any number of Domains may share one context.
  *
  * Every operand's byte length is checked against its context's width.
  * Two contexts are one OCaml type, and a read past the end of an OCaml
  * block is invisible to AddressSanitizer, so this check is what stops a
  * value built under one modulus from being read under a wider one.
  *
- * Not constant-time: the final subtraction and the window lookups depend
- * on the operands (SECURITY.md).
+ * Not constant-time: the final subtraction, the window lookups and every
+ * step of the GCD and the inverse depend on the operands (SECURITY.md).
  */
 
 #include <caml/mlvalues.h>
@@ -36,6 +39,14 @@ typedef unsigned __int128 dlimb;
 #define NAT_BITS 31 /* Nat.base_bits: an OCaml Nat.t holds 31-bit limbs */
 #define WINDOW 4
 #define TABLE (1 << (WINDOW - 1)) /* odd powers x, x^3, ..., x^15 */
+
+/* Narrowest modulus, in limbs, whose squares take mont_sqr.  Timed
+ * standalone (gcc -O2, one x86-64 core, best of 201 interleaved runs),
+ * product time / square time was 0.81, 0.89, 0.95, 0.98, 1.11 and 1.21
+ * at 1, 2, 4, 8, 16 and 32 limbs: below 16 limbs the separate reduction
+ * costs more than the halved cross products save.  Paillier's n^2
+ * reaches 16 limbs at a 512-bit key, p^2 at a 1024-bit key. */
+#define SQR_MIN_LIMBS 16
 
 static mlsize_t kernel_width(value vk)
 {
@@ -97,6 +108,112 @@ static void sub_in_place(limb *a, const limb *b, mlsize_t w)
   }
 }
 
+/* Length of x ignoring zero top limbs. */
+static mlsize_t top_len(const limb *x, mlsize_t len)
+{
+  while (len > 0 && x[len - 1] == 0) len--;
+  return len;
+}
+
+/* Sign of a - b for values of alen and blen significant limbs. */
+static int cmp_len(const limb *a, mlsize_t alen, const limb *b, mlsize_t blen)
+{
+  mlsize_t i;
+  if (alen != blen) return alen > blen ? 1 : -1;
+  for (i = alen; i-- > 0;)
+    if (a[i] != b[i]) return a[i] > b[i] ? 1 : -1;
+  return 0;
+}
+
+/* a -= b for a >= b, a of alen limbs and b of blen <= alen limbs. */
+static void sub_len(limb *a, mlsize_t alen, const limb *b, mlsize_t blen)
+{
+  mlsize_t i;
+  limb borrow = 0;
+  for (i = 0; i < alen && (i < blen || borrow); i++) {
+    dlimb d = (dlimb) a[i] - (i < blen ? b[i] : 0) - borrow;
+    a[i] = (limb) d;
+    borrow = (limb) (d >> 64) & 1;
+  }
+}
+
+/* Trailing zero bits of a nonzero x. */
+static uintnat ctz_limbs(const limb *x)
+{
+  mlsize_t i = 0;
+  while (x[i] == 0) i++;
+  return 64 * i + __builtin_ctzll(x[i]);
+}
+
+/* x >>= s over len limbs. */
+static void shr_in_place(limb *x, mlsize_t len, uintnat s)
+{
+  mlsize_t k = s / 64, i;
+  unsigned off = s % 64;
+  if (k >= len) {
+    memset(x, 0, len * LIMB_BYTES);
+    return;
+  }
+  if (off == 0) {
+    for (i = 0; i + k < len; i++) x[i] = x[i + k];
+  } else {
+    for (i = 0; i + k + 1 < len; i++)
+      x[i] = (x[i + k] >> off) | (x[i + k + 1] << (64 - off));
+    x[i] = x[i + k] >> off;
+    i++;
+  }
+  for (; i < len; i++) x[i] = 0;
+}
+
+/* x <<= s over len limbs; the caller knows the result fits. */
+static void shl_in_place(limb *x, mlsize_t len, uintnat s)
+{
+  mlsize_t k = s / 64, i;
+  unsigned off = s % 64;
+  for (i = len; i-- > k;) {
+    limb v = x[i - k] << off;
+    if (off != 0 && i > k) v |= x[i - k - 1] >> (64 - off);
+    x[i] = v;
+  }
+  for (i = 0; i < k && i < len; i++) x[i] = 0;
+}
+
+/* Nat.t limbs (31 bits each, no zero top limb) of the w-limb value x. */
+static mlsize_t nat_len(const limb *x, mlsize_t w)
+{
+  mlsize_t top = top_len(x, w);
+  uintnat bits;
+  limb high;
+  if (top == 0) return 0;
+  bits = 64 * (top - 1);
+  for (high = x[top - 1]; high != 0; high >>= 1) bits++;
+  return (bits + NAT_BITS - 1) / NAT_BITS;
+}
+
+/* Fill the fresh Nat.t block vr of nat_len(x, w) fields from x. */
+static void fill_nat(value vr, const limb *x, mlsize_t w)
+{
+  mlsize_t i, len = Wosize_val(vr);
+  for (i = 0; i < len; i++) {
+    uintnat bit = (uintnat) NAT_BITS * i, k = bit / 64, off = bit % 64;
+    limb v = x[k] >> off;
+    if (off > 64 - NAT_BITS && k + 1 < w) v |= x[k + 1] << (64 - off);
+    Store_field(vr, i, Val_long(v & (((limb) 1 << NAT_BITS) - 1)));
+  }
+}
+
+/* The Nat.t of a w-limb value outside the OCaml heap. */
+static value nat_of_scratch(const limb *x, mlsize_t w)
+{
+  CAMLparam0();
+  CAMLlocal1(vr);
+  mlsize_t len = nat_len(x, w);
+  if (len == 0) CAMLreturn(Atom(0));
+  vr = caml_alloc(len, 0);
+  fill_nat(vr, x, w);
+  CAMLreturn(vr);
+}
+
 /* r = a b R^-1 mod n for a < R and b < n, so the result lies in [0, n).
  * r is CIOS's running sum t[0 .. w-1]; t[w] and t[w+1] live in
  * registers.  r must not overlap a or b. */
@@ -130,6 +247,73 @@ static void mont_mul(limb *r, const limb *a, const limb *b, const limb *n,
   }
   /* t < 2n: one conditional subtraction makes it canonical */
   if (t_w != 0 || geq(r, n, w)) sub_in_place(r, n, w);
+}
+
+/* t[0 .. len) += m x[0 .. len), returning the carry out.  Unrolled by
+ * two and inlined: the square's rows are short and vary in length, and
+ * as a call this loop made the square slower than the product. */
+static inline __attribute__((always_inline)) limb
+add_mul_row(limb *restrict t, const limb *restrict x, mlsize_t len, limb m)
+{
+  mlsize_t j;
+  dlimb c = 0;
+  for (j = 0; j + 1 < len; j += 2) {
+    c = (dlimb) m * x[j] + t[j] + (limb) (c >> 64);
+    t[j] = (limb) c;
+    c = (dlimb) m * x[j + 1] + t[j + 1] + (limb) (c >> 64);
+    t[j + 1] = (limb) c;
+  }
+  if (j < len) {
+    c = (dlimb) m * x[j] + t[j] + (limb) (c >> 64);
+    t[j] = (limb) c;
+  }
+  return (limb) (c >> 64);
+}
+
+/* r = a^2 R^-1 mod n for a < n, through the 2w-limb scratch t: the
+ * cross products a_i a_j (i < j) once, doubled, plus the diagonal, then
+ * a separate reduction.  t must not overlap r or a. */
+static void mont_sqr(limb *r, const limb *a, const limb *n, limb ninv,
+                     mlsize_t w, limb *t)
+{
+  mlsize_t i;
+  limb top = 0;
+  dlimb c = 0;
+  memset(t, 0, 2 * w * LIMB_BYTES);
+  for (i = 0; i + 1 < w; i++)
+    t[i + w] = add_mul_row(t + 2 * i + 1, a + i + 1, w - i - 1, a[i]);
+  /* the doubled cross sum is below a^2 < 2^(128w): no bit shifts out */
+  for (i = 0; i < 2 * w; i++) {
+    limb v = t[i];
+    t[i] = (v << 1) | top;
+    top = v >> 63;
+  }
+  for (i = 0; i < w; i++) {
+    dlimb d = (dlimb) a[i] * a[i];
+    c = (dlimb) t[2 * i] + (limb) d + (limb) (c >> 64);
+    t[2 * i] = (limb) c;
+    c = (dlimb) t[2 * i + 1] + (limb) (d >> 64) + (limb) (c >> 64);
+    t[2 * i + 1] = (limb) c;
+  }
+  /* add m_i n 2^(64i) to clear limb i; [top] carries into limb i + w + 1 */
+  top = 0;
+  for (i = 0; i < w; i++) {
+    c = (dlimb) t[i + w] + add_mul_row(t + i, n, w, t[i] * ninv) + top;
+    t[i + w] = (limb) c;
+    top = (limb) (c >> 64);
+  }
+  /* (a^2 + M n) / R < 2n */
+  memcpy(r, t + w, w * LIMB_BYTES);
+  if (top != 0 || geq(r, n, w)) sub_in_place(r, n, w);
+}
+
+/* r = a^2 R^-1 mod n by mont_sqr from SQR_MIN_LIMBS limbs up, else by
+ * mont_mul; t is mont_sqr's scratch.  r must not overlap a. */
+static void mont_square(limb *r, const limb *a, const limb *n, limb ninv,
+                        mlsize_t w, limb *t)
+{
+  if (w >= SQR_MIN_LIMBS) mont_sqr(r, a, n, ninv, w, t);
+  else mont_mul(r, a, a, n, ninv, w);
 }
 
 /* The kernel of an odd modulus: its limbs, then -n^-1 mod 2^64. */
@@ -168,38 +352,38 @@ CAMLprim value ppst_mont_nat_of_limbs(value vx)
 {
   CAMLparam1(vx);
   CAMLlocal1(vr);
-  mlsize_t w = caml_string_length(vx) / LIMB_BYTES, top = w, len, i;
-  const limb *x = (const limb *) Bytes_val(vx);
-  uintnat bits;
-  limb high;
-  while (top > 0 && x[top - 1] == 0) top--;
-  if (top == 0) CAMLreturn(Atom(0));
-  bits = 64 * (top - 1);
-  for (high = x[top - 1]; high != 0; high >>= 1) bits++;
-  len = (bits + NAT_BITS - 1) / NAT_BITS;
+  mlsize_t w = caml_string_length(vx) / LIMB_BYTES;
+  mlsize_t len = nat_len((const limb *) Bytes_val(vx), w);
+  if (len == 0) CAMLreturn(Atom(0));
   vr = caml_alloc(len, 0);
-  x = (const limb *) Bytes_val(vx); /* the allocation may have moved vx */
-  for (i = 0; i < len; i++) {
-    uintnat bit = (uintnat) NAT_BITS * i, k = bit / 64, off = bit % 64;
-    limb v = x[k] >> off;
-    if (off > 64 - NAT_BITS && k + 1 < w) v |= x[k + 1] << (64 - off);
-    Store_field(vr, i, Val_long(v & (((limb) 1 << NAT_BITS) - 1)));
-  }
+  /* the allocation may have moved vx */
+  fill_nat(vr, (const limb *) Bytes_val(vx), w);
   CAMLreturn(vr);
 }
 
+/* One block passed as both operands is squared. */
 CAMLprim value ppst_mont_mul(value vk, value va, value vb)
 {
   CAMLparam3(vk, va, vb);
   CAMLlocal1(vr);
   mlsize_t w = kernel_width(vk);
   const limb *n;
+  limb *t = NULL;
   check_width(va, w);
   check_width(vb, w);
   vr = caml_alloc_string(w * LIMB_BYTES);
+  if (va == vb && w >= SQR_MIN_LIMBS) {
+    t = malloc(2 * w * LIMB_BYTES);
+    if (t == NULL) caml_raise_out_of_memory();
+  }
   n = (const limb *) Bytes_val(vk);
-  mont_mul((limb *) Bytes_val(vr), (const limb *) Bytes_val(va),
-           (const limb *) Bytes_val(vb), n, n[w], w);
+  if (t != NULL) {
+    mont_sqr((limb *) Bytes_val(vr), (const limb *) Bytes_val(va), n, n[w], w, t);
+    free(t);
+  } else {
+    mont_mul((limb *) Bytes_val(vr), (const limb *) Bytes_val(va),
+             (const limb *) Bytes_val(vb), n, n[w], w);
+  }
   CAMLreturn(vr);
 }
 
@@ -213,7 +397,7 @@ CAMLprim value ppst_mont_pow(value vk, value vone, value vx, value ve)
   mlsize_t w = kernel_width(vk);
   uintnat nbits = nat_bits(ve);
   const limb *n, *x, *odd[TABLE];
-  limb *scratch, *acc, *tmp, *swap, ninv;
+  limb *scratch, *acc, *tmp, *sq, *swap, ninv;
   long i, j, b;
   int k;
   check_width(vone, w);
@@ -223,29 +407,36 @@ CAMLprim value ppst_mont_pow(value vk, value vone, value vx, value ve)
     memcpy(Bytes_val(vr), Bytes_val(vone), w * LIMB_BYTES);
     CAMLreturn(vr);
   }
-  /* TABLE - 1 odd powers, x^2, and two accumulators */
-  scratch = malloc((TABLE + 2) * w * LIMB_BYTES);
+  /* TABLE - 1 odd powers, x^2, two accumulators and the square's 2w */
+  scratch = malloc((TABLE + 4) * w * LIMB_BYTES);
   if (scratch == NULL) caml_raise_out_of_memory();
   n = (const limb *) Bytes_val(vk);
   ninv = n[w];
   x = (const limb *) Bytes_val(vx);
   acc = scratch + TABLE * w;
   tmp = acc + w;
+  sq = tmp + w;
 /* acc = acc * y, through the spare buffer tmp */
 #define ACC_TIMES(y)                            \
   do {                                          \
     mont_mul(tmp, acc, (y), n, ninv, w);        \
     swap = acc; acc = tmp; tmp = swap;          \
   } while (0)
+/* acc = acc^2, the same way */
+#define ACC_SQUARE()                            \
+  do {                                          \
+    mont_square(tmp, acc, n, ninv, w, sq);      \
+    swap = acc; acc = tmp; tmp = swap;          \
+  } while (0)
   if (nbits <= WINDOW) {
     memcpy(acc, x, w * LIMB_BYTES);
     for (i = (long) nbits - 2; i >= 0; i--) {
-      ACC_TIMES(acc);
+      ACC_SQUARE();
       if (nat_bit(ve, i)) ACC_TIMES(x);
     }
   } else {
     limb *x2 = scratch + (TABLE - 1) * w;
-    mont_mul(x2, x, x, n, ninv, w);
+    mont_square(x2, x, n, ninv, w, sq);
     odd[0] = x;
     for (k = 1; k < TABLE; k++) {
       limb *entry = scratch + (k - 1) * w;
@@ -258,7 +449,7 @@ CAMLprim value ppst_mont_pow(value vk, value vone, value vx, value ve)
     i = (long) nbits - 1;
     while (i >= 0) {
       if (!nat_bit(ve, i)) {
-        ACC_TIMES(acc);
+        ACC_SQUARE();
         i--;
         continue;
       }
@@ -269,14 +460,177 @@ CAMLprim value ppst_mont_pow(value vk, value vone, value vx, value ve)
       if (i == (long) nbits - 1) {
         memcpy(acc, odd[k >> 1], w * LIMB_BYTES);
       } else {
-        for (b = i; b >= j; b--) ACC_TIMES(acc);
+        for (b = i; b >= j; b--) ACC_SQUARE();
         ACC_TIMES(odd[k >> 1]);
       }
       i = j - 1;
     }
   }
+#undef ACC_SQUARE
 #undef ACC_TIMES
   memcpy(Bytes_val(vr), acc, w * LIMB_BYTES);
+  free(scratch);
+  CAMLreturn(vr);
+}
+
+/* gcd of two odd single limbs. */
+static limb gcd_odd_limb(limb a, limb b)
+{
+  while (a != b) {
+    if (a > b) {
+      a -= b;
+      a >>= __builtin_ctzll(a);
+    } else {
+      b -= a;
+      b >>= __builtin_ctzll(b);
+    }
+  }
+  return a;
+}
+
+/* gcd(a, b) of two Nat.t values by Stein's binary algorithm: strip the
+ * common power of two, then subtract the smaller odd value from the
+ * larger and strip the difference's twos until it vanishes. */
+CAMLprim value ppst_mont_gcd(value va, value vb)
+{
+  CAMLparam2(va, vb);
+  CAMLlocal1(vr);
+  uintnat abits = nat_bits(va), bbits = nat_bits(vb), shift, za, zb;
+  mlsize_t w = ((abits > bbits ? abits : bbits) + 63) / 64, ul, vl, tl;
+  limb *scratch, *u, *v, *t;
+  if (abits == 0) CAMLreturn(vb);
+  if (bbits == 0) CAMLreturn(va);
+  scratch = malloc(2 * w * LIMB_BYTES);
+  if (scratch == NULL) caml_raise_out_of_memory();
+  u = scratch;
+  v = scratch + w;
+  pack_nat(u, w, va);
+  pack_nat(v, w, vb);
+  za = ctz_limbs(u);
+  zb = ctz_limbs(v);
+  shift = za < zb ? za : zb;
+  shr_in_place(u, w, za);
+  shr_in_place(v, w, zb);
+  ul = top_len(u, w);
+  vl = top_len(v, w);
+  /* u and v are odd; keep u <= v and replace v by (v - u) / 2^k */
+  for (;;) {
+    int c = cmp_len(u, ul, v, vl);
+    if (c == 0) break;
+    if (c > 0) {
+      t = u; u = v; v = t;
+      tl = ul; ul = vl; vl = tl;
+    }
+    if (vl == 1) {
+      u[0] = gcd_odd_limb(u[0], v[0]);
+      break;
+    }
+    sub_len(v, vl, u, ul);
+    shr_in_place(v, vl, ctz_limbs(v));
+    vl = top_len(v, vl);
+  }
+  /* g 2^shift divides both operands, so it fits in w limbs */
+  shl_in_place(u, w, shift);
+  vr = nat_of_scratch(u, w);
+  free(scratch);
+  CAMLreturn(vr);
+}
+
+/* x = x / 2 mod m for x in [0, m) and odd m of w limbs. */
+static void halve_mod(limb *x, const limb *m, mlsize_t w)
+{
+  mlsize_t i;
+  limb carry = 0;
+  if (x[0] & 1) {
+    dlimb c = 0;
+    for (i = 0; i < w; i++) {
+      c = (dlimb) x[i] + m[i] + (limb) (c >> 64);
+      x[i] = (limb) c;
+    }
+    carry = (limb) (c >> 64);
+  }
+  for (i = 0; i + 1 < w; i++) x[i] = (x[i] >> 1) | (x[i + 1] << 63);
+  x[w - 1] = (x[w - 1] >> 1) | (carry << 63);
+}
+
+/* x = x - y mod m for x, y in [0, m). */
+static void sub_mod(limb *x, const limb *y, const limb *m, mlsize_t w)
+{
+  mlsize_t i;
+  limb borrow = 0;
+  dlimb c = 0;
+  for (i = 0; i < w; i++) {
+    dlimb d = (dlimb) x[i] - y[i] - borrow;
+    x[i] = (limb) d;
+    borrow = (limb) (d >> 64) & 1;
+  }
+  if (borrow)
+    for (i = 0; i < w; i++) {
+      c = (dlimb) x[i] + m[i] + (limb) (c >> 64);
+      x[i] = (limb) c;
+    }
+}
+
+/* u = u / 2^k for the k trailing zeros of a nonzero u, and x = x / 2^k
+ * mod m alongside, so that x a = u mod m still holds. */
+static mlsize_t strip_twos(limb *u, mlsize_t ul, limb *x, const limb *m, mlsize_t w)
+{
+  uintnat k = ctz_limbs(u), i;
+  shr_in_place(u, ul, k);
+  for (i = 0; i < k; i++) halve_mod(x, m, w);
+  return top_len(u, ul);
+}
+
+/* a^-1 mod m for odd m > 1 and a < 2^(64w), w the limbs of m, by the
+ * binary extended Euclid: x1 a = u and x2 a = v (mod m) hold throughout,
+ * u and v odd after each strip, and the larger loses the smaller until
+ * they meet at gcd(a, m).  Returns the zero Nat.t when a is not a unit:
+ * no unit's inverse is 0 modulo m > 1. */
+CAMLprim value ppst_mont_invert(value va, value vm)
+{
+  CAMLparam2(va, vm);
+  CAMLlocal1(vr);
+  mlsize_t w = (nat_bits(vm) + 63) / 64, ul, vl;
+  limb *scratch, *m, *u, *v, *x1, *x2, *inv = NULL;
+  if (w == 0 || (Long_val(Field(vm, 0)) & 1) == 0)
+    caml_invalid_argument("Modular.invert: even modulus");
+  if (nat_bits(va) > 64 * w)
+    caml_invalid_argument("Modular.invert: value wider than its modulus");
+  scratch = malloc(5 * w * LIMB_BYTES);
+  if (scratch == NULL) caml_raise_out_of_memory();
+  m = scratch;
+  u = m + w;
+  v = u + w;
+  x1 = v + w;
+  x2 = x1 + w;
+  pack_nat(m, w, vm);
+  pack_nat(u, w, va);
+  memcpy(v, m, w * LIMB_BYTES);
+  memset(x1, 0, 2 * w * LIMB_BYTES);
+  x1[0] = 1;
+  ul = top_len(u, w);
+  vl = top_len(v, w);
+  if (ul != 0) {
+    ul = strip_twos(u, ul, x1, m, w);
+    for (;;) {
+      int c;
+      if (ul == 1 && u[0] == 1) { inv = x1; break; }
+      if (vl == 1 && v[0] == 1) { inv = x2; break; }
+      c = cmp_len(u, ul, v, vl);
+      if (c == 0) break; /* gcd(a, m) = u > 1 */
+      if (c > 0) {
+        sub_len(u, ul, v, vl);
+        sub_mod(x1, x2, m, w);
+        ul = strip_twos(u, ul, x1, m, w);
+      } else {
+        sub_len(v, vl, u, ul);
+        sub_mod(x2, x1, m, w);
+        vl = strip_twos(v, vl, x2, m, w);
+      }
+    }
+  }
+  if (inv != NULL) vr = nat_of_scratch(inv, w);
+  else vr = Atom(0);
   free(scratch);
   CAMLreturn(vr);
 }

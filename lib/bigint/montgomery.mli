@@ -1,8 +1,8 @@
 (** Montgomery modular multiplication and exponentiation for odd moduli,
     run by a C kernel (CIOS over 64-bit limbs, [R = 2^(64w)] for a
-    modulus of [w] limbs).  Most callers should use the {!Modular}
-    wrappers; this interface exists for the hot paths that chain
-    products in Montgomery form.
+    modulus of [w] limbs, and a dedicated square from 16 limbs up).
+    Most callers should use the {!Modular} wrappers; this interface
+    exists for the hot paths that chain products in Montgomery form.
 
     The kernel keeps no global state, so contexts and values may be
     shared across Domains.  It is not constant-time (SECURITY.md). *)
@@ -33,7 +33,8 @@ val of_mont : ctx -> elt -> Nat.t
 (** The canonical residue in [\[0, n)]. *)
 
 val mont_mul_raw : ctx -> elt -> elt -> elt
-(** [mont_mul_raw ctx a b] is the Montgomery form of the product.
+(** [mont_mul_raw ctx a b] is the Montgomery form of the product; one
+    value passed as both operands is squared.
     @raise Invalid_argument if an operand was made under a context of
     another width.  Values of two moduli of one width cannot be told
     apart; mixing them is the caller's error. *)
@@ -43,6 +44,6 @@ val one_raw : ctx -> elt
 
 val pow_raw : ctx -> elt -> Nat.t -> elt
 (** [pow_raw ctx x e] with [x] in Montgomery form returns [x^e] in
-    Montgomery form (width-4 sliding window).  [e = 0] yields
+    Montgomery form (width-4 sliding window over squares).  [e = 0] yields
     {!one_raw}.
     @raise Invalid_argument as {!mont_mul_raw}. *)

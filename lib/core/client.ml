@@ -391,19 +391,8 @@ let fetch_phase1 t =
    (Section 3.2, Eq. 4).  [enc_x_sumsq] is the client's encryption of its
    own squared norm; it may be reused across a row — it never leaves the
    client unmasked, and outgoing candidates are re-randomized in Masking.
-   Pure (no counter updates): rows fan out over the worker pool, with
-   the homomorphic tally taken in bulk by the caller. *)
-let cost_cell pk data ~enc_x_sumsq ~x j =
-  let acc = ref (Paillier.add pk enc_x_sumsq data.server_sumsq.(j)) in
-  for l = 0 to Array.length x - 1 do
-    let factor =
-      Paillier.scalar_mul pk data.server_coords.(j).(l)
-        (Bigint.of_int (-2 * x.(l)))
-    in
-    acc := Paillier.add pk !acc factor
-  done;
-  !acc
-
+   Rows are pure (no counter updates): they fan out over the worker pool,
+   with the homomorphic tally taken in bulk by the caller. *)
 let cost_matrix_of t data =
   Telemetry.span ~name:"client.phase1.matrix"
     ~attrs:[ ("phase", Telemetry.Phase Telemetry.Phase1) ]
@@ -423,6 +412,19 @@ let cost_matrix_of t data =
       let client_ops = Cost.client_ops t.cost in
       client_ops.Cost.homomorphic <-
         client_ops.Cost.homomorphic + (m * t.server_length * (1 + (2 * d)));
+      (* A coordinate x_l = 0 contributes c^0 = 1, so it is skipped;
+         [factor j l v] is Enc(y_jl)^(-2v) in the session's profile. *)
+      let cells factor =
+        Parallel.map_array t.workers
+          (fun (x, enc_x_sumsq) ->
+            Array.init t.server_length (fun j ->
+                let acc = ref (Paillier.add t.pk enc_x_sumsq data.server_sumsq.(j)) in
+                for l = 0 to d - 1 do
+                  if x.(l) <> 0 then acc := Paillier.add t.pk !acc (factor j l x.(l))
+                done;
+                !acc))
+          rows
+      in
       if packing_active t then begin
         (* packed profile: invert each server coordinate once (one
            modular inverse) so the per-cell factor is the small positive
@@ -435,25 +437,30 @@ let cost_matrix_of t data =
             (Array.map (Paillier.invert_ciphertext t.pk))
             data.server_coords
         in
-        Parallel.map_array t.workers
-          (fun (x, enc_x_sumsq) ->
-            Array.init t.server_length (fun j ->
-                let acc = ref (Paillier.add t.pk enc_x_sumsq data.server_sumsq.(j)) in
-                for l = 0 to d - 1 do
-                  let factor =
-                    Paillier.scalar_mul t.pk inv_coords.(j).(l)
-                      (Bigint.of_int (2 * x.(l)))
-                  in
-                  acc := Paillier.add t.pk !acc factor
-                done;
-                !acc))
-          rows
+        cells (fun j l v ->
+            Paillier.scalar_mul t.pk inv_coords.(j).(l) (Bigint.of_int (2 * v)))
       end
-      else
-        Parallel.map_array t.workers
-          (fun (x, enc_x_sumsq) ->
-            Array.init t.server_length (fun j -> cost_cell t.pk data ~enc_x_sumsq ~x j))
-          rows)
+      else begin
+        (* Enc(y)^(-2x) is Enc(y)^(n - 2x): split it as the coordinate's
+           base Enc(y)^(n - K), K = 2 max_value, times Enc(y)^(K - 2x).
+           check_own_bounds keeps 0 <= x <= max_value, so the second
+           exponent is short and non-negative, and a planned session has
+           K < n.  One full-width power per server coordinate replaces
+           one per (row, coordinate); the residues, and so the bytes, are
+           unchanged.  The bases are built before the row fan-out, which
+           fills each coordinate's Montgomery form on one worker. *)
+        let k = 2 * t.max_value in
+        let n_minus_k = Bigint.sub t.pk.Paillier.n (Bigint.of_int k) in
+        let bases =
+          Parallel.map_array t.workers
+            (Array.map (fun c -> Paillier.scalar_mul t.pk c n_minus_k))
+            data.server_coords
+        in
+        cells (fun j l v ->
+            Paillier.add t.pk bases.(j).(l)
+              (Paillier.scalar_mul t.pk data.server_coords.(j).(l)
+                 (Bigint.of_int (k - (2 * v)))))
+      end)
 
 let fetch_cost_matrix t =
   let data = fetch_phase1 t in

@@ -20,6 +20,8 @@ type private_key = {
   hq : Bigint.t;
   p_inv_mod_q : Bigint.t;
   p2_inv_mod_q2 : Bigint.t;
+  ctx_p : Modular.ctx;
+  ctx_q : Modular.ctx;
   ctx_p2 : Modular.ctx;
   ctx_q2 : Modular.ctx;
 }
@@ -109,6 +111,8 @@ let assemble p q =
   let lp x = Bigint.div (Bigint.pred x) p in
   let lq x = Bigint.div (Bigint.pred x) q in
   let g = public.g in
+  let ctx_p = Modular.make_ctx p in
+  let ctx_q = Modular.make_ctx q in
   let ctx_p2 = Modular.make_ctx p_squared in
   let ctx_q2 = Modular.make_ctx q_squared in
   let hp = Modular.invert (lp (Modular.pow_ctx ctx_p2 g p1)) p in
@@ -118,7 +122,7 @@ let assemble p q =
   ( public,
     {
       p; q; lambda; mu; public; p_squared; q_squared; hp; hq; p_inv_mod_q;
-      p2_inv_mod_q2; ctx_p2; ctx_q2;
+      p2_inv_mod_q2; ctx_p; ctx_q; ctx_p2; ctx_q2;
     } )
 
 let of_primes ~p ~q =
@@ -195,9 +199,9 @@ let check_plaintext pk m =
 
 (* Random r in [1, n) with gcd(r, n) = 1.  For honest keys a random unit
    fails coprimality with probability ~ 2/sqrt(n); we re-draw.  [is_unit]
-   decides coprimality: a party with only n runs Euclid, the key holder
-   [is_unit_sk].  Both accept exactly the same r, so the draws, and the
-   transcripts, do not depend on which party encrypts. *)
+   decides coprimality: a party with only n runs the binary GCD, the key
+   holder [is_unit_sk].  Both accept exactly the same r, so the draws,
+   and the transcripts, do not depend on which party encrypts. *)
 let draw_unit pk rng is_unit =
   let rec draw () =
     let r = Ppst_rng.Secure_rng.below rng pk.n in
@@ -222,16 +226,20 @@ let fresh_rn pk rng =
   let r = random_unit pk rng in
   Modular.pow_ctx pk.ctx_n2 r pk.n
 
-(* r^n mod n^2 for the key holder: exponentiate modulo p^2 and q^2
-   (half-size Montgomery contexts, ~4x cheaper per multiplication) and
+(* r^n mod n^2 for the key holder: compute r^n modulo p^2 and q^2 and
    recombine by Garner with the precomputed (p^2)^-1 mod q^2.  Because
    n^2 = p^2 q^2 with gcd(p^2, q^2) = 1, the recombination is *exactly*
-   r^n mod n^2 — the server-side encryption path stays byte-identical
-   while paying roughly half the multiplication work. *)
+   r^n mod n^2, so the server-side encryption path stays byte-identical.
+   Each half is a Teichmüller lift: x -> x^p mod p^2 depends only on
+   x mod p, so r^n = (r^q)^p mod p^2 is ((r mod p)^q mod p)^p mod p^2 —
+   a half-width exponent mod p, then one mod p^2, where a direct power
+   would take a full-width exponent mod p^2. *)
 let fresh_rn_sk sk r =
-  let n = sk.public.n in
-  let rp = Modular.pow_ctx sk.ctx_p2 r n in
-  let rq = Modular.pow_ctx sk.ctx_q2 r n in
+  let lift ctx_prime ctx_square prime other =
+    Modular.pow_ctx ctx_square (Modular.pow_ctx ctx_prime r other) prime
+  in
+  let rp = lift sk.ctx_p sk.ctx_p2 sk.p sk.q in
+  let rq = lift sk.ctx_q sk.ctx_q2 sk.q sk.p in
   let diff = Bigint.erem (Bigint.sub rq rp) sk.q_squared in
   let h = Modular.mul_ctx sk.ctx_q2 diff sk.p2_inv_mod_q2 in
   Bigint.erem (Bigint.add rp (Bigint.mul sk.p_squared h)) sk.public.n_squared
@@ -554,10 +562,11 @@ let sub pk c1 c2 = add pk c1 (neg pk c2)
 
 (* Homomorphic negation by modular inverse: Enc(m)^-1 = Enc(-m) with
    inverted randomness.  Same plaintext as [neg] (a full n-1 power) but
-   one egcd instead of a 1024-bit ladder — the packed fast path inverts
-   the server's coordinate ciphertexts once and then raises them to
-   *small* positive exponents.  Ciphertext bytes differ from [neg], so
-   this lives on the packed (distance-compared) path only. *)
+   one binary inverse mod n^2 instead of a full-width ladder — the
+   packed fast path inverts the server's coordinate ciphertexts once and
+   then raises them to *small* positive exponents.  Ciphertext bytes
+   differ from [neg], so this lives on the packed (distance-compared)
+   path only. *)
 let invert_ciphertext pk c =
   check_same_key pk c;
   ct_of_value pk (Modular.invert (ct_value c) pk.n_squared)

@@ -36,6 +36,10 @@ type private_key = {
   p2_inv_mod_q2 : Bigint.t;
   (** Garner constant mod [q²] — recombines the CRT halves of the
       key holder's [r^n mod n²] noise (see {!encrypt_sk}). *)
+  ctx_p : Modular.ctx;
+  ctx_q : Modular.ctx;
+  (** Montgomery contexts for [p] and [q]: the first, half-width step of
+      the key holder's noise halves. *)
   ctx_p2 : Modular.ctx;
   ctx_q2 : Modular.ctx;
 }
@@ -92,8 +96,9 @@ val encrypt : public_key -> Ppst_rng.Secure_rng.t -> Bigint.t -> ciphertext
 val encrypt_sk : private_key -> Ppst_rng.Secure_rng.t -> Bigint.t -> ciphertext
 (** Key-holder encryption: identical output to {!encrypt} (same rng
     draws, same ciphertext bytes) but the [r^n mod n²] noise is computed
-    by CRT over [p²]/[q²] — roughly half the multiplication work.  The
-    server's encryption path uses this. *)
+    by CRT over [p²]/[q²], each half as [((r mod p)^q mod p)^p mod p²]
+    (two half-width exponents, exact because [x^p mod p²] depends only
+    on [x mod p]).  The server's encryption path uses this. *)
 
 val decrypt : private_key -> ciphertext -> Bigint.t
 (** Plaintext in [\[0, n)] via [L(c^lambda mod n^2) * mu mod n]. *)

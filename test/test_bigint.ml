@@ -348,9 +348,14 @@ let prop_montgomery_vs_naive =
       let x = Bigint.erem b m and y = Bigint.erem e m in
       let mx = Modular.to_mont_ctx ctx x and my = Modular.to_mont_ctx ctx y in
       let product = Montgomery.mont_mul_raw (Modular.mont_of_ctx ctx) mx my in
+      (* one block as both operands takes the kernel's square, which
+         must leave the canonical form: the same limbs as converting the
+         reduced square *)
+      let square = Montgomery.mont_mul_raw (Modular.mont_of_ctx ctx) mx mx in
       Bigint.equal naive (Modular.pow_mod b e m)
       && Bigint.equal x (Modular.of_mont_ctx ctx mx)
-      && Bigint.equal (Bigint.erem (Bigint.mul x y) m) (Modular.of_mont_ctx ctx product))
+      && Bigint.equal (Bigint.erem (Bigint.mul x y) m) (Modular.of_mont_ctx ctx product)
+      && square = Modular.to_mont_ctx ctx (Bigint.erem (Bigint.mul x x) m))
 
 let prop_fermat =
   (* Fermat's little theorem with a fixed large prime *)
@@ -363,6 +368,8 @@ let test_gcd_lcm () =
   Alcotest.check eq_bi "gcd 12 18" (Bigint.of_int 6)
     (Modular.gcd (Bigint.of_int 12) (Bigint.of_int 18));
   Alcotest.check eq_bi "gcd 0 5" (Bigint.of_int 5) (Modular.gcd Bigint.zero (Bigint.of_int 5));
+  Alcotest.check eq_bi "gcd 5 0" (Bigint.of_int 5) (Modular.gcd (Bigint.of_int 5) Bigint.zero);
+  Alcotest.check eq_bi "gcd 0 0" Bigint.zero (Modular.gcd Bigint.zero Bigint.zero);
   Alcotest.check eq_bi "gcd negative" (Bigint.of_int 6)
     (Modular.gcd (Bigint.of_int (-12)) (Bigint.of_int 18));
   Alcotest.check eq_bi "lcm 4 6" (Bigint.of_int 12)
@@ -383,7 +390,60 @@ let test_invert () =
   let inv = Modular.invert a m in
   Alcotest.check eq_bi "a * a^-1 = 1" Bigint.one (Bigint.erem (Bigint.mul a inv) m);
   Alcotest.check_raises "not invertible" Modular.Not_invertible (fun () ->
-      ignore (Modular.invert (Bigint.of_int 6) (Bigint.of_int 9)))
+      ignore (Modular.invert (Bigint.of_int 6) (Bigint.of_int 9)));
+  Alcotest.check eq_bi "mod 1" Bigint.zero (Modular.invert a Bigint.one);
+  Alcotest.check eq_bi "negative a" (Modular.invert (Bigint.sub m a) m)
+    (Modular.invert (Bigint.neg a) m);
+  Alcotest.check_raises "even modulus" (Invalid_argument "Modular.invert: even modulus")
+    (fun () -> ignore (Modular.invert (Bigint.of_int 3) (Bigint.of_int 8)))
+
+(* (a, m) at the edges of the binary GCD and inverse: operands of 1 to
+   70 64-bit limbs, a zero operand, a >= m, a shared power of two, equal
+   operands, m = 1, and an odd factor shared by a and m. *)
+let gen_gcd_case =
+  let open QCheck2.Gen in
+  let* a_limbs = int_range 1 70 in
+  let* m_limbs = int_range 1 70 in
+  let* twos = int_range 1 140 in
+  let* seed = int in
+  let rng = Splitmix.create seed in
+  let draw limbs = Bigint.succ (Splitmix.bits rng (64 * limbs)) in
+  let odd v = if Bigint.is_even v then Bigint.succ v else v in
+  let a = draw a_limbs and m = draw m_limbs in
+  let factor = odd (Splitmix.bits rng (64 * (1 + (seed land 3)))) in
+  oneofl
+    [
+      (a, m); (a, odd m); (Bigint.zero, m); (a, Bigint.zero); (a, a);
+      (Bigint.add a (Bigint.mul m a), m);
+      (Bigint.shift_left a twos, Bigint.shift_left m twos);
+      (a, Bigint.one);
+      (Bigint.mul a factor, Bigint.mul (odd m) factor);
+    ]
+
+let prop_gcd_invert_vs_euclid =
+  (* Modular.gcd against Euclid in this file, Modular.invert (odd m)
+     against Modular.egcd; a non-unit raises Not_invertible *)
+  let rec euclid a b = if Bigint.is_zero b then a else euclid b (Bigint.rem a b) in
+  QCheck_alcotest.to_alcotest
+  @@ QCheck2.Test.make ~name:"binary gcd and inverse = euclid, 1-70 limbs" ~count:300
+       ~print:(fun (a, m) -> Printf.sprintf "(%s, %s)" (print_bi a) (print_bi m))
+       gen_gcd_case
+       (fun (a, m) ->
+         let gcd_ok =
+           Bigint.equal (euclid a m) (Modular.gcd a m)
+           && Bigint.equal (euclid m a) (Modular.gcd m a)
+         in
+         let invert_ok =
+           Bigint.is_zero m || Bigint.is_even m
+           ||
+           let expected =
+             let g, u, _ = Modular.egcd (Bigint.erem a m) m in
+             if Bigint.equal g Bigint.one then Some (Bigint.erem u m) else None
+           in
+           let got = try Some (Modular.invert a m) with Modular.Not_invertible -> None in
+           Option.equal Bigint.equal expected got
+         in
+         gcd_ok && invert_ok)
 
 let prop_invert = qtest "invert mod prime" ~count:200 arb_positive (fun a ->
     let p = bi "170141183460469231731687303715884105727" in
@@ -791,6 +851,7 @@ let () =
           prop_gcd_divides;
           prop_egcd_bezout;
           prop_invert;
+          prop_gcd_invert_vs_euclid;
         ] );
       ( "fixed base",
         [

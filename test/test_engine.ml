@@ -2,8 +2,8 @@
    schedule on edge shapes, each run checked against the plaintext
    distance, against its own round plan, and against the ledger and the
    offline pool — plus the plan itself checked against counts written
-   down independently of the engine, and DTW/DFD across packing, pool
-   size and transport. *)
+   down independently of the engine, and every rule and domain across
+   packing, pool size and transport. *)
 
 open Ppst.Import
 module Generate = Ppst_timeseries.Generate
@@ -88,14 +88,15 @@ type domain_case = Whole | Band_gap | Band_2
 
 let domain_name = function Whole -> "full" | Band_gap -> "band |m-n|" | Band_2 -> "band 2"
 
-let run_case ~name ~algo ~domain ~strategy (shape, x, y) =
+(* The band and ERP gap of [algo] over [domain] on one shape, and the
+   plaintext distance ([None] when the band is infeasible). *)
+let band_gap_plain ~algo ~domain x y =
   let m = Series.length x and n = Series.length y and d = Series.dimension x in
   let band =
     match domain with Whole -> None | Band_gap -> Some (abs (m - n)) | Band_2 -> Some 2
   in
   (* inside every shape's coordinate bound, the all-zero one's included *)
   let gap = if algo = `Erp then Some (Array.make d 1) else None in
-  let spec = Protocol.spec ?band ~strategy ?gap algo in
   let plain =
     match (algo, band) with
     | `Dtw, None -> Some (Distance.dtw_sq x y)
@@ -104,6 +105,12 @@ let run_case ~name ~algo ~domain ~strategy (shape, x, y) =
     | `Dfd, Some band -> Distance.dfd_sq_banded ~band x y
     | _ -> Some (Distance.erp_sq ~gap:(Option.get gap) x y)
   in
+  (band, gap, plain)
+
+let run_case ~name ~algo ~domain ~strategy (shape, x, y) =
+  let m = Series.length x and n = Series.length y and d = Series.dimension x in
+  let band, gap, plain = band_gap_plain ~algo ~domain x y in
+  let spec = Protocol.spec ?band ~strategy ?gap algo in
   let label what = Printf.sprintf "%s, %s: %s" shape (domain_name domain) what in
   match plain with
   | None -> (
@@ -169,16 +176,17 @@ let cases =
 
 module Server_loop = Ppst_transport.Server_loop
 
-(* The remaining axes of the differential matrix, for DTW and DFD under
-   both schedules: packing off/on, one job or a two-lane pool on each
-   party, and the loopback channel or TCP to an in-process Server_loop.
-   Every party advertises [max_value], which the last shape reaches in
-   every coordinate.  Default (64-bit) keys. *)
+(* The remaining axes of the differential matrix, for every rule and
+   domain under both schedules: packing off/on, one job or a two-lane
+   pool on each party, and the loopback channel or TCP to an in-process
+   Server_loop.  Every party advertises [max_value], which the last shape
+   reaches in every coordinate; the all-zero shape scales no server
+   coordinate in phase 1.  Default (64-bit) keys. *)
 let max_value = 30
 
 let axis_shapes =
   let at_max m = Series.create (Array.make m [| max_value; max_value |]) in
-  List.filter (fun (name, _, _) -> name = "m <> n" || name = "d = 2") shapes
+  List.filter (fun (name, _, _) -> name <> "m = n") shapes
   @ [ ("every coordinate at max_value", at_max 4, at_max 3) ]
 
 let sk =
@@ -204,8 +212,9 @@ let with_tcp_loop f =
       Thread.join runner)
     (fun () -> f (serving, Server_loop.port loop))
 
-let run_cell ~tcp:(serving, port) ~algo ~plain ~strategy ~packing ~jobs ~transport
+let run_cell ~tcp:(serving, port) ~algo ~domain ~strategy ~packing ~jobs ~transport
     (shape, x, y) =
+  let band, gap, plain = band_gap_plain ~algo ~domain x y in
   let client_pool = Parallel.create jobs and server_pool = Parallel.create jobs in
   Fun.protect
     ~finally:(fun () ->
@@ -230,25 +239,28 @@ let run_cell ~tcp:(serving, port) ~algo ~plain ~strategy ~packing ~jobs ~transpo
       ~series:x ~max_value ~distance:algo channel
   in
   let label what =
-    Printf.sprintf "%s, packing %b, jobs %d, %s: %s" shape packing jobs
+    Printf.sprintf "%s, %s, packing %b, jobs %d, %s: %s" shape
+      (match strategy with `Full -> "row-major" | `Wavefront -> "anti-diagonal")
+      packing jobs
       (match transport with `Local -> "local" | `Tcp -> "tcp")
       what
   in
   Alcotest.(check bool) (label "packing active") packing (Ppst.Client.packing client);
-  let d = Protocol.runner_of_spec (Protocol.spec ~strategy ~packing algo) client in
+  let d = Protocol.runner_of_spec (Protocol.spec ?band ~strategy ~packing ?gap algo) client in
   Ppst.Client.finish client;
-  Alcotest.(check int) (label "distance = plaintext") (plain x y) (Bigint.to_int_exn d)
+  Alcotest.(check int) (label "distance = plaintext") (Option.get plain) (Bigint.to_int_exn d)
 
+(* The whole grid runs one schedule per case; a band or ERP case runs
+   both, which keeps down the count of TCP loops, each a fraction of a
+   second to stop. *)
 let axis_cases =
-  List.concat_map
-    (fun (name, algo, plain) ->
-      List.map
-        (fun (sname, strategy) ->
-          Alcotest.test_case
-            (Printf.sprintf "%s, %s, packing/jobs/transport" name sname)
-            `Quick
-            (fun () ->
-              with_tcp_loop (fun tcp ->
+  let both = [ `Full; `Wavefront ] in
+  List.map
+    (fun (name, algo, domain, strategies) ->
+      Alcotest.test_case (name ^ ", packing/jobs/transport") `Quick (fun () ->
+          with_tcp_loop (fun tcp ->
+              List.iter
+                (fun strategy ->
                   List.iter
                     (fun packing ->
                       List.iter
@@ -256,14 +268,24 @@ let axis_cases =
                           List.iter
                             (fun transport ->
                               List.iter
-                                (run_cell ~tcp ~algo ~plain ~strategy ~packing ~jobs
+                                (run_cell ~tcp ~algo ~domain ~strategy ~packing ~jobs
                                    ~transport)
                                 axis_shapes)
                             [ `Local; `Tcp ])
                         [ 1; 2 ])
-                    [ false; true ])))
-        [ ("row-major", `Full); ("anti-diagonal", `Wavefront) ])
-    [ ("dtw", `Dtw, Distance.dtw_sq); ("dfd", `Dfd, Distance.dfd_sq) ]
+                    [ false; true ])
+                strategies)))
+    [
+      ("dtw, row-major", `Dtw, Whole, [ `Full ]);
+      ("dtw, anti-diagonal", `Dtw, Whole, [ `Wavefront ]);
+      ("dtw, band |m-n|", `Dtw, Band_gap, both);
+      ("dtw, band 2", `Dtw, Band_2, both);
+      ("dfd, row-major", `Dfd, Whole, [ `Full ]);
+      ("dfd, anti-diagonal", `Dfd, Whole, [ `Wavefront ]);
+      ("dfd, band |m-n|", `Dfd, Band_gap, both);
+      ("dfd, band 2", `Dfd, Band_2, both);
+      ("erp", `Erp, Whole, both);
+    ]
 
 let test_plan_rejects_bad_bands () =
   (match Dp.plan Dp.dtw (Dp.Band 1) Dp.Row_major ~m:5 ~n:3 with

@@ -311,16 +311,31 @@ let test_larger_key_roundtrip () =
 (* --- key-holder (CRT) encryption paths --------------------------------- *)
 
 let test_encrypt_sk_identical () =
-  (* same seed, same draws: the CRT path must yield the very same bytes *)
-  let m = Bigint.of_int 987654 in
-  let c_pk = Paillier.encrypt pk (rng ()) m in
-  let c_sk = Paillier.encrypt_sk sk (rng ()) m in
-  Alcotest.(check bool) "encrypt_sk = encrypt" true
-    (Paillier.equal_ciphertext c_pk c_sk);
-  let c_pk' = Paillier.rerandomize pk (rng ()) c_pk in
-  let c_sk' = Paillier.rerandomize_sk sk (rng ()) c_pk in
-  Alcotest.(check bool) "rerandomize_sk = rerandomize" true
-    (Paillier.equal_ciphertext c_pk' c_sk')
+  (* same seed, same draws: the CRT path must yield the very same bytes.
+     Above 64 bits p spans several limbs and, from 512, n^2 reaches the
+     kernel's squaring width. *)
+  let keys =
+    (pk, sk)
+    :: List.map
+         (fun bits ->
+           Paillier.keygen ~bits
+             (Ppst_rng.Secure_rng.of_seed_string (Printf.sprintf "sk-paths-%d" bits)))
+         [ 256; 512; 1024 ]
+  in
+  List.iter
+    (fun (pk, sk) ->
+      let bits = pk.Paillier.bits in
+      let m = Bigint.of_int 987654 in
+      let c_pk = Paillier.encrypt pk (rng ()) m in
+      let c_sk = Paillier.encrypt_sk sk (rng ()) m in
+      Alcotest.(check bool) (Printf.sprintf "encrypt_sk = encrypt, %d-bit" bits) true
+        (Paillier.equal_ciphertext c_pk c_sk);
+      let c_pk' = Paillier.rerandomize pk (rng ()) c_pk in
+      let c_sk' = Paillier.rerandomize_sk sk (rng ()) c_pk in
+      Alcotest.(check bool) (Printf.sprintf "rerandomize_sk = rerandomize, %d-bit" bits)
+        true
+        (Paillier.equal_ciphertext c_pk' c_sk'))
+    keys
 
 let test_encrypt_batch_sk_identical () =
   let plains = Array.init 7 (fun i -> Bigint.of_int (i * 1000)) in
@@ -530,7 +545,11 @@ let validator_accepts v =
   | _ -> true
   | exception Paillier.Invalid_ciphertext _ -> false
 
-let is_unit v = Bigint.equal (Modular.gcd v pk.Paillier.n) Bigint.one
+(* Euclid in this file, not Modular.gcd: the oracle shares no code with
+   the C kernel. *)
+let is_unit v =
+  let rec euclid a b = if Bigint.is_zero b then a else euclid b (Bigint.rem a b) in
+  Bigint.equal (euclid v pk.Paillier.n) Bigint.one
 
 let test_validate_fixed () =
   let p = sk.Paillier.p and q = sk.Paillier.q and n = pk.Paillier.n in
