@@ -19,7 +19,8 @@ let x_lockstep = Series.sub x ~pos:0 ~len:(Series.length y)
 
 (* The pair-wire benchmark's shape, 4x4, run at its 512-bit key: n^2
    spans 16 64-bit limbs and p^2 eight, where the 64-bit rows above
-   fit one or two. *)
+   fit one or two.  Packed at pair-packed's 1024-bit key, n^2 spans 32
+   limbs and p^2 sixteen. *)
 let x4 = Generate.random_vectors ~seed:1203 ~length:4 ~dim:2 ~max_value
 let y4 = Generate.random_vectors ~seed:1204 ~length:4 ~dim:2 ~max_value
 
@@ -117,6 +118,9 @@ let table =
      (x4, y4), "a12b780300c9d14a15ae41b30c9aafad", 377);
     ("dtw row-major, edge coordinates", Protocol.spec `Dtw, 64, (x_edges, y),
      "2a77e933c55240f49e4bbec6499a24d8", 2945);
+    ("packed dtw anti-diagonal 4x4, 1024-bit",
+     Protocol.spec ~packing:true ~strategy:wavefront `Dtw, 1024, (x4, y4),
+     "ae2b2a6ae035eafb63fa0f4a5aab76b9", 887);
   ]
 
 (* Crypto-op tallies of the same sessions, keyed by row name: the
@@ -145,6 +149,7 @@ let ops_table =
     ("packed dfd anti-diagonal, 64-bit", 151, 1317, 64, 146);
     ("dfd anti-diagonal 4x4, 512-bit", 277, 377, 36, 274);
     ("dtw row-major, edge coordinates", 246, 439, 35, 241);
+    ("packed dtw anti-diagonal 4x4, 1024-bit", 9, 320, 21, 6);
   ]
 
 let check_entry (name, spec, key_bits, pair, digest, distance) =
@@ -184,6 +189,7 @@ let test_distances_are_plaintext () =
       ("packed dfd anti-diagonal", Distance.dfd_sq x y);
       ("dfd anti-diagonal 4x4, 512-bit", Distance.dfd_sq x4 y4);
       ("dtw row-major, edge coordinates", Distance.dtw_sq x_edges y);
+      ("packed dtw anti-diagonal 4x4, 1024-bit", Distance.dtw_sq x4 y4);
     ]
 
 let test_packing_key_is_minimal () =
