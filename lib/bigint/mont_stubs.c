@@ -6,21 +6,24 @@
  * residue in [0, n).  A context is a "kernel" Bytes.t of w + 1 limbs:
  * the odd modulus n, then n' = -n^-1 mod 2^64.  R = 2^(64w).
  *
- * Products are CIOS (Koc, Acar and Kaliski 1996) with unsigned __int128
- * accumulators.  From SQR_MIN_LIMBS limbs up a square computes its cross
- * products once and reduces separately; exponentiation is a width-4
- * sliding window over those squares.  GCD (Stein) and the inverse modulo
- * an odd m run on the same limbs.  The stubs keep no global state: a
- * call writes only its own result block and the heap scratch it frees
- * before returning, so any number of Domains may share one context.
+ * Products and squares are product scanning (FIPS in Koc, Acar and
+ * Kaliski 1996): column k of a b + M n is summed in a three-limb
+ * accumulator held in registers, an unsigned __int128 and a carry limb,
+ * and a square takes each cross product once.  Exponentiation is a
+ * sliding window over squares whose width grows with the exponent's
+ * length.  GCD (Stein) and the inverse modulo an odd m run on the same
+ * limbs.  The stubs keep no global state: a call writes only its own
+ * result block and the heap scratch it frees before returning, so any
+ * number of Domains may share one context.
  *
  * Every operand's byte length is checked against its context's width.
  * Two contexts are one OCaml type, and a read past the end of an OCaml
  * block is invisible to AddressSanitizer, so this check is what stops a
  * value built under one modulus from being read under a wider one.
  *
- * Not constant-time: the final subtraction, the window lookups and every
- * step of the GCD and the inverse depend on the operands (SECURITY.md).
+ * Not constant-time: the final subtraction, the window width and
+ * lookups, and every step of the GCD and the inverse depend on the
+ * operands (SECURITY.md).
  */
 
 #include <caml/mlvalues.h>
@@ -37,16 +40,6 @@ typedef unsigned __int128 dlimb;
 
 #define LIMB_BYTES 8
 #define NAT_BITS 31 /* Nat.base_bits: an OCaml Nat.t holds 31-bit limbs */
-#define WINDOW 4
-#define TABLE (1 << (WINDOW - 1)) /* odd powers x, x^3, ..., x^15 */
-
-/* Narrowest modulus, in limbs, whose squares take mont_sqr.  Timed
- * standalone (gcc -O2, one x86-64 core, best of 201 interleaved runs),
- * product time / square time was 0.81, 0.89, 0.95, 0.98, 1.11 and 1.21
- * at 1, 2, 4, 8, 16 and 32 limbs: below 16 limbs the separate reduction
- * costs more than the halved cross products save.  Paillier's n^2
- * reaches 16 limbs at a 512-bit key, p^2 at a 1024-bit key. */
-#define SQR_MIN_LIMBS 16
 
 static mlsize_t kernel_width(value vk)
 {
@@ -214,106 +207,79 @@ static value nat_of_scratch(const limb *x, mlsize_t w)
   CAMLreturn(vr);
 }
 
-/* r = a b R^-1 mod n for a < R and b < n, so the result lies in [0, n).
- * r is CIOS's running sum t[0 .. w-1]; t[w] and t[w+1] live in
- * registers.  r must not overlap a or b. */
+/* acc + hi 2^128 += x y, for the column sum held in the locals acc (its
+ * low two limbs) and hi (the third). */
+#define ADD_PRODUCT(x, y)                       \
+  do {                                          \
+    dlimb p_ = (dlimb) (x) * (y);               \
+    acc += p_;                                  \
+    hi += acc < p_;                             \
+  } while (0)
+
+/* column + carry 2^128 += column k of a^2: the cross products
+ * a_i a_(k-i) for lo <= i < k - i, summed once in acc and hi and then
+ * doubled, and the diagonal a_(k/2)^2 when k is even. */
+static inline __attribute__((always_inline)) void
+add_square_column(dlimb *column, limb *carry, const limb *a, mlsize_t lo,
+                  mlsize_t k)
+{
+  mlsize_t i;
+  dlimb acc = 0;
+  limb hi = 0;
+  for (i = lo; i < k - i; i++) ADD_PRODUCT(a[i], a[k - i]);
+  hi = (hi << 1) | (limb) (acc >> 127);
+  acc <<= 1;
+  if (k % 2 == 0) ADD_PRODUCT(a[k / 2], a[k / 2]);
+  *column += acc;
+  *carry += hi + (*column < acc);
+}
+
+/* r = a b R^-1 mod n, or a^2 R^-1 mod n when square (b is then unread),
+ * for a < R and b < n, or a < n when squaring: (a b + M n) / R is then
+ * below 2n, and one conditional subtraction makes it canonical.  Column
+ * k < w picks the digit m_k of M = -a b n^-1 mod R that clears its low
+ * limb and stores it in r[k]; column k >= w emits result limb k - w over
+ * m_(k-w), which no later column reads.  r must not overlap a or b. */
+static inline __attribute__((always_inline)) void
+mont_columns(limb *r, const limb *a, const limb *b, const limb *n, limb ninv,
+             mlsize_t w, int square)
+{
+  mlsize_t j, k;
+  dlimb acc = 0;
+  limb hi = 0;
+  for (k = 0; k < w; k++) {
+    if (square) add_square_column(&acc, &hi, a, 0, k);
+    else for (j = 0; j <= k; j++) ADD_PRODUCT(a[j], b[k - j]);
+    for (j = 0; j < k; j++) ADD_PRODUCT(r[j], n[k - j]);
+    r[k] = (limb) acc * ninv;
+    ADD_PRODUCT(r[k], n[0]);
+    acc = (acc >> 64) | ((dlimb) hi << 64);
+    hi = 0;
+  }
+  for (k = w; k < 2 * w - 1; k++) {
+    if (square) add_square_column(&acc, &hi, a, k - w + 1, k);
+    else for (j = k - w + 1; j < w; j++) ADD_PRODUCT(a[j], b[k - j]);
+    for (j = k - w + 1; j < w; j++) ADD_PRODUCT(r[j], n[k - j]);
+    r[k - w] = (limb) acc;
+    acc = (acc >> 64) | ((dlimb) hi << 64);
+    hi = 0;
+  }
+  r[w - 1] = (limb) acc;
+  if ((limb) (acc >> 64) != 0 || geq(r, n, w)) sub_in_place(r, n, w);
+}
+
+#undef ADD_PRODUCT
+
 static void mont_mul(limb *r, const limb *a, const limb *b, const limb *n,
                      limb ninv, mlsize_t w)
 {
-  mlsize_t i, j;
-  limb t_w = 0, t_w1, m;
-  dlimb c;
-  memset(r, 0, w * LIMB_BYTES);
-  for (i = 0; i < w; i++) {
-    limb bi = b[i];
-    c = 0;
-    for (j = 0; j < w; j++) {
-      c = (dlimb) a[j] * bi + r[j] + (limb) (c >> 64);
-      r[j] = (limb) c;
-    }
-    c = (dlimb) t_w + (limb) (c >> 64);
-    t_w = (limb) c;
-    t_w1 = (limb) (c >> 64);
-    /* add m n, which clears the low limb, and shift down one limb */
-    m = r[0] * ninv;
-    c = (dlimb) m * n[0] + r[0];
-    for (j = 1; j < w; j++) {
-      c = (dlimb) m * n[j] + r[j] + (limb) (c >> 64);
-      r[j - 1] = (limb) c;
-    }
-    c = (dlimb) t_w + (limb) (c >> 64);
-    r[w - 1] = (limb) c;
-    t_w = t_w1 + (limb) (c >> 64);
-  }
-  /* t < 2n: one conditional subtraction makes it canonical */
-  if (t_w != 0 || geq(r, n, w)) sub_in_place(r, n, w);
+  mont_columns(r, a, b, n, ninv, w, 0);
 }
 
-/* t[0 .. len) += m x[0 .. len), returning the carry out.  Unrolled by
- * two and inlined: the square's rows are short and vary in length, and
- * as a call this loop made the square slower than the product. */
-static inline __attribute__((always_inline)) limb
-add_mul_row(limb *restrict t, const limb *restrict x, mlsize_t len, limb m)
-{
-  mlsize_t j;
-  dlimb c = 0;
-  for (j = 0; j + 1 < len; j += 2) {
-    c = (dlimb) m * x[j] + t[j] + (limb) (c >> 64);
-    t[j] = (limb) c;
-    c = (dlimb) m * x[j + 1] + t[j + 1] + (limb) (c >> 64);
-    t[j + 1] = (limb) c;
-  }
-  if (j < len) {
-    c = (dlimb) m * x[j] + t[j] + (limb) (c >> 64);
-    t[j] = (limb) c;
-  }
-  return (limb) (c >> 64);
-}
-
-/* r = a^2 R^-1 mod n for a < n, through the 2w-limb scratch t: the
- * cross products a_i a_j (i < j) once, doubled, plus the diagonal, then
- * a separate reduction.  t must not overlap r or a. */
 static void mont_sqr(limb *r, const limb *a, const limb *n, limb ninv,
-                     mlsize_t w, limb *t)
+                     mlsize_t w)
 {
-  mlsize_t i;
-  limb top = 0;
-  dlimb c = 0;
-  memset(t, 0, 2 * w * LIMB_BYTES);
-  for (i = 0; i + 1 < w; i++)
-    t[i + w] = add_mul_row(t + 2 * i + 1, a + i + 1, w - i - 1, a[i]);
-  /* the doubled cross sum is below a^2 < 2^(128w): no bit shifts out */
-  for (i = 0; i < 2 * w; i++) {
-    limb v = t[i];
-    t[i] = (v << 1) | top;
-    top = v >> 63;
-  }
-  for (i = 0; i < w; i++) {
-    dlimb d = (dlimb) a[i] * a[i];
-    c = (dlimb) t[2 * i] + (limb) d + (limb) (c >> 64);
-    t[2 * i] = (limb) c;
-    c = (dlimb) t[2 * i + 1] + (limb) (d >> 64) + (limb) (c >> 64);
-    t[2 * i + 1] = (limb) c;
-  }
-  /* add m_i n 2^(64i) to clear limb i; [top] carries into limb i + w + 1 */
-  top = 0;
-  for (i = 0; i < w; i++) {
-    c = (dlimb) t[i + w] + add_mul_row(t + i, n, w, t[i] * ninv) + top;
-    t[i + w] = (limb) c;
-    top = (limb) (c >> 64);
-  }
-  /* (a^2 + M n) / R < 2n */
-  memcpy(r, t + w, w * LIMB_BYTES);
-  if (top != 0 || geq(r, n, w)) sub_in_place(r, n, w);
-}
-
-/* r = a^2 R^-1 mod n by mont_sqr from SQR_MIN_LIMBS limbs up, else by
- * mont_mul; t is mont_sqr's scratch.  r must not overlap a. */
-static void mont_square(limb *r, const limb *a, const limb *n, limb ninv,
-                        mlsize_t w, limb *t)
-{
-  if (w >= SQR_MIN_LIMBS) mont_sqr(r, a, n, ninv, w, t);
-  else mont_mul(r, a, a, n, ninv, w);
+  mont_columns(r, a, a, n, ninv, w, 1);
 }
 
 /* The kernel of an odd modulus: its limbs, then -n^-1 mod 2^64. */
@@ -368,38 +334,43 @@ CAMLprim value ppst_mont_mul(value vk, value va, value vb)
   CAMLlocal1(vr);
   mlsize_t w = kernel_width(vk);
   const limb *n;
-  limb *t = NULL;
   check_width(va, w);
   check_width(vb, w);
   vr = caml_alloc_string(w * LIMB_BYTES);
-  if (va == vb && w >= SQR_MIN_LIMBS) {
-    t = malloc(2 * w * LIMB_BYTES);
-    if (t == NULL) caml_raise_out_of_memory();
-  }
   n = (const limb *) Bytes_val(vk);
-  if (t != NULL) {
-    mont_sqr((limb *) Bytes_val(vr), (const limb *) Bytes_val(va), n, n[w], w, t);
-    free(t);
-  } else {
+  if (va == vb)
+    mont_sqr((limb *) Bytes_val(vr), (const limb *) Bytes_val(va), n, n[w], w);
+  else
     mont_mul((limb *) Bytes_val(vr), (const limb *) Bytes_val(va),
              (const limb *) Bytes_val(vb), n, n[w], w);
-  }
   CAMLreturn(vr);
 }
 
+/* The exponent length beyond which a window of k + 1 bits beats one of
+ * k bits.  A window of k bits needs the odd powers x, x^3, ...,
+ * x^(2^k - 1), and the scan makes about one product per k + 1 bits of
+ * the exponent.  Widening it saves about nbits / ((k + 1)(k + 2)) of
+ * those products and costs 2^(k-1) more table products, or two at
+ * k = 1, where x^2 is new too.  So the width is 1 (the binary ladder, no
+ * table) up to 12 bits, then 2, 3, 4, 5 and 6 beyond 12, 24, 80, 240
+ * and 672 bits. */
+static uintnat widening_length(uintnat k)
+{
+  uintnat added = k == 1 ? 2 : (uintnat) 1 << (k - 1);
+  return added * (k + 1) * (k + 2);
+}
+
 /* x^e in Montgomery form for x in form and a Nat.t exponent e; [one] is
- * R mod n, the result for e = 0.  Exponents of at most WINDOW bits take
- * the plain binary ladder: the table would cost more than it saves. */
+ * R mod n, the result for e = 0. */
 CAMLprim value ppst_mont_pow(value vk, value vone, value vx, value ve)
 {
   CAMLparam4(vk, vone, vx, ve);
   CAMLlocal1(vr);
   mlsize_t w = kernel_width(vk);
-  uintnat nbits = nat_bits(ve);
-  const limb *n, *x, *odd[TABLE];
-  limb *scratch, *acc, *tmp, *sq, *swap, ninv;
-  long i, j, b;
-  int k;
+  uintnat nbits = nat_bits(ve), width, table;
+  const limb *n;
+  limb *odd, *x2, *acc, *tmp, *swap, ninv;
+  long i, j, b, k;
   check_width(vone, w);
   check_width(vx, w);
   vr = caml_alloc_string(w * LIMB_BYTES);
@@ -407,15 +378,21 @@ CAMLprim value ppst_mont_pow(value vk, value vone, value vx, value ve)
     memcpy(Bytes_val(vr), Bytes_val(vone), w * LIMB_BYTES);
     CAMLreturn(vr);
   }
-  /* TABLE - 1 odd powers, x^2, two accumulators and the square's 2w */
-  scratch = malloc((TABLE + 4) * w * LIMB_BYTES);
-  if (scratch == NULL) caml_raise_out_of_memory();
+  for (width = 1; nbits > widening_length(width); width++)
+    ;
+  table = (uintnat) 1 << (width - 1);
+  /* the odd powers, x^2 and two accumulators */
+  odd = malloc((table + 3) * w * LIMB_BYTES);
+  if (odd == NULL) caml_raise_out_of_memory();
   n = (const limb *) Bytes_val(vk);
   ninv = n[w];
-  x = (const limb *) Bytes_val(vx);
-  acc = scratch + TABLE * w;
+  x2 = odd + table * w;
+  acc = x2 + w;
   tmp = acc + w;
-  sq = tmp + w;
+  memcpy(odd, Bytes_val(vx), w * LIMB_BYTES);
+  if (table > 1) mont_sqr(x2, odd, n, ninv, w);
+  for (k = 1; k < (long) table; k++)
+    mont_mul(odd + k * w, odd + (k - 1) * w, x2, n, ninv, w);
 /* acc = acc * y, through the spare buffer tmp */
 #define ACC_TIMES(y)                            \
   do {                                          \
@@ -425,51 +402,35 @@ CAMLprim value ppst_mont_pow(value vk, value vone, value vx, value ve)
 /* acc = acc^2, the same way */
 #define ACC_SQUARE()                            \
   do {                                          \
-    mont_square(tmp, acc, n, ninv, w, sq);      \
+    mont_sqr(tmp, acc, n, ninv, w);             \
     swap = acc; acc = tmp; tmp = swap;          \
   } while (0)
-  if (nbits <= WINDOW) {
-    memcpy(acc, x, w * LIMB_BYTES);
-    for (i = (long) nbits - 2; i >= 0; i--) {
+  /* Scan from the top bit; each window [i .. j] is the widest that fits
+   * and ends on a set bit, so its value is odd and in the table.  The
+   * first window (the top bit is set) seeds the accumulator. */
+  i = (long) nbits - 1;
+  while (i >= 0) {
+    if (!nat_bit(ve, i)) {
       ACC_SQUARE();
-      if (nat_bit(ve, i)) ACC_TIMES(x);
+      i--;
+      continue;
     }
-  } else {
-    limb *x2 = scratch + (TABLE - 1) * w;
-    mont_square(x2, x, n, ninv, w, sq);
-    odd[0] = x;
-    for (k = 1; k < TABLE; k++) {
-      limb *entry = scratch + (k - 1) * w;
-      mont_mul(entry, odd[k - 1], x2, n, ninv, w);
-      odd[k] = entry;
+    j = i - (long) width + 1 > 0 ? i - (long) width + 1 : 0;
+    while (!nat_bit(ve, j)) j++;
+    k = 0;
+    for (b = i; b >= j; b--) k = (k << 1) | nat_bit(ve, b);
+    if (i == (long) nbits - 1) {
+      memcpy(acc, odd + (k >> 1) * w, w * LIMB_BYTES);
+    } else {
+      for (b = i; b >= j; b--) ACC_SQUARE();
+      ACC_TIMES(odd + (k >> 1) * w);
     }
-    /* Scan from the top bit; each window [i .. j] is the widest that
-     * fits and ends on a set bit, so its value is odd and in the table.
-     * The first window (the top bit is set) seeds the accumulator. */
-    i = (long) nbits - 1;
-    while (i >= 0) {
-      if (!nat_bit(ve, i)) {
-        ACC_SQUARE();
-        i--;
-        continue;
-      }
-      j = i - WINDOW + 1 > 0 ? i - WINDOW + 1 : 0;
-      while (!nat_bit(ve, j)) j++;
-      k = 0;
-      for (b = i; b >= j; b--) k = (k << 1) | nat_bit(ve, b);
-      if (i == (long) nbits - 1) {
-        memcpy(acc, odd[k >> 1], w * LIMB_BYTES);
-      } else {
-        for (b = i; b >= j; b--) ACC_SQUARE();
-        ACC_TIMES(odd[k >> 1]);
-      }
-      i = j - 1;
-    }
+    i = j - 1;
   }
 #undef ACC_SQUARE
 #undef ACC_TIMES
   memcpy(Bytes_val(vr), acc, w * LIMB_BYTES);
-  free(scratch);
+  free(odd);
   CAMLreturn(vr);
 }
 

@@ -1,6 +1,6 @@
 (** Montgomery modular multiplication and exponentiation for odd moduli,
-    run by a C kernel (CIOS over 64-bit limbs, [R = 2^(64w)] for a
-    modulus of [w] limbs, and a dedicated square from 16 limbs up).
+    run by a C kernel (product scanning over 64-bit limbs, [R = 2^(64w)]
+    for a modulus of [w] limbs, and a dedicated square).
     Most callers should use the {!Modular} wrappers; this interface
     exists for the hot paths that chain products in Montgomery form.
 
@@ -44,6 +44,7 @@ val one_raw : ctx -> elt
 
 val pow_raw : ctx -> elt -> Nat.t -> elt
 (** [pow_raw ctx x e] with [x] in Montgomery form returns [x^e] in
-    Montgomery form (width-4 sliding window over squares).  [e = 0] yields
-    {!one_raw}.
+    Montgomery form (a sliding window over squares, its width growing
+    with the length of [e]: 1 bit up to 12-bit exponents, 6 bits beyond
+    672).  [e = 0] yields {!one_raw}.
     @raise Invalid_argument as {!mont_mul_raw}. *)

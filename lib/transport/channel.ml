@@ -158,12 +158,11 @@ let resume_token t =
 (* A write to a peer-reset socket must surface as EPIPE (handled by the
    caller), not as a process-killing SIGPIPE — which is exactly what a
    client racing a server-side timeout close would otherwise get.
-   Forced on every socket construction; a no-op where SIGPIPE does not
+   Called on every socket construction: setting the same disposition
+   again is harmless from any thread, and a no-op where SIGPIPE does not
    exist. *)
-let ignore_sigpipe =
-  lazy (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ())
-
-let setup_sigpipe () = Lazy.force ignore_sigpipe
+let setup_sigpipe () =
+  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ()
 
 (* Retry a syscall interrupted by a signal (EINTR) — without this, any
    signal delivered mid-read kills the session with a spurious
@@ -609,7 +608,7 @@ let local ?config handler = make ?config (Local handler)
 
 let connect ?config ?(crc = true) ?(resume = true) ?retry ?rng ?sleep
     ?budget ?faults ~host ~port () =
-  Lazy.force ignore_sigpipe;
+  setup_sigpipe ();
   let rng =
     match rng with Some r -> r | None -> Ppst_rng.Secure_rng.system ()
   in

@@ -2,29 +2,24 @@
    Fast enough to sit in the frame path: one table lookup per byte is
    noise next to a Paillier ciphertext's modular exponentiations. *)
 
+(* Built at module initialisation, before any thread can call [update]:
+   a table built on first use, forced by two threads at once, raises
+   [CamlinternalLazy.Undefined] in the second. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let update crc s off len =
   if off < 0 || len < 0 || off + len > String.length s then
     invalid_arg "Crc32.update: range outside the string";
-  let table = Lazy.force table in
-  let c = ref (Int32.lognot (Int32.of_int crc)) in
+  let c = ref (lnot crc land 0xFFFFFFFF) in
   for i = off to off + len - 1 do
-    let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xFFl)
-    in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+    c := table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
   done;
-  Int32.to_int (Int32.logand (Int32.lognot !c) 0xFFFFFFFFl) land 0xFFFFFFFF
+  lnot !c land 0xFFFFFFFF
 
 let digest s = update 0 s 0 (String.length s)

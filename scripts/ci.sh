@@ -37,8 +37,9 @@
 # oversized session must be turned away with a typed quota verdict
 # before any Paillier work.
 #
-# (f) observability: two smoke traces of the same seed must
-# diff clean while a doctored 2x-latency copy must be flagged; a
+# (f) observability: two recordings of the same seed, each three
+# smoke runs' traces concatenated, must diff clean while a doctored
+# 2x-latency copy must be flagged; a
 # truncated trace tail is reported with its own exit code; the catalog
 # smoke runs with the metrics sidecar up and the exposition page (both
 # the HTTP endpoint and the in-protocol metrics verb) must carry the
@@ -113,18 +114,31 @@ if grep -E '[0-9]{17}' "$trace"; then
 fi
 echo "ci: telemetry trace lint OK ($(wc -l < "$trace") records)"
 
-# Regression diff: a second run of the same seed must diff clean against
-# the first (byte counts repeat exactly; latency floors absorb scheduler
-# noise), and a candidate whose span and round latencies are doubled
-# must be flagged.
+# Regression diff: a second recording of the same seed must diff clean
+# against the first (byte counts repeat exactly; latency floors absorb
+# scheduler noise), and a copy of the first whose span and round
+# latencies are doubled must be flagged.
 trace2="$(mktemp /tmp/ppst_ci_trace2.XXXXXX.jsonl)"
 doctored="$(mktemp /tmp/ppst_ci_doctored.XXXXXX.jsonl)"
 trap 'rm -f "$trace" "$trace2" "$doctored"; rm -rf "$chaos_dir"' EXIT INT TERM
 # The 50ms floor keeps sub-50ms span jitter (scheduler noise on a
-# loaded CI host) out of the verdict; the doctored 2x copy still trips
-# it through the DTW span, whose total is 70-100 ms on a 2-vCPU host
-# (a floor above that total would let the doctored copy through).
-dune exec bench/main.exe -- smoke --log-json --trace-out "$trace2" >/dev/null
+# loaded CI host) out of the verdict, so a doubled span trips it only if
+# its total exceeds 50 ms.  One smoke's DTW span totals 35-55 ms on a
+# 2-vCPU host, too close to the floor, so each recording is three
+# back-to-back smoke runs with their traces concatenated: the first
+# trace and two more runs on one side, three fresh runs on the other.
+# The DTW span then totals about 100-180 ms, and the doctored copy
+# trips the floor through it.
+append_smoke() {
+  dune exec bench/main.exe -- smoke --log-json \
+    --trace-out "$chaos_dir/smoke-run.jsonl" >/dev/null
+  cat "$chaos_dir/smoke-run.jsonl" >> "$1"
+}
+append_smoke "$trace"
+append_smoke "$trace"
+for _ in 1 2 3; do
+  append_smoke "$trace2"
+done
 dune exec bin/ppst_analyze.exe -- diff "$trace" "$trace2" --latency-floor-ms 50
 python3 - "$trace" "$doctored" <<'PYEOF'
 import json, sys

@@ -297,10 +297,16 @@ let gen_odd =
       if Bigint.compare v (Bigint.of_int 3) < 0 then Bigint.of_int 3 else v)
     gen_bigint
 
+(* A value of exactly [len] bits, [len] = 0 and 1 giving 0 and 1. *)
+let exact_bits rng len =
+  if len <= 1 then Bigint.of_int len
+  else Bigint.add (Bigint.shift_left Bigint.one (len - 1)) (Splitmix.bits rng (len - 1))
+
 (* (base, exponent, odd modulus) at the Montgomery kernel's edges:
    moduli of 1 to 70 64-bit limbs (top limb partly or wholly used, or
    all ones), bases 0, 1, n - 1, R mod n with R = 2^(64w) and unreduced
-   ones, exponents 0, 1 and all-ones. *)
+   ones, exponents 0, 1, all-ones, and exactly 12, 13, 24, 25, 80 or 81
+   bits long, either side of the power's first three window widenings. *)
 let gen_kernel_case =
   let open QCheck2.Gen in
   let* limbs = int_range 1 70 in
@@ -323,10 +329,11 @@ let gen_kernel_case =
         Splitmix.bits rng (2 * bits) ]
   in
   let* ones = int_range 1 130 in
+  let* edge = oneofl [ 12; 13; 24; 25; 80; 81 ] in
   let+ e =
     oneofl
       [ Bigint.zero; Bigint.one; Bigint.pred (Bigint.shift_left Bigint.one ones);
-        Splitmix.bits rng 130 ]
+        Splitmix.bits rng 130; exact_bits rng edge ]
   in
   (b, e, m)
 
@@ -356,6 +363,72 @@ let prop_montgomery_vs_naive =
       && Bigint.equal x (Modular.of_mont_ctx ctx mx)
       && Bigint.equal (Bigint.erem (Bigint.mul x y) m) (Modular.of_mont_ctx ctx product)
       && square = Modular.to_mont_ctx ctx (Bigint.erem (Bigint.mul x x) m))
+
+(* Powers whose exponents reach the wide windows: lengths either side of
+   the widenings at 240 and 672 bits, 1,100 bits, 1,793 bits (past the
+   widening at 1,792) and short ones, so that x^(e1 + e2) = x^e1 x^e2
+   sets windows of different widths against each other, on moduli of 1
+   to 70 limbs. *)
+let prop_montgomery_pow_splits =
+  let gen =
+    let open QCheck2.Gen in
+    let* limbs = int_range 1 70 in
+    let* seed = int in
+    let* len1 = oneofl [ 1; 12; 13; 240; 241; 672; 673; 1100; 1793 ] in
+    let+ len2 = oneofl [ 0; 5; 25; 81; 239; 240; 671; 672; 1000 ] in
+    let rng = Splitmix.create seed in
+    let m = Bigint.succ (Bigint.shift_left (Splitmix.bits rng ((64 * limbs) - 1)) 1) in
+    (Bigint.erem (Splitmix.bits rng (64 * limbs)) m, exact_bits rng len1, m, exact_bits rng len2)
+  in
+  QCheck_alcotest.to_alcotest
+  @@ QCheck2.Test.make ~name:"montgomery x^(e1+e2) = x^e1 x^e2, windows 1-7" ~count:60
+       ~print:(fun (x, e1, m, e2) ->
+         String.concat ", " (List.map print_bi [ x; e1; m; e2 ]))
+       gen
+       (fun (x, e1, m, e2) ->
+         let ctx = Modular.make_ctx m in
+         let mont = Modular.mont_of_ctx ctx in
+         let mx = Modular.to_mont_ctx ctx x in
+         let pow e = Montgomery.pow_raw mont mx (Bigint.magnitude e) in
+         pow (Bigint.add e1 e2) = Montgomery.mont_mul_raw mont (pow e1) (pow e2))
+
+(* Operands whose limbs are all 2^64 - 1, at every width from 1 to 70
+   limbs, so that every column sum of a product or square carries into
+   its third limb: n - 1 under the all-ones modulus n = R - 1 (its own
+   Montgomery form, as R = 1 mod n), and R - 1 into to_mont under that
+   modulus and under a random one. *)
+let test_montgomery_all_ones_limbs () =
+  let rng = Splitmix.create 4242 in
+  for limbs = 1 to 70 do
+    let r = Bigint.shift_left Bigint.one (64 * limbs) in
+    let r_minus_1 = Bigint.magnitude (Bigint.pred r) in
+    let n = Bigint.pred r in
+    let ctx = Modular.make_ctx n in
+    let mont = Modular.mont_of_ctx ctx in
+    let form v = Modular.to_mont_ctx ctx v in
+    let name what = Printf.sprintf "%s, %d limbs" what limbs in
+    let top = Bigint.pred n in
+    let x = form top in
+    Alcotest.(check bool) (name "n - 1 is its own form") true
+      (Montgomery.to_mont mont (Bigint.magnitude top) = x);
+    Alcotest.(check bool) (name "(n - 1)^2 = 1") true
+      (Montgomery.mont_mul_raw mont x x = form Bigint.one);
+    Alcotest.(check bool) (name "(n - 1)(n - 2) = 2") true
+      (Montgomery.mont_mul_raw mont x (form (Bigint.pred top)) = form (Bigint.of_int 2));
+    Alcotest.(check bool) (name "(n - 1)^(2^64 - 1) = n - 1") true
+      (Montgomery.pow_raw mont x (Bigint.magnitude (Bigint.pred (Bigint.shift_left Bigint.one 64)))
+       = x);
+    Alcotest.(check bool) (name "to_mont (R - 1) = 0") true
+      (Montgomery.to_mont mont r_minus_1 = form Bigint.zero);
+    let m = Bigint.succ (Bigint.shift_left (Splitmix.bits rng ((64 * limbs) - 1)) 1) in
+    let ctx = Modular.make_ctx m in
+    let mont = Modular.mont_of_ctx ctx in
+    let y = Montgomery.to_mont mont r_minus_1 in
+    let reduced = Bigint.erem (Bigint.pred r) m in
+    Alcotest.(check bool) (name "to_mont (R - 1), random modulus") true
+      (y = Modular.to_mont_ctx ctx reduced);
+    Alcotest.check eq_bi (name "of_mont, random modulus") reduced (Modular.of_mont_ctx ctx y)
+  done
 
 let prop_fermat =
   (* Fermat's little theorem with a fixed large prime *)
@@ -844,7 +917,10 @@ let () =
             test_montgomery_shared_across_domains;
           Alcotest.test_case "powmod degenerate differential" `Quick
             test_powmod_degenerate_differential;
+          Alcotest.test_case "montgomery all-ones limbs, 1-70 limbs" `Quick
+            test_montgomery_all_ones_limbs;
           prop_montgomery_vs_naive;
+          prop_montgomery_pow_splits;
           prop_powmod_vs_naive_wide;
           prop_powmod_even_vs_reference;
           prop_fermat;

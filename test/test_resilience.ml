@@ -34,6 +34,19 @@ let test_crc32_composition () =
    | _ -> Alcotest.fail "out-of-range slice accepted"
    | exception Invalid_argument _ -> ())
 
+(* Several Domains digest one buffer at once and each gets the sequential
+   digest.  It runs first in this suite, so in a fresh process it holds
+   the first CRC calls: a table built on first use would be forced by
+   all of them together. *)
+let test_crc32_concurrent () =
+  let s = String.init 65536 (fun i -> Char.chr ((i * 131 + (i lsr 8)) land 0xFF)) in
+  let domains = List.init 4 (fun _ -> Domain.spawn (fun () -> Crc32.digest s)) in
+  let digests = List.map Domain.join domains in
+  let sequential = Crc32.digest s in
+  List.iteri
+    (fun i d -> Alcotest.(check int) (Printf.sprintf "domain %d" i) sequential d)
+    digests
+
 let with_pipe f =
   let r, w = Unix.pipe () in
   Fun.protect
@@ -603,6 +616,8 @@ let () =
     [
       ( "crc32",
         [
+          Alcotest.test_case "digest from concurrent domains" `Quick
+            test_crc32_concurrent;
           Alcotest.test_case "known vectors" `Quick test_crc32_vectors;
           Alcotest.test_case "streaming composition" `Quick test_crc32_composition;
           Alcotest.test_case "frame round trip" `Quick test_crc_frame_roundtrip;
