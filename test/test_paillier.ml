@@ -338,16 +338,25 @@ let test_encrypt_sk_identical () =
     keys
 
 let test_encrypt_batch_sk_identical () =
+  (* the reference is a loop of [encrypt] on the same seed: the batch
+     draws its units in element order, on one lane or two *)
   let plains = Array.init 7 (fun i -> Bigint.of_int (i * 1000)) in
-  let batch_pk = Paillier.encrypt_batch pk (rng ()) plains in
-  let batch_sk = Paillier.encrypt_batch_sk sk (rng ()) plains in
-  Array.iteri
-    (fun i c ->
-      Alcotest.(check bool)
-        (Printf.sprintf "element %d" i)
-        true
-        (Paillier.equal_ciphertext c batch_sk.(i)))
-    batch_pk
+  let reference = Array.map (Paillier.encrypt pk (rng ())) plains in
+  let two = Ppst_parallel.Pool.create 2 in
+  Fun.protect
+    ~finally:(fun () -> Ppst_parallel.Pool.shutdown two)
+    (fun () ->
+      List.iter
+        (fun (lanes, workers) ->
+          let batch = Paillier.encrypt_batch_sk ~workers sk (rng ()) plains in
+          Array.iteri
+            (fun i c ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%d lane(s), element %d" lanes i)
+                true
+                (Paillier.equal_ciphertext c batch.(i)))
+            reference)
+        [ (1, Ppst_parallel.Pool.sequential); (2, two) ])
 
 let test_invert_ciphertext () =
   let r = rng () in
@@ -417,6 +426,53 @@ let test_pool_refill_async () =
         (Printf.sprintf "no misses (fast=%b)" fast)
         0 (Paillier.pool_misses pool))
     [ false; true ]
+
+(* The three subgroup-noise producers draw h, then one exponent per
+   entry, from the caller's rng: seeded alike they must yield the same
+   noise in the same order and leave the rng in the same state. *)
+let test_noise_paths_agree () =
+  let count = 6 and m = Bigint.of_int 4711 in
+  let tail r = Ppst_rng.Secure_rng.bits r 64 in
+  let via_pool fill =
+    let r = rng () in
+    let pool = Paillier.pool_create pk in
+    fill pool r;
+    (* entries are pooled, so the spare rng is never drawn from *)
+    let spare = Ppst_rng.Secure_rng.of_seed_string "noise-paths-spare" in
+    let cs = Array.init count (fun _ -> Paillier.encrypt_pooled pk pool spare m) in
+    Alcotest.(check int) "no misses" 0 (Paillier.pool_misses pool);
+    (cs, tail r)
+  in
+  let reference =
+    let r = rng () in
+    let g = Paillier.noise_gen_create pk r in
+    let cs =
+      Array.init count (fun _ ->
+          Paillier.encrypt_with_rn pk ~rn:(Paillier.noise_gen_rn g pk r) m)
+    in
+    (cs, tail r)
+  in
+  let two = Ppst_parallel.Pool.create 2 in
+  Fun.protect
+    ~finally:(fun () -> Ppst_parallel.Pool.shutdown two)
+    (fun () ->
+      List.iter
+        (fun (name, (cs, rest)) ->
+          Array.iteri
+            (fun i c ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s entry %d = noise_gen_rn" name i)
+                true
+                (Paillier.equal_ciphertext c cs.(i)))
+            (fst reference);
+          Alcotest.check eq_bi (name ^ ": rng left alike") (snd reference) rest)
+        [
+          ("pool_refill_fast", via_pool (fun pool r -> Paillier.pool_refill_fast pk pool r count));
+          ( "pool_refill_fast, 2 lanes",
+            via_pool (fun pool r -> Paillier.pool_refill_fast ~workers:two pk pool r count) );
+          ( "pool_refill_async",
+            via_pool (fun pool r -> Paillier.pool_refill_async ~fast:true pk pool r count ()) );
+        ])
 
 let test_noise_gen () =
   let r = rng () in
@@ -619,7 +675,7 @@ let () =
       ( "hot path",
         [
           Alcotest.test_case "encrypt_sk = encrypt" `Quick test_encrypt_sk_identical;
-          Alcotest.test_case "encrypt_batch_sk = encrypt_batch" `Quick
+          Alcotest.test_case "encrypt_batch_sk = encrypt, 1 and 2 lanes" `Quick
             test_encrypt_batch_sk_identical;
           Alcotest.test_case "invert_ciphertext" `Quick test_invert_ciphertext;
           Alcotest.test_case "pool FIFO transcript identity" `Quick
@@ -627,6 +683,7 @@ let () =
           Alcotest.test_case "fast (subgroup) refill" `Quick test_pool_refill_fast;
           Alcotest.test_case "async refill" `Quick test_pool_refill_async;
           Alcotest.test_case "noise generator" `Quick test_noise_gen;
+          Alcotest.test_case "subgroup noise paths agree" `Quick test_noise_paths_agree;
           Alcotest.test_case "pool hammer (4 domains)" `Quick test_pool_hammer;
         ] );
       ( "packing",
