@@ -119,11 +119,11 @@ let precompute_randomness t count =
       (fun () ->
         join_refill t;
         if t.packing then
-          (* packed profile: fast subgroup noise, produced on a
-             background Domain; online rounds block in rn_acquire while
-             entries are owed instead of recording misses *)
+          (* packed profile: subgroup noise, produced on a background
+             Domain; online rounds block in rn_acquire while entries are
+             owed instead of recording misses *)
           t.refill_join <-
-            Some (Paillier.pool_refill_async ~fast:true t.pk t.pool t.noise_rng count)
+            Some (Paillier.pool_refill_async t.pk t.pool t.noise_rng count)
         else begin
           let t0 = Unix.gettimeofday () in
           Paillier.pool_refill ~workers:t.workers t.pk t.pool t.noise_rng count;

@@ -30,6 +30,10 @@ val create :
     matches the paper's cost profile, where decryption is the expensive
     server-side operation; [`Crt] enables the ~2x-faster CRT decryption —
     an optimization beyond the paper, benchmarked in the ablation suite.
+    Both give the same plaintexts, so replies do not depend on it.  It
+    stays an option because its callers want different values: the
+    paper's figures in [bench/main.ml] run the standard decryption,
+    while [ppst_server] and the benchmark ladder pass [`Crt].
 
     [workers] (default sequential) fans candidate decryption and phase-1
     encryption out over a Domain pool.  Replies are bit-identical at any

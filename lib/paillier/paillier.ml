@@ -219,12 +219,20 @@ let is_unit_sk sk v =
 
 let random_unit_sk sk rng = draw_unit sk.public rng (is_unit_sk sk)
 
-(* With g = n+1: g^m = 1 + m*n (mod n^2), avoiding one exponentiation. *)
-let g_pow_m pk m = Bigint.erem (Bigint.succ (Bigint.mul m pk.n)) pk.n_squared
+(* With g = n+1: g^m = 1 + m*n (mod n^2), avoiding one exponentiation;
+   returned in Montgomery form, ready to multiply. *)
+let g_pow_m pk m =
+  Modular.to_mont_ctx pk.ctx_n2 (Bigint.erem (Bigint.succ (Bigint.mul m pk.n)) pk.n_squared)
 
-let fresh_rn pk rng =
-  let r = random_unit pk rng in
-  Modular.pow_ctx pk.ctx_n2 r pk.n
+(* An r^n factor kept in Montgomery form, ready to multiply into a
+   ciphertext without conversion. *)
+type rn = Montgomery.elt
+
+let rn_of_bigint pk v = Modular.to_mont_ctx pk.ctx_n2 v
+
+(* r^n mod n^2 for a party with only n: one full-width power. *)
+let rn_of_unit pk r =
+  Montgomery.pow_raw (mont_n2 pk) (Modular.to_mont_ctx pk.ctx_n2 r) (Bigint.magnitude pk.n)
 
 (* r^n mod n^2 for the key holder: compute r^n modulo p^2 and q^2 and
    recombine by Garner with the precomputed (p^2)^-1 mod q^2.  Because
@@ -234,7 +242,7 @@ let fresh_rn pk rng =
    x mod p, so r^n = (r^q)^p mod p^2 is ((r mod p)^q mod p)^p mod p^2 —
    a half-width exponent mod p, then one mod p^2, where a direct power
    would take a full-width exponent mod p^2. *)
-let fresh_rn_sk sk r =
+let rn_of_unit_sk sk r =
   let lift ctx_prime ctx_square prime other =
     Modular.pow_ctx ctx_square (Modular.pow_ctx ctx_prime r other) prime
   in
@@ -242,22 +250,26 @@ let fresh_rn_sk sk r =
   let rq = lift sk.ctx_q sk.ctx_q2 sk.q sk.p in
   let diff = Bigint.erem (Bigint.sub rq rp) sk.q_squared in
   let h = Modular.mul_ctx sk.ctx_q2 diff sk.p2_inv_mod_q2 in
-  Bigint.erem (Bigint.add rp (Bigint.mul sk.p_squared h)) sk.public.n_squared
+  rn_of_bigint sk.public (Bigint.add rp (Bigint.mul sk.p_squared h))
+
+(* The one encryption step, g^m * r^n mod n^2 in Montgomery form: every
+   encryption path feeds it a realized noise factor.  Checking the
+   plaintext is the caller's job, before any randomness is drawn. *)
+let seal pk rn m = ct_of_mont pk (Montgomery.mont_mul_raw (mont_n2 pk) (g_pow_m pk m) rn)
+
+let encrypt_with_rn pk ~rn m =
+  check_plaintext pk m;
+  seal pk rn m
 
 let encrypt pk rng m =
   check_plaintext pk m;
-  ct_of_value pk (Modular.mul_ctx pk.ctx_n2 (g_pow_m pk m) (fresh_rn pk rng))
+  seal pk (rn_of_unit pk (random_unit pk rng)) m
 
 let encrypt_sk sk rng m =
   let pk = sk.public in
   check_plaintext pk m;
-  let r = random_unit_sk sk rng in
-  ct_of_value pk (Modular.mul_ctx pk.ctx_n2 (g_pow_m pk m) (fresh_rn_sk sk r))
+  seal pk (rn_of_unit_sk sk (random_unit_sk sk rng)) m
 
-(* Batch encryption with the randomness pre-drawn sequentially: the rng
-   is consumed in plaintext order exactly as a loop of [encrypt] calls
-   would, so seeded transcripts do not depend on the worker count.  Only
-   the pure exponentiations fan out. *)
 let batch_buckets = [| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512.; 1024. |]
 let m_encrypt_batch =
   Ppst_telemetry.Metrics.histogram ~buckets:batch_buckets "paillier.batch.encrypt"
@@ -267,24 +279,17 @@ let m_pool_refill =
   Ppst_telemetry.Metrics.histogram ~buckets:batch_buckets "paillier.pool.refill"
 let m_pool_misses = Ppst_telemetry.Metrics.counter "paillier.pool.misses"
 
-let encrypt_batch ?(workers = Ppst_parallel.Pool.sequential) pk rng ms =
-  Ppst_telemetry.Metrics.observe m_encrypt_batch (float_of_int (Array.length ms));
-  Array.iter (check_plaintext pk) ms;
-  let rs = Array.map (fun _ -> random_unit pk rng) ms in
-  Ppst_parallel.Pool.map_array workers
-    (fun (m, r) ->
-      let rn = Modular.pow_ctx pk.ctx_n2 r pk.n in
-      ct_of_value pk (Modular.mul_ctx pk.ctx_n2 (g_pow_m pk m) rn))
-    (Array.map2 (fun m r -> (m, r)) ms rs)
-
+(* Batch encryption with the randomness pre-drawn sequentially: the rng
+   is consumed in plaintext order exactly as a loop of [encrypt_sk] calls
+   would, so seeded transcripts do not depend on the worker count.  Only
+   the pure exponentiations fan out. *)
 let encrypt_batch_sk ?(workers = Ppst_parallel.Pool.sequential) sk rng ms =
   let pk = sk.public in
   Ppst_telemetry.Metrics.observe m_encrypt_batch (float_of_int (Array.length ms));
   Array.iter (check_plaintext pk) ms;
   let rs = Array.map (fun _ -> random_unit_sk sk rng) ms in
   Ppst_parallel.Pool.map_array workers
-    (fun (m, r) ->
-      ct_of_value pk (Modular.mul_ctx pk.ctx_n2 (g_pow_m pk m) (fresh_rn_sk sk r)))
+    (fun (m, r) -> seal pk (rn_of_unit_sk sk r) m)
     (Array.map2 (fun m r -> (m, r)) ms rs)
 
 (* Offline/online split (Paillier 1999, Section 6): the expensive factor
@@ -299,18 +304,6 @@ let encrypt_batch_sk ?(workers = Ppst_parallel.Pool.sequential) sk rng ms =
    transcripts match bit for bit.  [pending] counts entries promised by
    an in-flight background producer; consumers block (rather than miss)
    while production is still catching up. *)
-
-(* An r^n factor kept in Montgomery form, ready to multiply into a
-   ciphertext without conversion. *)
-type rn = Montgomery.elt
-
-let rn_mont_of_unit pk r =
-  Montgomery.pow_raw (mont_n2 pk)
-    (Modular.to_mont_ctx pk.ctx_n2 r)
-    (Bigint.magnitude pk.n)
-
-let rn_of_bigint pk v = Modular.to_mont_ctx pk.ctx_n2 v
-
 type randomness_pool = {
   pool_n : Bigint.t;
   lock : Mutex.t;
@@ -358,45 +351,41 @@ let pool_refill ?(workers = Ppst_parallel.Pool.sequential) pk pool rng count =
      exponentiate in parallel, then enqueue in draw order — consumers see
      factors exactly in the order the units were drawn. *)
   let rs = Array.init count (fun _ -> random_unit pk rng) in
-  let rns = Ppst_parallel.Pool.map_array workers (rn_mont_of_unit pk) rs in
-  pool_push_all pool rns
+  pool_push_all pool (Ppst_parallel.Pool.map_array workers (rn_of_unit pk) rs)
 
-(* Fast refill via a noise subgroup: draw one unit h, set hn = h^n, and
-   produce entries hn^a for short random exponents a of bits/2 + 64
-   bits through a fixed-base table — ~bits/(2w) multiplications per
-   entry instead of a full-width ladder, an order of magnitude cheaper.
-   The entries are n-th residues drawn from the cyclic subgroup <h^n>
-   rather than uniformly from all n-th residues, so this profile is an
-   explicit opt-in (the packed/fast protocol profile); see SECURITY.md. *)
-let fast_exponent_bits pk = (pk.bits / 2) + 64
-
-let pool_refill_fast ?(workers = Ppst_parallel.Pool.sequential) pk pool rng count =
-  check_pool_key pk pool;
-  Ppst_telemetry.Metrics.observe m_pool_refill (float_of_int count);
-  let h = random_unit pk rng in
-  let hn = Modular.of_mont_ctx pk.ctx_n2 (rn_mont_of_unit pk h) in
-  let ebits = fast_exponent_bits pk in
-  let table = Fixed_base.create pk.ctx_n2 ~max_bits:ebits hn in
-  let exps = Array.init count (fun _ -> Ppst_rng.Secure_rng.bits rng ebits) in
-  let rns = Ppst_parallel.Pool.map_array workers (Fixed_base.pow_raw table) exps in
-  pool_push_all pool rns
-
-(* A cached fast-noise generator: the subgroup table of [pool_refill_fast]
-   hoisted into a value, for peers (the server's packed-reply
-   re-encryptions) that need a stream of cheap noise factors across many
-   requests without a pool.  Same subgroup caveat as the fast refill. *)
+(* Subgroup noise: draw one unit h, set hn = h^n, and produce factors
+   hn^a for short random exponents a of bits/2 + 64 bits through a
+   fixed-base table — ~bits/(2w) multiplications per factor instead of
+   a full-width ladder, an order of magnitude cheaper.  The factors are
+   n-th residues drawn from the cyclic subgroup <h^n> rather than
+   uniformly from all n-th residues, so only the packed profile opts in;
+   see SECURITY.md.  This generator is the only code that draws h,
+   builds the table or draws exponents: the fast and background refills
+   and the server's packed replies all take their noise from it. *)
 type noise_gen = { gen_n : Bigint.t; gen_table : Fixed_base.t; gen_ebits : int }
 
 let noise_gen_create pk rng =
   let h = random_unit pk rng in
-  let hn = Modular.of_mont_ctx pk.ctx_n2 (rn_mont_of_unit pk h) in
-  let gen_ebits = fast_exponent_bits pk in
+  let hn = Modular.of_mont_ctx pk.ctx_n2 (rn_of_unit pk h) in
+  let gen_ebits = (pk.bits / 2) + 64 in
   { gen_n = pk.n; gen_table = Fixed_base.create pk.ctx_n2 ~max_bits:gen_ebits hn; gen_ebits }
 
-let noise_gen_rn g pk rng : rn =
+(* A factor's exponent draw is its stateful half; the table walk is pure,
+   so a refill can fan it out. *)
+let noise_exponent g rng = Ppst_rng.Secure_rng.bits rng g.gen_ebits
+let noise_power g a : rn = Fixed_base.pow_raw g.gen_table a
+
+let noise_gen_rn g pk rng =
   if not (Bigint.equal g.gen_n pk.n) then
     invalid_arg "Paillier.noise_gen_rn: generator belongs to a different key";
-  Fixed_base.pow_raw g.gen_table (Ppst_rng.Secure_rng.bits rng g.gen_ebits)
+  noise_power g (noise_exponent g rng)
+
+let pool_refill_fast ?(workers = Ppst_parallel.Pool.sequential) pk pool rng count =
+  check_pool_key pk pool;
+  Ppst_telemetry.Metrics.observe m_pool_refill (float_of_int count);
+  let g = noise_gen_create pk rng in
+  let exps = Array.init count (fun _ -> noise_exponent g rng) in
+  pool_push_all pool (Ppst_parallel.Pool.map_array workers (noise_power g) exps)
 
 (* Background production on the process's background Domain
    (Pool.background), which runs tasks in submission order.  A producer
@@ -406,7 +395,7 @@ let noise_gen_rn g pk rng : rn =
    determinism is preserved; consumers block in [rn_acquire] while
    [pending] entries are still owed instead of falling back to an online
    exponentiation. *)
-let pool_refill_async ?(fast = false) pk pool rng count =
+let pool_refill_async pk pool rng count =
   check_pool_key pk pool;
   Ppst_telemetry.Metrics.observe m_pool_refill (float_of_int count);
   Mutex.lock pool.lock;
@@ -429,26 +418,15 @@ let pool_refill_async ?(fast = false) pk pool rng count =
   in
   let produce () =
     let produced = ref 0 in
-    (try
-       if fast then begin
-         let h = random_unit pk rng in
-         let hn = Modular.of_mont_ctx pk.ctx_n2 (rn_mont_of_unit pk h) in
-         let ebits = fast_exponent_bits pk in
-         let table = Fixed_base.create pk.ctx_n2 ~max_bits:ebits hn in
-         for _ = 1 to count do
-           let a = Ppst_rng.Secure_rng.bits rng ebits in
-           push (Fixed_base.pow_raw table a);
-           incr produced
-         done
-       end
-       else
-         for _ = 1 to count do
-           push (rn_mont_of_unit pk (random_unit pk rng));
-           incr produced
-         done
-     with e ->
-       abandon (count - !produced);
-       raise e)
+    try
+      let g = noise_gen_create pk rng in
+      for _ = 1 to count do
+        push (noise_gen_rn g pk rng);
+        incr produced
+      done
+    with e ->
+      abandon (count - !produced);
+      raise e
   in
   let task = Ppst_parallel.Pool.background produce in
   fun () -> Ppst_parallel.Pool.await task
@@ -481,19 +459,11 @@ let rn_acquire pk pool rng =
 
 let rn_realize pk = function
   | Pooled rn -> rn
-  | Owed r -> rn_mont_of_unit pk r
-
-let encrypt_with_rn pk ~(rn : rn) m =
-  check_plaintext pk m;
-  let gm = Modular.to_mont_ctx pk.ctx_n2 (g_pow_m pk m) in
-  ct_of_mont pk (Montgomery.mont_mul_raw (mont_n2 pk) gm rn)
+  | Owed r -> rn_of_unit pk r
 
 let encrypt_pooled pk pool rng m =
   check_plaintext pk m;
-  let rn = rn_realize pk (rn_acquire pk pool rng) in
-  encrypt_with_rn pk ~rn m
-
-let encrypt_zero pk rng = encrypt pk rng Bigint.zero
+  seal pk (rn_realize pk (rn_acquire pk pool rng)) m
 
 let decrypt sk c =
   let pk = sk.public in
@@ -522,7 +492,7 @@ let decrypt_crt sk c =
 (* Decryption is pure per ciphertext once the canonical value is
    realized, so batches fan out unchanged — [ct_value] runs before the
    fan-out so workers never race on the caches. *)
-let decrypt_batch ?(workers = Ppst_parallel.Pool.sequential) sk cs =
+let batch_decrypt decrypt ?(workers = Ppst_parallel.Pool.sequential) sk cs =
   Ppst_telemetry.Metrics.observe m_decrypt_batch (float_of_int (Array.length cs));
   Array.iter
     (fun c ->
@@ -531,14 +501,8 @@ let decrypt_batch ?(workers = Ppst_parallel.Pool.sequential) sk cs =
     cs;
   Ppst_parallel.Pool.map_array workers (decrypt sk) cs
 
-let decrypt_crt_batch ?(workers = Ppst_parallel.Pool.sequential) sk cs =
-  Ppst_telemetry.Metrics.observe m_decrypt_batch (float_of_int (Array.length cs));
-  Array.iter
-    (fun c ->
-      check_same_key sk.public c;
-      ignore (ct_value c))
-    cs;
-  Ppst_parallel.Pool.map_array workers (decrypt_crt sk) cs
+let decrypt_batch = batch_decrypt decrypt
+let decrypt_crt_batch = batch_decrypt decrypt_crt
 
 let add pk c1 c2 =
   check_same_key pk c1;
@@ -548,40 +512,23 @@ let add pk c1 c2 =
 let add_plain pk c k =
   check_same_key pk c;
   let k = Bigint.erem k pk.n in
-  let gk = Modular.to_mont_ctx pk.ctx_n2 (g_pow_m pk k) in
-  ct_of_mont pk (Montgomery.mont_mul_raw (mont_n2 pk) (ct_mont c) gk)
+  ct_of_mont pk (Montgomery.mont_mul_raw (mont_n2 pk) (ct_mont c) (g_pow_m pk k))
 
 let scalar_mul pk c k =
   check_same_key pk c;
   let k = Bigint.erem k pk.n in
   ct_of_mont pk (Montgomery.pow_raw (mont_n2 pk) (ct_mont c) (Bigint.magnitude k))
 
-let neg pk c = scalar_mul pk c (Bigint.pred pk.n)
-
-let sub pk c1 c2 = add pk c1 (neg pk c2)
-
 (* Homomorphic negation by modular inverse: Enc(m)^-1 = Enc(-m) with
-   inverted randomness.  Same plaintext as [neg] (a full n-1 power) but
-   one binary inverse mod n^2 instead of a full-width ladder — the
-   packed fast path inverts the server's coordinate ciphertexts once and
-   then raises them to *small* positive exponents.  Ciphertext bytes
-   differ from [neg], so this lives on the packed (distance-compared)
-   path only. *)
+   inverted randomness.  Same plaintext as [scalar_mul] by -1 (a full
+   n-1 power) but one binary inverse mod n^2 instead of a full-width
+   ladder — the packed fast path inverts the server's coordinate
+   ciphertexts once and then raises them to *small* positive exponents.
+   Ciphertext bytes differ from [scalar_mul]'s, so this lives on the
+   packed (distance-compared) path only. *)
 let invert_ciphertext pk c =
   check_same_key pk c;
   ct_of_value pk (Modular.invert (ct_value c) pk.n_squared)
-
-let rerandomize pk rng c =
-  check_same_key pk c;
-  let rn = rn_of_bigint pk (fresh_rn pk rng) in
-  ct_of_mont pk (Montgomery.mont_mul_raw (mont_n2 pk) (ct_mont c) rn)
-
-let rerandomize_sk sk rng c =
-  let pk = sk.public in
-  check_same_key pk c;
-  let r = random_unit_sk sk rng in
-  let rn = rn_of_bigint pk (fresh_rn_sk sk r) in
-  ct_of_mont pk (Montgomery.mont_mul_raw (mont_n2 pk) (ct_mont c) rn)
 
 (* Plaintext packing: k values of at most [slot_bits] bits ride one
    ciphertext as sum_j v_j 2^(j*slot_bits), leaving the top bit of n as
@@ -594,18 +541,17 @@ let pack_capacity pk ~slot_bits =
   if slot_bits < 1 then invalid_arg "Paillier.pack_capacity: slot_bits < 1";
   (pk.bits - 1) / slot_bits
 
-let check_slot pk ~slot_bits v =
+let check_slot ~slot_bits v =
   if Bigint.is_negative v || Bigint.num_bits v > slot_bits then
     raise
       (Invalid_plaintext
-         (Printf.sprintf "packed slot outside [0, 2^%d)" slot_bits));
-  ignore pk
+         (Printf.sprintf "packed slot outside [0, 2^%d)" slot_bits))
 
 let pack_plain pk ~slot_bits values =
   let k = Array.length values in
   if k = 0 || k > pack_capacity pk ~slot_bits then
     invalid_arg "Paillier.pack_plain: slot count outside [1, capacity]";
-  Array.iter (check_slot pk ~slot_bits) values;
+  Array.iter (check_slot ~slot_bits) values;
   let acc = ref Bigint.zero in
   for j = k - 1 downto 0 do
     acc := Bigint.add (Bigint.shift_left !acc slot_bits) values.(j)
@@ -633,22 +579,6 @@ let pack_ciphertexts pk ~slot_bits cts =
     acc := Montgomery.mont_mul_raw mont !acc (ct_mont cts.(j))
   done;
   ct_of_mont pk !acc
-
-(* Signed encoding: x in (-n/2, n/2) represented as x mod n. *)
-let half_n pk = Bigint.shift_right pk.n 1
-
-let encode_signed pk x =
-  let h = half_n pk in
-  if Bigint.compare (Bigint.abs x) h >= 0 then
-    raise (Invalid_plaintext "signed value outside (-n/2, n/2)");
-  Bigint.erem x pk.n
-
-let decode_signed pk m =
-  if Bigint.compare m (half_n pk) > 0 then Bigint.sub m pk.n else m
-
-let encrypt_signed pk rng x = encrypt pk rng (encode_signed pk x)
-
-let decrypt_signed sk c = decode_signed sk.public (decrypt_crt sk c)
 
 let ciphertext_to_bigint c = ct_value c
 
@@ -680,8 +610,6 @@ let validate_ciphertext sk v =
     invalid "ciphertext outside [1, n^2-1]";
   if not (is_unit_sk sk v) then invalid "ciphertext is not a unit mod n^2";
   ct_of_value pk v
-
-let ciphertext_bytes pk = (Bigint.num_bits pk.n_squared + 7) / 8
 
 let equal_ciphertext a b =
   Bigint.equal a.key_n b.key_n && Bigint.equal (ct_value a) (ct_value b)

@@ -4,12 +4,16 @@
     Supported homomorphisms, with [n] the public modulus:
     - {e addition}: [Dec (add pk c1 c2) = (m1 + m2) mod n]
     - {e plaintext multiplication}: [Dec (scalar_mul pk c k) = (k * m) mod n]
-    - {e re-randomization}: [rerandomize] produces an independent
-      ciphertext of the same plaintext — the paper's path-hiding step
-      (Section 5.5).
+      (a negative [k] negates, so [k = -1] with {!add} subtracts)
+
+    The paper's path hiding (Section 5.5) is no ciphertext operation:
+    the key holder answers each masked-extreme round with a {e fresh}
+    encryption of the extreme it picked ([Server.extremes]).
 
     Key generation uses [g = n + 1], the standard simplification for which
-    encryption needs a single [r^n mod n^2] exponentiation. *)
+    encryption needs a single [r^n mod n^2] exponentiation.  Every
+    encryption is [g^m * r^n mod n^2] computed in one place; the entry
+    points differ only in where the noise [r^n] comes from. *)
 
 open Ppst_bigint
 
@@ -50,8 +54,7 @@ type ciphertext
     encryption). *)
 
 exception Invalid_plaintext of string
-(** Raised when a plaintext lies outside [\[0, n)] (or the signed window
-    for the [_signed] variants). *)
+(** Raised when a plaintext lies outside [\[0, n)]. *)
 
 exception Invalid_ciphertext of string
 (** A value presented as a ciphertext is not one: outside
@@ -101,7 +104,8 @@ val encrypt_sk : private_key -> Ppst_rng.Secure_rng.t -> Bigint.t -> ciphertext
     on [x mod p]).  The server's encryption path uses this. *)
 
 val decrypt : private_key -> ciphertext -> Bigint.t
-(** Plaintext in [\[0, n)] via [L(c^lambda mod n^2) * mu mod n]. *)
+(** Plaintext in [\[0, n)] via [L(c^lambda mod n^2) * mu mod n]: the
+    paper's decryption, and the tests' reference for {!decrypt_crt}. *)
 
 val decrypt_crt : private_key -> ciphertext -> Bigint.t
 (** Same result as {!decrypt} but ~4x faster using exponentiation modulo
@@ -116,23 +120,19 @@ val decrypt_crt : private_key -> ciphertext -> Bigint.t
     seeded rng therefore advances identically for every pool size, and
     results are always in input order. *)
 
-val encrypt_batch :
-  ?workers:Ppst_parallel.Pool.t ->
-  public_key -> Ppst_rng.Secure_rng.t -> Bigint.t array -> ciphertext array
-(** Element-wise {!encrypt}; consumes the rng exactly as the equivalent
-    sequential loop would. *)
-
 val encrypt_batch_sk :
   ?workers:Ppst_parallel.Pool.t ->
   private_key -> Ppst_rng.Secure_rng.t -> Bigint.t array -> ciphertext array
-(** Element-wise {!encrypt_sk}: byte-identical to {!encrypt_batch} on the
-    same rng, with CRT-accelerated noise. *)
+(** Element-wise {!encrypt_sk}: byte-identical to [Array.map (encrypt pk
+    rng)] on the same rng, at any worker count. *)
 
 val decrypt_batch :
   ?workers:Ppst_parallel.Pool.t -> private_key -> ciphertext array -> Bigint.t array
+(** Element-wise {!decrypt}. *)
 
 val decrypt_crt_batch :
   ?workers:Ppst_parallel.Pool.t -> private_key -> ciphertext array -> Bigint.t array
+(** Element-wise {!decrypt_crt}. *)
 
 val add : public_key -> ciphertext -> ciphertext -> ciphertext
 (** Homomorphic addition: multiply ciphertexts mod [n^2]. *)
@@ -145,30 +145,13 @@ val scalar_mul : public_key -> ciphertext -> Bigint.t -> ciphertext
 (** Homomorphic multiplication by a plaintext scalar: [c^k mod n^2].
     Negative scalars are handled through [k mod n]. *)
 
-val neg : public_key -> ciphertext -> ciphertext
-(** [scalar_mul pk c (-1)]: encryption of [n - m]. *)
-
-val sub : public_key -> ciphertext -> ciphertext -> ciphertext
-(** Homomorphic subtraction. *)
-
-val rerandomize : public_key -> Ppst_rng.Secure_rng.t -> ciphertext -> ciphertext
-(** Fresh, statistically independent ciphertext of the same plaintext
-    ([c * r^n mod n^2]). *)
-
-val rerandomize_sk :
-  private_key -> Ppst_rng.Secure_rng.t -> ciphertext -> ciphertext
-(** Byte-identical to {!rerandomize}, with CRT-accelerated noise (see
-    {!encrypt_sk}). *)
-
 val invert_ciphertext : public_key -> ciphertext -> ciphertext
 (** [Enc(m)^-1 mod n²]: an encryption of [-m mod n] obtained by one
-    modular inverse instead of the full-width [n-1] power that {!neg}
-    pays.  Decrypts identically to [neg pk c] but the ciphertext bytes
-    differ, so it belongs to the packed (distance-compared) fast path.
-    Genuine ciphertexts are units mod [n²], so the inverse always
-    exists. *)
-
-val encrypt_zero : public_key -> Ppst_rng.Secure_rng.t -> ciphertext
+    modular inverse instead of the full-width [n-1] power that
+    [scalar_mul pk c (-1)] pays.  Decrypts identically but the
+    ciphertext bytes differ, so it belongs to the packed
+    (distance-compared) fast path.  Genuine ciphertexts are units mod
+    [n²], so the inverse always exists. *)
 
 (** {1 Offline/online encryption}
 
@@ -203,24 +186,25 @@ val pool_refill :
 val pool_refill_fast :
   ?workers:Ppst_parallel.Pool.t ->
   public_key -> randomness_pool -> Ppst_rng.Secure_rng.t -> int -> unit
-(** Subgroup-noise refill: one full-width [h^n] exponentiation, then
-    [count] entries [h^{n·a}] for short random exponents [a] via a
-    fixed-base table — an order of magnitude cheaper per entry.  The
-    noise is drawn from the cyclic subgroup generated by [h^n] rather
-    than uniformly from all n-th residues, so this is reserved for the
-    packed/fast protocol profile (see SECURITY.md).
+(** Subgroup-noise refill: a fresh {!noise_gen} (one full-width [h^n]
+    exponentiation), then [count] of its factors — an order of
+    magnitude cheaper per entry.  The exponent draws are sequential;
+    the table walks fan out over [workers].  Same entries, in the same
+    order, as [count] calls of {!noise_gen_rn} on a generator made from
+    the same rng.  Reserved for the packed protocol profile (see
+    {!noise_gen} and SECURITY.md).
     @raise Key_mismatch if the pool belongs to another key. *)
 
 val pool_refill_async :
-  ?fast:bool ->
   public_key -> randomness_pool -> Ppst_rng.Secure_rng.t -> int -> (unit -> unit)
-(** Start producing [count] entries on the background Domain
+(** {!pool_refill_fast}'s entries, produced on the background Domain
     ({!Ppst_parallel.Pool.background}, after any refill queued before
-    it; [fast] selects the {!pool_refill_fast} generator) and return a
-    join function.  The producer owns [rng] until it has drawn its last
-    unit; {!rn_acquire} blocks (instead of recording a miss) while
-    promised entries are still outstanding, so online encryption
-    overlaps offline production without transcript divergence.
+    it); returns a join function.  The producer owns [rng] until it has
+    drawn its last exponent; {!rn_acquire} blocks (instead of recording
+    a miss) while promised entries are still outstanding, so online
+    encryption overlaps offline production without transcript
+    divergence.  Subgroup noise only: the packed profile's client is
+    its one caller.
     @raise Key_mismatch if the pool belongs to another key. *)
 
 val encrypt_pooled :
@@ -261,13 +245,16 @@ val encrypt_with_rn : public_key -> rn:rn -> Bigint.t -> ciphertext
     @raise Invalid_plaintext as {!encrypt}. *)
 
 type noise_gen
-(** The {!pool_refill_fast} subgroup table hoisted into a reusable value:
-    one unit draw and one full-width exponentiation at creation, then a
-    stream of cheap [r^n] factors across many requests — for peers (the
-    server's packed-reply re-encryptions) that need fresh noise per
-    request without maintaining a pool.  Immutable after creation and
-    safe to share across Domains.  Same subgroup caveat as
-    {!pool_refill_fast}: reserved for the packed/fast profile. *)
+(** The subgroup-noise generator: one unit draw [h] and one full-width
+    [h^n] exponentiation at creation, a fixed-base table of [h^n], then
+    a stream of cheap factors [h^(n·a)] for fresh short exponents [a]
+    of [bits/2 + 64] bits.  It is the only source of subgroup noise:
+    {!pool_refill_fast} and {!pool_refill_async} fill pools from it and
+    the server's packed replies draw from it directly.  The factors come
+    from the cyclic subgroup generated by [h^n] rather than uniformly
+    from all n-th residues, so they are reserved for the packed profile
+    (SECURITY.md, "The exception").  Immutable after creation and safe
+    to share across Domains. *)
 
 val noise_gen_create : public_key -> Ppst_rng.Secure_rng.t -> noise_gen
 
@@ -304,17 +291,6 @@ val pack_ciphertexts :
     plaintext fits [slot_bits] bits — the {e caller's} obligation, since
     ciphertexts cannot be range-checked. *)
 
-(** {1 Signed-value encoding}
-
-    Plaintexts in [(-n/2, n/2)] encoded by their residue mod [n]; values
-    above [n/2] decode as negative.  The DP-matrix values in the protocol
-    are non-negative, but masked differences can be interpreted signed. *)
-
-val encrypt_signed : public_key -> Ppst_rng.Secure_rng.t -> Bigint.t -> ciphertext
-val decrypt_signed : private_key -> ciphertext -> Bigint.t
-val encode_signed : public_key -> Bigint.t -> Bigint.t
-val decode_signed : public_key -> Bigint.t -> Bigint.t
-
 (** {1 Serialization support} *)
 
 val ciphertext_to_bigint : ciphertext -> Bigint.t
@@ -333,10 +309,6 @@ val validate_ciphertext : private_key -> Bigint.t -> ciphertext
     counter.
     @raise Invalid_ciphertext on [0], out-of-range values or
     non-units. *)
-
-val ciphertext_bytes : public_key -> int
-(** Serialized size of one ciphertext under this key, in bytes — used by
-    the transport layer for communication accounting. *)
 
 val equal_ciphertext : ciphertext -> ciphertext -> bool
 (** Byte-equality of ciphertexts (NOT plaintext equality). *)

@@ -1,7 +1,7 @@
 (* Tests for the Paillier cryptosystem: round-trips, the homomorphisms
    the protocols rely on, CRT decryption equivalence, probabilistic
-   encryption (re-randomization), signed encoding, serialization, and
-   error paths. *)
+   encryption, the noise sources, packing, serialization, and error
+   paths. *)
 
 open Ppst_bigint
 open Ppst_paillier
@@ -116,7 +116,10 @@ let prop_sub =
     ~print:(fun (a, b) -> Bigint.to_string a ^ ", " ^ Bigint.to_string b)
     (fun (a, b) ->
       let r = rng () in
-      let c = Paillier.sub pk (Paillier.encrypt pk r a) (Paillier.encrypt pk r b) in
+      let c =
+        Paillier.add pk (Paillier.encrypt pk r a)
+          (Paillier.scalar_mul pk (Paillier.encrypt pk r b) (Bigint.neg Bigint.one))
+      in
       Bigint.equal (Bigint.erem (Bigint.sub a b) pk.Paillier.n) (Paillier.decrypt_crt sk c))
 
 let test_probabilistic_encryption () =
@@ -129,40 +132,11 @@ let test_probabilistic_encryption () =
   Alcotest.check eq_bi "same plaintext" (Paillier.decrypt_crt sk c1)
     (Paillier.decrypt_crt sk c2)
 
-let test_rerandomize () =
-  let r = rng () in
-  let m = Bigint.of_int 31337 in
-  let c = Paillier.encrypt pk r m in
-  let c' = Paillier.rerandomize pk r c in
-  Alcotest.(check bool) "fresh ciphertext" false (Paillier.equal_ciphertext c c');
-  Alcotest.check eq_bi "plaintext preserved" m (Paillier.decrypt_crt sk c')
-
 let test_neg () =
   let r = rng () in
   let m = Bigint.of_int 5 in
-  let c = Paillier.neg pk (Paillier.encrypt pk r m) in
+  let c = Paillier.scalar_mul pk (Paillier.encrypt pk r m) (Bigint.neg Bigint.one) in
   Alcotest.check eq_bi "n - 5" (Bigint.sub pk.Paillier.n m) (Paillier.decrypt_crt sk c)
-
-let test_encrypt_zero () =
-  let r = rng () in
-  Alcotest.check eq_bi "zero" Bigint.zero
-    (Paillier.decrypt_crt sk (Paillier.encrypt_zero pk r))
-
-let test_signed_encoding () =
-  let r = rng () in
-  List.iter
-    (fun v ->
-      let m = Bigint.of_int v in
-      let c = Paillier.encrypt_signed pk r m in
-      Alcotest.check eq_bi (string_of_int v) m (Paillier.decrypt_signed sk c))
-    [ 0; 1; -1; 1000; -1000; 123456789; -123456789 ]
-
-let test_signed_window_checked () =
-  let r = rng () in
-  let too_big = Bigint.shift_right pk.Paillier.n 1 in
-  match Paillier.encrypt_signed pk r (Bigint.neg too_big) with
-  | _ -> Alcotest.fail "expected Invalid_plaintext"
-  | exception Paillier.Invalid_plaintext _ -> ()
 
 let test_key_mismatch () =
   let r = rng () in
@@ -190,10 +164,6 @@ let test_ciphertext_serialization () =
   (match Paillier.ciphertext_of_bigint pk (Bigint.neg Bigint.one) with
    | _ -> Alcotest.fail "expected range error"
    | exception Paillier.Invalid_plaintext _ -> ())
-
-let test_ciphertext_bytes () =
-  (* 64-bit modulus -> 128-bit n² -> 16 bytes *)
-  Alcotest.(check int) "16 bytes" 16 (Paillier.ciphertext_bytes pk)
 
 let test_public_of_modulus () =
   let pk' = Paillier.public_of_modulus pk.Paillier.n ~bits:pk.Paillier.bits in
@@ -248,9 +218,9 @@ let test_homomorphic_chain () =
   let e v = Paillier.encrypt pk r (Bigint.of_int v) in
   let c =
     Paillier.add_plain pk
-      (Paillier.sub pk
+      (Paillier.add pk
          (Paillier.scalar_mul pk (Paillier.add pk (e 10) (e 20)) (Bigint.of_int 3))
-         (e 25))
+         (Paillier.scalar_mul pk (e 25) (Bigint.neg Bigint.one)))
       (Bigint.of_int 7)
   in
   Alcotest.check eq_bi "chain" (Bigint.of_int (((10 + 20) * 3) - 25 + 7))
@@ -329,12 +299,7 @@ let test_encrypt_sk_identical () =
       let c_pk = Paillier.encrypt pk (rng ()) m in
       let c_sk = Paillier.encrypt_sk sk (rng ()) m in
       Alcotest.(check bool) (Printf.sprintf "encrypt_sk = encrypt, %d-bit" bits) true
-        (Paillier.equal_ciphertext c_pk c_sk);
-      let c_pk' = Paillier.rerandomize pk (rng ()) c_pk in
-      let c_sk' = Paillier.rerandomize_sk sk (rng ()) c_pk in
-      Alcotest.(check bool) (Printf.sprintf "rerandomize_sk = rerandomize, %d-bit" bits)
-        true
-        (Paillier.equal_ciphertext c_pk' c_sk'))
+        (Paillier.equal_ciphertext c_pk c_sk))
     keys
 
 let test_encrypt_batch_sk_identical () =
@@ -363,7 +328,7 @@ let test_invert_ciphertext () =
   let m = Bigint.of_int 31415 in
   let c = Paillier.encrypt pk r m in
   Alcotest.check eq_bi "Dec(c^-1) = -m mod n"
-    (Paillier.decrypt_crt sk (Paillier.neg pk c))
+    (Paillier.decrypt_crt sk (Paillier.scalar_mul pk c (Bigint.neg Bigint.one)))
     (Paillier.decrypt_crt sk (Paillier.invert_ciphertext pk c));
   (* inverting twice is the identity plaintext-wise *)
   Alcotest.check eq_bi "double inverse" m
@@ -409,23 +374,18 @@ let test_pool_refill_fast () =
   Alcotest.(check int) "no misses" 0 (Paillier.pool_misses pool)
 
 let test_pool_refill_async () =
-  List.iter
-    (fun fast ->
-      let r = rng () in
-      let pool = Paillier.pool_create pk in
-      let join = Paillier.pool_refill_async ~fast pk pool r 10 in
-      let m = Bigint.of_int 6022 in
-      (* consume concurrently with production: rn_acquire must block on
-         promised entries rather than record misses *)
-      let cs = Array.init 10 (fun _ -> Paillier.encrypt_pooled pk pool r m) in
-      join ();
-      Array.iter
-        (fun c -> Alcotest.check eq_bi "async entry decrypts" m (Paillier.decrypt_crt sk c))
-        cs;
-      Alcotest.(check int)
-        (Printf.sprintf "no misses (fast=%b)" fast)
-        0 (Paillier.pool_misses pool))
-    [ false; true ]
+  let r = rng () in
+  let pool = Paillier.pool_create pk in
+  let join = Paillier.pool_refill_async pk pool r 10 in
+  let m = Bigint.of_int 6022 in
+  (* consume concurrently with production: rn_acquire must block on
+     promised entries rather than record misses *)
+  let cs = Array.init 10 (fun _ -> Paillier.encrypt_pooled pk pool r m) in
+  join ();
+  Array.iter
+    (fun c -> Alcotest.check eq_bi "async entry decrypts" m (Paillier.decrypt_crt sk c))
+    cs;
+  Alcotest.(check int) "no misses" 0 (Paillier.pool_misses pool)
 
 (* The three subgroup-noise producers draw h, then one exponent per
    entry, from the caller's rng: seeded alike they must yield the same
@@ -471,7 +431,7 @@ let test_noise_paths_agree () =
           ( "pool_refill_fast, 2 lanes",
             via_pool (fun pool r -> Paillier.pool_refill_fast ~workers:two pk pool r count) );
           ( "pool_refill_async",
-            via_pool (fun pool r -> Paillier.pool_refill_async ~fast:true pk pool r count ()) );
+            via_pool (fun pool r -> Paillier.pool_refill_async pk pool r count ()) );
         ])
 
 let test_noise_gen () =
@@ -652,8 +612,6 @@ let () =
           Alcotest.test_case "extreme plaintexts" `Quick test_roundtrip_extremes;
           Alcotest.test_case "range checking" `Quick test_plaintext_range_checked;
           Alcotest.test_case "probabilistic" `Quick test_probabilistic_encryption;
-          Alcotest.test_case "re-randomization" `Quick test_rerandomize;
-          Alcotest.test_case "encrypt_zero" `Quick test_encrypt_zero;
           Alcotest.test_case "larger keys" `Slow test_larger_key_roundtrip;
           Alcotest.test_case "randomness pool" `Quick test_randomness_pool;
           Alcotest.test_case "pool key mismatch" `Quick test_pool_key_mismatch;
@@ -692,16 +650,10 @@ let () =
           Alcotest.test_case "bounds checked" `Quick test_pack_bounds_checked;
           Alcotest.test_case "homomorphic pack" `Quick test_pack_ciphertexts;
         ] );
-      ( "signed encoding",
-        [
-          Alcotest.test_case "round-trips" `Quick test_signed_encoding;
-          Alcotest.test_case "window checked" `Quick test_signed_window_checked;
-        ] );
       ( "keys and wire",
         [
           Alcotest.test_case "key mismatch detected" `Quick test_key_mismatch;
           Alcotest.test_case "ciphertext serialization" `Quick test_ciphertext_serialization;
-          Alcotest.test_case "ciphertext byte size" `Quick test_ciphertext_bytes;
           Alcotest.test_case "private key round-trip" `Quick test_key_serialization;
           Alcotest.test_case "key parse failures" `Quick test_key_parse_failures;
           Alcotest.test_case "validator = gcd unit test" `Quick test_validate_fixed;
