@@ -100,49 +100,26 @@ let is_probable_prime ?(rounds = default_rounds) n =
       end
   end
 
-let next_prime n =
-  let start =
-    if Bigint.compare n Bigint.two < 0 then Bigint.two
-    else if Bigint.is_even n then Bigint.succ n
-    else Bigint.add n Bigint.two
-  in
-  let rec go c =
-    if is_probable_prime c then c
-    else if Bigint.equal c Bigint.two then go (Bigint.of_int 3)
-    else go (Bigint.add c Bigint.two)
-  in
-  if Bigint.equal start Bigint.two then Bigint.two else go start
+exception No_prime_found of { bits : int; candidates : int }
 
 (* Random prime of exactly [bits] bits: top two bits forced to 1 (so that
    products of two such primes have exactly [2*bits] bits, as RSA/Paillier
-   key generation requires), bottom bit forced to 1. *)
+   key generation requires), bottom bit forced to 1.  Such a candidate is
+   prime with probability about 2 / (bits ln 2), so 100 * bits of them
+   all miss with probability about e^-288 at any width: running out
+   means the primality test is broken (say, a wrong modular power), and
+   the search fails instead of looping forever. *)
 let random_prime ~random_bits ~bits =
   if bits < 2 then invalid_arg "Prime.random_prime: need at least 2 bits";
   let top = Bigint.shift_left Bigint.one (bits - 1) in
-  let second =
-    if bits >= 2 then Bigint.shift_left Bigint.one (bits - 2) else Bigint.zero
+  let second = Bigint.shift_left Bigint.one (bits - 2) in
+  let budget = 100 * bits in
+  let rec go tried =
+    if tried = budget then raise (No_prime_found { bits; candidates = budget });
+    let c = random_bits bits in
+    let c = if Bigint.is_even c then Bigint.succ c else c in
+    let c = if Bigint.testbit c (bits - 1) then c else Bigint.add c top in
+    let c = if Bigint.testbit c (bits - 2) then c else Bigint.add c second in
+    if is_probable_prime c then c else go (tried + 1)
   in
-  let rec go () =
-    let candidate = random_bits bits in
-    let candidate =
-      Bigint.add
-        (if Bigint.is_even candidate then Bigint.succ candidate else candidate)
-        Bigint.zero
-    in
-    (* Force top bits via bitwise construction: c | top | second | 1. *)
-    let c = ref candidate in
-    if not (Bigint.testbit !c (bits - 1)) then c := Bigint.add !c top;
-    if bits >= 2 && not (Bigint.testbit !c (bits - 2)) then c := Bigint.add !c second;
-    if is_probable_prime !c then !c else go ()
-  in
-  go ()
-
-(* A safe prime p = 2q + 1 with q prime.  Slow for large sizes; provided
-   for completeness and used only in tests at small bit lengths. *)
-let random_safe_prime ~random_bits ~bits =
-  let rec go () =
-    let q = random_prime ~random_bits ~bits:(bits - 1) in
-    let p = Bigint.succ (Bigint.shift_left q 1) in
-    if Bigint.num_bits p = bits && is_probable_prime p then p else go ()
-  in
-  go ()
+  go 0

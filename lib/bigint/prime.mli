@@ -11,16 +11,16 @@ val is_probable_prime : ?rounds:int -> Bigint.t -> bool
 (** Trial division by {!small_primes} followed by [rounds] Miller–Rabin
     rounds with pseudo-random witnesses. *)
 
-val next_prime : Bigint.t -> Bigint.t
-(** Smallest probable prime strictly greater than the argument. *)
+exception No_prime_found of { bits : int; candidates : int }
+(** {!random_prime} drew [candidates] composites in a row.  A correct
+    search does so with probability about e^-288, so this names a broken
+    primality test (such as a wrong modular power) instead of hanging
+    key generation. *)
 
 val random_prime : random_bits:(int -> Bigint.t) -> bits:int -> Bigint.t
 (** Random probable prime of exactly [bits] bits.  The two top bits and
     the bottom bit are forced to 1 so that a product of two such primes
     has exactly [2*bits] bits.  [random_bits n] must return a uniform
     non-negative integer of at most [n] bits (supply the CSPRNG from
-    [ppst_rng] for cryptographic use). *)
-
-val random_safe_prime : random_bits:(int -> Bigint.t) -> bits:int -> Bigint.t
-(** Random safe prime [p = 2q + 1] with [q] prime.  Expensive; intended
-    for tests and small parameters. *)
+    [ppst_rng] for cryptographic use).
+    @raise No_prime_found after [100 * bits] composite candidates. *)

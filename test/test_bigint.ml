@@ -713,14 +713,6 @@ let test_is_prime_large () =
   Alcotest.(check bool) "strong pseudoprime caught" false
     (Prime.is_probable_prime (bi "3215031751"))
 
-let test_next_prime () =
-  let np v = Bigint.to_int_exn (Prime.next_prime (Bigint.of_int v)) in
-  Alcotest.(check int) "after 0" 2 (np 0);
-  Alcotest.(check int) "after 2" 3 (np 2);
-  Alcotest.(check int) "after 7" 11 (np 7);
-  Alcotest.(check int) "after 89" 97 (np 89);
-  Alcotest.(check int) "after 7918" 7919 (np 7918)
-
 let test_random_prime_bits () =
   let rng = Splitmix.create 99 in
   let random_bits b = Splitmix.bits rng b in
@@ -732,14 +724,17 @@ let test_random_prime_bits () =
       Alcotest.(check bool) "second-highest bit set" true (Bigint.testbit p (bits - 2)))
     [ 16; 32; 48; 64; 128 ]
 
-let test_random_safe_prime () =
-  let rng = Splitmix.create 7 in
-  let random_bits b = Splitmix.bits rng b in
-  let p = Prime.random_safe_prime ~random_bits ~bits:24 in
-  let q = Bigint.shift_right (Bigint.pred p) 1 in
-  Alcotest.(check bool) "p prime" true (Prime.is_probable_prime p);
-  Alcotest.(check bool) "(p-1)/2 prime" true (Prime.is_probable_prime q);
-  Alcotest.(check int) "bits" 24 (Bigint.num_bits p)
+let test_random_prime_bounded () =
+  (* 65535 = 3 * 5 * 17 * 257 is odd with its top two bits set, so a
+     source stuck on it offers the same composite forever *)
+  let draws = ref 0 in
+  let random_bits _ = incr draws; Bigint.of_int 65535 in
+  match Prime.random_prime ~random_bits ~bits:16 with
+  | p -> Alcotest.failf "returned %s" (Bigint.to_string p)
+  | exception Prime.No_prime_found { bits; candidates } ->
+    Alcotest.(check int) "bits" 16 bits;
+    Alcotest.(check int) "candidates" 1600 candidates;
+    Alcotest.(check int) "draws" 1600 !draws
 
 let prop_prime_products_composite =
   QCheck_alcotest.to_alcotest
@@ -940,9 +935,9 @@ let () =
           Alcotest.test_case "small prime table" `Quick test_small_primes;
           Alcotest.test_case "small primality" `Quick test_is_prime_small;
           Alcotest.test_case "large primality" `Quick test_is_prime_large;
-          Alcotest.test_case "next_prime" `Quick test_next_prime;
           Alcotest.test_case "random primes have exact size" `Slow test_random_prime_bits;
-          Alcotest.test_case "safe prime" `Slow test_random_safe_prime;
+          Alcotest.test_case "search bounded on a stuck source" `Quick
+            test_random_prime_bounded;
           prop_prime_products_composite;
         ] );
       ( "edge cases",
