@@ -156,6 +156,12 @@ type t = {
   rng_mu : Mutex.t;
   mutable active : int;
   mutable accepted : int;
+  (* Self-pipe that [shutdown] writes to, so a loop blocked in [select]
+     wakes at once rather than at its next tick.  [run] and [run_worker]
+     open it and close it before they drain; [wake_mu] keeps [shutdown]
+     from writing to a closed (or reused) descriptor. *)
+  mutable wake : (Unix.file_descr * Unix.file_descr) option;
+  wake_mu : Mutex.t;
 }
 
 let string_of_sockaddr = function
@@ -208,6 +214,8 @@ let make ~config ~on_session_end ~clock ~rng ~boot_id ~shard ~listener
     rng_mu = Mutex.create ();
     active = 0;
     accepted = 0;
+    wake = None;
+    wake_mu = Mutex.create ();
   }
 
 let create ?(config = default_config) ?on_session_end ?clock ?rng ?boot_id
@@ -243,7 +251,36 @@ let create_worker ?(config = default_config) ?on_session_end ?clock ?rng
 
 let port t = t.bound_port
 let boot_id t = t.boot_id
-let shutdown t = Atomic.set t.stop true
+
+let open_wake t =
+  let r, w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock r;
+  Unix.set_nonblock w;
+  Mutex.lock t.wake_mu;
+  t.wake <- Some (r, w);
+  Mutex.unlock t.wake_mu;
+  r
+
+let close_wake t =
+  Mutex.lock t.wake_mu;
+  Option.iter (fun (r, w) -> Unix.close r; Unix.close w) t.wake;
+  t.wake <- None;
+  Mutex.unlock t.wake_mu
+
+(* A readable pipe is only a hint to look at [stop] again. *)
+let clear_wake r = try ignore (Unix.read r (Bytes.create 16) 0 16) with Unix.Unix_error _ -> ()
+
+let shutdown t =
+  Atomic.set t.stop true;
+  (* a held lock means a wake-up is being written or the pipe is being
+     opened or closed; either way the loop sees [stop] without ours *)
+  if Mutex.try_lock t.wake_mu then begin
+    (match t.wake with
+     | Some (_, w) -> (
+       try ignore (Unix.single_write_substring w "!" 0 1) with Unix.Unix_error _ -> ())
+     | None -> ());
+    Mutex.unlock t.wake_mu
+  end
 
 let install_signal_handlers t =
   let on_signal _ = shutdown t in
@@ -614,11 +651,13 @@ let inject t fd peer =
                 ())
             ()))
 
-let accept_one t listener =
+let accept_one t listener wake =
   match
-    Channel.retry_on_intr (fun () -> Unix.select [ listener ] [] [] 0.2)
+    Channel.retry_on_intr (fun () -> Unix.select [ listener; wake ] [] [] 0.2)
   with
-  | [], _, _ -> maybe_sweep t
+  | readable, _, _ when not (List.mem listener readable) ->
+    if readable <> [] then clear_wake wake;
+    maybe_sweep t
   | _ -> (
     match
       (match t.config.disk_faults with
@@ -668,10 +707,13 @@ let run t =
     | Some n -> locked t (fun () -> t.accepted >= n)
   in
   Fun.protect
-    ~finally:(fun () -> try Unix.close listener with Unix.Unix_error _ -> ())
+    ~finally:(fun () ->
+      close_wake t;
+      try Unix.close listener with Unix.Unix_error _ -> ())
     (fun () ->
+      let wake = open_wake t in
       while (not (Atomic.get t.stop)) && not (total_reached ()) do
-        accept_one t listener
+        accept_one t listener wake
       done);
   (* stopped accepting (listener closed above: queued connects are
      refused, not served) — now drain what is already in flight *)
@@ -713,12 +755,14 @@ let run_worker t ~control =
    | Some _ ->
      invalid_arg "Server_loop.run_worker: loop owns a listener (use run)"
    | None -> ());
+  let wake = open_wake t in
   let rec serve () =
     if not (Atomic.get t.stop) then begin
       match
-        Channel.retry_on_intr (fun () -> Unix.select [ control ] [] [] 0.2)
+        Channel.retry_on_intr (fun () -> Unix.select [ control; wake ] [] [] 0.2)
       with
-      | [], _, _ ->
+      | readable, _, _ when not (List.mem control readable) ->
+        if readable <> [] then clear_wake wake;
         maybe_sweep t;
         serve ()
       | _ -> (
@@ -736,6 +780,8 @@ let run_worker t ~control =
           serve ())
     end
   in
-  (try serve () with Unix.Unix_error _ -> ());
+  Fun.protect
+    ~finally:(fun () -> close_wake t)
+    (fun () -> try serve () with Unix.Unix_error _ -> ());
   drain t;
   try Channel.write_frame control (encode_report ()) with _ -> ()

@@ -235,9 +235,12 @@ val run : t -> unit
     thread that owns the server (it blocks). *)
 
 val shutdown : t -> unit
-(** Request a graceful stop: only sets a flag (async-signal-safe), so it
-    may be called from a signal handler or any thread.  {!run} notices
-    within its accept tick (~0.2 s). *)
+(** Request a graceful stop: sets a flag and writes one byte to the
+    loop's non-blocking self-pipe, which {!run} and {!run_worker} watch
+    beside their listener or dispatch channel.  A loop waiting for a
+    connection therefore stops accepting at once, not at its next
+    0.2 s tick, and then drains.  Never blocks; callable from an OCaml
+    signal handler (which runs at a safe point) or any thread. *)
 
 val install_signal_handlers : t -> unit
 (** Route SIGINT and SIGTERM to {!shutdown} for this loop. *)

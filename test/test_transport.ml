@@ -536,6 +536,33 @@ let test_tcp_server_seconds_reported () =
   Alcotest.(check bool) "handler time reported at close" true
     (Channel.server_seconds ch >= 0.05)
 
+(* [shutdown] writes to the loop's self-pipe, so an idle loop returns
+   at once instead of at its next 0.2 s select tick: five stops of each
+   kind, every one within 50 ms. *)
+let test_shutdown_wakes_idle_loop () =
+  let handler ~id:_ ~peer:_ = Server_loop.respond_only echo_handler in
+  let stop_within name loop serve =
+    let th = Thread.create serve () in
+    Thread.delay 0.05 (* let the loop reach its select *);
+    let t0 = Monoclock.now () in
+    Server_loop.shutdown loop;
+    Thread.join th;
+    let waited = Monoclock.now () -. t0 in
+    Alcotest.(check bool) (Printf.sprintf "%s returned in %.3f s" name waited) true
+      (waited < 0.05)
+  in
+  for _ = 1 to 5 do
+    let loop = Server_loop.create ~port:0 ~handler () in
+    stop_within "run" loop (fun () -> Server_loop.run loop)
+  done;
+  for _ = 1 to 5 do
+    let control, parent = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let loop = Server_loop.create_worker ~slot:0 ~workers:1 ~handler () in
+    stop_within "run_worker" loop (fun () -> Server_loop.run_worker loop ~control);
+    Unix.close control;
+    Unix.close parent
+  done
+
 let () =
   Alcotest.run "transport"
     [
@@ -615,5 +642,7 @@ let () =
             test_tcp_handler_exception_kept_alive;
           Alcotest.test_case "server_seconds over TCP" `Quick
             test_tcp_server_seconds_reported;
+          Alcotest.test_case "shutdown wakes an idle loop" `Quick
+            test_shutdown_wakes_idle_loop;
         ] );
     ]
