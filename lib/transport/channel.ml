@@ -65,30 +65,13 @@ let frame_corrupt fmt =
     fmt
 
 (* Frames on the wire: 4-byte big-endian length, then the message bytes.
-   A hard cap guards against forged lengths.  The process-wide ref is
-   only the default for channels created without an explicit [config];
-   every channel carries its own cap (per-channel configuration). *)
-let max_frame_cap = ref (256 * 1024 * 1024)
+   A hard cap guards against forged lengths: a channel fixes its own at
+   construction, and the raw frame I/O takes one per call. *)
+let default_max_frame = 256 * 1024 * 1024
 
-let max_frame () = !max_frame_cap
-
-let check_cap n =
-  if n < 16 then invalid_arg "Channel: frame cap below 16 bytes"
-
-let set_max_frame n =
-  check_cap n;
-  max_frame_cap := n
-
-type config = { max_frame : int }
-
-let default_config () = { max_frame = !max_frame_cap }
-
-let config ?max_frame () =
-  match max_frame with
-  | None -> default_config ()
-  | Some n ->
-    check_cap n;
-    { max_frame = n }
+let check_cap = function
+  | Some n when n < 16 -> invalid_arg "Channel: frame cap below 16 bytes"
+  | _ -> ()
 
 (* Everything a dropped TCP connection needs to be re-established and
    the session resumed in place. *)
@@ -117,7 +100,7 @@ type backend =
 
 type t = {
   backend : backend;
-  config : config;
+  max_frame : int;
   stats : Stats.t;
   (* Wall budget for the operation currently driving this channel:
      checked before every round, threaded into the reconnect/resume
@@ -201,8 +184,7 @@ let put_u32_be b off v =
   Bytes.set b (off + 2) (Char.chr ((v lsr 8) land 0xFF));
   Bytes.set b (off + 3) (Char.chr (v land 0xFF))
 
-let write_frame ?max_frame:cap ?(crc = false) ?faults fd payload =
-  let cap = match cap with Some c -> c | None -> !max_frame_cap in
+let write_frame ?max_frame:(cap = default_max_frame) ?(crc = false) ?faults fd payload =
   let payload_len = String.length payload in
   if payload_len > cap then protocol_error "frame too large: %d bytes" payload_len;
   (* With CRC negotiated, the body is payload ^ 4-byte big-endian CRC-32
@@ -323,9 +305,8 @@ let get_u32_be s off =
   let b i = Char.code s.[off + i] in
   (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
 
-let read_frame ?max_frame:cap ?deadline ?progress_timeout_s ?(crc = false)
-    ?faults fd =
-  let cap = match cap with Some c -> c | None -> !max_frame_cap in
+let read_frame ?max_frame:(cap = default_max_frame) ?deadline ?progress_timeout_s
+    ?(crc = false) ?faults fd =
   let action = match faults with None -> Faults.Pass | Some f -> Faults.next f in
   (match action with
    | Faults.Drop | Faults.Short_write | Faults.Duplicate ->
@@ -422,7 +403,7 @@ let resume_session t st =
     | Some rc -> rc
     | None -> conn_lost "connection lost and channel is not reconnectable"
   in
-  let cap = t.config.max_frame in
+  let cap = t.max_frame in
   let policy = match rc.retry with Some p -> p | None -> Retry.default_policy in
   let attempt_once () =
     Metrics.incr m_resume_attempts;
@@ -488,7 +469,7 @@ let request t req =
      budget surfaces as the typed [Retry.Budget.Exceeded] before any
      further bytes move, on local and TCP backends alike. *)
   check_budget t;
-  let cap = t.config.max_frame in
+  let cap = t.max_frame in
   let msg = Message.Request req in
   let encoded = Message.encode msg in
   let t0 = Telemetry.now () in
@@ -594,20 +575,23 @@ let close t =
     | Tcp st -> (try Unix.close st.fd with Unix.Unix_error _ -> ())
   end
 
-let make ?config:cfg ?budget backend =
+let make ?(max_frame = default_max_frame) ?budget backend =
   {
     backend;
-    config = (match cfg with Some c -> c | None -> default_config ());
+    max_frame;
     stats = Stats.create ();
     budget;
     server_seconds = 0.0;
     closed = false;
   }
 
-let local ?config handler = make ?config (Local handler)
+let local ?max_frame handler =
+  check_cap max_frame;
+  make ?max_frame (Local handler)
 
-let connect ?config ?(crc = true) ?(resume = true) ?retry ?rng ?sleep
+let connect ?max_frame ?(crc = true) ?(resume = true) ?retry ?rng ?sleep
     ?budget ?faults ~host ~port () =
+  check_cap max_frame;
   setup_sigpipe ();
   let rng =
     match rng with Some r -> r | None -> Ppst_rng.Secure_rng.system ()
@@ -629,7 +613,7 @@ let connect ?config ?(crc = true) ?(resume = true) ?retry ?rng ?sleep
     (if crc then Message.flag_crc32 else 0)
     lor if resume then Message.flag_resume else 0
   in
-  make ?config ?budget
+  make ?max_frame ?budget
     (Tcp
        {
          fd;

@@ -10,8 +10,8 @@
     - {!connect}: TCP over [Unix], with length-prefixed frames, to a
       {!Server_loop} built on the same frame primitives.
 
-    Both constructors take the same optional [?config]; a channel's
-    frame cap is part of its {!config}, not process-global state. *)
+    Both constructors take the same optional [?max_frame]: a channel's
+    frame cap is fixed at construction, not process-global state. *)
 
 exception Protocol_error of string
 (** Raised on an [Error_reply] from the peer or a transport-level
@@ -71,22 +71,6 @@ exception Quota_exceeded of { quota : string; limit : int; requested : int }
     rejected; shrink the request or negotiate a bigger budget out of
     band.  All three fields are public quantities (SECURITY.md). *)
 
-(** {1 Per-channel configuration} *)
-
-type config = {
-  max_frame : int;
-      (** Largest frame this channel will send or accept (bytes). *)
-}
-
-val config : ?max_frame:int -> unit -> config
-(** Build a configuration; omitted fields take the process defaults
-    ({!max_frame} for the frame cap).
-    @raise Invalid_argument on a cap below 16 bytes. *)
-
-val default_config : unit -> config
-(** The configuration channels get when none is supplied: the current
-    process-wide defaults. *)
-
 type t
 
 val request : t -> Message.request -> Message.reply
@@ -138,14 +122,16 @@ val close : t -> unit
 
 (** {1 In-process} *)
 
-val local : ?config:config -> (Message.request -> Message.reply) -> t
-(** [?config] applies the per-channel frame cap to the encoded messages
-    (byte parity with a socket run includes the cap). *)
+val local : ?max_frame:int -> (Message.request -> Message.reply) -> t
+(** [?max_frame] (default {!default_max_frame}) caps the encoded
+    messages of this channel in bytes (byte parity with a socket run
+    includes the cap).
+    @raise Invalid_argument on a cap below 16 bytes. *)
 
 (** {1 TCP} *)
 
 val connect :
-  ?config:config ->
+  ?max_frame:int ->
   ?crc:bool ->
   ?resume:bool ->
   ?retry:Retry.policy ->
@@ -157,7 +143,7 @@ val connect :
   port:int ->
   unit ->
   t
-(** [?config] as in {!local}.  [?crc] (default [true]) and
+(** [?max_frame] as in {!local}.  [?crc] (default [true]) and
     [?resume] (default [true]) choose the capability bits {e offered} in
     [Hello]; what is actually in force is the server's grant, observed
     on the [Welcome] reply (an old server simply grants nothing and the
@@ -204,8 +190,8 @@ val read_frame :
   ?faults:Faults.t ->
   Unix.file_descr ->
   string option
-(** [None] on clean EOF.  [?max_frame] overrides the process-wide cap
-    for this read; [?deadline] is an {e absolute} instant on
+(** [None] on clean EOF.  [?max_frame] (default {!default_max_frame})
+    caps this read; [?deadline] is an {e absolute} instant on
     {!Monoclock.now}'s timescale after which the read gives up.
     [?progress_timeout_s] is the slow-peer watchdog: once the first
     byte of the frame has arrived, every subsequent chunk must land
@@ -230,13 +216,5 @@ val retry_on_intr : (unit -> 'a) -> 'a
     [EAGAIN]/[EWOULDBLOCK] (spurious wakeup on a blocking socket).  All
     frame I/O goes through this; exposed for tests. *)
 
-val max_frame : unit -> int
-(** Process-wide {e default} frame cap (256 MiB initially): used by
-    {!write_frame}/{!read_frame} when no explicit cap is given and by
-    channels created without a [config]. *)
-
-val set_max_frame : int -> unit
-(** Override the process-wide default cap.  Prefer per-channel
-    {!config}; this remains for callers that genuinely want to change
-    the default for every subsequently created channel.
-    @raise Invalid_argument below 16 bytes. *)
+val default_max_frame : int
+(** The frame cap when none is given: 256 MiB. *)

@@ -49,7 +49,6 @@ type config = {
   idle_timeout_s : float option;
   deadline_s : float option;
   retry_after_s : float;
-  max_frame : int option;
   drain_timeout_s : float;
   enable_crc : bool;
   enable_resume : bool;
@@ -72,7 +71,6 @@ let default_config =
     idle_timeout_s = None;
     deadline_s = None;
     retry_after_s = 1.0;
-    max_frame = None;
     drain_timeout_s = 30.0;
     enable_crc = true;
     enable_resume = true;
@@ -173,10 +171,6 @@ let make ~config ~on_session_end ~clock ~rng ~boot_id ~shard ~listener
     ~bound_port ~handler =
   if config.max_sessions < 1 then
     invalid_arg "Server_loop.create: max_sessions must be >= 1";
-  (match config.max_frame with
-   | Some n when n < 16 ->
-     invalid_arg "Server_loop.create: frame cap below 16 bytes"
-   | _ -> ());
   Channel.setup_sigpipe ();
   let rng = match rng with Some r -> r | None -> Ppst_rng.Secure_rng.system () in
   let boot_id =
@@ -456,7 +450,7 @@ let next_event t fd st =
   let timer = Session_machine.deadline st in
   let guarded = Session_machine.guarded st in
   match
-    Channel.read_frame ?max_frame:t.config.max_frame ~crc:(Session_machine.crc st)
+    Channel.read_frame ~crc:(Session_machine.crc st)
       ?faults:(if guarded then t.config.faults else None)
       ?progress_timeout_s:(if guarded then t.config.watchdog_timeout_s else None)
       ?deadline:(Option.map fst timer) fd
@@ -486,13 +480,12 @@ let drain_input fd =
 
 let perform t fd st : Session_machine.action -> unit = function
   | Send { frame; crc; values } ->
-    Channel.write_frame ?max_frame:t.config.max_frame ~crc ?faults:t.config.faults fd
-      frame;
+    Channel.write_frame ~crc ?faults:t.config.faults fd frame;
     let stats = Session_machine.stats st in
     Stats.record_sent stats ~bytes:(String.length frame) ~values;
     Stats.record_round stats
   | Notify { frame; crc } -> (
-    try Channel.write_frame ?max_frame:t.config.max_frame ~crc fd frame with _ -> ())
+    try Channel.write_frame ~crc fd frame with _ -> ())
   | Save_snapshot { token; blob } -> (
     match t.spool with
     | Some sp -> (
@@ -507,7 +500,7 @@ let perform t fd st : Session_machine.action -> unit = function
   | Drop_snapshot token -> Option.iter (fun sp -> Spool.delete sp ~key:token) t.spool
   | Refuse { frame; shed } ->
     Metrics.incr (if shed then m_shed else m_busy_rejected);
-    (try Channel.write_frame ?max_frame:t.config.max_frame fd frame with _ -> ());
+    (try Channel.write_frame fd frame with _ -> ());
     drain_input fd
   | Close _ -> ()
 

@@ -50,9 +50,6 @@ type config = {
   deadline_s : float option;
       (** longest total session duration, measured from accept *)
   retry_after_s : float;  (** backoff hint carried in [Busy] replies *)
-  max_frame : int option;
-      (** per-session frame cap; [None] = the process default
-          ({!Channel.max_frame}) *)
   drain_timeout_s : float;
       (** how long {!run} waits for in-flight sessions after
           {!shutdown} before giving up on them *)

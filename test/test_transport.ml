@@ -277,8 +277,8 @@ let test_local_channel_byte_parity () =
 
 let test_local_channel_per_channel_cap () =
   (* a tiny cap on one channel rejects oversized messages there and
-     leaves the process default (other channels) untouched *)
-  let tiny = Channel.local ~config:(Channel.config ~max_frame:16 ()) echo_handler in
+     leaves other channels at the default *)
+  let tiny = Channel.local ~max_frame:16 echo_handler in
   let big = Message.Min_request (Array.make 8 (Bigint.of_string "123456789123456789")) in
   (match Channel.request tiny big with
    | _ -> Alcotest.fail "oversized frame accepted on capped channel"
@@ -353,11 +353,6 @@ let test_netsim_validation () =
 
 (* --- frame I/O edge cases ---------------------------------------------------- *)
 
-let with_max_frame cap f =
-  let old = Channel.max_frame () in
-  Channel.set_max_frame cap;
-  Fun.protect ~finally:(fun () -> Channel.set_max_frame old) f
-
 let with_pipe f =
   let r, w = Unix.pipe () in
   Fun.protect
@@ -395,37 +390,38 @@ let test_retry_other_errors_propagate () =
       Channel.retry_on_intr (fun () -> raise exn))
 
 let test_max_frame_validation () =
-  (match Channel.set_max_frame 1 with
+  (match Channel.local ~max_frame:15 echo_handler with
    | _ -> Alcotest.fail "tiny cap accepted"
    | exception Invalid_argument _ -> ());
-  with_max_frame 1024 (fun () ->
-      Alcotest.(check int) "cap readable" 1024 (Channel.max_frame ()))
+  (* rejected before any connect is attempted *)
+  (match Channel.connect ~max_frame:1 ~host:"127.0.0.1" ~port:1 () with
+   | _ -> Alcotest.fail "tiny cap accepted on connect"
+   | exception Invalid_argument _ -> ());
+  ignore (Channel.local ~max_frame:16 echo_handler);
+  Alcotest.(check int) "default cap" (256 * 1024 * 1024) Channel.default_max_frame
 
 let test_frame_at_cap_roundtrips () =
-  with_max_frame 64 (fun () ->
-      with_pipe (fun r w ->
-          let payload = String.init 64 (fun i -> Char.chr (i land 0xff)) in
-          Channel.write_frame w payload;
-          match Channel.read_frame r with
-          | Some got -> Alcotest.(check string) "payload" payload got
-          | None -> Alcotest.fail "unexpected EOF"))
+  with_pipe (fun r w ->
+      let payload = String.init 64 (fun i -> Char.chr (i land 0xff)) in
+      Channel.write_frame ~max_frame:64 w payload;
+      match Channel.read_frame ~max_frame:64 r with
+      | Some got -> Alcotest.(check string) "payload" payload got
+      | None -> Alcotest.fail "unexpected EOF")
 
 let test_frame_over_cap_rejected_on_write () =
-  with_max_frame 64 (fun () ->
-      with_pipe (fun _r w ->
-          match Channel.write_frame w (String.make 65 'x') with
-          | _ -> Alcotest.fail "oversized frame written"
-          | exception Channel.Protocol_error _ -> ()))
+  with_pipe (fun _r w ->
+      match Channel.write_frame ~max_frame:64 w (String.make 65 'x') with
+      | _ -> Alcotest.fail "oversized frame written"
+      | exception Channel.Protocol_error _ -> ())
 
 let test_forged_length_header_rejected () =
-  with_max_frame 64 (fun () ->
-      with_pipe (fun r w ->
-          (* header claims 65 bytes: one past the cap, must be rejected
-             before any body is read (nothing follows the header) *)
-          ignore (Unix.write_substring w "\000\000\000\065" 0 4);
-          match Channel.read_frame r with
-          | _ -> Alcotest.fail "oversized length accepted"
-          | exception Channel.Protocol_error _ -> ()))
+  with_pipe (fun r w ->
+      (* header claims 65 bytes: one past the cap, must be rejected
+         before any body is read (nothing follows the header) *)
+      ignore (Unix.write_substring w "\000\000\000\065" 0 4);
+      match Channel.read_frame ~max_frame:64 r with
+      | _ -> Alcotest.fail "oversized length accepted"
+      | exception Channel.Protocol_error _ -> ())
 
 let test_truncated_header_rejected () =
   with_pipe (fun r w ->
