@@ -248,7 +248,6 @@ let boot_id t = t.boot_id
 
 let open_wake t =
   let r, w = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock r;
   Unix.set_nonblock w;
   Mutex.lock t.wake_mu;
   t.wake <- Some (r, w);
@@ -260,9 +259,6 @@ let close_wake t =
   Option.iter (fun (r, w) -> Unix.close r; Unix.close w) t.wake;
   t.wake <- None;
   Mutex.unlock t.wake_mu
-
-(* A readable pipe is only a hint to look at [stop] again. *)
-let clear_wake r = try ignore (Unix.read r (Bytes.create 16) 0 16) with Unix.Unix_error _ -> ()
 
 let shutdown t =
   Atomic.set t.stop true;
@@ -648,9 +644,7 @@ let accept_one t listener wake =
   match
     Channel.retry_on_intr (fun () -> Unix.select [ listener; wake ] [] [] 0.2)
   with
-  | readable, _, _ when not (List.mem listener readable) ->
-    if readable <> [] then clear_wake wake;
-    maybe_sweep t
+  | readable, _, _ when not (List.mem listener readable) -> maybe_sweep t
   | _ -> (
     match
       (match t.config.disk_faults with
@@ -755,7 +749,6 @@ let run_worker t ~control =
         Channel.retry_on_intr (fun () -> Unix.select [ control; wake ] [] [] 0.2)
       with
       | readable, _, _ when not (List.mem control readable) ->
-        if readable <> [] then clear_wake wake;
         maybe_sweep t;
         serve ()
       | _ -> (
