@@ -391,10 +391,10 @@ let pool_refill_fast ?(workers = Ppst_parallel.Pool.sequential) pk pool rng coun
    (Pool.background), which runs tasks in submission order.  A producer
    only pushes into its own pool and never waits, so refills queued by
    two clients cannot deadlock.  The producer owns [rng] until the
-   returned join completes: it draws every unit itself, in order, so
-   determinism is preserved; consumers block in [rn_acquire] while
-   [pending] entries are still owed instead of falling back to an online
-   exponentiation. *)
+   returned join completes: it draws [h] and every exponent itself, in
+   order, so determinism is preserved; consumers block in [rn_acquire]
+   while [pending] entries are still owed instead of falling back to an
+   online exponentiation. *)
 let pool_refill_async pk pool rng count =
   check_pool_key pk pool;
   Ppst_telemetry.Metrics.observe m_pool_refill (float_of_int count);

@@ -633,7 +633,7 @@ let () =
       ( "hot path",
         [
           Alcotest.test_case "encrypt_sk = encrypt" `Quick test_encrypt_sk_identical;
-          Alcotest.test_case "encrypt_batch_sk = encrypt, 1 and 2 lanes" `Quick
+          Alcotest.test_case "encrypt_batch_sk = encrypt loop" `Quick
             test_encrypt_batch_sk_identical;
           Alcotest.test_case "invert_ciphertext" `Quick test_invert_ciphertext;
           Alcotest.test_case "pool FIFO transcript identity" `Quick
