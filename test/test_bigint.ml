@@ -736,6 +736,23 @@ let test_random_prime_bounded () =
     Alcotest.(check int) "candidates" 1600 candidates;
     Alcotest.(check int) "draws" 1600 !draws
 
+(* With the top two bits and the bottom bit forced, 2 and 3 bits leave
+   one candidate each, 3 and 7, whatever the source offers; below 2 bits
+   there is no top pair to force. *)
+let test_random_prime_narrowest () =
+  let random_bits _ = Bigint.zero in
+  List.iter
+    (fun (bits, p) ->
+      Alcotest.check eq_bi (Printf.sprintf "%d bits" bits) (Bigint.of_int p)
+        (Prime.random_prime ~random_bits ~bits))
+    [ (2, 3); (3, 7) ];
+  List.iter
+    (fun bits ->
+      match Prime.random_prime ~random_bits ~bits with
+      | p -> Alcotest.failf "%d bits returned %s" bits (Bigint.to_string p)
+      | exception Invalid_argument _ -> ())
+    [ 1; 0; -1 ]
+
 let prop_prime_products_composite =
   QCheck_alcotest.to_alcotest
   @@ QCheck2.Test.make ~name:"product of two primes > 3 is composite" ~count:50
@@ -938,6 +955,7 @@ let () =
           Alcotest.test_case "random primes have exact size" `Slow test_random_prime_bits;
           Alcotest.test_case "search bounded on a stuck source" `Quick
             test_random_prime_bounded;
+          Alcotest.test_case "narrowest widths" `Quick test_random_prime_narrowest;
           prop_prime_products_composite;
         ] );
       ( "edge cases",

@@ -641,9 +641,13 @@ let () =
           Alcotest.test_case "fast (subgroup) refill" `Quick test_pool_refill_fast;
           Alcotest.test_case "async refill" `Quick test_pool_refill_async;
           Alcotest.test_case "noise generator" `Quick test_noise_gen;
-          Alcotest.test_case "subgroup noise paths agree" `Quick test_noise_paths_agree;
           Alcotest.test_case "pool hammer (4 domains)" `Quick test_pool_hammer;
         ] );
+      (* Alcotest pads every suite label to the longest one and cuts test
+         names at 80 columns; this 15-character label, the longest, keeps
+         the long names below cut where earlier reports cut them. *)
+      ( "noise producers",
+        [ Alcotest.test_case "three paths agree" `Quick test_noise_paths_agree ] );
       ( "packing",
         [
           Alcotest.test_case "plain round-trip" `Quick test_pack_plain_roundtrip;
