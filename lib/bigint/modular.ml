@@ -25,13 +25,16 @@ let mul a b m =
   Bigint.erem (Bigint.mul a b) m
 
 external gcd_nat : Nat.t -> Nat.t -> Nat.t = "ppst_mont_gcd"
+external coprime_nat : Nat.t -> Nat.t -> bool = "ppst_mont_coprime"
 external invert_nat : Nat.t -> Nat.t -> Nat.t = "ppst_mont_invert"
 
 (* Binary GCD over 64-bit limbs in C (mont_stubs.c).  It runs at key
-   generation and once per encryption nonce a party holding only the
-   public key draws (Paillier.random_unit); the key holder tests units
-   against p and q instead, which costs two small divisions. *)
+   generation.  A party holding only the public key tests each nonce with
+   [coprime], the same GCD with no Nat result; the key holder folds the
+   nonce mod p and q instead (Montgomery.crt_is_unit). *)
 let gcd a b = Bigint.of_nat (gcd_nat (Bigint.magnitude a) (Bigint.magnitude b))
+
+let coprime a b = coprime_nat (Bigint.magnitude a) (Bigint.magnitude b)
 
 let lcm a b =
   if Bigint.is_zero a || Bigint.is_zero b then Bigint.zero

@@ -17,6 +17,9 @@ val gcd : Bigint.t -> Bigint.t -> Bigint.t
 (** Non-negative GCD of the magnitudes ([gcd 0 0 = 0]), by binary GCD
     in C; variable-time. *)
 
+val coprime : Bigint.t -> Bigint.t -> bool
+(** [gcd a b = 1], by the same binary GCD with no [Bigint] result. *)
+
 val lcm : Bigint.t -> Bigint.t -> Bigint.t
 
 val egcd : Bigint.t -> Bigint.t -> Bigint.t * Bigint.t * Bigint.t

@@ -14,16 +14,7 @@ type private_key = {
   lambda : Bigint.t;
   mu : Bigint.t;
   public : public_key;
-  p_squared : Bigint.t;
-  q_squared : Bigint.t;
-  hp : Bigint.t;
-  hq : Bigint.t;
-  p_inv_mod_q : Bigint.t;
-  p2_inv_mod_q2 : Bigint.t;
-  ctx_p : Modular.ctx;
-  ctx_q : Modular.ctx;
-  ctx_p2 : Modular.ctx;
-  ctx_q2 : Modular.ctx;
+  crt : Montgomery.crt;
 }
 
 (* A ciphertext caches both representations of its residue mod n^2: the
@@ -98,32 +89,24 @@ let public_of_modulus n ~bits =
 (* Assemble the full key material from validated primes. *)
 let assemble p q =
   let n = Bigint.mul p q in
-  let p1 = Bigint.pred p and q1 = Bigint.pred q in
-  let lambda = Modular.lcm p1 q1 in
+  let lambda = Modular.lcm (Bigint.pred p) (Bigint.pred q) in
   let public = make_public n (Bigint.num_bits n) in
   (* mu = (L(g^lambda mod n^2))^-1 mod n; with g = n+1,
      g^lambda = 1 + lambda*n mod n^2, so L(...) = lambda mod n. *)
   let mu = Modular.invert lambda n in
-  let p_squared = Bigint.mul p p in
-  let q_squared = Bigint.mul q q in
   (* CRT decryption constants (as in accelerated Paillier):
-     hp = L_p(g^{p-1} mod p^2)^-1 mod p, and symmetrically hq. *)
-  let lp x = Bigint.div (Bigint.pred x) p in
-  let lq x = Bigint.div (Bigint.pred x) q in
-  let g = public.g in
-  let ctx_p = Modular.make_ctx p in
-  let ctx_q = Modular.make_ctx q in
-  let ctx_p2 = Modular.make_ctx p_squared in
-  let ctx_q2 = Modular.make_ctx q_squared in
-  let hp = Modular.invert (lp (Modular.pow_ctx ctx_p2 g p1)) p in
-  let hq = Modular.invert (lq (Modular.pow_ctx ctx_q2 g q1)) q in
-  let p_inv_mod_q = Modular.invert p q in
-  let p2_inv_mod_q2 = Modular.invert p_squared q_squared in
-  ( public,
-    {
-      p; q; lambda; mu; public; p_squared; q_squared; hp; hq; p_inv_mod_q;
-      p2_inv_mod_q2; ctx_p; ctx_q; ctx_p2; ctx_q2;
-    } )
+     hp = L_p(g^(p-1) mod p^2)^-1 mod p, and symmetrically hq.  With
+     g = n+1, g^(p-1) = 1 + (p-1)n mod p^2, so L_p(...) = (p-1)q = -q
+     mod p. *)
+  let mag = Bigint.magnitude in
+  let crt =
+    Montgomery.crt_create ~p:(mag p) ~q:(mag q) ~n2:(mont_n2 public)
+      ~hp:(mag (Modular.invert (Bigint.neg q) p))
+      ~hq:(mag (Modular.invert (Bigint.neg p) q))
+      ~p_inv_q:(mag (Modular.invert p q))
+      ~p2_inv_q2:(mag (Modular.invert (Bigint.mul p p) (Bigint.mul q q)))
+  in
+  (public, { p; q; lambda; mu; public; crt })
 
 let of_primes ~p ~q =
   if Bigint.compare p Bigint.two <= 0 || Bigint.compare q Bigint.two <= 0 then
@@ -209,20 +192,14 @@ let draw_unit pk rng is_unit =
   in
   draw ()
 
-let random_unit pk rng =
-  draw_unit pk rng (fun r -> Bigint.equal (Modular.gcd r pk.n) Bigint.one)
+let random_unit pk rng = draw_unit pk rng (fun r -> Modular.coprime r pk.n)
 
 (* For n = pq with p and q prime, gcd(v, n) = 1 exactly when neither
-   prime divides v.  Primality is the contract of [of_primes]. *)
-let is_unit_sk sk v =
-  not (Bigint.is_zero (Bigint.rem v sk.p) || Bigint.is_zero (Bigint.rem v sk.q))
+   prime divides v; the kernel folds v mod p and mod q.  Primality is
+   the contract of [of_primes]. *)
+let is_unit_sk sk v = Montgomery.crt_is_unit sk.crt (Bigint.magnitude v)
 
 let random_unit_sk sk rng = draw_unit sk.public rng (is_unit_sk sk)
-
-(* With g = n+1: g^m = 1 + m*n (mod n^2), avoiding one exponentiation;
-   returned in Montgomery form, ready to multiply. *)
-let g_pow_m pk m =
-  Modular.to_mont_ctx pk.ctx_n2 (Bigint.erem (Bigint.succ (Bigint.mul m pk.n)) pk.n_squared)
 
 (* An r^n factor kept in Montgomery form, ready to multiply into a
    ciphertext without conversion. *)
@@ -232,30 +209,25 @@ let rn_of_bigint pk v = Modular.to_mont_ctx pk.ctx_n2 v
 
 (* r^n mod n^2 for a party with only n: one full-width power. *)
 let rn_of_unit pk r =
-  Montgomery.pow_raw (mont_n2 pk) (Modular.to_mont_ctx pk.ctx_n2 r) (Bigint.magnitude pk.n)
+  Montgomery.pow_of_nat (mont_n2 pk) (Bigint.magnitude r) (Bigint.magnitude pk.n)
 
-(* r^n mod n^2 for the key holder: compute r^n modulo p^2 and q^2 and
-   recombine by Garner with the precomputed (p^2)^-1 mod q^2.  Because
-   n^2 = p^2 q^2 with gcd(p^2, q^2) = 1, the recombination is *exactly*
-   r^n mod n^2, so the server-side encryption path stays byte-identical.
-   Each half is a Teichmüller lift: x -> x^p mod p^2 depends only on
-   x mod p, so r^n = (r^q)^p mod p^2 is ((r mod p)^q mod p)^p mod p^2 —
-   a half-width exponent mod p, then one mod p^2, where a direct power
-   would take a full-width exponent mod p^2. *)
-let rn_of_unit_sk sk r =
-  let lift ctx_prime ctx_square prime other =
-    Modular.pow_ctx ctx_square (Modular.pow_ctx ctx_prime r other) prime
-  in
-  let rp = lift sk.ctx_p sk.ctx_p2 sk.p sk.q in
-  let rq = lift sk.ctx_q sk.ctx_q2 sk.q sk.p in
-  let diff = Bigint.erem (Bigint.sub rq rp) sk.q_squared in
-  let h = Modular.mul_ctx sk.ctx_q2 diff sk.p2_inv_mod_q2 in
-  rn_of_bigint sk.public (Bigint.add rp (Bigint.mul sk.p_squared h))
+(* r^n mod n^2 for the key holder: r^n modulo p^2 and q^2, recombined by
+   Garner mod q^2.  Because n^2 = p^2 q^2 with gcd(p^2, q^2) = 1, the
+   recombination is *exactly* r^n mod n^2, so the server-side encryption
+   path stays byte-identical.  Each half is a Teichmüller lift:
+   x -> x^p mod p^2 depends only on x mod p, so r^n = (r^q)^p mod p^2 is
+   ((r mod p)^q mod p)^p mod p^2 — a half-width exponent mod p, then one
+   mod p^2, where a direct power would take a full-width exponent mod
+   p^2. *)
+let rn_of_unit_sk sk r = Montgomery.crt_noise sk.crt (Bigint.magnitude r)
 
-(* The one encryption step, g^m * r^n mod n^2 in Montgomery form: every
+(* The one encryption step, g^m * r^n mod n^2 in Montgomery form, with
+   g = n+1 so that g^m = 1 + m*n (m < n keeps it below n^2): every
    encryption path feeds it a realized noise factor.  Checking the
    plaintext is the caller's job, before any randomness is drawn. *)
-let seal pk rn m = ct_of_mont pk (Montgomery.mont_mul_raw (mont_n2 pk) (g_pow_m pk m) rn)
+let seal pk rn m =
+  ct_of_mont pk
+    (Montgomery.seal (mont_n2 pk) ~n:(Bigint.magnitude pk.n) (Bigint.magnitude m) rn)
 
 let encrypt_with_rn pk ~rn m =
   check_plaintext pk m;
@@ -471,23 +443,14 @@ let decrypt sk c =
   let x = Modular.pow_ctx pk.ctx_n2 (ct_value c) sk.lambda in
   Bigint.erem (Bigint.mul (l_function x pk.n) sk.mu) pk.n
 
-(* CRT decryption: decrypt mod p and mod q separately with half-size
-   exponentiations, then recombine. *)
+(* CRT decryption (Paillier 1999, Section 7), one kernel call: half-size
+   powers mod p^2 and q^2, L by exact division, recombined by Garner.
+   A non-unit fails the exact division. *)
 let decrypt_crt sk c =
-  let pk = sk.public in
-  check_same_key pk c;
-  let v = ct_value c in
-  let p1 = Bigint.pred sk.p and q1 = Bigint.pred sk.q in
-  let cp = Bigint.erem v sk.p_squared in
-  let cq = Bigint.erem v sk.q_squared in
-  let lp x = Bigint.div (Bigint.pred x) sk.p in
-  let lq x = Bigint.div (Bigint.pred x) sk.q in
-  let mp = Bigint.erem (Bigint.mul (lp (Modular.pow_ctx sk.ctx_p2 cp p1)) sk.hp) sk.p in
-  let mq = Bigint.erem (Bigint.mul (lq (Modular.pow_ctx sk.ctx_q2 cq q1)) sk.hq) sk.q in
-  (* Garner recombination: m = mp + p * ((mq - mp) * p^-1 mod q). *)
-  let diff = Bigint.erem (Bigint.sub mq mp) sk.q in
-  let h = Bigint.erem (Bigint.mul diff sk.p_inv_mod_q) sk.q in
-  Bigint.erem (Bigint.add mp (Bigint.mul sk.p h)) pk.n
+  check_same_key sk.public c;
+  match Montgomery.crt_decrypt sk.crt (Bigint.magnitude (ct_value c)) with
+  | Some m -> Bigint.of_nat m
+  | None -> raise (Invalid_ciphertext "ciphertext is not a unit mod n^2")
 
 (* Decryption is pure per ciphertext once the canonical value is
    realized, so batches fan out unchanged — [ct_value] runs before the
@@ -511,8 +474,7 @@ let add pk c1 c2 =
 
 let add_plain pk c k =
   check_same_key pk c;
-  let k = Bigint.erem k pk.n in
-  ct_of_mont pk (Montgomery.mont_mul_raw (mont_n2 pk) (ct_mont c) (g_pow_m pk k))
+  seal pk (ct_mont c) (Bigint.erem k pk.n)
 
 let scalar_mul pk c k =
   check_same_key pk c;
@@ -596,8 +558,8 @@ let m_invalid_ciphertext =
    out-of-range values are not ciphertexts — decrypting them yields
    nonsense (or, for non-units, a value whose gcd with n factors the
    modulus), so they must be rejected as typed garbage before a single
-   CRT exponentiation runs.  Whether v is a unit is decided by dividing
-   by p and q (is_unit_sk). *)
+   CRT exponentiation runs.  Whether v is a unit is decided by folding
+   it mod p and mod q (is_unit_sk). *)
 let validate_ciphertext sk v =
   let pk = sk.public in
   let invalid msg =

@@ -31,21 +31,11 @@ type private_key = {
   lambda : Bigint.t;     (** [lcm (p-1) (q-1)] *)
   mu : Bigint.t;         (** [lambda^-1 mod n] *)
   public : public_key;
-  (* CRT acceleration (precomputed at key creation) *)
-  p_squared : Bigint.t;
-  q_squared : Bigint.t;
-  hp : Bigint.t;  (** [L_p(g^(p-1) mod p²)^-1 mod p] *)
-  hq : Bigint.t;  (** [L_q(g^(q-1) mod q²)^-1 mod q] *)
-  p_inv_mod_q : Bigint.t;  (** Garner recombination constant (mod [q]) *)
-  p2_inv_mod_q2 : Bigint.t;
-  (** Garner constant mod [q²] — recombines the CRT halves of the
-      key holder's [r^n mod n²] noise (see {!encrypt_sk}). *)
-  ctx_p : Modular.ctx;
-  ctx_q : Modular.ctx;
-  (** Montgomery contexts for [p] and [q]: the first, half-width step of
-      the key holder's noise halves. *)
-  ctx_p2 : Modular.ctx;
-  ctx_q2 : Modular.ctx;
+  crt : Montgomery.crt;
+  (** The kernel context built once at key creation: the Montgomery
+      kernels of [p], [q], [p²], [q²] and [n²] and the CRT constants
+      [hp], [hq], [p^-1 mod q] and [p^-2 mod q²] that {!decrypt_crt},
+      {!encrypt_sk} and {!validate_ciphertext} run on. *)
 }
 
 type ciphertext
@@ -101,15 +91,21 @@ val encrypt_sk : private_key -> Ppst_rng.Secure_rng.t -> Bigint.t -> ciphertext
     draws, same ciphertext bytes) but the [r^n mod n²] noise is computed
     by CRT over [p²]/[q²], each half as [((r mod p)^q mod p)^p mod p²]
     (two half-width exponents, exact because [x^p mod p²] depends only
-    on [x mod p]).  The server's encryption path uses this. *)
+    on [x mod p]).  Each unit draw is tested by one C call on the key's
+    kernel context, the noise is one more, and the encryption step a
+    third.  The server's encryption path uses this. *)
 
 val decrypt : private_key -> ciphertext -> Bigint.t
 (** Plaintext in [\[0, n)] via [L(c^lambda mod n^2) * mu mod n]: the
     paper's decryption, and the tests' reference for {!decrypt_crt}. *)
 
 val decrypt_crt : private_key -> ciphertext -> Bigint.t
-(** Same result as {!decrypt} but ~4x faster using exponentiation modulo
-    [p^2] and [q^2] recombined by CRT. *)
+(** Same result as {!decrypt}, by Paillier's CRT method (Section 7 of the
+    paper) in one C call: [m_p = L_p(c^(p-1) mod p²) hp mod p], [m_q]
+    likewise, recombined by Garner, with [L] computed by exact division.
+    The ciphertext must be a unit of [Z_{n^2}], as every ciphertext built
+    here or passed by {!validate_ciphertext} is.
+    @raise Invalid_ciphertext when it is not. *)
 
 (** {1 Batch entry points}
 
@@ -302,7 +298,8 @@ val validate_ciphertext : private_key -> Bigint.t -> ciphertext
     path): additionally to the range, requires the value to be a unit
     of [Z_{n^2}] — [gcd(c, n) = 1], the defining property of a genuine
     Paillier ciphertext.  The key holder tests it as [p ∤ c] and
-    [q ∤ c], two small divisions instead of Euclid over [n]; that is
+    [q ∤ c], [c] folded mod [p] and mod [q] in one C call instead of
+    Euclid over [n]; that is
     [gcd(c, n) = 1] only because [p] and [q] are prime, which
     {!of_primes} leaves to its caller and {!private_key_of_string}
     checks.  Rejections bump the [paillier.invalid_ciphertext]

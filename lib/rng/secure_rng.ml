@@ -61,23 +61,32 @@ let byte t =
   t.pos <- t.pos + 1;
   b
 
-let bytes t n =
+(* The next [n] keystream bytes, copied out of the buffer a block at a
+   time into one fresh Bytes. *)
+let take t n =
   let out = Bytes.create n in
-  for i = 0 to n - 1 do
-    Bytes.set out i (Char.chr (byte t))
+  let filled = ref 0 in
+  while !filled < n do
+    if t.pos >= Bytes.length t.buffer then refill t;
+    let k = Stdlib.min (n - !filled) (Bytes.length t.buffer - t.pos) in
+    Bytes.blit t.buffer t.pos out !filled k;
+    t.pos <- t.pos + k;
+    filled := !filled + k
   done;
-  Bytes.to_string out
+  out
+
+let bytes t n = Bytes.unsafe_to_string (take t n)
+
+(* The mask that keeps the low [nbits] of the [nbytes] bytes holding
+   them, applied to the first, big-endian byte. *)
+let top_mask ~nbytes nbits = 0xFF lsr ((nbytes * 8) - nbits)
 
 let bits t nbits =
   if nbits <= 0 then invalid_arg "Secure_rng.bits: need positive bit count";
   let nbytes = (nbits + 7) / 8 in
-  let buf = Bytes.of_string (bytes t nbytes) in
-  let excess = (nbytes * 8) - nbits in
-  if excess > 0 then begin
-    let mask = 0xFF lsr excess in
-    Bytes.set buf 0 (Char.chr (Char.code (Bytes.get buf 0) land mask))
-  end;
-  Bigint.of_bytes_be (Bytes.to_string buf)
+  let buf = take t nbytes in
+  Bytes.set buf 0 (Char.unsafe_chr (Char.code (Bytes.get buf 0) land top_mask ~nbytes nbits));
+  Bigint.of_bytes_be (Bytes.unsafe_to_string buf)
 
 (* Uniform in [0, bound) by rejection sampling on num_bits(bound) bits:
    acceptance probability > 1/2, so the expected draw count is < 2. *)
@@ -95,9 +104,23 @@ let in_range t ~lo ~hi =
   if Bigint.compare lo hi > 0 then invalid_arg "Secure_rng.in_range: lo > hi";
   Bigint.add lo (below t (Bigint.succ (Bigint.sub hi lo)))
 
+(* [below] on a native int: the same bytes, mask and rejections, with no
+   Bigint.  A bound below 2^62 needs at most 8 bytes, and the masked top
+   byte keeps the value below 2^62. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Secure_rng.int: bound must be positive";
-  Bigint.to_int_exn (below t (Bigint.of_int bound))
+  let rec num_bits v = if v = 0 then 0 else 1 + num_bits (v lsr 1) in
+  let nbits = num_bits bound in
+  let nbytes = (nbits + 7) / 8 in
+  let mask = top_mask ~nbytes nbits in
+  let rec draw () =
+    let v = ref (byte t land mask) in
+    for _ = 2 to nbytes do
+      v := (!v lsl 8) lor byte t
+    done;
+    if !v < bound then !v else draw ()
+  in
+  draw ()
 
 let shuffle_in_place t arr =
   for i = Array.length arr - 1 downto 1 do

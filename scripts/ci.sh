@@ -61,17 +61,22 @@
 # zero worker crashes — while the health probe reports status 3
 # (degraded: serving, crash-durability lost).
 #
-# The sanitizer step rebuilds test_bigint, test_paillier, test_golden and
-# test_engine under the `sanitize` profile (the root dune file: C stubs
-# compiled with -Wall -Wextra -Werror and -fsanitize=address,undefined,
-# no recovery) in its own build directory, _build_sanitize, so the
-# default build is left alone, and runs them.  It catches a warning in
-# any C stub, an out-of-bounds access to the kernel's own scratch memory
-# and undefined behaviour in lib/bigint/mont_stubs.c: its products,
-# squares and powers, its binary GCD, and (through test_engine's packed
-# axes) its inverse modulo n^2.  ASan cannot see a read past the end of
-# an OCaml block; the stubs' width check covers that.  Leak detection is
-# off: the OCaml runtime does not free its heap at exit.
+# The sanitizer step rebuilds test_bigint, test_paillier, test_golden,
+# test_engine, test_overload and test_session_machine under the
+# `sanitize` profile (the root dune file: C stubs compiled with -Wall
+# -Wextra -Werror and -fsanitize=address,undefined, no recovery) in its
+# own build directory, _build_sanitize, so the default build is left
+# alone, and runs them.  It catches a warning in any C stub, an
+# out-of-bounds access to the kernel's own scratch memory and undefined
+# behaviour in lib/bigint/mont_stubs.c: its products, squares and
+# powers, its binary GCD, (through test_engine's packed axes) its
+# inverse modulo n^2, and its Paillier entries.  Validation and CRT
+# decryption read attacker-chosen values there, so test_overload and
+# test_session_machine push 0, n, 2n, out-of-range and random
+# ciphertexts through Server.handle under the sanitizers too.  ASan
+# cannot see a read past the end of an OCaml block; the stubs' width
+# check covers that.  Leak detection is off: the OCaml runtime does not
+# free its heap at exit.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -80,10 +85,12 @@ dune runtest
 
 dune build --profile sanitize --build-dir _build_sanitize \
   ./test/test_bigint.exe ./test/test_paillier.exe ./test/test_golden.exe \
-  ./test/test_engine.exe
+  ./test/test_engine.exe ./test/test_overload.exe \
+  ./test/test_session_machine.exe
 # --verbose leaves test output uncaptured, so a sanitizer report reaches
 # stderr instead of an alcotest log file.
-for suite in test_bigint test_paillier test_golden test_engine; do
+for suite in test_bigint test_paillier test_golden test_engine test_overload \
+    test_session_machine; do
   if ! ASAN_OPTIONS=detect_leaks=0 "./_build_sanitize/default/test/$suite.exe" \
       --compact --verbose >/dev/null; then
     echo "ci: sanitizer build FAILED in $suite" >&2

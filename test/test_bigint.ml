@@ -318,8 +318,7 @@ let gen_kernel_case =
   let m =
     if all_ones_modulus then Bigint.pred (Bigint.shift_left Bigint.one bits)
     else
-      let top = Bigint.shift_left Bigint.one (bits - 1) in
-      let v = Bigint.add top (Splitmix.bits rng (bits - 1)) in
+      let v = exact_bits rng bits in
       if Bigint.is_even v then Bigint.succ v else v
   in
   let r_mod = Bigint.erem (Bigint.shift_left Bigint.one (64 * limbs)) m in

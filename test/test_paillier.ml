@@ -563,9 +563,11 @@ let validator_accepts v =
 
 (* Euclid in this file, not Modular.gcd: the oracle shares no code with
    the C kernel. *)
-let is_unit v =
+let coprime a b =
   let rec euclid a b = if Bigint.is_zero b then a else euclid b (Bigint.rem a b) in
-  Bigint.equal (euclid v pk.Paillier.n) Bigint.one
+  Bigint.equal (euclid a b) Bigint.one
+
+let is_unit v = coprime v pk.Paillier.n
 
 let test_validate_fixed () =
   let p = sk.Paillier.p and q = sk.Paillier.q and n = pk.Paillier.n in
@@ -595,6 +597,232 @@ let prop_validate_is_gcd =
         ])
     ~print:Bigint.to_string
     (fun v -> Bool.equal (is_unit v) (validator_accepts v))
+
+(* --- the C kernel against the OCaml it replaced ---------------------------- *)
+
+(* The CRT arithmetic that ran in OCaml before each Paillier operation
+   became one kernel call, kept as the oracle.  Its constants are
+   re-derived from p and q as key assembly derived them then. *)
+module Oracle = struct
+  type t = {
+    pk : Paillier.public_key;
+    p : Bigint.t;
+    q : Bigint.t;
+    p_squared : Bigint.t;
+    q_squared : Bigint.t;
+    hp : Bigint.t;
+    hq : Bigint.t;
+    p_inv_mod_q : Bigint.t;
+    p2_inv_mod_q2 : Bigint.t;
+    ctx_p : Modular.ctx;
+    ctx_q : Modular.ctx;
+    ctx_p2 : Modular.ctx;
+    ctx_q2 : Modular.ctx;
+  }
+
+  let make (pk, sk) =
+    let p = sk.Paillier.p and q = sk.Paillier.q in
+    let p_squared = Bigint.mul p p and q_squared = Bigint.mul q q in
+    let ctx_p2 = Modular.make_ctx p_squared and ctx_q2 = Modular.make_ctx q_squared in
+    let l x m = Bigint.div (Bigint.pred x) m in
+    let g = pk.Paillier.g in
+    {
+      pk; p; q; p_squared; q_squared;
+      hp = Modular.invert (l (Modular.pow_ctx ctx_p2 g (Bigint.pred p)) p) p;
+      hq = Modular.invert (l (Modular.pow_ctx ctx_q2 g (Bigint.pred q)) q) q;
+      p_inv_mod_q = Modular.invert p q;
+      p2_inv_mod_q2 = Modular.invert p_squared q_squared;
+      ctx_p = Modular.make_ctx p;
+      ctx_q = Modular.make_ctx q;
+      ctx_p2;
+      ctx_q2;
+    }
+
+  let decrypt_crt o v =
+    let p1 = Bigint.pred o.p and q1 = Bigint.pred o.q in
+    let cp = Bigint.erem v o.p_squared in
+    let cq = Bigint.erem v o.q_squared in
+    let lp x = Bigint.div (Bigint.pred x) o.p in
+    let lq x = Bigint.div (Bigint.pred x) o.q in
+    let mp = Bigint.erem (Bigint.mul (lp (Modular.pow_ctx o.ctx_p2 cp p1)) o.hp) o.p in
+    let mq = Bigint.erem (Bigint.mul (lq (Modular.pow_ctx o.ctx_q2 cq q1)) o.hq) o.q in
+    let diff = Bigint.erem (Bigint.sub mq mp) o.q in
+    let h = Bigint.erem (Bigint.mul diff o.p_inv_mod_q) o.q in
+    Bigint.erem (Bigint.add mp (Bigint.mul o.p h)) o.pk.Paillier.n
+
+  (* r^n mod n^2: one full-width power, or the key holder's two lifts
+     and Garner mod q^2 *)
+  let rn_of_unit o r = Modular.pow_ctx o.pk.Paillier.ctx_n2 r o.pk.Paillier.n
+
+  let rn_of_unit_sk o r =
+    let lift ctx_prime ctx_square prime other =
+      Modular.pow_ctx ctx_square (Modular.pow_ctx ctx_prime r other) prime
+    in
+    let rp = lift o.ctx_p o.ctx_p2 o.p o.q in
+    let rq = lift o.ctx_q o.ctx_q2 o.q o.p in
+    let diff = Bigint.erem (Bigint.sub rq rp) o.q_squared in
+    let h = Modular.mul_ctx o.ctx_q2 diff o.p2_inv_mod_q2 in
+    Bigint.add rp (Bigint.mul o.p_squared h)
+
+  (* g^m rn mod n^2 with g = n + 1 *)
+  let seal o rn m =
+    let n = o.pk.Paillier.n and n2 = o.pk.Paillier.n_squared in
+    Bigint.erem (Bigint.mul (Bigint.erem (Bigint.succ (Bigint.mul m n)) n2) rn) n2
+
+  (* an encryption drawing its unit as Paillier does: below n until
+     coprime to it *)
+  let encrypt o ~noise rng m =
+    let n = o.pk.Paillier.n in
+    let rec draw () =
+      let r = Ppst_rng.Secure_rng.below rng n in
+      if coprime r n then r else draw ()
+    in
+    seal o (noise o (draw ())) m
+end
+
+(* Keys whose p and q differ in limb count (the odd widths), from 16 to
+   2,048 bits, each also with its primes swapped, so that p > q and
+   Garner's m_p can exceed q. *)
+let kernel_keys =
+  List.concat_map
+    (fun bits ->
+      let ((_, sk) as key) =
+        Paillier.keygen ~bits
+          (Ppst_rng.Secure_rng.of_seed_string (Printf.sprintf "kernel-%d" bits))
+      in
+      let swapped = Paillier.of_primes ~p:sk.Paillier.q ~q:sk.Paillier.p in
+      [ (key, Oracle.make key); (swapped, Oracle.make swapped) ])
+    [ 16; 17; 33; 64; 65; 127; 128; 129; 256; 257; 512; 513; 1024; 2048 ]
+  |> Array.of_list
+
+let key_name ((pk, sk), _) =
+  Printf.sprintf "%d-bit key, p %s q" pk.Paillier.bits
+    (if Bigint.compare sk.Paillier.p sk.Paillier.q < 0 then "<" else ">")
+
+(* A key (the large ones rarely, to keep the suite fast) and a seed. *)
+let gen_kernel_case =
+  QCheck2.Gen.(
+    pair
+      (frequency
+         [ (8, int_range 0 (Array.length kernel_keys - 5)); (1, int_range 0 (Array.length kernel_keys - 1)) ])
+      (string_size ~gen:printable (return 16)))
+
+let print_kernel_case (i, seed) = Printf.sprintf "%s, seed %S" (key_name kernel_keys.(i)) seed
+
+(* A residue below m from the case's rng, and one that is a unit mod n. *)
+let residue rng m = Ppst_rng.Secure_rng.below rng m
+
+let unit_residue rng n m =
+  let rec draw () =
+    let v = residue rng m in
+    if coprime v n then v else draw ()
+  in
+  draw ()
+
+let prop_decrypt_crt_kernel =
+  qtest "decrypt_crt = oracle = decrypt" ~count:150 gen_kernel_case ~print:print_kernel_case
+    (fun (i, seed) ->
+      let ((pk, sk), o) = kernel_keys.(i) in
+      let rng = Ppst_rng.Secure_rng.of_seed_string seed in
+      let n = pk.Paillier.n and n2 = pk.Paillier.n_squared in
+      let m = residue rng n in
+      List.for_all
+        (fun v ->
+          let c = Paillier.ciphertext_of_bigint pk v in
+          let plain = Paillier.decrypt_crt sk c in
+          Bigint.equal plain (Oracle.decrypt_crt o v) && Bigint.equal plain (Paillier.decrypt sk c))
+        [
+          Paillier.ciphertext_to_bigint (Paillier.encrypt pk rng m);
+          unit_residue rng n n2;
+          Bigint.one;
+          Bigint.succ n;
+          Bigint.pred n2;
+        ])
+
+let test_decrypt_rejects_non_units () =
+  Array.iter
+    (fun (((pk, sk), _) as key) ->
+      let p = sk.Paillier.p and q = sk.Paillier.q and n = pk.Paillier.n in
+      let k = Bigint.of_int 7919 in
+      List.iter
+        (fun (what, v) ->
+          let name = Printf.sprintf "%s, %s" (key_name key) what in
+          (match Paillier.decrypt_crt sk (Paillier.ciphertext_of_bigint pk v) with
+           | _ -> Alcotest.fail (name ^ ": non-unit decrypted")
+           | exception Paillier.Invalid_ciphertext _ -> ());
+          Alcotest.(check bool) (name ^ ": validator = Euclid") (coprime v n)
+            (match Paillier.validate_ciphertext sk v with
+             | _ -> true
+             | exception Paillier.Invalid_ciphertext _ -> false))
+        [
+          ("0", Bigint.zero); ("p", p); ("k*p", Bigint.mul k p); ("q", q);
+          ("k*q", Bigint.mul k q); ("n", n); ("p^2", Bigint.mul p p);
+        ])
+    kernel_keys
+
+let prop_unit_predicates =
+  qtest "unit predicates = Euclid" ~count:150 gen_kernel_case ~print:print_kernel_case
+    (fun (i, seed) ->
+      let ((pk, sk), _) = kernel_keys.(i) in
+      let rng = Ppst_rng.Secure_rng.of_seed_string seed in
+      let n = pk.Paillier.n and n2 = pk.Paillier.n_squared in
+      let v = residue rng n2 in
+      List.for_all
+        (fun v ->
+          let euclid = coprime v n in
+          Bool.equal euclid (Modular.coprime v n)
+          && Bool.equal euclid
+               (match Paillier.validate_ciphertext sk v with
+                | _ -> true
+                | exception Paillier.Invalid_ciphertext _ -> false))
+        [
+          v;
+          Bigint.erem (Bigint.mul v sk.Paillier.p) n2;
+          Bigint.erem (Bigint.mul v sk.Paillier.q) n2;
+          residue rng n;
+        ])
+
+(* Encryption by either party and the encryption step alone, byte for
+   byte against the oracle, with both generators left at the same next
+   byte. *)
+let prop_noise_and_seal =
+  qtest "noises and seal = oracle" ~count:150 gen_kernel_case ~print:print_kernel_case
+    (fun (i, seed) ->
+      let ((pk, sk), o) = kernel_keys.(i) in
+      let fresh () = Ppst_rng.Secure_rng.of_seed_string seed in
+      let n = pk.Paillier.n and n2 = pk.Paillier.n_squared in
+      let m = residue (fresh ()) n in
+      let alike encrypt noise =
+        let r1 = fresh () and r2 = fresh () in
+        let c = Paillier.ciphertext_to_bigint (encrypt r1 m) in
+        Bigint.equal c (Oracle.encrypt o ~noise r2 m)
+        && Ppst_rng.Secure_rng.byte r1 = Ppst_rng.Secure_rng.byte r2
+      in
+      let v = unit_residue (fresh ()) n n2 and k = residue (fresh ()) n2 in
+      alike (Paillier.encrypt pk) Oracle.rn_of_unit
+      && alike (Paillier.encrypt_sk sk) Oracle.rn_of_unit_sk
+      && Bigint.equal
+           (Paillier.ciphertext_to_bigint
+              (Paillier.encrypt_with_rn pk ~rn:(Paillier.rn_of_bigint pk v) m))
+           (Oracle.seal o v m)
+      && Bigint.equal
+           (Paillier.ciphertext_to_bigint
+              (Paillier.add_plain pk (Paillier.ciphertext_of_bigint pk v) k))
+           (Oracle.seal o v (Bigint.erem k n)))
+
+let test_kernel_widths_checked () =
+  let ((pk, sk), _) = kernel_keys.(0) in
+  let wide = Bigint.shift_left Bigint.one (64 * ((Bigint.num_bits pk.Paillier.n_squared + 63) / 64)) in
+  List.iter
+    (fun (name, f) ->
+      match f (Bigint.magnitude wide) with
+      | () -> Alcotest.fail (name ^ ": a value wider than n^2 was read")
+      | exception Invalid_argument _ -> ())
+    [
+      ("crt_decrypt", fun v -> ignore (Montgomery.crt_decrypt sk.Paillier.crt v));
+      ("crt_is_unit", fun v -> ignore (Montgomery.crt_is_unit sk.Paillier.crt v));
+      ("crt_noise", fun v -> ignore (Montgomery.crt_noise sk.Paillier.crt v));
+    ]
 
 let () =
   Alcotest.run "paillier"
@@ -662,5 +890,13 @@ let () =
           Alcotest.test_case "key parse failures" `Quick test_key_parse_failures;
           Alcotest.test_case "validator = gcd unit test" `Quick test_validate_fixed;
           prop_validate_is_gcd;
+        ] );
+      ( "kernel",
+        [
+          prop_decrypt_crt_kernel;
+          Alcotest.test_case "non-units rejected" `Quick test_decrypt_rejects_non_units;
+          prop_unit_predicates;
+          prop_noise_and_seal;
+          Alcotest.test_case "operand widths checked" `Quick test_kernel_widths_checked;
         ] );
     ]

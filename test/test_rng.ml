@@ -131,6 +131,52 @@ let test_int_uniformity_coarse () =
         (c > 350 && c < 650))
     buckets
 
+(* [int] draws on native ints what [below] draws on Bigints: two
+   generators seeded alike must agree on every value, bounds of 1 to 62
+   bits, and end at the same next byte. *)
+let test_int_equals_below () =
+  let a = Secure_rng.of_seed_string "int-vs-below" in
+  let b = Secure_rng.of_seed_string "int-vs-below" in
+  let spread = Secure_rng.of_seed_string "int-vs-below-bounds" in
+  for nbits = 1 to 62 do
+    let low = 1 lsl (nbits - 1) in
+    let bounds = [ low; low + (low - 1); low + Secure_rng.int spread low ] in
+    List.iter
+      (fun bound ->
+        for _ = 1 to 500 do
+          let fast = Secure_rng.int a bound in
+          let reference = Bigint.to_int_exn (Secure_rng.below b (Bigint.of_int bound)) in
+          if fast <> reference then
+            Alcotest.failf "bound %d: int %d, below %d" bound fast reference
+        done)
+      bounds
+  done;
+  Alcotest.(check int) "same next byte" (Secure_rng.byte b) (Secure_rng.byte a)
+
+(* [bits] against the formula it had when it read one byte at a time:
+   the same bytes, the top one masked to the requested width. *)
+let test_bits_byte_formula () =
+  let reference t nbits =
+    let nbytes = (nbits + 7) / 8 in
+    let buf = Bytes.init nbytes (fun _ -> Char.chr (Secure_rng.byte t)) in
+    let excess = (nbytes * 8) - nbits in
+    if excess > 0 then
+      Bytes.set buf 0 (Char.chr (Char.code (Bytes.get buf 0) land (0xFF lsr excess)));
+    Bigint.of_bytes_be (Bytes.to_string buf)
+  in
+  let a = Secure_rng.of_seed_string "bits-formula" in
+  let b = Secure_rng.of_seed_string "bits-formula" in
+  for nbits = 1 to 700 do
+    Alcotest.check
+      (Alcotest.testable Bigint.pp Bigint.equal)
+      (Printf.sprintf "%d bits" nbits)
+      (reference b nbits) (Secure_rng.bits a nbits)
+  done;
+  Alcotest.(check string) "bytes alike"
+    (String.init 300 (fun _ -> Char.chr (Secure_rng.byte b)))
+    (Secure_rng.bytes a 300);
+  Alcotest.(check int) "same next byte" (Secure_rng.byte b) (Secure_rng.byte a)
+
 let test_shuffle_permutation () =
   let rng = Secure_rng.of_seed_string "shuffle" in
   let arr = Array.init 50 Fun.id in
@@ -194,5 +240,7 @@ let () =
           Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
           Alcotest.test_case "shuffle covers positions" `Quick test_shuffle_all_positions;
           Alcotest.test_case "no short cycles" `Quick test_byte_stream_no_short_cycle;
+          Alcotest.test_case "int = below" `Quick test_int_equals_below;
+          Alcotest.test_case "bits = byte formula" `Quick test_bits_byte_formula;
         ] );
     ]
