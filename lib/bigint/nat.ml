@@ -121,7 +121,7 @@ let mul_limb (a : t) (d : int) : t =
     normalize r
   end
 
-let mul_school (a : t) (b : t) : t =
+let mul (a : t) (b : t) : t =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then zero
   else begin
@@ -139,40 +139,6 @@ let mul_school (a : t) (b : t) : t =
       end
     done;
     normalize r
-  end
-
-let karatsuba_threshold = 32
-
-(* Split [a] at limb index [m]: low part and high part, both normalized. *)
-let split_at (a : t) m =
-  let la = Array.length a in
-  if la <= m then (a, zero)
-  else (normalize (Array.sub a 0 m), Array.sub a m (la - m))
-
-let shift_limbs (a : t) m =
-  if is_zero a || m = 0 then if m = 0 then a else a
-  else begin
-    let la = Array.length a in
-    let r = Array.make (la + m) 0 in
-    Array.blit a 0 r m la;
-    r
-  end
-
-let rec mul (a : t) (b : t) : t =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 || lb = 0 then zero
-  else if la < karatsuba_threshold || lb < karatsuba_threshold then
-    mul_school a b
-  else begin
-    (* Karatsuba: a = a1*B^m + a0, b = b1*B^m + b0,
-       ab = z2*B^2m + z1*B^m + z0 with z1 = (a0+a1)(b0+b1) - z2 - z0. *)
-    let m = (if la > lb then la else lb) / 2 in
-    let a0, a1 = split_at a m in
-    let b0, b1 = split_at b m in
-    let z0 = mul a0 b0 in
-    let z2 = mul a1 b1 in
-    let z1 = sub (mul (add a0 a1) (add b0 b1)) (add z0 z2) in
-    add (add (shift_limbs z2 (2 * m)) (shift_limbs z1 m)) z0
   end
 
 let num_bits (a : t) =

@@ -47,8 +47,7 @@ val sub : t -> t -> t
     @raise Invalid_argument otherwise. *)
 
 val mul : t -> t -> t
-(** Product, using schoolbook multiplication below {!karatsuba_threshold}
-    limbs and Karatsuba recursion above it. *)
+(** Product, by schoolbook multiplication at every width. *)
 
 val mul_limb : t -> int -> t
 (** [mul_limb a d] multiplies by a single limb [0 <= d < base]. *)
@@ -74,8 +73,6 @@ val of_bytes_be : string -> t
 
 val to_bytes_be : t -> string
 (** Minimal big-endian representation; [""] for zero. *)
-
-val karatsuba_threshold : int
 
 val pp : Format.formatter -> t -> unit
 (** Hex dump, for debugging. *)

@@ -26,8 +26,6 @@ type t = {
   cost : Cost.t;
   pool : Paillier.randomness_pool;
   offline : bool;
-  mutable refill_join : (unit -> unit) option;
-      (* outstanding background pool producer, joined at [finish] *)
   workers : Parallel.t;
 }
 
@@ -97,17 +95,6 @@ let encrypt_online t m =
   sync_pool_misses t;
   c
 
-let join_refill t =
-  match t.refill_join with
-  | None -> ()
-  | Some join ->
-    t.refill_join <- None;
-    (* only the time the client actually blocks on the producer counts
-       as offline cost; the overlapped production itself is free wall *)
-    let t0 = Unix.gettimeofday () in
-    join ();
-    Cost.add_client_offline t.cost (Unix.gettimeofday () -. t0)
-
 let precompute_randomness t count =
   if t.offline && count > 0 then
     Telemetry.span ~name:"client.offline.refill"
@@ -117,18 +104,13 @@ let precompute_randomness t count =
           ("phase", Telemetry.Phase Telemetry.Offline);
         ]
       (fun () ->
-        join_refill t;
-        if t.packing then
-          (* packed profile: subgroup noise, produced on a background
-             Domain; online rounds block in rn_acquire while entries are
-             owed instead of recording misses *)
-          t.refill_join <-
-            Some (Paillier.pool_refill_async t.pk t.pool t.noise_rng count)
-        else begin
-          let t0 = Unix.gettimeofday () in
-          Paillier.pool_refill ~workers:t.workers t.pk t.pool t.noise_rng count;
-          Cost.add_client_offline t.cost (Unix.gettimeofday () -. t0)
-        end)
+        (* the packed profile takes subgroup noise (SECURITY.md) *)
+        let refill =
+          if t.packing then Paillier.pool_refill_fast else Paillier.pool_refill
+        in
+        let t0 = Unix.gettimeofday () in
+        refill ~workers:t.workers t.pk t.pool t.noise_rng count;
+        Cost.add_client_offline t.cost (Unix.gettimeofday () -. t0))
 
 let check_own_bounds series max_value =
   let d = Series.dimension series in
@@ -211,7 +193,6 @@ let connect ?(params = Params.default) ?(offline = true) ?(packing = false)
       cost = Cost.create ();
       pool = Paillier.pool_create pk;
       offline;
-      refill_join = None;
       workers;
     }
   | _ -> raise (Channel.Protocol_error "expected Welcome after Hello")
@@ -666,8 +647,6 @@ let reveal t c =
       | Message.Reveal_reply v -> v
       | _ -> raise (Channel.Protocol_error "expected Reveal_reply"))
 
-let finish t =
-  join_refill t;
-  Channel.close t.channel
+let finish t = Channel.close t.channel
 
 let packing = packing_active

@@ -45,8 +45,8 @@ val connect :
     decryption work.  Packed runs produce the same distances as unpacked
     ones but not the same transcript bytes; servers that do not grant
     the flag (or keys too small to fit one slot) silently fall back to
-    the unpacked rounds.  Combined with [offline], the pool refill runs
-    on a background Domain using the fast subgroup noise generator.
+    the unpacked rounds.  Combined with [offline], the pool refill uses
+    the fast subgroup noise generator.
 
     [workers] (default sequential) fans the client's embarrassingly
     parallel work — pool refills, cost-matrix rows, masked-candidate

@@ -69,13 +69,8 @@ let mont_n2 pk = Modular.mont_of_ctx pk.ctx_n2
 let l_function x n = Bigint.div (Bigint.pred x) n
 
 let make_public n bits =
-  {
-    n;
-    n_squared = Bigint.mul n n;
-    g = Bigint.succ n;
-    bits;
-    ctx_n2 = Modular.make_ctx (Bigint.mul n n);
-  }
+  let n_squared = Bigint.mul n n in
+  { n; n_squared; g = Bigint.succ n; bits; ctx_n2 = Modular.make_ctx n_squared }
 
 let public_of_modulus n ~bits =
   if Bigint.compare n Bigint.two <= 0 || Bigint.is_even n then
@@ -273,27 +268,16 @@ let encrypt_batch_sk ?(workers = Ppst_parallel.Pool.sequential) sk rng ms =
    The pool is a mutex-guarded FIFO: entries are consumed in production
    order, so a pooled run uses exactly the same r-sequence (per
    encryption) as an unpooled run drawing from the same rng, and
-   transcripts match bit for bit.  [pending] counts entries promised by
-   an in-flight background producer; consumers block (rather than miss)
-   while production is still catching up. *)
+   transcripts match bit for bit. *)
 type randomness_pool = {
   pool_n : Bigint.t;
   lock : Mutex.t;
-  changed : Condition.t;
   store : rn Queue.t;
-  mutable pending : int;
   mutable misses : int;
 }
 
 let pool_create pk =
-  {
-    pool_n = pk.n;
-    lock = Mutex.create ();
-    changed = Condition.create ();
-    store = Queue.create ();
-    pending = 0;
-    misses = 0;
-  }
+  { pool_n = pk.n; lock = Mutex.create (); store = Queue.create (); misses = 0 }
 
 let pool_size pool =
   Mutex.lock pool.lock;
@@ -313,7 +297,6 @@ let check_pool_key pk pool =
 let pool_push_all pool rns =
   Mutex.lock pool.lock;
   Array.iter (fun rn -> Queue.add rn pool.store) rns;
-  Condition.broadcast pool.changed;
   Mutex.unlock pool.lock
 
 let pool_refill ?(workers = Ppst_parallel.Pool.sequential) pk pool rng count =
@@ -332,8 +315,8 @@ let pool_refill ?(workers = Ppst_parallel.Pool.sequential) pk pool rng count =
    n-th residues drawn from the cyclic subgroup <h^n> rather than
    uniformly from all n-th residues, so only the packed profile opts in;
    see SECURITY.md.  This generator is the only code that draws h,
-   builds the table or draws exponents: the fast and background refills
-   and the server's packed replies all take their noise from it. *)
+   builds the table or draws exponents: the fast refill and the server's
+   packed replies both take their noise from it. *)
 type noise_gen = { gen_n : Bigint.t; gen_table : Fixed_base.t; gen_ebits : int }
 
 let noise_gen_create pk rng =
@@ -359,50 +342,6 @@ let pool_refill_fast ?(workers = Ppst_parallel.Pool.sequential) pk pool rng coun
   let exps = Array.init count (fun _ -> noise_exponent g rng) in
   pool_push_all pool (Ppst_parallel.Pool.map_array workers (noise_power g) exps)
 
-(* Background production on the process's background Domain
-   (Pool.background), which runs tasks in submission order.  A producer
-   only pushes into its own pool and never waits, so refills queued by
-   two clients cannot deadlock.  The producer owns [rng] until the
-   returned join completes: it draws [h] and every exponent itself, in
-   order, so determinism is preserved; consumers block in [rn_acquire]
-   while [pending] entries are still owed instead of falling back to an
-   online exponentiation. *)
-let pool_refill_async pk pool rng count =
-  check_pool_key pk pool;
-  Ppst_telemetry.Metrics.observe m_pool_refill (float_of_int count);
-  Mutex.lock pool.lock;
-  pool.pending <- pool.pending + count;
-  Mutex.unlock pool.lock;
-  let push rn =
-    Mutex.lock pool.lock;
-    Queue.add rn pool.store;
-    pool.pending <- pool.pending - 1;
-    Condition.broadcast pool.changed;
-    Mutex.unlock pool.lock
-  in
-  let abandon k =
-    (* Producer died: un-promise the entries it still owed so consumers
-       fall back to online exponentiation instead of blocking forever. *)
-    Mutex.lock pool.lock;
-    pool.pending <- pool.pending - k;
-    Condition.broadcast pool.changed;
-    Mutex.unlock pool.lock
-  in
-  let produce () =
-    let produced = ref 0 in
-    try
-      let g = noise_gen_create pk rng in
-      for _ = 1 to count do
-        push (noise_gen_rn g pk rng);
-        incr produced
-      done
-    with e ->
-      abandon (count - !produced);
-      raise e
-  in
-  let task = Ppst_parallel.Pool.background produce in
-  fun () -> Ppst_parallel.Pool.await task
-
 (* A unit of encryption randomness: either a precomputed [r^n] factor
    popped from the pool, or — on a pool miss — a raw unit [r] whose
    exponentiation is still owed.  Splitting acquisition (sequential,
@@ -413,17 +352,12 @@ type rn_source = Pooled of rn | Owed of Bigint.t
 let rn_acquire pk pool rng =
   check_pool_key pk pool;
   Mutex.lock pool.lock;
-  while Queue.is_empty pool.store && pool.pending > 0 do
-    Condition.wait pool.changed pool.lock
-  done;
   match Queue.take_opt pool.store with
   | Some rn ->
     Mutex.unlock pool.lock;
     Pooled rn
   | None ->
     pool.misses <- pool.misses + 1;
-    (* The rng is free here: misses only happen once no producer is
-       pending, i.e. after the producer's final draw. *)
     let r = random_unit pk rng in
     Mutex.unlock pool.lock;
     Ppst_telemetry.Metrics.incr m_pool_misses;

@@ -157,10 +157,10 @@ val invert_ciphertext : public_key -> ciphertext -> ciphertext
     multiplications.  The protocol client — the weak party of the paper's
     asymmetric setting — uses this for its phase-2/3 masking offsets.
 
-    The pool is a mutex-guarded FIFO, safe to fill from a background
-    Domain while the session consumes: entries come out in production
-    order, so a pooled run consumes its rng's r-sequence exactly as the
-    unpooled run does and transcripts stay bit-identical. *)
+    The pool is a mutex-guarded FIFO, safe to fill and drain from
+    several Domains: entries come out in production order, so a pooled
+    run consumes its rng's r-sequence exactly as the unpooled run does
+    and transcripts stay bit-identical. *)
 
 type randomness_pool
 
@@ -191,18 +191,6 @@ val pool_refill_fast :
     {!noise_gen} and SECURITY.md).
     @raise Key_mismatch if the pool belongs to another key. *)
 
-val pool_refill_async :
-  public_key -> randomness_pool -> Ppst_rng.Secure_rng.t -> int -> (unit -> unit)
-(** {!pool_refill_fast}'s entries, produced on the background Domain
-    ({!Ppst_parallel.Pool.background}, after any refill queued before
-    it); returns a join function.  The producer owns [rng] until it has
-    drawn its last exponent; {!rn_acquire} blocks (instead of recording
-    a miss) while promised entries are still outstanding, so online
-    encryption overlaps offline production without transcript
-    divergence.  Subgroup noise only: the packed profile's client is
-    its one caller.
-    @raise Key_mismatch if the pool belongs to another key. *)
-
 val encrypt_pooled :
   public_key -> randomness_pool -> Ppst_rng.Secure_rng.t -> Bigint.t -> ciphertext
 (** Like {!encrypt}, consuming one pooled factor; falls back to a fresh
@@ -227,9 +215,8 @@ val rn_of_bigint : public_key -> Bigint.t -> rn
 type rn_source
 
 val rn_acquire : public_key -> randomness_pool -> Ppst_rng.Secure_rng.t -> rn_source
-(** Dequeue one pooled [r^n] factor; block while a background producer
-    still owes entries; on a genuinely empty pool draw a raw unit [r]
-    (counting a miss) whose exponentiation is owed.
+(** Dequeue one pooled [r^n] factor; on an empty pool draw a raw unit
+    [r] (counting a miss) whose exponentiation is owed.
     @raise Key_mismatch if the pool belongs to another key. *)
 
 val rn_realize : public_key -> rn_source -> rn
@@ -245,8 +232,8 @@ type noise_gen
     [h^n] exponentiation at creation, a fixed-base table of [h^n], then
     a stream of cheap factors [h^(n·a)] for fresh short exponents [a]
     of [bits/2 + 64] bits.  It is the only source of subgroup noise:
-    {!pool_refill_fast} and {!pool_refill_async} fill pools from it and
-    the server's packed replies draw from it directly.  The factors come
+    {!pool_refill_fast} fills pools from it and the server's packed
+    replies draw from it directly.  The factors come
     from the cyclic subgroup generated by [h^n] rather than uniformly
     from all n-th residues, so they are reserved for the packed profile
     (SECURITY.md, "The exception").  Immutable after creation and safe

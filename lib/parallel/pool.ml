@@ -140,62 +140,3 @@ let map_array t f arr =
   end
 
 let map t f l = Array.to_list (map_array t f (Array.of_list l))
-
-(* Background tasks — genuinely offline work (randomness-pool
-   production) that should overlap the caller's online phase rather than
-   share a pool's work queue — run on one process-wide Domain, spawned on
-   first use and kept for the life of the process: a Domain per task
-   grew the resident set of a process running session after session.
-   Tasks run one at a time in submission order, so a task must never
-   wait on a task queued behind it; each randomness producer only pushes
-   into its own pool. *)
-let bg_lock = Mutex.create ()
-let bg_queued = Condition.create ()
-let bg_finished = Condition.create ()
-let bg_queue : (unit -> unit) Queue.t = Queue.create ()
-let bg_started = ref false
-
-let rec bg_loop () =
-  Mutex.lock bg_lock;
-  while Queue.is_empty bg_queue do
-    Condition.wait bg_queued bg_lock
-  done;
-  let task = Queue.take bg_queue in
-  Mutex.unlock bg_lock;
-  task ();
-  bg_loop ()
-
-type 'a background = ('a, exn * Printexc.raw_backtrace) result option ref
-
-let background f : 'a background =
-  let outcome = ref None in
-  let task () =
-    let r =
-      match f () with v -> Ok v | exception e -> Error (e, Printexc.get_raw_backtrace ())
-    in
-    Mutex.lock bg_lock;
-    outcome := Some r;
-    Condition.broadcast bg_finished;
-    Mutex.unlock bg_lock
-  in
-  Mutex.lock bg_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock bg_lock)
-    (fun () ->
-      (* spawn before queueing: if the spawn fails, nothing is owed *)
-      if not !bg_started then begin
-        ignore (Domain.spawn bg_loop : unit Domain.t);
-        bg_started := true
-      end;
-      Queue.add task bg_queue;
-      Condition.signal bg_queued);
-  outcome
-
-let await (outcome : 'a background) : 'a =
-  Mutex.lock bg_lock;
-  while Option.is_none !outcome do
-    Condition.wait bg_finished bg_lock
-  done;
-  let r = Option.get !outcome in
-  Mutex.unlock bg_lock;
-  match r with Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt

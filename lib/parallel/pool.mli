@@ -12,8 +12,7 @@
 
     A pool of size 1 spawns no domains and runs everything in the
     calling thread — the default for tests and the safe fallback
-    everywhere.  {!background} tasks run apart from any pool, on one
-    process-wide Domain of their own. *)
+    everywhere.  A pool's lanes are the library's only Domains. *)
 
 type t
 
@@ -41,21 +40,3 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 val shutdown : t -> unit
 (** Join all worker domains.  Idempotent; the pool must not be used
     afterwards.  A no-op on size-1 pools. *)
-
-(** {1 Background tasks}
-
-    Detached tasks for offline work (e.g. randomness-pool production)
-    that overlaps the caller's online phase instead of competing for a
-    pool's work queue.  All of them run on one process-wide Domain,
-    spawned by the first {!background} and kept until the process
-    exits, one task at a time in submission order.  A task must
-    therefore never wait on a task submitted after it. *)
-
-type 'a background
-
-val background : (unit -> 'a) -> 'a background
-(** Queue [f] on the background Domain and return at once. *)
-
-val await : 'a background -> 'a
-(** Block until the task has run; re-raises (with backtrace) if it
-    raised.  A task that raised does not stop the tasks after it. *)

@@ -86,7 +86,7 @@ type reconnect = {
 
 type tcp_state = {
   mutable fd : Unix.file_descr;
-  reconnect : reconnect option;  (* None: raw fd, not reconnectable *)
+  reconnect : reconnect;
   faults : Faults.t option;
   mutable crc : bool;  (* CRC-32 trailers active on this connection *)
   mutable granted : int;  (* flags the server granted *)
@@ -125,10 +125,7 @@ let check_budget t =
   match t.budget with Some b -> Retry.Budget.check b | None -> ()
 
 let offered_flags t =
-  match t.backend with
-  | Local _ -> 0
-  | Tcp { reconnect = Some rc; _ } -> rc.offered
-  | Tcp _ -> 0
+  match t.backend with Local _ -> 0 | Tcp st -> st.reconnect.offered
 
 let negotiated_flags t =
   match t.backend with Local _ -> 0 | Tcp st -> st.granted
@@ -398,11 +395,7 @@ let retryable_connect_errno = function
    injector and CRC: recovery must work under any chaos profile, and
    CRC state is renegotiated by the ack itself. *)
 let resume_session t st =
-  let rc =
-    match st.reconnect with
-    | Some rc -> rc
-    | None -> conn_lost "connection lost and channel is not reconnectable"
-  in
+  let rc = st.reconnect in
   let cap = t.max_frame in
   let policy = match rc.retry with Some p -> p | None -> Retry.default_policy in
   let attempt_once () =
@@ -507,9 +500,9 @@ let request t req =
          round are bounded so a drop-everything chaos profile degrades
          to a typed error instead of a livelock. *)
       let max_consecutive_failures =
-        match st.reconnect with
-        | Some { retry = Some p; _ } -> p.Retry.max_attempts
-        | _ -> Retry.default_policy.Retry.max_attempts
+        match st.reconnect.retry with
+        | Some p -> p.Retry.max_attempts
+        | None -> Retry.default_policy.Retry.max_attempts
       in
       let rec round failures =
         match
@@ -617,7 +610,7 @@ let connect ?max_frame ?(crc = true) ?(resume = true) ?retry ?rng ?sleep
     (Tcp
        {
          fd;
-         reconnect = Some { host; port; offered; retry; rng; sleep };
+         reconnect = { host; port; offered; retry; rng; sleep };
          faults;
          crc = false;
          granted = 0;

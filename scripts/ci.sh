@@ -77,8 +77,22 @@
 # cannot see a read past the end of an OCaml block; the stubs' width
 # check covers that.  Leak detection is off: the OCaml runtime does not
 # free its heap at exit.
+#
+# First of all, a source check keeps one source of Domains: under lib/
+# and bin/, only Pool.create (lib/parallel/pool.ml) may call
+# Domain.spawn.  Its lanes are sized by --jobs and bound by the pool's
+# determinism contract; a Domain spawned anywhere else would escape
+# both.  bench/'s concurrency smoke spawns Domains on purpose and is not
+# checked.
 set -eu
 cd "$(dirname "$0")/.."
+
+spawners="$(grep -rl 'Domain\.spawn' lib bin | grep -vx 'lib/parallel/pool.ml' || true)"
+if [ -n "$spawners" ]; then
+  echo "ci: Domain.spawn outside lib/parallel/pool.ml:" $spawners >&2
+  exit 1
+fi
+echo "ci: one source of Domains (lib/parallel/pool.ml) OK"
 
 dune build @all
 dune runtest

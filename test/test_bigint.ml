@@ -112,9 +112,8 @@ let test_mul_fixed () =
        (bi "987654321098765432109876543210"))
 
 let test_karatsuba_crossover () =
-  (* operands big enough to force the Karatsuba path (>= 32 limbs each =
-     ~992 bits), checked against the schoolbook identity (a+1)(b+1) =
-     ab + a + b + 1. *)
+  (* wide operands of all-ones limbs (49 and 39 limbs, the largest inner
+     products), checked against the identity (a+1)(b+1) = ab + a + b + 1. *)
   let a = Bigint.pred (Bigint.shift_left Bigint.one 1500) in
   let b = Bigint.pred (Bigint.shift_left Bigint.one 1200) in
   let lhs = Bigint.mul (Bigint.succ a) (Bigint.succ b) in
@@ -254,8 +253,7 @@ let prop_shift_div = qtest "shift_right on non-negative = div by 2^s" arb_positi
         [ 0; 1; 7; 31; 32; 63 ])
 
 let prop_karatsuba_vs_school =
-  (* products with operands above the Karatsuba threshold must match the
-     small-operand path composed via the distributive law *)
+  (* wide products (33 to 43 limbs) must obey the distributive law *)
   qtest2 "karatsuba consistent" ~count:50
     (
        (QCheck2.Gen.map
@@ -266,7 +264,7 @@ let prop_karatsuba_vs_school =
           (fun s -> Bigint.abs (Bigint.of_string ("1" ^ s)))
           QCheck2.Gen.(string_size ~gen:(char_range '0' '9') (int_range 300 400))))
     (fun a b ->
-      (* (a + 1) * b = a*b + b exercises different splits *)
+      (* (a + 1) * b = a*b + b *)
       Bigint.equal (Bigint.mul (Bigint.succ a) b) (Bigint.add (Bigint.mul a b) b))
 
 (* --- modular arithmetic ------------------------------------------------ *)

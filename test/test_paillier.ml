@@ -335,7 +335,7 @@ let test_invert_ciphertext () =
     (Paillier.decrypt_crt sk
        (Paillier.invert_ciphertext pk (Paillier.invert_ciphertext pk c)))
 
-(* --- offline pool: order, fast refill, async producer ------------------- *)
+(* --- offline pool: order, fast refill ------------------------------------ *)
 
 let test_pool_fifo_transcript_identity () =
   (* a pooled run must consume its rng's r-sequence exactly as the
@@ -373,23 +373,10 @@ let test_pool_refill_fast () =
   done;
   Alcotest.(check int) "no misses" 0 (Paillier.pool_misses pool)
 
-let test_pool_refill_async () =
-  let r = rng () in
-  let pool = Paillier.pool_create pk in
-  let join = Paillier.pool_refill_async pk pool r 10 in
-  let m = Bigint.of_int 6022 in
-  (* consume concurrently with production: rn_acquire must block on
-     promised entries rather than record misses *)
-  let cs = Array.init 10 (fun _ -> Paillier.encrypt_pooled pk pool r m) in
-  join ();
-  Array.iter
-    (fun c -> Alcotest.check eq_bi "async entry decrypts" m (Paillier.decrypt_crt sk c))
-    cs;
-  Alcotest.(check int) "no misses" 0 (Paillier.pool_misses pool)
-
-(* The three subgroup-noise producers draw h, then one exponent per
-   entry, from the caller's rng: seeded alike they must yield the same
-   noise in the same order and leave the rng in the same state. *)
+(* The subgroup-noise paths (the generator alone, the fast refill on one
+   and on two lanes) draw h, then one exponent per entry, from the
+   caller's rng: seeded alike they must yield the same noise in the same
+   order and leave the rng in the same state. *)
 let test_noise_paths_agree () =
   let count = 6 and m = Bigint.of_int 4711 in
   let tail r = Ppst_rng.Secure_rng.bits r 64 in
@@ -430,8 +417,6 @@ let test_noise_paths_agree () =
           ("pool_refill_fast", via_pool (fun pool r -> Paillier.pool_refill_fast pk pool r count));
           ( "pool_refill_fast, 2 lanes",
             via_pool (fun pool r -> Paillier.pool_refill_fast ~workers:two pk pool r count) );
-          ( "pool_refill_async",
-            via_pool (fun pool r -> Paillier.pool_refill_async pk pool r count ()) );
         ])
 
 let test_noise_gen () =
@@ -867,7 +852,6 @@ let () =
           Alcotest.test_case "pool FIFO transcript identity" `Quick
             test_pool_fifo_transcript_identity;
           Alcotest.test_case "fast (subgroup) refill" `Quick test_pool_refill_fast;
-          Alcotest.test_case "async refill" `Quick test_pool_refill_async;
           Alcotest.test_case "noise generator" `Quick test_noise_gen;
           Alcotest.test_case "pool hammer (4 domains)" `Quick test_pool_hammer;
         ] );

@@ -85,29 +85,6 @@ let test_shutdown_idempotent () =
   Pool.shutdown pool;
   Pool.shutdown pool
 
-(* Background tasks share one Domain: the earlier tasks are the slower
-   ones, so tasks running side by side would log out of order.  A task
-   that raises re-raises at its own await, and the next task still
-   runs. *)
-let test_background_in_order () =
-  let lock = Mutex.create () in
-  let log = ref [] in
-  let task i () =
-    Unix.sleepf (0.002 *. float_of_int (8 - i));
-    Mutex.lock lock;
-    log := i :: !log;
-    Mutex.unlock lock;
-    i
-  in
-  let first = List.init 8 (fun i -> Pool.background (task i)) in
-  let failing = Pool.background (fun () -> raise (Boom 8)) in
-  let last = Pool.background (task 9) in
-  List.iteri (fun i t -> Alcotest.(check int) "result" i (Pool.await t)) first;
-  Alcotest.check_raises "re-raised at await" (Boom 8) (fun () -> Pool.await failing);
-  Alcotest.(check int) "task after the failure" 9 (Pool.await last);
-  Alcotest.(check (list int)) "submission order" [ 0; 1; 2; 3; 4; 5; 6; 7; 9 ]
-    (List.rev !log)
-
 let test_create_rejects_zero () =
   Alcotest.check_raises "create 0"
     (Invalid_argument "Pool.create: size must be >= 1") (fun () ->
@@ -119,10 +96,11 @@ let det_x = Generate.ecg_int ~seed:41 ~length:6 ~max_value:50
 let det_y = Generate.ecg_int ~seed:42 ~length:5 ~max_value:50
 
 (* Run one full in-process session with every request and reply captured
-   byte-for-byte (the exact encoding [Channel.tcp] would frame), and
-   return the revealed distance, a digest of that transcript and the
+   byte-for-byte (the exact encoding [Channel.tcp] would frame), check
+   that the packed profile is active exactly when [packing] asked for it,
+   and return the revealed distance, a digest of that transcript and the
    channel's accounting. *)
-let digest_run ~jobs ~decryption ~distance ~runner =
+let digest_run ?(packing = false) ~jobs ~decryption ~distance ~runner () =
   with_pool jobs (fun workers ->
       let server =
         Ppst.Server.create ~decryption ~workers
@@ -138,20 +116,21 @@ let digest_run ~jobs ~decryption ~distance ~runner =
       in
       let channel = Channel.local handler in
       let client =
-        Ppst.Client.connect ~workers
+        Ppst.Client.connect ~packing ~workers
           ~rng:(Secure_rng.of_seed_string "det/client")
           ~series:det_x ~max_value:50 ~distance channel
       in
+      Alcotest.(check bool) "packing active" packing (Ppst.Client.packing client);
       let d = runner client in
       Ppst.Client.finish client;
       ( Bigint.to_int_exn d,
         Digest.to_hex (Digest.string (Buffer.contents buf)),
         Channel.stats channel ))
 
-let check_deterministic ~decryption ~distance ~runner ~expected name =
+let check_deterministic ?packing ~decryption ~distance ~runner ~expected name =
   let runs =
     List.map
-      (fun jobs -> digest_run ~jobs ~decryption ~distance ~runner)
+      (fun jobs -> digest_run ?packing ~jobs ~decryption ~distance ~runner ())
       [ 1; 4 ]
   in
   let d1, t1, _ = List.hd runs in
@@ -176,6 +155,16 @@ let test_dfd_transcript_identical () =
     ~expected:(Distance.dfd_sq det_x det_y)
     "wavefront DFD (standard)"
 
+(* The packed client refills its pool with subgroup noise whose table
+   walks fan out over the pool's lanes; the exponents are drawn before
+   the fan-out, so the packed transcript cannot depend on the pool size
+   either.  The default 64-bit key fits the packed slots of this pair. *)
+let test_packed_transcript_identical () =
+  check_deterministic ~packing:true ~decryption:`Crt ~distance:`Dtw
+    ~runner:Ppst.Secure_dp.(run dtw Full Anti_diagonal)
+    ~expected:(Distance.dtw_sq det_x det_y)
+    "packed wavefront DTW (CRT)"
+
 (* --- telemetry must observe without perturbing -------------------------- *)
 
 (* The determinism contract extends to observability: a seeded transcript
@@ -188,7 +177,7 @@ let test_transcript_identical_with_telemetry () =
   let module R = Ppst_telemetry.Trace_reader in
   let run () =
     digest_run ~jobs:1 ~decryption:`Crt ~distance:`Dtw
-      ~runner:Ppst.Secure_dp.(run dtw Full Anti_diagonal)
+      ~runner:Ppst.Secure_dp.(run dtw Full Anti_diagonal) ()
   in
   Telemetry.configure ();
   (* sinks off *)
@@ -278,8 +267,6 @@ let () =
           Alcotest.test_case "shutdown idempotent" `Quick
             test_shutdown_idempotent;
           Alcotest.test_case "create 0 rejected" `Quick test_create_rejects_zero;
-          Alcotest.test_case "background tasks in submission order" `Quick
-            test_background_in_order;
         ] );
       ( "determinism",
         [
@@ -291,5 +278,7 @@ let () =
             test_transcript_identical_with_telemetry;
           Alcotest.test_case "Paillier batch = sequential" `Quick
             test_paillier_batches_match_sequential;
+          Alcotest.test_case "packed DTW transcript, pool 1 vs 4" `Quick
+            test_packed_transcript_identical;
         ] );
     ]
