@@ -277,7 +277,9 @@ let run port series_file catalog_dir key_file max_value seed sessions concurrenc
     let boot_id =
       Ppst_rng.Secure_rng.bytes (Ppst_rng.Secure_rng.system ()) 4
     in
-    let listener, bound_port = Ppst_transport.Supervisor.bind ~port in
+    let listener, bound_port =
+      Ppst_transport.Channel.listen ~backlog:64 ~port ()
+    in
     let stop = Atomic.make false in
     let request_stop _ = Atomic.set stop true in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
@@ -296,7 +298,7 @@ let run port series_file catalog_dir key_file max_value seed sessions concurrenc
       let pool = make_pool () in
       let loop =
         Ppst_transport.Server_loop.create_worker ~config ~on_session_end ?rng
-          ~boot_id ~slot ~workers ~handler:(make_handler pool) ()
+          ~boot_id ~slot ~workers ~control ~handler:(make_handler pool) ()
       in
       Sys.set_signal Sys.sigterm
         (Sys.Signal_handle
@@ -306,7 +308,7 @@ let run port series_file catalog_dir key_file max_value seed sessions concurrenc
           match pool with
           | Some pool -> Ppst_parallel.Pool.shutdown pool
           | None -> ())
-        (fun () -> Ppst_transport.Server_loop.run_worker loop ~control)
+        (fun () -> Ppst_transport.Server_loop.run loop)
     in
     let on_event = function
       | Ppst_transport.Supervisor.Worker_started { slot; pid; restarts } ->

@@ -95,6 +95,24 @@ let encrypt_online t m =
   sync_pool_misses t;
   c
 
+(* --- plaintext packing (packed/fast profile) ----------------------------- *)
+
+(* Slot geometry, derived from the masking analysis: every masked
+   candidate is below [value_bound + offset_hi] (the wrap guard of
+   Params.plan), so that bound's width is the slot width.  Recomputed on
+   demand — a [select_record] re-plan changes it. *)
+let packing_spec t =
+  let s = t.session in
+  let slot_bits =
+    Bigint.num_bits (Bigint.add s.Params.value_bound s.Params.offset_hi)
+  in
+  (slot_bits, Paillier.pack_capacity t.pk ~slot_bits)
+
+(* Packing is active when the server granted it AND the key leaves room
+   for at least one slot (a 64-bit test key planned near its wrap guard
+   has capacity 0 — fall back to the unpacked rounds silently). *)
+let packing_active t = t.packing && snd (packing_spec t) >= 1
+
 let precompute_randomness t count =
   if t.offline && count > 0 then
     Telemetry.span ~name:"client.offline.refill"
@@ -104,9 +122,10 @@ let precompute_randomness t count =
           ("phase", Telemetry.Phase Telemetry.Offline);
         ]
       (fun () ->
-        (* the packed profile takes subgroup noise (SECURITY.md) *)
+        (* packed rounds take subgroup noise (SECURITY.md); a grant the
+           key has no slot room for runs unpacked rounds on uniform noise *)
         let refill =
-          if t.packing then Paillier.pool_refill_fast else Paillier.pool_refill
+          if packing_active t then Paillier.pool_refill_fast else Paillier.pool_refill
         in
         let t0 = Unix.gettimeofday () in
         refill ~workers:t.workers t.pk t.pool t.noise_rng count;
@@ -136,10 +155,7 @@ let connect ?(params = Params.default) ?(offline = true) ?(packing = false)
   (* Offer the channel's transport capabilities (CRC, resume) in Hello,
      and declare the client's matrix contribution (series length and
      dimension) so an admission-controlled server can price the session
-     before any Paillier work.  A pre-capability server sees trailing
-     bytes it cannot parse and answers with an in-band error — fall back
-     to a bare Hello once, so new clients interop with old servers at
-     the cost of one round. *)
+     before any Paillier work. *)
   let offered =
     Channel.offered_flags channel
     lor (if packing then Message.flag_packing else 0)
@@ -152,13 +168,7 @@ let connect ?(params = Params.default) ?(offline = true) ?(packing = false)
         dimension = Series.dimension series;
       }
   in
-  let welcome =
-    let hello flags spec = Channel.request channel (Message.Hello { flags; spec }) in
-    try hello offered spec
-    with Channel.Protocol_error _ when offered <> 0 || spec <> None ->
-      hello 0 None
-  in
-  match welcome with
+  match Channel.request channel (Message.Hello { flags = offered; spec }) with
   | Message.Welcome
       { n; key_bits; series_length; dimension; max_value = server_max; flags; _ } ->
     if dimension <> Series.dimension series then
@@ -317,24 +327,6 @@ let with_session t session f =
   let saved = t.session in
   t.session <- session;
   Fun.protect ~finally:(fun () -> t.session <- saved) f
-
-(* --- plaintext packing (packed/fast profile) ----------------------------- *)
-
-(* Slot geometry, derived from the masking analysis: every masked
-   candidate is below [value_bound + offset_hi] (the wrap guard of
-   Params.plan), so that bound's width is the slot width.  Recomputed on
-   demand — a [select_record] re-plan changes it. *)
-let packing_spec t =
-  let s = t.session in
-  let slot_bits =
-    Bigint.num_bits (Bigint.add s.Params.value_bound s.Params.offset_hi)
-  in
-  (slot_bits, Paillier.pack_capacity t.pk ~slot_bits)
-
-(* Packing is active when the server granted it AND the key leaves room
-   for at least one slot (a 64-bit test key planned near its wrap guard
-   has capacity 0 — fall back to the unpacked rounds silently). *)
-let packing_active t = t.packing && snd (packing_spec t) >= 1
 
 (* --- phase 1 -------------------------------------------------------------- *)
 

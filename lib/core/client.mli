@@ -46,7 +46,8 @@ val connect :
     ones but not the same transcript bytes; servers that do not grant
     the flag (or keys too small to fit one slot) silently fall back to
     the unpacked rounds.  Combined with [offline], the pool refill uses
-    the fast subgroup noise generator.
+    the fast subgroup noise generator when the rounds are packed
+    ({!packing}), and uniform noise on a fallback, like an unpacked run.
 
     [workers] (default sequential) fans the client's embarrassingly
     parallel work — pool refills, cost-matrix rows, masked-candidate
@@ -58,6 +59,8 @@ val connect :
     ({!Message.flag_catalog}): catalog enumeration, pruning-sketch and
     verdict rounds for 1-vs-N search ({!Query}).  Off by default so
     pairwise sessions keep their exact historical transcripts.
+    @raise Channel.Protocol_error when the server answers the one
+    [Hello] with an error
     @raise Incompatible on dimension mismatch
     @raise Params.Insecure when no safe [γ] exists for the negotiated
     key and series sizes. *)

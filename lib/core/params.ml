@@ -60,8 +60,11 @@ let plan t ~max_value ~dimension ~client_length ~server_length ~modulus ~distanc
     invalid_arg "Params.plan: series lengths must be positive";
   (* Strict plaintext bound: the largest value any matrix entry can take.
      Every local cost is at most d * max_value^2; a DTW warping path has at
-     most m + n - 1 couplings; DFD entries never exceed a single cost. *)
-  let max_cost = Bigint.of_int (dimension * max_value * max_value) in
+     most m + n - 1 couplings; DFD entries never exceed a single cost.
+     The product is a Bigint: a large bound must not wrap a native int. *)
+  let max_cost =
+    Bigint.mul_int (Bigint.mul_int (Bigint.of_int max_value) max_value) dimension
+  in
   let value_bound =
     match distance with
     | `Dtw ->

@@ -48,7 +48,7 @@ val snapshot : unit -> (string * sample) list
 val scalars : unit -> (string * float) list
 (** Every counter and gauge as [(name, value)], sorted by name;
     histograms are left out.  What a supervised worker reports to its
-    parent when it drains ([Server_loop.run_worker]). *)
+    parent when it drains ([Server_loop.run] on a worker loop). *)
 
 val reset : unit -> unit
 (** Zero every registered metric (registrations survive).  For tests. *)

@@ -582,6 +582,86 @@ let local ?max_frame handler =
   check_cap max_frame;
   make ?max_frame (Local handler)
 
+(* --- connection intake ------------------------------------------------------ *)
+
+(* Every server-side socket is opened and read here (Server_loop,
+   Supervisor, Metrics_endpoint), so fd exhaustion and a failed accept
+   are handled one way. *)
+let listen ?(loopback = false) ~backlog ~port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let addr = if loopback then Unix.inet_addr_loopback else Unix.inet_addr_any in
+  match
+    Unix.setsockopt fd Unix.SO_REUSEADDR true;
+    Unix.bind fd (Unix.ADDR_INET (addr, port));
+    Unix.listen fd backlog;
+    Unix.getsockname fd
+  with
+  | Unix.ADDR_INET (_, bound) -> (fd, bound)
+  | Unix.ADDR_UNIX _ -> (fd, port)
+  | exception e ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    raise e
+
+type source = Listener of Unix.file_descr | Control of Unix.file_descr
+type taken = Conn of Unix.file_descr * Unix.sockaddr | Idle | Closed
+
+type intake = {
+  source : source;
+  disk_faults : Faults.Disk.t option;
+  exhausted : Metrics.counter option;
+  (* closing it frees exactly the slot a pending connection needs *)
+  mutable reserve : Unix.file_descr option;
+}
+
+let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let open_reserve () =
+  try Some (Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0) with Unix.Unix_error _ -> None
+
+let intake ?disk_faults ?exhausted source =
+  { source; disk_faults; exhausted; reserve = open_reserve () }
+
+let close_intake intake =
+  Option.iter close_quiet intake.reserve;
+  intake.reserve <- None;
+  match intake.source with Listener fd -> close_quiet fd | Control _ -> ()
+
+(* [None] is the control socket's EOF: the dispatcher closed it. *)
+let take_from = function
+  | Listener fd -> Some (Unix.accept fd)
+  | Control fd ->
+    Option.map
+      (fun conn ->
+        (conn, try Unix.getpeername conn with Unix.Unix_error _ -> Unix.ADDR_UNIX "supervisor"))
+      (Fd_passing.recv_fd fd)
+
+let take ?(wake = []) intake ~refuse =
+  let (Listener fd | Control fd) = intake.source in
+  match retry_on_intr (fun () -> Unix.select (fd :: wake) [] [] 0.2) with
+  | readable, _, _ when not (List.mem fd readable) -> Idle
+  | _ -> (
+    match
+      Option.iter (fun f -> Faults.Disk.check f Faults.Disk.Fd) intake.disk_faults;
+      take_from intake.source
+    with
+    | None -> Closed
+    | Some (conn, peer) ->
+      (try Unix.setsockopt conn Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+      Conn (conn, peer)
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+      Option.iter Metrics.incr intake.exhausted;
+      (match intake.reserve with
+       | Some reserve -> (
+         close_quiet reserve;
+         intake.reserve <- None;
+         match take_from intake.source with
+         | Some (conn, _) -> refuse conn
+         | None | (exception Unix.Unix_error _) -> ())
+       | None -> Unix.sleepf 0.05 (* nothing to free: wait a beat, do not spin *));
+      intake.reserve <- open_reserve ();
+      Idle
+    | exception Unix.Unix_error _ -> Idle)
+
 let connect ?max_frame ?(crc = true) ?(resume = true) ?retry ?rng ?sleep
     ?budget ?faults ~host ~port () =
   check_cap max_frame;

@@ -218,3 +218,42 @@ val retry_on_intr : (unit -> 'a) -> 'a
 
 val default_max_frame : int
 (** The frame cap when none is given: 256 MiB. *)
+
+(** {1 Connection intake}
+
+    The one listen and take-or-shed step of every server socket:
+    {!Server_loop}'s listener or worker control socket, the
+    {!Supervisor}'s listener and the {!Metrics_endpoint} sidecar. *)
+
+val listen : ?loopback:bool -> backlog:int -> port:int -> unit -> Unix.file_descr * int
+(** A listening TCP socket ([SO_REUSEADDR]) on every interface, or on
+    [127.0.0.1] with [~loopback:true], and its bound port ([port = 0]
+    picks a free one).  @raise Unix.Unix_error when it cannot bind. *)
+
+(** [accept] on a listener, or a descriptor received
+    ({!Fd_passing.recv_fd}) on a dispatcher's control socket. *)
+type source = Listener of Unix.file_descr | Control of Unix.file_descr
+
+type taken =
+  | Conn of Unix.file_descr * Unix.sockaddr  (** [TCP_NODELAY] set where it applies *)
+  | Idle  (** nothing this tick, or the connection was refused or skipped *)
+  | Closed  (** the control socket reached EOF *)
+
+type intake
+
+val intake :
+  ?disk_faults:Faults.Disk.t -> ?exhausted:Ppst_telemetry.Metrics.counter -> source -> intake
+(** A source with its [Fd] fault injector and one reserve descriptor;
+    [?exhausted] counts every [EMFILE]/[ENFILE] met. *)
+
+val take : ?wake:Unix.file_descr list -> intake -> refuse:(Unix.file_descr -> unit) -> taken
+(** Wait up to 0.2 s for the source (or a [wake] descriptor), then take
+    at most one connection, consulting the injector first.  On
+    [EMFILE]/[ENFILE] the reserve is closed, the pending connection
+    handed to [refuse] (which owns it and must not raise) and the
+    reserve re-armed; with no reserve to free, the step waits 50 ms.
+    Any other failure skips that connection. *)
+
+val close_intake : intake -> unit
+(** Close the reserve and a [Listener]'s socket; a control socket stays
+    open for its owner. *)

@@ -69,7 +69,7 @@ val injected : t -> int
 (** Environmental (disk / file-descriptor) fault injection: a companion
     injector for filesystem and fd-allocating syscalls.  Install one in
     front of {!Spool} writes, catalog [Store.save_dir] saves, snapshot
-    fsyncs or the supervisor's accept/socketpair path and the Nth such
+    fsyncs, the connection intake or the supervisor's socketpair and the Nth such
     operation fails with the real errno the environment would produce —
     [ENOSPC] on write, [EIO] on fsync, [EIO] on rename (leaving the torn
     temp file behind), [EMFILE] on fd allocation.  Deterministic in the
@@ -80,7 +80,9 @@ module Disk : sig
     | Write  (** payload write to a temp/spool/catalog file *)
     | Fsync  (** durability barrier (file or directory) *)
     | Rename  (** the atomic-replace commit step *)
-    | Fd  (** fd allocation: accept(2), socketpair(2) *)
+    | Fd
+        (** fd allocation: accept(2) and a worker's descriptor receive
+            (both through {!Channel.take}), socketpair(2) *)
 
   type profile =
     | Off

@@ -25,9 +25,7 @@ type request =
           format, so old peers interop unchanged.  [spec], when
           present (marked on the wire by {!flag_spec}, which the
           encoder derives automatically), declares the client's series
-          size for admission control; servers that predate the
-          extension answer with [Error_reply] and the client falls
-          back to a bare [Hello]. *)
+          size for admission control. *)
   | Phase1_request
       (** Ask for the encrypted server series (paper Section 3.2: the
           one-way transfer of [Enc(Σq²)] and each [Enc(q_i)]). *)

@@ -20,7 +20,7 @@ let m_scrapes = Metrics.counter "metrics.endpoint.scrapes"
 let m_errors = Metrics.counter "metrics.endpoint.errors"
 
 type t = {
-  listener : Unix.file_descr;
+  intake : Channel.intake;
   port : int;
   stop_flag : bool Atomic.t;
   mutable thread : Thread.t option;
@@ -89,34 +89,28 @@ let handle_conn render fd =
       write_all fd (head ^ body);
       Metrics.incr m_scrapes)
 
+(* Out of descriptors, the shared intake takes the pending scrape
+   through its reserve and this refusal just closes it. *)
+let refuse fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
 let serve t render =
   while not (Atomic.get t.stop_flag) do
-    match Unix.select [ t.listener ] [] [] 0.2 with
-    | [], _, _ -> ()
-    | _ -> (
-      match Unix.accept t.listener with
-      | fd, _ -> (
-        try handle_conn render fd
-        with _ -> Metrics.incr m_errors)
-      | exception Unix.Unix_error _ -> ())
+    match Channel.take t.intake ~refuse with
+    | Conn (fd, _) -> ( try handle_conn render fd with _ -> Metrics.incr m_errors)
+    | Idle | Closed -> ()
     | exception Unix.Unix_error _ -> ()
   done
 
 let start ?(render = default_render) ~port () =
-  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listener Unix.SO_REUSEADDR true;
-     Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-     Unix.listen listener 16
-   with e ->
-     (try Unix.close listener with Unix.Unix_error _ -> ());
-     raise e);
-  let port =
-    match Unix.getsockname listener with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> port
+  let listener, port = Channel.listen ~loopback:true ~backlog:16 ~port () in
+  let t =
+    {
+      intake = Channel.intake (Channel.Listener listener);
+      port;
+      stop_flag = Atomic.make false;
+      thread = None;
+    }
   in
-  let t = { listener; port; stop_flag = Atomic.make false; thread = None } in
   t.thread <- Some (Thread.create (fun () -> serve t render) ());
   t
 
@@ -126,4 +120,4 @@ let stop t =
   Atomic.set t.stop_flag true;
   (match t.thread with Some th -> Thread.join th | None -> ());
   t.thread <- None;
-  try Unix.close t.listener with Unix.Unix_error _ -> ()
+  Channel.close_intake t.intake

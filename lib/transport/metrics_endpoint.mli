@@ -5,7 +5,8 @@
     the rendered metrics page.  It runs in one background thread,
     entirely outside the framed-protocol listener — scrapes never consume
     session slots and are served even when the protocol loop is at
-    capacity or shedding.
+    capacity or shedding.  It takes scrapes with {!Channel.take}; one
+    that arrives while the process is out of descriptors is closed.
 
     The page carries the same aggregate-only surface as
     [Stats_req]/[Metrics_req]: static metric names and numbers

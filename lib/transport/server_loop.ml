@@ -54,7 +54,6 @@ type config = {
   enable_resume : bool;
   enable_metrics : bool;
   resume_ttl_s : float;
-  resume_capacity : int;
   faults : Faults.t option;
   admission : Admission.limits;
   ratelimit : Ratelimit.config option;
@@ -76,7 +75,6 @@ let default_config =
     enable_resume = true;
     enable_metrics = true;
     resume_ttl_s = 300.0;
-    resume_capacity = 1024;
     faults = None;
     admission = Admission.unlimited;
     ratelimit = None;
@@ -123,9 +121,9 @@ type t = {
   config : config;
   on_session_end : (session -> unit) option;
   handler : id:int -> peer:Unix.sockaddr -> app_handler;
-  listener : Unix.file_descr option;
-      (* None in worker mode: connections arrive by fd passing from the
-         supervisor, not from an owned accept socket *)
+  source : Channel.source;
+      (* an owned listener, or in worker mode the supervisor's control
+         socket that passes connections in *)
   bound_port : int;
   boot_id : string;
       (* 4-byte incarnation prefix of every minted token: lets a
@@ -155,8 +153,8 @@ type t = {
   mutable active : int;
   mutable accepted : int;
   (* Self-pipe that [shutdown] writes to, so a loop blocked in [select]
-     wakes at once rather than at its next tick.  [run] and [run_worker]
-     open it and close it before they drain; [wake_mu] keeps [shutdown]
+     wakes at once rather than at its next tick.  [run] opens it and
+     closes it before it drains; [wake_mu] keeps [shutdown]
      from writing to a closed (or reused) descriptor. *)
   mutable wake : (Unix.file_descr * Unix.file_descr) option;
   wake_mu : Mutex.t;
@@ -167,7 +165,11 @@ let string_of_sockaddr = function
   | Unix.ADDR_INET (addr, port) ->
     Printf.sprintf "%s:%d" (Unix.string_of_inet_addr addr) port
 
-let make ~config ~on_session_end ~clock ~rng ~boot_id ~shard ~listener
+(* Parked sessions held at once; beyond it the entry closest to expiry
+   is evicted. *)
+let resume_capacity = 1024
+
+let make ~config ~on_session_end ~clock ~rng ~boot_id ~shard ~source
     ~bound_port ~handler =
   if config.max_sessions < 1 then
     invalid_arg "Server_loop.create: max_sessions must be >= 1";
@@ -185,7 +187,7 @@ let make ~config ~on_session_end ~clock ~rng ~boot_id ~shard ~listener
     config;
     on_session_end;
     handler;
-    listener;
+    source;
     bound_port;
     boot_id;
     shard;
@@ -198,7 +200,7 @@ let make ~config ~on_session_end ~clock ~rng ~boot_id ~shard ~listener
     stop = Atomic.make false;
     mu = Mutex.create ();
     resume =
-      Resume_table.create ?now:clock ~capacity:config.resume_capacity
+      Resume_table.create ?now:clock ~capacity:resume_capacity
         ~ttl_s:config.resume_ttl_s ();
     ratelimit =
       Option.map (fun cfg -> Ratelimit.create ?now:clock cfg) config.ratelimit;
@@ -214,22 +216,12 @@ let make ~config ~on_session_end ~clock ~rng ~boot_id ~shard ~listener
 
 let create ?(config = default_config) ?on_session_end ?clock ?rng ?boot_id
     ~port ~handler () =
-  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listener Unix.SO_REUSEADDR true;
-     Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_any, port));
-     Unix.listen listener (config.max_sessions + 16)
-   with e ->
-     (try Unix.close listener with Unix.Unix_error _ -> ());
-     raise e);
-  let bound_port =
-    match Unix.getsockname listener with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> port
+  let listener, bound_port =
+    Channel.listen ~backlog:(config.max_sessions + 16) ~port ()
   in
   match
     make ~config ~on_session_end ~clock ~rng ~boot_id ~shard:None
-      ~listener:(Some listener) ~bound_port ~handler
+      ~source:(Channel.Listener listener) ~bound_port ~handler
   with
   | t -> t
   | exception e ->
@@ -237,11 +229,11 @@ let create ?(config = default_config) ?on_session_end ?clock ?rng ?boot_id
     raise e
 
 let create_worker ?(config = default_config) ?on_session_end ?clock ?rng
-    ?boot_id ~slot ~workers ~handler () =
+    ?boot_id ~slot ~workers ~control ~handler () =
   if slot < 0 || slot >= workers then
     invalid_arg "Server_loop.create_worker: slot outside [0, workers)";
   make ~config ~on_session_end ~clock ~rng ~boot_id ~shard:(Some (slot, workers))
-    ~listener:None ~bound_port:0 ~handler
+    ~source:(Channel.Control control) ~bound_port:0 ~handler
 
 let port t = t.bound_port
 let boot_id t = t.boot_id
@@ -576,15 +568,22 @@ let serve_session t ~id ~peer fd =
     span;
   match t.on_session_end with Some f -> f record | None -> ()
 
-(* At-capacity / shedding / throttled handling, run off the accept
-   thread: the same machine, started refusing.  [shed] marks a
-   load-shed or rate-limit rejection rather than a capacity one. *)
+(* At-capacity / shedding / throttled / out-of-descriptors handling,
+   run off the accept thread so a hostile client cannot slow admission
+   down: the same machine, started refusing, answers probes or Busy.
+   [shed] marks a load-shed or rate-limit rejection rather than a
+   capacity one. *)
 let refuse_session t ~shed ~retry_after_s fd =
-  ignore (drive t fd (Session_machine.refusing (machine_env t) ~shed ~retry_after_s));
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  ignore
+    (Thread.create
+       (fun () ->
+         ignore
+           (drive t fd (Session_machine.refusing (machine_env t) ~shed ~retry_after_s));
+         try Unix.close fd with Unix.Unix_error _ -> ())
+       ())
 
-(* Admission decision + thread spawn for one connected socket, shared by
-   the owned-listener accept path and the worker fd-injection path. *)
+(* Admission decision + thread spawn for one connected socket, from
+   either source. *)
 let inject t fd peer =
     (* Cheapest checks first, all on public information.  The per-peer
        rate limit is keyed by address (no port: one hostile process
@@ -624,11 +623,10 @@ let inject t fd peer =
     in
     (match admitted with
      | None ->
-       (* the refusing machine answers probes or Busy, off the accept
-          thread, so a hostile client cannot slow admission down *)
-       let shed = throttled <> None || shedding in
-       let retry_after_s = Option.value throttled ~default:t.config.retry_after_s in
-       ignore (Thread.create (fun () -> refuse_session t ~shed ~retry_after_s fd) ())
+       refuse_session t
+         ~shed:(throttled <> None || shedding)
+         ~retry_after_s:(Option.value throttled ~default:t.config.retry_after_s)
+         fd
      | Some id ->
        ignore
          (Thread.create
@@ -639,32 +637,6 @@ let inject t fd peer =
                    last-resort belt against bugs in the hooks *)
                 ())
             ()))
-
-let accept_one t listener wake =
-  match
-    Channel.retry_on_intr (fun () -> Unix.select [ listener; wake ] [] [] 0.2)
-  with
-  | readable, _, _ when not (List.mem listener readable) -> maybe_sweep t
-  | _ -> (
-    match
-      (match t.config.disk_faults with
-       | Some f -> Faults.Disk.check f Faults.Disk.Fd
-       | None -> ());
-      Unix.accept listener
-    with
-    | fd, peer ->
-      (try Unix.setsockopt fd Unix.TCP_NODELAY true
-       with Unix.Unix_error _ -> ());
-      maybe_sweep t;
-      inject t fd peer
-    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-      (* fd exhaustion: nothing can be accepted right now.  Count it and
-         back off a beat so the still-readable listener does not spin
-         this loop at 100% CPU; the pending connection is served once
-         fds free up. *)
-      Metrics.incr m_accept_emfile;
-      Thread.delay 0.05;
-      maybe_sweep t)
 
 let drain t =
   let give_up = Monoclock.now () +. t.config.drain_timeout_s in
@@ -679,34 +651,6 @@ let drain t =
         Thread.delay 0.05;
         Mutex.lock t.mu
       done)
-
-let run t =
-  let listener =
-    match t.listener with
-    | Some l -> l
-    | None ->
-      invalid_arg
-        "Server_loop.run: worker-mode loop has no listener (use run_worker)"
-  in
-  let total_reached () =
-    match t.config.max_total with
-    | None -> false
-    | Some n -> locked t (fun () -> t.accepted >= n)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      close_wake t;
-      try Unix.close listener with Unix.Unix_error _ -> ())
-    (fun () ->
-      let wake = open_wake t in
-      while (not (Atomic.get t.stop)) && not (total_reached ()) do
-        accept_one t listener wake
-      done);
-  (* stopped accepting (listener closed above: queued connects are
-     refused, not served) — now drain what is already in flight *)
-  drain t
-
-(* --- supervised worker mode ------------------------------------------------ *)
 
 (* The worker's final drain frame to the parent dispatcher: its registry's
    counters and gauges, so the parent's summary covers every worker that
@@ -732,42 +676,41 @@ let decode_report blob =
   Wire.expect_end r;
   scalars
 
-(* Worker service loop: connections arrive as passed fds on [control]
-   instead of from an owned listener.  EOF on [control] (the parent
-   died or closed the channel) and SIGTERM-via-[shutdown] both end the
-   loop; either way the worker drains in-flight sessions and sends one
-   final report frame back up the control socket. *)
-let run_worker t ~control =
-  (match t.listener with
-   | Some _ ->
-     invalid_arg "Server_loop.run_worker: loop owns a listener (use run)"
-   | None -> ());
-  let wake = open_wake t in
-  let rec serve () =
-    if not (Atomic.get t.stop) then begin
-      match
-        Channel.retry_on_intr (fun () -> Unix.select [ control; wake ] [] [] 0.2)
-      with
-      | readable, _, _ when not (List.mem control readable) ->
+(* Take connections from the source until [shutdown], [max_total], or
+   EOF on a worker's control socket (the parent died or closed the
+   channel); then stop taking (a listener is closed, so queued connects
+   are refused, not served), drain what is in flight, and send a worker's
+   report back up its control socket. *)
+let run t =
+  let total_reached () =
+    match t.config.max_total with
+    | None -> false
+    | Some n -> locked t (fun () -> t.accepted >= n)
+  in
+  let intake =
+    Channel.intake ?disk_faults:t.config.disk_faults ~exhausted:m_accept_emfile
+      t.source
+  in
+  let refuse = refuse_session t ~shed:false ~retry_after_s:t.config.retry_after_s in
+  let rec serve wake =
+    if not (Atomic.get t.stop || total_reached ()) then
+      match Channel.take ~wake:[ wake ] intake ~refuse with
+      | Closed -> ()
+      | Idle ->
         maybe_sweep t;
-        serve ()
-      | _ -> (
-        match Fd_passing.recv_fd control with
-        | None -> () (* parent closed the dispatch channel *)
-        | Some fd ->
-          (try Unix.setsockopt fd Unix.TCP_NODELAY true
-           with Unix.Unix_error _ -> ());
-          let peer =
-            try Unix.getpeername fd
-            with Unix.Unix_error _ -> Unix.ADDR_UNIX "supervisor"
-          in
-          maybe_sweep t;
-          inject t fd peer;
-          serve ())
-    end
+        serve wake
+      | Conn (fd, peer) ->
+        maybe_sweep t;
+        inject t fd peer;
+        serve wake
   in
   Fun.protect
-    ~finally:(fun () -> close_wake t)
-    (fun () -> try serve () with Unix.Unix_error _ -> ());
+    ~finally:(fun () ->
+      close_wake t;
+      Channel.close_intake intake)
+    (fun () -> serve (open_wake t));
   drain t;
-  try Channel.write_frame control (encode_report ()) with _ -> ()
+  match t.source with
+  | Channel.Control control -> (
+    try Channel.write_frame control (encode_report ()) with _ -> ())
+  | Channel.Listener _ -> ()

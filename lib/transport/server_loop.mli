@@ -65,10 +65,9 @@ type config = {
           OpenMetrics page; when [false] the request draws a named
           capability-violation [Error_reply] *)
   resume_ttl_s : float;
-      (** parked state lives this long before TTL eviction *)
-  resume_capacity : int;
-      (** most sessions parked at once; beyond it the entry closest to
-          expiry is evicted *)
+      (** parked state lives this long before TTL eviction; at most
+          1024 sessions are parked at once, beyond which the entry
+          closest to expiry is evicted *)
   faults : Faults.t option;
       (** deterministic fault injector for the server's frame path
           ([--chaos-profile] on [ppst_server]); [None] in production *)
@@ -100,14 +99,15 @@ type config = {
           (the default) keeps the pre-existing memory-only behavior. *)
   disk_faults : Faults.Disk.t option;
       (** environmental fault injector (ENOSPC / EIO / EMFILE) consulted
-          by the spool writes and the accept path — degraded-mode chaos
-          testing; never set in production *)
+          by the spool writes and by every connection taken from the
+          listener or control socket ({!Channel.take}) — degraded-mode
+          chaos testing; never set in production *)
 }
 
 val default_config : config
 (** [max_sessions = 4], no total limit, no idle timeout, no deadline,
     [retry_after_s = 1.0], default frame cap, [drain_timeout_s = 30.0],
-    CRC and resume enabled ([resume_ttl_s = 300.], capacity 1024), no
+    CRC and resume enabled ([resume_ttl_s = 300.]), no
     fault injection, no admission budgets, no rate limit, no shed
     watermark, 30 s slow-peer watchdog, no spool. *)
 
@@ -177,8 +177,9 @@ val create :
   handler:(id:int -> peer:Unix.sockaddr -> app_handler) ->
   unit ->
   t
-(** Bind and listen immediately (so [port = 0] picks an ephemeral port
-    readable via {!port} before {!run} is even called).  [handler] is
+(** Bind and listen immediately ({!Channel.listen}, so [port = 0] picks
+    an ephemeral port readable via {!port} before {!run} is even
+    called).  [handler] is
     the per-session factory: invoked {e once} per {e logical} session —
     lazily, in the session's own thread, at its first protocol request;
     a connection resuming a parked session reuses the original closure
@@ -207,15 +208,16 @@ val create_worker :
   ?boot_id:string ->
   slot:int ->
   workers:int ->
+  control:Unix.file_descr ->
   handler:(id:int -> peer:Unix.sockaddr -> app_handler) ->
   unit ->
   t
-(** Like {!create} but without binding a listener: connections arrive as
-    file descriptors passed over a {!Supervisor} control socket and are
-    served by {!run_worker}.  [slot] is this worker's index among
-    [workers]: every resume token it mints satisfies
-    [Supervisor.slot_of_token ~workers token = slot], so the dispatcher
-    routes a Resume back to it.  {!port} returns [0]; {!run} raises.
+(** Like {!create} but without a listener: {!run} serves the
+    connections passed in as file descriptors over the {!Supervisor}
+    control socket [control], which stays the caller's to close.
+    [slot] is this worker's index among [workers]: every resume token
+    it mints satisfies [Supervisor.slot_of_token ~workers token = slot],
+    so the dispatcher routes a Resume back to it.  {!port} returns [0].
     @raise Invalid_argument unless [0 <= slot < workers]. *)
 
 val port : t -> int
@@ -226,15 +228,18 @@ val boot_id : t -> string
     issues. *)
 
 val run : t -> unit
-(** Accept-and-serve until {!shutdown} is requested or [max_total]
-    sessions have been accepted; then stop accepting, drain in-flight
-    sessions (bounded by [drain_timeout_s]) and return.  Call from the
-    thread that owns the server (it blocks). *)
+(** Take and serve connections ({!Channel.take}) until {!shutdown},
+    [max_total] accepted sessions, or EOF on a worker's control socket;
+    then stop taking, drain in-flight sessions ([drain_timeout_s]) and,
+    in a worker, send the final report frame (best-effort).  Out of
+    descriptors, the pending connection is answered [Busy]
+    ([server.accept.emfile]); any other failed take skips it.  Call
+    from the thread that owns the server (it blocks). *)
 
 val shutdown : t -> unit
 (** Request a graceful stop: sets a flag and writes one byte to the
-    loop's non-blocking self-pipe, which {!run} and {!run_worker} watch
-    beside their listener or dispatch channel.  A loop waiting for a
+    loop's non-blocking self-pipe, which {!run} watches beside its
+    listener or control socket.  A loop waiting for a
     connection therefore stops accepting at once, not at its next
     0.2 s tick, and then drains.  Never blocks; callable from an OCaml
     signal handler (which runs at a safe point) or any thread. *)
@@ -261,8 +266,8 @@ val resume_parked : t -> int
 val sweep_resume : t -> int
 (** Evict every TTL-expired parked session now (spool entries included
     when a spool is configured); returns how many parked sessions went.
-    The accept loop also runs this lazily (at most once per second, on
-    its accept tick), so thousands of abandoned sessions cannot
+    {!run} also runs this lazily (at most once per second, on its
+    intake tick), so thousands of abandoned sessions cannot
     accumulate unboundedly between explicit sweeps. *)
 
 val resume_expired_total : t -> int
@@ -271,7 +276,7 @@ val resume_expired_total : t -> int
 
 (** {1 Supervised worker mode}
 
-    Under {!Supervisor}, each worker process runs {!run_worker} on a
+    Under {!Supervisor}, each worker process runs {!run} on a
     {!create_worker} loop: accepted connections arrive as passed fds on
     the control socket instead of from an owned listener.  When the
     dispatch channel closes (supervisor shutdown or death) the worker
@@ -285,10 +290,3 @@ val decode_report : string -> (string * float) list
 (** Decode a worker's final drain frame: [(name, value)] per counter
     and gauge, sorted by name.
     @raise Wire.Malformed on a corrupt blob. *)
-
-val run_worker : t -> control:Unix.file_descr -> unit
-(** Serve connections received via {!Fd_passing.recv_fd} on [control]
-    until the channel reaches EOF or {!shutdown} is requested, then
-    drain in-flight sessions ([drain_timeout_s]) and send the final
-    report frame (best-effort).
-    @raise Invalid_argument on a loop that owns a listener (use {!run}). *)

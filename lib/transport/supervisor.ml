@@ -1,8 +1,8 @@
 (* Multi-process supervision: a single-threaded parent that owns the
-   listening socket, shards accepted connections across forked worker
-   processes over SCM_RIGHTS fd passing, restarts crashed workers under
-   a backoff policy, and collects each worker's final drain report at
-   shutdown.
+   listening socket, takes connections through Channel's shared intake,
+   shards them across forked worker processes over SCM_RIGHTS fd
+   passing, restarts crashed workers under a backoff policy, and
+   collects each worker's final drain report at shutdown.
 
    The parent never serves protocol traffic and never spawns threads —
    fork() from a multi-threaded OCaml process leaves the child with
@@ -11,8 +11,9 @@
 
 module Metrics = Ppst_telemetry.Metrics
 
-(* fd-exhaustion observability: accepts shed with Busy and spawns
-   deferred because socketpair had no fd to give. *)
+(* fd-exhaustion observability: accepts that met EMFILE/ENFILE (and
+   were shed with Busy through the intake's reserve) and spawns deferred
+   because socketpair had no fd to give. *)
 let m_accept_emfile = Metrics.counter "supervisor.accept.emfile"
 let m_spawn_emfile = Metrics.counter "supervisor.spawn.emfile"
 
@@ -44,22 +45,6 @@ type slot = {
 }
 
 let healthy_after_s = 30.0
-
-let bind ~port =
-  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listener Unix.SO_REUSEADDR true;
-     Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_any, port));
-     Unix.listen listener 64
-   with e ->
-     (try Unix.close listener with Unix.Unix_error _ -> ());
-     raise e);
-  let bound =
-    match Unix.getsockname listener with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> port
-  in
-  (listener, bound)
 
 (* Sharding: a reconnecting client's very first frame is [Resume] with
    the token at fixed offsets (4-byte length header, tag 0x0c, u32
@@ -118,7 +103,7 @@ let peek_token fd =
       (fun () -> try wait () with Unix.Unix_error _ -> None)
 
 type t = {
-  listener : Unix.file_descr;
+  intake : Channel.intake;
   workers : int;
   worker_main : slot:int -> restarted:bool -> control:Unix.file_descr -> unit;
   policy : Retry.policy;
@@ -129,30 +114,15 @@ type t = {
   stop : bool Atomic.t;
   slots : slot array;
   disk_faults : Faults.Disk.t option;
-  (* One fd held in reserve so that EMFILE on accept can still shed:
-     closing it frees exactly the slot needed to accept the pending
-     connection, answer Busy and close — instead of leaving the client
-     wedged in the listen queue while the parent spins. *)
-  mutable reserve : Unix.file_descr option;
   mutable restarts_total : int;
   mutable next_rr : int;
 }
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let open_reserve () =
-  match Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 with
-  | fd -> Some fd
-  | exception Unix.Unix_error _ -> None
-
-let check_fd_fault t =
-  match t.disk_faults with
-  | Some f -> Faults.Disk.check f Faults.Disk.Fd
-  | None -> ()
-
 let spawn t slot ~restarted =
   match
-    check_fd_fault t;
+    Option.iter (fun f -> Faults.Disk.check f Faults.Disk.Fd) t.disk_faults;
     Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0
   with
   | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
@@ -172,7 +142,7 @@ let spawn t slot ~restarted =
        Signal dispositions are reset to default here; worker_main
        installs its own graceful SIGTERM handling if it wants any. *)
     close_quiet parent_fd;
-    close_quiet t.listener;
+    Channel.close_intake t.intake;
     Array.iter
       (fun s -> match s.control with Some fd -> close_quiet fd | None -> ())
       t.slots;
@@ -198,40 +168,6 @@ let spawn t slot ~restarted =
     t.on_event
       (Worker_started
          { slot = slot.index; pid; restarts = t.restarts_total }))
-
-let create ?on_event ?(restart_policy = Retry.default_policy)
-    ?(max_restarts = 64) ?(drain_timeout_s = 30.0) ?rng ?stop ?disk_faults
-    ~listener ~workers ~worker_main () =
-  if workers < 1 then invalid_arg "Supervisor: workers must be >= 1";
-  Channel.setup_sigpipe ();
-  {
-    listener;
-    workers;
-    worker_main;
-    policy = restart_policy;
-    max_restarts;
-    drain_timeout_s;
-    rng =
-      (match rng with
-       | Some r -> r
-       | None -> Ppst_rng.Secure_rng.system ());
-    on_event = Option.value on_event ~default:(fun _ -> ());
-    stop = (match stop with Some s -> s | None -> Atomic.make false);
-    disk_faults;
-    reserve = open_reserve ();
-    slots =
-      Array.init workers (fun index ->
-          {
-            index;
-            control = None;
-            pid = 0;
-            consecutive = 0;
-            spawned_at = 0.0;
-            restart_at = None;
-          });
-    restarts_total = 0;
-    next_rr = 0;
-  }
 
 let request_stop t = Atomic.set t.stop true
 
@@ -306,60 +242,35 @@ let dispatch t fd ~preferred =
   in
   try_slot preferred t.workers
 
-(* Accept failed with EMFILE/ENFILE: the parent is out of fds and can
-   neither serve nor park the pending connection.  Shed it with the
-   existing Busy machinery instead: close the reserve fd (freeing
-   exactly one slot), accept, answer [Message.Busy] with the standard
-   retry-after hint and close — the client's Busy loop backs off and
-   retries, rather than wedging in the listen queue or crashing the
-   parent.  The reserve is reopened afterwards, best effort. *)
+(* Out of fds, the parent can neither serve nor park the pending
+   connection: the intake frees its reserve to take it, and it is shed
+   with the standard Busy frame and closed — the client's Busy loop
+   backs off and retries, rather than wedging in the listen queue. *)
 let busy_retry_after_s = 1.0
 
-let shed_accept t =
-  Metrics.incr m_accept_emfile;
-  (match t.reserve with
-   | Some fd ->
-     close_quiet fd;
-     t.reserve <- None
-   | None -> ());
-  (match Unix.accept t.listener with
-   | exception Unix.Unix_error _ -> ()
-   | fd, _peer ->
-     (try
-        Channel.write_frame fd
-          (Message.encode
-             (Message.Reply (Message.Busy { retry_after_s = busy_retry_after_s })))
-      with _ -> ());
-     close_quiet fd);
-  t.reserve <- open_reserve ()
+let shed fd =
+  (try
+     Channel.write_frame fd
+       (Message.encode
+          (Message.Reply (Message.Busy { retry_after_s = busy_retry_after_s })))
+   with _ -> ());
+  close_quiet fd
 
 let accept_tick t =
   reap t;
   respawn_due t;
-  match
-    Channel.retry_on_intr (fun () -> Unix.select [ t.listener ] [] [] 0.2)
-  with
-  | [], _, _ -> ()
-  | _ -> (
-    match
-      check_fd_fault t;
-      Unix.accept t.listener
-    with
-    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-      shed_accept t
-    | exception Unix.Unix_error _ -> ()
-    | fd, _peer ->
-      (try Unix.setsockopt fd Unix.TCP_NODELAY true
-       with Unix.Unix_error _ -> ());
-      let preferred =
-        match peek_token fd with
-        | Some token -> slot_of_token ~workers:t.workers token
-        | None ->
-          let rr = t.next_rr in
-          t.next_rr <- (rr + 1) mod t.workers;
-          rr
-      in
-      dispatch t fd ~preferred)
+  match Channel.take t.intake ~refuse:shed with
+  | Idle | Closed -> ()
+  | Conn (fd, _peer) ->
+    let preferred =
+      match peek_token fd with
+      | Some token -> slot_of_token ~workers:t.workers token
+      | None ->
+        let rr = t.next_rr in
+        t.next_rr <- (rr + 1) mod t.workers;
+        rr
+    in
+    dispatch t fd ~preferred
 
 (* Graceful fan-out: half-close every control socket (the worker's
    dispatch loop reads EOF and drains) and send SIGTERM for workers
@@ -418,11 +329,36 @@ let shutdown_workers t =
     t.slots;
   reports
 
-let run ?on_event ?restart_policy ?max_restarts ?drain_timeout_s ?rng ?stop
-    ?disk_faults ~listener ~workers ~worker_main () =
+let run ?on_event ?(restart_policy = Retry.default_policy) ?(max_restarts = 64)
+    ?(drain_timeout_s = 30.0) ?rng ?stop ?disk_faults ~listener ~workers ~worker_main
+    () =
+  if workers < 1 then invalid_arg "Supervisor: workers must be >= 1";
+  Channel.setup_sigpipe ();
   let t =
-    create ?on_event ?restart_policy ?max_restarts ?drain_timeout_s ?rng ?stop
-      ?disk_faults ~listener ~workers ~worker_main ()
+    {
+      intake = Channel.intake ?disk_faults ~exhausted:m_accept_emfile (Listener listener);
+      workers;
+      worker_main;
+      policy = restart_policy;
+      max_restarts;
+      drain_timeout_s;
+      rng = (match rng with Some r -> r | None -> Ppst_rng.Secure_rng.system ());
+      on_event = Option.value on_event ~default:(fun _ -> ());
+      stop = (match stop with Some s -> s | None -> Atomic.make false);
+      disk_faults;
+      slots =
+        Array.init workers (fun index ->
+            {
+              index;
+              control = None;
+              pid = 0;
+              consecutive = 0;
+              spawned_at = 0.0;
+              restart_at = None;
+            });
+      restarts_total = 0;
+      next_rr = 0;
+    }
   in
   Array.iter (fun slot -> spawn t slot ~restarted:false) t.slots;
   (try
@@ -430,11 +366,6 @@ let run ?on_event ?restart_policy ?max_restarts ?drain_timeout_s ?rng ?stop
        accept_tick t
      done
    with Unix.Unix_error _ when Atomic.get t.stop -> ());
-  close_quiet t.listener;
-  (match t.reserve with
-   | Some fd ->
-     close_quiet fd;
-     t.reserve <- None
-   | None -> ());
+  Channel.close_intake t.intake;
   let reports = shutdown_workers t in
   { restarts = t.restarts_total; reports }

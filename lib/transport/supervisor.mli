@@ -26,9 +26,9 @@
     budget stops the deployment rather than flapping forever.
 
     Shutdown (stop flag set, typically from a signal handler):
-    half-close every control socket — the worker's dispatch loop reads
-    EOF, drains in-flight sessions and writes one final report frame
-    back up the same socket ({!Server_loop.run_worker}) — and send
+    half-close every control socket — the worker's loop reads EOF,
+    drains in-flight sessions and writes one final report frame back up
+    the same socket ({!Server_loop.run}) — and send
     SIGTERM for workers with their own handler; collect the reports
     within the drain budget; SIGKILL stragglers.
 
@@ -70,13 +70,6 @@ val slot_of_token : workers:int -> string -> int
 (** The worker slot a resume token routes to:
     [Crc32.digest token mod workers]. *)
 
-val bind : port:int -> Unix.file_descr * int
-(** Create the listening socket the parent will own ([SO_REUSEADDR],
-    backlog 64); returns the socket and the actually bound port
-    ([port = 0] picks an ephemeral one).  Bind {e before} forking so
-    every worker generation serves the same address.
-    @raise Unix.Unix_error when the port cannot be bound. *)
-
 val run :
   ?on_event:(event -> unit) ->
   ?restart_policy:Retry.policy ->
@@ -93,10 +86,12 @@ val run :
 (** Fork [workers] children and dispatch until [stop] reads [true]
     (set it from a SIGTERM/SIGINT handler — it is the only
     async-signal-safe input), then shut down gracefully and return the
-    merged summary.  [worker_main] runs {e in the child} with the child
+    merged summary.  [listener] comes from {!Channel.listen} (backlog
+    64), bound {e before} forking so every worker generation serves the
+    same address.  [worker_main] runs {e in the child} with the child
     end of its control socketpair; it must serve fds received on
-    [control] until EOF and exit — {!Server_loop.create_worker} plus
-    {!Server_loop.run_worker} is the intended body.  [restarted] tells
+    [control] until EOF and exit — {!Server_loop.run} on a
+    {!Server_loop.create_worker} loop is the intended body.  [restarted] tells
     a replacement worker it follows a crash (a chaos-injected worker
     uses it to drop its one-shot crash fault instead of dying again).
     [?max_restarts] (default 64) caps supervisor-lifetime restarts;
@@ -105,11 +100,13 @@ val run :
     threads beyond the main one: fork from a threaded parent leaves
     children with dead lock holders.
 
-    fd exhaustion never kills the parent: [EMFILE]/[ENFILE] on accept
-    sheds the pending connection through the existing Busy machinery
-    (a reserve fd is closed to make room, the connection is answered
-    [Message.Busy] and closed, the reserve reopened), and the same
-    errno from the spawn-time [socketpair] defers the fork to the
-    restart backoff schedule.  [?disk_faults] injects those errnos
-    deterministically for chaos tests ({!Faults.Disk}).
+    fd exhaustion never kills the parent: connections are taken by the
+    shared step {!Channel.take}, whose [EMFILE]/[ENFILE] path frees the
+    intake's reserve descriptor to take the pending connection, which
+    the parent answers [Message.Busy] and closes (counted in
+    [supervisor.accept.emfile]); the same errno from the spawn-time
+    [socketpair] defers the fork to the restart backoff schedule.  A
+    forked worker closes the listener and the reserve.  [?disk_faults]
+    injects those errnos deterministically for chaos tests
+    ({!Faults.Disk}).
     @raise Invalid_argument on [workers < 1]. *)

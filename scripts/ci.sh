@@ -84,6 +84,13 @@
 # determinism contract; a Domain spawned anywhere else would escape
 # both.  bench/'s concurrency smoke spawns Domains on purpose and is not
 # checked.
+#
+# A second source check keeps one connection intake: under lib/ and
+# bin/, Unix.bind, Unix.listen and Unix.accept may appear only in
+# lib/transport/channel.ml, whose listen and take steps every server
+# socket goes through (Server_loop, Supervisor, Metrics_endpoint), so
+# fd exhaustion and a failed accept are handled one way.  test/ and
+# bench/ open their own sockets and are not checked.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -93,6 +100,13 @@ if [ -n "$spawners" ]; then
   exit 1
 fi
 echo "ci: one source of Domains (lib/parallel/pool.ml) OK"
+
+intakes="$(grep -rlE 'Unix\.(bind|listen|accept)' lib bin | grep -vx 'lib/transport/channel.ml' || true)"
+if [ -n "$intakes" ]; then
+  echo "ci: Unix.bind/listen/accept outside lib/transport/channel.ml:" $intakes >&2
+  exit 1
+fi
+echo "ci: one connection intake (lib/transport/channel.ml) OK"
 
 dune build @all
 dune runtest

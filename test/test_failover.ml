@@ -473,7 +473,7 @@ let spooled_handler ~sk ~store ~seed ~id ~peer:_ =
    (accept/socketpair EMFILE). *)
 let start_supervised ?(catalog = false) ?disk_faults ~workers ~spool ~crash_at
     ~seed () =
-  let listener, port = Supervisor.bind ~port:0 in
+  let listener, port = Channel.listen ~backlog:64 ~port:0 () in
   (* force before forking: children inherit the memoized key and store *)
   let sk = Lazy.force sk16 in
   let store = if catalog then Some (Lazy.force query_store8) else None in
@@ -500,11 +500,12 @@ let start_supervised ?(catalog = false) ?disk_faults ~workers ~spool ~crash_at
       let loop =
         Server_loop.create_worker ~config
           ~rng:(seeded (Printf.sprintf "%s/worker-%d" seed slot))
-          ~boot_id:"bt01" ~slot ~workers ~handler:(spooled_handler ~sk ~store ~seed) ()
+          ~boot_id:"bt01" ~slot ~workers ~control
+          ~handler:(spooled_handler ~sk ~store ~seed) ()
       in
       Sys.set_signal Sys.sigterm
         (Sys.Signal_handle (fun _ -> Server_loop.shutdown loop));
-      Server_loop.run_worker loop ~control
+      Server_loop.run loop
     in
     let summary =
       Supervisor.run ~restart_policy:fast_restart_policy ~drain_timeout_s:5.0
@@ -579,19 +580,20 @@ let plaintext_reference =
    would.  [f] gets the port plus the reconnect counts: Resume frames
    and fresh sessions that reached B. *)
 let with_dispatched_pair ~spool ~drop_at ~seed f =
-  let listener, port = Supervisor.bind ~port:0 in
+  let listener, port = Channel.listen ~backlog:64 ~port:0 () in
   let sk = Lazy.force sk16 in
   let worker slot faults =
     let config =
       { Server_loop.default_config with spool_dir = Some spool; faults; drain_timeout_s = 5.0 }
     in
+    let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     let loop =
       Server_loop.create_worker ~config
         ~rng:(seeded (Printf.sprintf "%s/worker-%d" seed slot))
-        ~boot_id:"bt01" ~slot ~workers:2 ~handler:(spooled_handler ~sk ~store:None ~seed) ()
+        ~boot_id:"bt01" ~slot ~workers:2 ~control:theirs
+        ~handler:(spooled_handler ~sk ~store:None ~seed) ()
     in
-    let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (ours, theirs, Thread.create (fun () -> Server_loop.run_worker loop ~control:theirs) ())
+    (ours, theirs, Thread.create (fun () -> Server_loop.run loop) ())
   in
   let faults = if drop_at = 0 then None else Some (Faults.create (Faults.Drop_at drop_at)) in
   let (a, _, _) as wa = worker 0 faults in
@@ -643,14 +645,14 @@ let resume_accepted = Ppst_telemetry.Metrics.counter "server.resume.accepted"
    worker 1 of 3, each over a connection passed in as the supervisor
    would pass it. *)
 let test_worker_tokens_route_home () =
+  let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let loop =
     Server_loop.create_worker ~rng:(seeded "route-home/tokens") ~boot_id:"bt01" ~slot:1
-      ~workers:3
+      ~workers:3 ~control:theirs
       ~handler:(spooled_handler ~sk:(Lazy.force sk16) ~store:None ~seed:"route-home")
       ()
   in
-  let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let runner = Thread.create (fun () -> Server_loop.run_worker loop ~control:theirs) () in
+  let runner = Thread.create (fun () -> Server_loop.run loop) () in
   Fun.protect
     ~finally:(fun () ->
       Unix.shutdown ours Unix.SHUTDOWN_SEND;
@@ -1059,6 +1061,107 @@ let test_restart_reason_classifier () =
   Alcotest.(check bool) "embedded elsewhere doesn't match" false
     (Channel.is_server_restarted ("x" ^ Channel.server_restarted_reason))
 
+(* --- intake fd exhaustion ---------------------------------------------------- *)
+
+let accept_emfile = Ppst_telemetry.Metrics.counter "server.accept.emfile"
+
+let emfile_at_first_take () =
+  {
+    Server_loop.default_config with
+    disk_faults = Some (Faults.Disk.create (Faults.Disk.Emfile_at 1));
+  }
+
+(* Out of descriptors at its first take, a loop still takes the pending
+   connection through its reserve and answers its Hello with Busy; the
+   next connections are served, so a retrying client reveals the exact
+   distance. *)
+let check_busy_then_served ~port ~seed =
+  let before = Ppst_telemetry.Metrics.counter_value accept_emfile in
+  (match raw_request ~port (Message.Hello { flags = 0; spec = None }) with
+   | Message.Busy _ -> ()
+   | _ -> Alcotest.fail "first Hello not answered Busy");
+  Alcotest.(check int) "exhausted take counted" 1
+    (Ppst_telemetry.Metrics.counter_value accept_emfile - before);
+  Alcotest.(check int) "distance exact after the Busy"
+    (Lazy.force plaintext_reference)
+    (Bigint.to_int_exn (run_failover_client ~port ~seed ()))
+
+let test_loop_fd_exhaustion () =
+  let loop =
+    Server_loop.create ~config:(emfile_at_first_take ()) ~port:0
+      ~handler:(real_handler ~seed:"loop-emfile") ()
+  in
+  let runner = Thread.create Server_loop.run loop in
+  Fun.protect
+    ~finally:(fun () ->
+      Server_loop.shutdown loop;
+      Thread.join runner)
+    (fun () -> check_busy_then_served ~port:(Server_loop.port loop) ~seed:"loop-emfile")
+
+(* A worker loop on [control], run until the test half-closes [ours]. *)
+let with_worker ?config ~seed f =
+  let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let loop =
+    Server_loop.create_worker ?config ~slot:0 ~workers:1 ~control:theirs
+      ~handler:(real_handler ~seed) ()
+  in
+  let runner = Thread.create Server_loop.run loop in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.shutdown ours Unix.SHUTDOWN_SEND;
+      Thread.join runner;
+      Unix.close ours;
+      Unix.close theirs)
+    (fun () -> f ours)
+
+let test_worker_fd_exhaustion () =
+  (* the test is the dispatcher: every connection to its listener goes
+     down the worker's control socket *)
+  with_worker ~config:(emfile_at_first_take ()) ~seed:"worker-emfile" (fun control ->
+      let listener, port = Channel.listen ~backlog:16 ~port:0 () in
+      let stop = Atomic.make false in
+      let dispatcher =
+        Thread.create
+          (fun () ->
+            while not (Atomic.get stop) do
+              match Unix.select [ listener ] [] [] 0.01 with
+              | [], _, _ -> ()
+              | _ ->
+                let fd, _ = Unix.accept listener in
+                Fd_passing.send_fd control ~fd;
+                Unix.close fd
+            done)
+          ()
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set stop true;
+          Thread.join dispatcher;
+          Unix.close listener)
+        (fun () -> check_busy_then_served ~port ~seed:"worker-emfile"))
+
+let test_worker_survives_bare_control_byte () =
+  with_worker ~seed:"bare-byte" (fun control ->
+      (* a data byte without a descriptor: what a receiver that cannot
+         install the descriptor is handed *)
+      ignore (Unix.write_substring control "F" 0 1);
+      let client, served = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fd_passing.send_fd control ~fd:served;
+      Unix.close served;
+      Fun.protect
+        ~finally:(fun () -> Unix.close client)
+        (fun () ->
+          Channel.write_frame client
+            (Message.encode (Message.Request (Message.Hello { flags = 0; spec = None })));
+          match
+            Option.map Message.decode
+              (Channel.read_frame ~deadline:(Monoclock.now () +. 5.0) client)
+          with
+          | Some (Message.Reply (Message.Welcome _)) -> ()
+          | _ -> Alcotest.fail "no Welcome"
+          | exception Channel.Timeout ->
+            Alcotest.fail "next dispatched connection not served"))
+
 (* --- telemetry: per-line durability -------------------------------------------- *)
 
 let test_jsonl_sink_flushes_per_line () =
@@ -1150,6 +1253,12 @@ let () =
             test_query_kill_every_frame;
           Alcotest.test_case "supervisor fd exhaustion degrades, not crashes"
             `Slow test_supervisor_fd_exhaustion;
+          Alcotest.test_case "loop fd exhaustion answers Busy" `Quick
+            test_loop_fd_exhaustion;
+          Alcotest.test_case "worker fd exhaustion answers Busy" `Quick
+            test_worker_fd_exhaustion;
+          Alcotest.test_case "worker survives a bare control byte" `Quick
+            test_worker_survives_bare_control_byte;
         ] );
       ( "resume",
         [

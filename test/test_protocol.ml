@@ -17,9 +17,9 @@ let print_series s = Format.asprintf "%a" Series.pp s
 let modulus_64 = Bigint.of_string "13497220662202513373" (* a real 64-bit n *)
 
 let plan ?(params = Ppst.Params.default) ?(max_value = 100) ?(dimension = 1)
-    ?(m = 10) ?(n = 10) ?(distance = `Dtw) () =
+    ?(m = 10) ?(n = 10) ?(distance = `Dtw) ?(modulus = modulus_64) () =
   Ppst.Params.plan params ~max_value ~dimension ~client_length:m ~server_length:n
-    ~modulus:modulus_64 ~distance
+    ~modulus ~distance
 
 let test_params_defaults () =
   let p = Ppst.Params.default in
@@ -92,6 +92,32 @@ let test_params_bad_args () =
       (fun () -> ignore (plan ~dimension:0 ()));
       (fun () -> ignore (plan ~m:0 ()));
     ]
+
+(* Bounds whose d * V^2 wraps a native int: 2 * (2^31)^2 = 2^63 wraps to
+   0 (a plan for value bound 1), 3e9^2 wraps negative.  The exact DTW
+   bounds on a 10x10 pair, (m + n - 1) d V^2 + 1, are 68 bits long. *)
+let wrapping_bounds =
+  [ (1 lsl 31, 2, "175244068700240740353"); (3_000_000_000, 1, "171000000000000000001") ]
+
+let test_params_bound_overflow_typed () =
+  List.iter
+    (fun (max_value, dimension, _) ->
+      match plan ~max_value ~dimension () with
+      | s ->
+        Alcotest.failf "V = %d, d = %d planned on a 64-bit key: %s" max_value dimension
+          (Bigint.to_string s.Ppst.Params.value_bound)
+      | exception Ppst.Params.Insecure _ -> ())
+    wrapping_bounds
+
+let test_params_bound_exact_wide_key () =
+  let modulus = Bigint.pred (Bigint.shift_left Bigint.one 256) in
+  List.iter
+    (fun (max_value, dimension, exact) ->
+      Alcotest.check eq_bi
+        (Printf.sprintf "V = %d, d = %d" max_value dimension)
+        (Bigint.of_string exact)
+        (plan ~max_value ~dimension ~modulus ()).Ppst.Params.value_bound)
+    wrapping_bounds
 
 (* The Section 5.3 guards as properties, over generated keys (a modulus
    of exactly [key_bits] bits), random-set sizes, valid gamma - beta
@@ -565,16 +591,61 @@ let test_packed_matches_unpacked () =
          < Stats.total_values plain.Ppst.Protocol.stats))
     [ ("dtw", `Dtw, `Full); ("dfd", `Dfd, `Full); ("dtw-wavefront", `Dtw, `Wavefront) ]
 
-let test_packing_fallback_small_key () =
-  (* the default 64-bit key has no packing capacity: a packing-enabled
-     run silently degrades to the unpacked protocol, same distance *)
+(* One seeded 6x5 DTW session at V = 340,000,000 over a recording local
+   channel: whether the client packs, the Welcome, the distance and the
+   encoded (request, reply) frames from Phase1_request on. *)
+let run_fallback_session ~packing =
   let x = Series.of_list [ 3; 4; 5; 4; 6; 7 ] and y = Series.of_list [ 2; 4; 6; 5; 7 ] in
-  let r =
-    Ppst.Protocol.run
-      ~spec:(Ppst.Protocol.spec ~packing:true `Dtw)
-      ~seed:"packed-fallback" ~x ~y ()
+  let max_value = 340_000_000 in
+  let server =
+    Ppst.Server.create ~rng:(Secure_rng.of_seed_string "packed-fallback/server")
+      ~series:y ~max_value ()
   in
-  Alcotest.(check int) "distance" (Distance.dtw_sq x y) (Ppst.Protocol.distance_int r)
+  let frames = ref [] in
+  let handler req =
+    let reply = Ppst.Server.handle server req in
+    frames := (req, reply) :: !frames;
+    reply
+  in
+  let client =
+    Ppst.Client.connect ~packing ~rng:(Secure_rng.of_seed_string "packed-fallback/client")
+      ~series:x ~max_value ~distance:`Dtw (Channel.local handler)
+  in
+  let packs = Ppst.Client.packing client in
+  let d = Ppst.Secure_dp.(run dtw Full Row_major) client in
+  Ppst.Client.finish client;
+  let frames = List.rev !frames in
+  let rec from_phase1 = function
+    | (Message.Phase1_request, _) :: _ as l ->
+      List.map
+        (fun (req, reply) ->
+          Message.encode (Message.Request req) ^ Message.encode (Message.Reply reply))
+        l
+    | _ :: rest -> from_phase1 rest
+    | [] -> []
+  in
+  (packs, snd (List.hd frames), Bigint.to_int_exn d, from_phase1 frames)
+
+let test_packing_fallback_small_key () =
+  (* the 61-bit DTW value bound puts offset_hi at 2^63, so a masked
+     candidate takes 64 bits and the 64-bit key has no slot for it: the
+     granted packing falls back to unpacked rounds, on the same uniform
+     noise as a run that never offered it *)
+  let x = Series.of_list [ 3; 4; 5; 4; 6; 7 ] and y = Series.of_list [ 2; 4; 6; 5; 7 ] in
+  let packs, welcome, d, frames = run_fallback_session ~packing:true in
+  let _, _, d_plain, frames_plain = run_fallback_session ~packing:false in
+  (match welcome with
+   | Message.Welcome { flags; _ } ->
+     Alcotest.(check bool) "packing granted" true (flags land Message.flag_packing <> 0)
+   | _ -> Alcotest.fail "no Welcome");
+  Alcotest.(check bool) "packing inactive" false packs;
+  Alcotest.(check int) "distance" (Distance.dtw_sq x y) d;
+  Alcotest.(check int) "distance without packing offered" d d_plain;
+  Alcotest.(check bool) "frames recorded" true (List.length frames > 2);
+  Alcotest.(check (list string))
+    "frames from Phase1_request on = run without packing offered"
+    (List.map (fun f -> Digest.to_hex (Digest.string f)) frames_plain)
+    (List.map (fun f -> Digest.to_hex (Digest.string f)) frames)
 
 (* --- hiding ------------------------------------------------------------------ *)
 
@@ -749,6 +820,26 @@ let test_wrong_reply_kind_detected () =
    | _ -> Alcotest.fail "bad reply accepted"
    | exception Channel.Protocol_error _ -> ())
 
+let test_connect_sends_one_hello () =
+  (* a refused Hello is the answer: no retry on a bare Hello *)
+  let hellos = ref 0 in
+  let channel =
+    Channel.local (function
+      | Message.Hello _ ->
+        incr hellos;
+        Message.Error_reply "hello refused"
+      | _ -> Message.Error_reply "unexpected request")
+  in
+  (match
+     Ppst.Client.connect
+       ~rng:(Secure_rng.of_seed_string "one-hello")
+       ~series:(Series.of_list [ 1 ])
+       ~max_value:10 ~distance:`Dtw channel
+   with
+   | _ -> Alcotest.fail "refused Hello accepted"
+   | exception Channel.Protocol_error _ -> ());
+  Alcotest.(check int) "Hellos sent" 1 !hellos
+
 let () =
   Alcotest.run "protocol"
     [
@@ -764,6 +855,10 @@ let () =
           Alcotest.test_case "offset range fits k" `Quick
             test_params_offset_range_fits_k;
           prop_params_guards;
+          Alcotest.test_case "value-bound overflow is typed" `Quick
+            test_params_bound_overflow_typed;
+          Alcotest.test_case "value bound exact at 256 bits" `Quick
+            test_params_bound_exact_wide_key;
         ] );
       ( "masking",
         [
@@ -832,5 +927,6 @@ let () =
           Alcotest.test_case "reveal counting" `Quick test_server_reveal_counting;
           Alcotest.test_case "reveal budget" `Quick test_reveal_budget_enforced;
           Alcotest.test_case "wrong reply kind" `Quick test_wrong_reply_kind_detected;
+          Alcotest.test_case "one Hello per connect" `Quick test_connect_sends_one_hello;
         ] );
     ]

@@ -553,8 +553,8 @@ let test_shutdown_wakes_idle_loop () =
   done;
   for _ = 1 to 5 do
     let control, parent = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let loop = Server_loop.create_worker ~slot:0 ~workers:1 ~handler () in
-    stop_within "run_worker" loop (fun () -> Server_loop.run_worker loop ~control);
+    let loop = Server_loop.create_worker ~slot:0 ~workers:1 ~control ~handler () in
+    stop_within "worker run" loop (fun () -> Server_loop.run loop);
     Unix.close control;
     Unix.close parent
   done
