@@ -197,12 +197,17 @@ let run port series_file catalog_dir key_file max_value seed sessions concurrenc
   (* The four exit lines, read by name from the server's process totals:
      the live registry, or the sum of the workers' drain reports.  Only
      [server.*] families are read; the supervisor parent never serves,
-     so they are 0 in the registry every worker inherits at fork. *)
-  let print_summary value =
+     so they are 0 in the registry every worker inherits at fork.  The
+     parent's own Busy answers ([parent_busy], read from its registry
+     alone: a re-forked worker inherits that count and reports it back)
+     join the rejected count. *)
+  let print_summary ?(parent_busy = 0) value =
     let count name = int_of_float (value ("server." ^ name)) in
     let shed = count "shed" in
     Format.printf "sessions: %d accepted, %d rejected (Busy), %d shed@."
-      (count "sessions.accepted") (count "sessions.busy_rejected" + shed) shed;
+      (count "sessions.accepted")
+      (count "sessions.busy_rejected" + parent_busy + shed)
+      shed;
     Format.printf "handler time (all sessions): %.3f s@." (value "server.handler.seconds");
     (* always 0: the key holder only encrypts and decrypts, every
        homomorphic operation is the client's *)
@@ -280,10 +285,6 @@ let run port series_file catalog_dir key_file max_value seed sessions concurrenc
     let listener, bound_port =
       Ppst_transport.Channel.listen ~backlog:64 ~port ()
     in
-    let stop = Atomic.make false in
-    let request_stop _ = Atomic.set stop true in
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
-    Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
     let worker_config = { config with max_total = None } in
     let worker_main ~slot ~restarted ~control =
       let config = { worker_config with faults = make_faults ~restarted } in
@@ -349,7 +350,7 @@ let run port series_file catalog_dir key_file max_value seed sessions concurrenc
     let summary =
       Ppst_transport.Supervisor.run ~on_event
         ~drain_timeout_s:config.Ppst_transport.Server_loop.drain_timeout_s
-        ?disk_faults ~stop ~listener ~workers ~worker_main ()
+        ?disk_faults ~listener ~workers ~worker_main ()
     in
     let reports =
       List.filter_map
@@ -367,7 +368,11 @@ let run port series_file catalog_dir key_file max_value seed sessions concurrenc
     Logs.info (fun m ->
         m "done: %d worker report(s), %d restart(s)" (List.length reports)
           summary.Ppst_transport.Supervisor.restarts);
-    print_summary (fun name ->
+    print_summary
+      ~parent_busy:
+        (int_of_float
+           (lookup (Ppst_telemetry.Metrics.scalars ()) "supervisor.busy_rejected"))
+      (fun name ->
         List.fold_left (fun acc report -> acc +. lookup report name) 0.0 reports);
     Format.printf "supervisor restarts: %d@."
       summary.Ppst_transport.Supervisor.restarts

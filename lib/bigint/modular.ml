@@ -12,14 +12,6 @@ let check_modulus m =
 
 let reduce a m = Bigint.erem a m
 
-let add a b m =
-  check_modulus m;
-  Bigint.erem (Bigint.add a b) m
-
-let sub a b m =
-  check_modulus m;
-  Bigint.erem (Bigint.sub a b) m
-
 let mul a b m =
   check_modulus m;
   Bigint.erem (Bigint.mul a b) m

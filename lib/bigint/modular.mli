@@ -8,10 +8,8 @@ exception Not_invertible
 val reduce : Bigint.t -> Bigint.t -> Bigint.t
 (** Canonical residue in [\[0, m)]. *)
 
-val add : Bigint.t -> Bigint.t -> Bigint.t -> Bigint.t
-val sub : Bigint.t -> Bigint.t -> Bigint.t -> Bigint.t
 val mul : Bigint.t -> Bigint.t -> Bigint.t -> Bigint.t
-(** [add a b m], [sub a b m], [mul a b m] — all reduced into [\[0, m)]. *)
+(** [mul a b m], reduced into [\[0, m)]. *)
 
 val gcd : Bigint.t -> Bigint.t -> Bigint.t
 (** Non-negative GCD of the magnitudes ([gcd 0 0 = 0]), by binary GCD

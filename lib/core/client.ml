@@ -30,7 +30,6 @@ type t = {
 }
 
 let session t = t.session
-let public_key t = t.pk
 let cost t = t.cost
 let stats t = Channel.stats t.channel
 let channel t = t.channel
@@ -39,7 +38,6 @@ let server_length t = t.server_length
 let client_length t = Series.length t.series
 let client_element t i = Series.get t.series i
 let max_value t = t.max_value
-let distance t = t.distance
 
 let show_kind = function
   | `Dtw -> "`Dtw"

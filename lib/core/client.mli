@@ -84,7 +84,6 @@ val round_randomness : t -> int array -> int
     rounds to provision {!precompute_randomness} exactly. *)
 
 val session : t -> Params.session
-val public_key : t -> Paillier.public_key
 val cost : t -> Cost.t
 
 val stats : t -> Stats.t
@@ -110,11 +109,6 @@ val max_value : t -> int
 (** The negotiated coordinate bound [V] (the larger of the two parties'
     advertised bounds); every coordinate of either series lies in
     [\[0, V\]].  The pruning round's public shift is [w_s * V]. *)
-
-val distance : t -> distance_kind
-(** The distance kind the session's masking parameters were planned for.
-    Running a distance with a larger value bound than planned (e.g. DTW
-    on a [`Dfd] session) is unsafe; {!require_plan} enforces the match. *)
 
 val require_plan : t -> distance_kind -> unit
 (** @raise Invalid_argument when the session was planned for a different

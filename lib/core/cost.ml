@@ -46,7 +46,6 @@ let add_client_offline t dt = t.client_offline <- t.client_offline +. dt
 let client_offline_seconds t = t.client_offline
 
 let set_jobs t jobs = t.jobs <- jobs
-let jobs t = t.jobs
 
 let set_pool_misses t misses = t.pool_misses <- misses
 let pool_misses t = t.pool_misses

@@ -43,8 +43,6 @@ val total_seconds : t -> float
 val set_jobs : t -> int -> unit
 (** Record the worker-pool size the run executed with (default 1). *)
 
-val jobs : t -> int
-
 val set_pool_misses : t -> int -> unit
 (** Record the client's randomness-pool miss count — encryptions that
     paid an {e online} [r^n] exponentiation because the offline pool was

@@ -83,10 +83,6 @@ let plan t ~max_value ~dimension ~client_length ~server_length ~modulus ~distanc
   in
   plan_bound t ~value_bound ~modulus
 
-let pp fmt t =
-  Format.fprintf fmt "@[<h>{key_bits = %d; k = %d; gamma_slack = %d}@]" t.key_bits
-    t.k t.gamma_slack
-
 let pp_session fmt s =
   Format.fprintf fmt
     "@[<h>{beta = %d; gamma = %d; value_bound = %a; offsets in [%a, %a]}@]" s.beta

@@ -66,5 +66,4 @@ val plan_bound : t -> value_bound:Bigint.t -> modulus:Bigint.t -> session
 val alpha : t -> int
 (** [⌊log2 k⌋]. *)
 
-val pp : Format.formatter -> t -> unit
 val pp_session : Format.formatter -> session -> unit

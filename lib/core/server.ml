@@ -97,7 +97,6 @@ let public_key t = t.sk.Paillier.public
 let private_key t = t.sk
 let ops t = t.ops
 let reveal_count t = t.reveals
-let selected t = t.selected
 let active_series t = t.records.(t.selected)
 
 (* Decryption fan-out: the worker count never touches the server's rng

@@ -120,8 +120,6 @@ val of_store_with_key :
   unit ->
   t
 
-val selected : t -> int
-
 val handle : t -> Message.request -> Message.reply
 (** Answer one request.  Ill-formed or out-of-range requests produce
     [Error_reply], never an exception.  Partial application

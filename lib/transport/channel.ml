@@ -130,11 +130,6 @@ let offered_flags t =
 let negotiated_flags t =
   match t.backend with Local _ -> 0 | Tcp st -> st.granted
 
-let resume_token t =
-  match t.backend with
-  | Tcp { token; _ } when token <> "" -> Some token
-  | _ -> None
-
 (* A write to a peer-reset socket must surface as EPIPE (handled by the
    caller), not as a process-killing SIGPIPE — which is exactly what a
    client racing a server-side timeout close would otherwise get.
@@ -611,6 +606,11 @@ type intake = {
   exhausted : Metrics.counter option;
   (* closing it frees exactly the slot a pending connection needs *)
   mutable reserve : Unix.file_descr option;
+  stopped : bool Atomic.t;
+  (* written by [stop], so a [take] waiting in [select] returns at once;
+     [pipe_mu] keeps [stop] off a closed (or reused) descriptor *)
+  mutable pipe : (Unix.file_descr * Unix.file_descr) option;
+  pipe_mu : Mutex.t;
 }
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -618,13 +618,44 @@ let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let open_reserve () =
   try Some (Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0) with Unix.Unix_error _ -> None
 
+let open_pipe () =
+  match Unix.pipe ~cloexec:true () with
+  | r, w -> Unix.set_nonblock w; Some (r, w)
+  | exception Unix.Unix_error _ -> None
+
 let intake ?disk_faults ?exhausted source =
-  { source; disk_faults; exhausted; reserve = open_reserve () }
+  { source; disk_faults; exhausted; reserve = open_reserve (); pipe = open_pipe ();
+    stopped = Atomic.make false; pipe_mu = Mutex.create () }
+
+let stop intake =
+  Atomic.set intake.stopped true;
+  (* a held lock: a wake-up is being written, or the intake is closing *)
+  if Mutex.try_lock intake.pipe_mu then begin
+    Option.iter
+      (fun (_, w) ->
+        try ignore (Unix.single_write_substring w "!" 0 1) with Unix.Unix_error _ -> ())
+      intake.pipe;
+    Mutex.unlock intake.pipe_mu
+  end
+
+let stopped intake = Atomic.get intake.stopped
 
 let close_intake intake =
+  Mutex.lock intake.pipe_mu;
+  Option.iter (fun (r, w) -> close_quiet r; close_quiet w) intake.pipe;
+  intake.pipe <- None;
+  Mutex.unlock intake.pipe_mu;
   Option.iter close_quiet intake.reserve;
   intake.reserve <- None;
   match intake.source with Listener fd -> close_quiet fd | Control _ -> ()
+
+(* Out of descriptors, a framed intake answers the connection its
+   reserve let it take with Busy and closes it at once, so the reserve
+   is re-armed without waiting on the peer. *)
+let shed ?(retry_after_s = 1.0) fd =
+  (try write_frame fd (Message.encode (Message.Reply (Message.Busy { retry_after_s })))
+   with _ -> ());
+  close_quiet fd
 
 (* [None] is the control socket's EOF: the dispatcher closed it. *)
 let take_from = function
@@ -635,9 +666,11 @@ let take_from = function
         (conn, try Unix.getpeername conn with Unix.Unix_error _ -> Unix.ADDR_UNIX "supervisor"))
       (Fd_passing.recv_fd fd)
 
-let take ?(wake = []) intake ~refuse =
+let take intake ~refuse =
   let (Listener fd | Control fd) = intake.source in
+  let wake = match intake.pipe with Some (r, _) -> [ r ] | None -> [] in
   match retry_on_intr (fun () -> Unix.select (fd :: wake) [] [] 0.2) with
+  | _ when stopped intake -> Closed
   | readable, _, _ when not (List.mem fd readable) -> Idle
   | _ -> (
     match

@@ -169,9 +169,6 @@ val offered_flags : t -> int
 val negotiated_flags : t -> int
 (** The server's grant, [0] until the [Welcome] reply has been seen. *)
 
-val resume_token : t -> string option
-(** The live resume token, once granted. *)
-
 (** {1 Frame I/O (exposed for {!Server_loop}, the server binary and tests)} *)
 
 val write_frame :
@@ -221,7 +218,7 @@ val default_max_frame : int
 
 (** {1 Connection intake}
 
-    The one listen and take-or-shed step of every server socket:
+    The one listen, take, shed and stop step of every server socket:
     {!Server_loop}'s listener or worker control socket, the
     {!Supervisor}'s listener and the {!Metrics_endpoint} sidecar. *)
 
@@ -237,23 +234,35 @@ type source = Listener of Unix.file_descr | Control of Unix.file_descr
 type taken =
   | Conn of Unix.file_descr * Unix.sockaddr  (** [TCP_NODELAY] set where it applies *)
   | Idle  (** nothing this tick, or the connection was refused or skipped *)
-  | Closed  (** the control socket reached EOF *)
+  | Closed  (** the intake was stopped, or the control socket reached EOF *)
 
 type intake
 
 val intake :
   ?disk_faults:Faults.Disk.t -> ?exhausted:Ppst_telemetry.Metrics.counter -> source -> intake
-(** A source with its [Fd] fault injector and one reserve descriptor;
-    [?exhausted] counts every [EMFILE]/[ENFILE] met. *)
+(** A source with its [Fd] fault injector, one reserve descriptor and a
+    self-pipe for {!stop} (without descriptors for it, a stop lands at
+    the next tick); [?exhausted] counts every [EMFILE]/[ENFILE] met. *)
 
-val take : ?wake:Unix.file_descr list -> intake -> refuse:(Unix.file_descr -> unit) -> taken
-(** Wait up to 0.2 s for the source (or a [wake] descriptor), then take
-    at most one connection, consulting the injector first.  On
+val take : intake -> refuse:(Unix.file_descr -> unit) -> taken
+(** Wait up to 0.2 s for the source (or a {!stop}), then take at most
+    one connection, consulting the injector first.  On
     [EMFILE]/[ENFILE] the reserve is closed, the pending connection
     handed to [refuse] (which owns it and must not raise) and the
     reserve re-armed; with no reserve to free, the step waits 50 ms.
     Any other failure skips that connection. *)
 
+val shed : ?retry_after_s:float -> Unix.file_descr -> unit
+(** Write a [Busy] frame ([retry_after_s], default 1 s) and close: the
+    [refuse] of every framed intake, each around its own count. *)
+
+val stop : intake -> unit
+(** Set the intake's stop flag and write one byte to its non-blocking
+    self-pipe, so a waiting {!take} returns [Closed] at once.  Never
+    blocks; callable from an OCaml signal handler or any thread. *)
+
+val stopped : intake -> bool
+
 val close_intake : intake -> unit
-(** Close the reserve and a [Listener]'s socket; a control socket stays
-    open for its owner. *)
+(** Close the self-pipe, the reserve and a [Listener]'s socket; a
+    control socket stays open for its owner. *)

@@ -19,12 +19,7 @@ module Metrics = Ppst_telemetry.Metrics
 let m_scrapes = Metrics.counter "metrics.endpoint.scrapes"
 let m_errors = Metrics.counter "metrics.endpoint.errors"
 
-type t = {
-  intake : Channel.intake;
-  port : int;
-  stop_flag : bool Atomic.t;
-  mutable thread : Thread.t option;
-}
+type t = { intake : Channel.intake; port : int; thread : Thread.t }
 
 let default_render () = Exposition.render ~rollup:(Rollup.global ()) ()
 
@@ -90,34 +85,26 @@ let handle_conn render fd =
       Metrics.incr m_scrapes)
 
 (* Out of descriptors, the shared intake takes the pending scrape
-   through its reserve and this refusal just closes it. *)
+   through its reserve; it is not a framed peer, so this refusal just
+   closes it. *)
 let refuse fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let serve t render =
-  while not (Atomic.get t.stop_flag) do
-    match Channel.take t.intake ~refuse with
-    | Conn (fd, _) -> ( try handle_conn render fd with _ -> Metrics.incr m_errors)
-    | Idle | Closed -> ()
-    | exception Unix.Unix_error _ -> ()
-  done
+let rec serve intake render =
+  match Channel.take intake ~refuse with
+  | Closed -> ()
+  | Conn (fd, _) ->
+    (try handle_conn render fd with _ -> Metrics.incr m_errors);
+    serve intake render
+  | Idle | (exception Unix.Unix_error _) -> serve intake render
 
 let start ?(render = default_render) ~port () =
   let listener, port = Channel.listen ~loopback:true ~backlog:16 ~port () in
-  let t =
-    {
-      intake = Channel.intake (Channel.Listener listener);
-      port;
-      stop_flag = Atomic.make false;
-      thread = None;
-    }
-  in
-  t.thread <- Some (Thread.create (fun () -> serve t render) ());
-  t
+  let intake = Channel.intake (Channel.Listener listener) in
+  { intake; port; thread = Thread.create (fun () -> serve intake render) () }
 
 let port t = t.port
 
 let stop t =
-  Atomic.set t.stop_flag true;
-  (match t.thread with Some th -> Thread.join th | None -> ());
-  t.thread <- None;
+  Channel.stop t.intake;
+  Thread.join t.thread;
   Channel.close_intake t.intake

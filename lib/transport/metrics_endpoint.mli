@@ -24,5 +24,6 @@ val port : t -> int
 (** The actually bound port. *)
 
 val stop : t -> unit
-(** Stop the responder thread, join it and close the listener.
-    Idempotent in effect; safe to call once the thread has died. *)
+(** Stop the intake ({!Channel.stop}: an idle responder returns at
+    once), join the thread and close the listener.  Idempotent in
+    effect; safe to call once the thread has died. *)

@@ -10,8 +10,8 @@
    Locking discipline: [t.mu] guards the active and accepted counts
    (every other process total lives in the Metrics registry);
    [t.rng_mu] guards the token
-   generator (drawn from session threads); the stop request is an
-   [Atomic] so a signal handler can set it without touching any lock. *)
+   generator (drawn from session threads); [shutdown] stops the intake,
+   which a signal handler can do without touching any lock. *)
 
 module Telemetry = Ppst_telemetry.Telemetry
 module Metrics = Ppst_telemetry.Metrics
@@ -124,6 +124,7 @@ type t = {
   source : Channel.source;
       (* an owned listener, or in worker mode the supervisor's control
          socket that passes connections in *)
+  intake : Channel.intake;
   bound_port : int;
   boot_id : string;
       (* 4-byte incarnation prefix of every minted token: lets a
@@ -135,7 +136,6 @@ type t = {
   spool : Spool.t option;
   clock : unit -> float;
   mutable last_sweep : float;
-  stop : bool Atomic.t;
   mu : Mutex.t;
   resume : Session_machine.session Resume_table.t;
   ratelimit : Ratelimit.t option;
@@ -152,12 +152,6 @@ type t = {
   rng_mu : Mutex.t;
   mutable active : int;
   mutable accepted : int;
-  (* Self-pipe that [shutdown] writes to, so a loop blocked in [select]
-     wakes at once rather than at its next tick.  [run] opens it and
-     closes it before it drains; [wake_mu] keeps [shutdown]
-     from writing to a closed (or reused) descriptor. *)
-  mutable wake : (Unix.file_descr * Unix.file_descr) option;
-  wake_mu : Mutex.t;
 }
 
 let string_of_sockaddr = function
@@ -183,35 +177,43 @@ let make ~config ~on_session_end ~clock ~rng ~boot_id ~shard ~source
       b
     | None -> Ppst_rng.Secure_rng.bytes rng 4
   in
+  let spool =
+    Option.map
+      (fun dir -> Spool.create ?disk_faults:config.disk_faults ~dir ())
+      config.spool_dir
+  in
+  let resume =
+    Resume_table.create ?now:clock ~capacity:resume_capacity
+      ~ttl_s:config.resume_ttl_s ()
+  in
+  let ratelimit =
+    Option.map (fun cfg -> Ratelimit.create ?now:clock cfg) config.ratelimit
+  in
+  (* last: nothing after it can raise and leave its descriptors open *)
+  let intake =
+    Channel.intake ?disk_faults:config.disk_faults ~exhausted:m_accept_emfile source
+  in
   {
     config;
     on_session_end;
     handler;
     source;
+    intake;
     bound_port;
     boot_id;
     shard;
-    spool =
-      Option.map
-        (fun dir -> Spool.create ?disk_faults:config.disk_faults ~dir ())
-        config.spool_dir;
+    spool;
     clock = (match clock with Some f -> f | None -> Monoclock.now);
     last_sweep = 0.0;
-    stop = Atomic.make false;
     mu = Mutex.create ();
-    resume =
-      Resume_table.create ?now:clock ~capacity:resume_capacity
-        ~ttl_s:config.resume_ttl_s ();
-    ratelimit =
-      Option.map (fun cfg -> Ratelimit.create ?now:clock cfg) config.ratelimit;
+    resume;
+    ratelimit;
     inflight = Atomic.make 0;
     durability_lost = Atomic.make false;
     rng;
     rng_mu = Mutex.create ();
     active = 0;
     accepted = 0;
-    wake = None;
-    wake_mu = Mutex.create ();
   }
 
 let create ?(config = default_config) ?on_session_end ?clock ?rng ?boot_id
@@ -236,33 +238,7 @@ let create_worker ?(config = default_config) ?on_session_end ?clock ?rng
     ~source:(Channel.Control control) ~bound_port:0 ~handler
 
 let port t = t.bound_port
-let boot_id t = t.boot_id
-
-let open_wake t =
-  let r, w = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock w;
-  Mutex.lock t.wake_mu;
-  t.wake <- Some (r, w);
-  Mutex.unlock t.wake_mu;
-  r
-
-let close_wake t =
-  Mutex.lock t.wake_mu;
-  Option.iter (fun (r, w) -> Unix.close r; Unix.close w) t.wake;
-  t.wake <- None;
-  Mutex.unlock t.wake_mu
-
-let shutdown t =
-  Atomic.set t.stop true;
-  (* a held lock means a wake-up is being written or the pipe is being
-     opened or closed; either way the loop sees [stop] without ours *)
-  if Mutex.try_lock t.wake_mu then begin
-    (match t.wake with
-     | Some (_, w) -> (
-       try ignore (Unix.single_write_substring w "!" 0 1) with Unix.Unix_error _ -> ())
-     | None -> ());
-    Mutex.unlock t.wake_mu
-  end
+let shutdown t = Channel.stop t.intake
 
 let install_signal_handlers t =
   let on_signal _ = shutdown t in
@@ -568,11 +544,10 @@ let serve_session t ~id ~peer fd =
     span;
   match t.on_session_end with Some f -> f record | None -> ()
 
-(* At-capacity / shedding / throttled / out-of-descriptors handling,
-   run off the accept thread so a hostile client cannot slow admission
-   down: the same machine, started refusing, answers probes or Busy.
-   [shed] marks a load-shed or rate-limit rejection rather than a
-   capacity one. *)
+(* At-capacity / shedding / throttled handling, run off the accept
+   thread so a hostile client cannot slow admission down: the same
+   machine, started refusing, answers probes or Busy.  [shed] marks a
+   load-shed or rate-limit rejection rather than a capacity one. *)
 let refuse_session t ~shed ~retry_after_s fd =
   ignore
     (Thread.create
@@ -687,28 +662,23 @@ let run t =
     | None -> false
     | Some n -> locked t (fun () -> t.accepted >= n)
   in
-  let intake =
-    Channel.intake ?disk_faults:t.config.disk_faults ~exhausted:m_accept_emfile
-      t.source
+  let refuse fd =
+    Metrics.incr m_busy_rejected;
+    Channel.shed ~retry_after_s:t.config.retry_after_s fd
   in
-  let refuse = refuse_session t ~shed:false ~retry_after_s:t.config.retry_after_s in
-  let rec serve wake =
-    if not (Atomic.get t.stop || total_reached ()) then
-      match Channel.take ~wake:[ wake ] intake ~refuse with
+  let rec serve () =
+    if not (total_reached ()) then
+      match Channel.take t.intake ~refuse with
       | Closed -> ()
       | Idle ->
         maybe_sweep t;
-        serve wake
+        serve ()
       | Conn (fd, peer) ->
         maybe_sweep t;
         inject t fd peer;
-        serve wake
+        serve ()
   in
-  Fun.protect
-    ~finally:(fun () ->
-      close_wake t;
-      Channel.close_intake intake)
-    (fun () -> serve (open_wake t));
+  Fun.protect ~finally:(fun () -> Channel.close_intake t.intake) serve;
   drain t;
   match t.source with
   | Channel.Control control -> (

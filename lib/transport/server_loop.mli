@@ -179,7 +179,8 @@ val create :
   t
 (** Bind and listen immediately ({!Channel.listen}, so [port = 0] picks
     an ephemeral port readable via {!port} before {!run} is even
-    called).  [handler] is
+    called) and make the loop's intake ({!Channel.intake}), which
+    {!run} closes.  [handler] is
     the per-session factory: invoked {e once} per {e logical} session —
     lazily, in the session's own thread, at its first protocol request;
     a connection resuming a parked session reuses the original closure
@@ -223,26 +224,22 @@ val create_worker :
 val port : t -> int
 (** The actually bound TCP port ([0] for a {!create_worker} loop). *)
 
-val boot_id : t -> string
-(** The 4-byte incarnation prefix of every resume token this loop
-    issues. *)
-
 val run : t -> unit
 (** Take and serve connections ({!Channel.take}) until {!shutdown},
     [max_total] accepted sessions, or EOF on a worker's control socket;
     then stop taking, drain in-flight sessions ([drain_timeout_s]) and,
     in a worker, send the final report frame (best-effort).  Out of
-    descriptors, the pending connection is answered [Busy]
-    ([server.accept.emfile]); any other failed take skips it.  Call
-    from the thread that owns the server (it blocks). *)
+    descriptors, the pending connection is answered [Busy] and closed
+    inside the take ({!Channel.shed}; counted in [server.accept.emfile]
+    and [server.sessions.busy_rejected]), probes included; any other
+    failed take skips it.  Call from the thread that owns the server
+    (it blocks). *)
 
 val shutdown : t -> unit
-(** Request a graceful stop: sets a flag and writes one byte to the
-    loop's non-blocking self-pipe, which {!run} watches beside its
-    listener or control socket.  A loop waiting for a
-    connection therefore stops accepting at once, not at its next
-    0.2 s tick, and then drains.  Never blocks; callable from an OCaml
-    signal handler (which runs at a safe point) or any thread. *)
+(** Request a graceful stop: {!Channel.stop} on the loop's intake, so a
+    loop waiting for a connection stops accepting at once, not at its
+    next 0.2 s tick, and then drains.  Never blocks; callable from an
+    OCaml signal handler (which runs at a safe point) or any thread. *)
 
 val install_signal_handlers : t -> unit
 (** Route SIGINT and SIGTERM to {!shutdown} for this loop. *)

@@ -11,10 +11,11 @@
 
 module Metrics = Ppst_telemetry.Metrics
 
-(* fd-exhaustion observability: accepts that met EMFILE/ENFILE (and
-   were shed with Busy through the intake's reserve) and spawns deferred
+(* fd-exhaustion observability: accepts that met EMFILE/ENFILE, the
+   Busy answers shed through the intake's reserve, and spawns deferred
    because socketpair had no fd to give. *)
 let m_accept_emfile = Metrics.counter "supervisor.accept.emfile"
+let m_busy_rejected = Metrics.counter "supervisor.busy_rejected"
 let m_spawn_emfile = Metrics.counter "supervisor.spawn.emfile"
 
 type event =
@@ -111,7 +112,6 @@ type t = {
   drain_timeout_s : float;
   rng : Ppst_rng.Secure_rng.t;
   on_event : event -> unit;
-  stop : bool Atomic.t;
   slots : slot array;
   disk_faults : Faults.Disk.t option;
   mutable restarts_total : int;
@@ -138,18 +138,19 @@ let spawn t slot ~restarted =
   | parent_fd, child_fd -> (
   match Unix.fork () with
   | 0 ->
-    (* child: drop every parent-side resource, then become the worker.
-       Signal dispositions are reset to default here; worker_main
-       installs its own graceful SIGTERM handling if it wants any. *)
+    (* child: reset the parent's SIGINT/SIGTERM handlers (which stop the
+       parent's intake) to default, drop every parent-side resource,
+       then become the worker; worker_main installs its own graceful
+       SIGTERM handling if it wants any. *)
+    (try Sys.set_signal Sys.sigterm Sys.Signal_default
+     with Invalid_argument _ | Sys_error _ -> ());
+    (try Sys.set_signal Sys.sigint Sys.Signal_default
+     with Invalid_argument _ | Sys_error _ -> ());
     close_quiet parent_fd;
     Channel.close_intake t.intake;
     Array.iter
       (fun s -> match s.control with Some fd -> close_quiet fd | None -> ())
       t.slots;
-    (try Sys.set_signal Sys.sigterm Sys.Signal_default
-     with Invalid_argument _ | Sys_error _ -> ());
-    (try Sys.set_signal Sys.sigint Sys.Signal_default
-     with Invalid_argument _ | Sys_error _ -> ());
     let code =
       try
         t.worker_main ~slot:slot.index ~restarted ~control:child_fd;
@@ -168,8 +169,6 @@ let spawn t slot ~restarted =
     t.on_event
       (Worker_started
          { slot = slot.index; pid; restarts = t.restarts_total }))
-
-let request_stop t = Atomic.set t.stop true
 
 (* Reap dead children and schedule their replacements.  A worker that
    lived a healthy stretch resets its crash streak; the backoff delay
@@ -192,7 +191,7 @@ let reap t =
              close_quiet fd;
              slot.control <- None
            | None -> ());
-          let stopping = Atomic.get t.stop in
+          let stopping = Channel.stopped t.intake in
           let budget_left = t.restarts_total < t.max_restarts in
           let restarting = (not stopping) && budget_left in
           if restarting then begin
@@ -209,7 +208,7 @@ let reap t =
           else if not stopping then
             (* restart budget exhausted: the deployment is crash-looping;
                stop accepting rather than flap forever *)
-            request_stop t;
+            Channel.stop t.intake;
           t.on_event
             (Worker_exited { slot = slot.index; pid; status; restarting }))
     t.slots
@@ -218,7 +217,7 @@ let respawn_due t =
   Array.iter
     (fun slot ->
       match slot.restart_at with
-      | Some due when Monoclock.now () >= due && not (Atomic.get t.stop) ->
+      | Some due when Monoclock.now () >= due && not (Channel.stopped t.intake) ->
         t.restarts_total <- t.restarts_total + 1;
         spawn t slot ~restarted:true
       | _ -> ())
@@ -246,20 +245,14 @@ let dispatch t fd ~preferred =
    connection: the intake frees its reserve to take it, and it is shed
    with the standard Busy frame and closed — the client's Busy loop
    backs off and retries, rather than wedging in the listen queue. *)
-let busy_retry_after_s = 1.0
-
-let shed fd =
-  (try
-     Channel.write_frame fd
-       (Message.encode
-          (Message.Reply (Message.Busy { retry_after_s = busy_retry_after_s })))
-   with _ -> ());
-  close_quiet fd
+let refuse fd =
+  Metrics.incr m_busy_rejected;
+  Channel.shed fd
 
 let accept_tick t =
   reap t;
   respawn_due t;
-  match Channel.take t.intake ~refuse:shed with
+  match Channel.take t.intake ~refuse with
   | Idle | Closed -> ()
   | Conn (fd, _peer) ->
     let preferred =
@@ -330,8 +323,7 @@ let shutdown_workers t =
   reports
 
 let run ?on_event ?(restart_policy = Retry.default_policy) ?(max_restarts = 64)
-    ?(drain_timeout_s = 30.0) ?rng ?stop ?disk_faults ~listener ~workers ~worker_main
-    () =
+    ?(drain_timeout_s = 30.0) ?rng ?disk_faults ~listener ~workers ~worker_main () =
   if workers < 1 then invalid_arg "Supervisor: workers must be >= 1";
   Channel.setup_sigpipe ();
   let t =
@@ -344,7 +336,6 @@ let run ?on_event ?(restart_policy = Retry.default_policy) ?(max_restarts = 64)
       drain_timeout_s;
       rng = (match rng with Some r -> r | None -> Ppst_rng.Secure_rng.system ());
       on_event = Option.value on_event ~default:(fun _ -> ());
-      stop = (match stop with Some s -> s | None -> Atomic.make false);
       disk_faults;
       slots =
         Array.init workers (fun index ->
@@ -360,12 +351,15 @@ let run ?on_event ?(restart_policy = Retry.default_policy) ?(max_restarts = 64)
       next_rr = 0;
     }
   in
+  let on_signal _ = Channel.stop t.intake in
+  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
   Array.iter (fun slot -> spawn t slot ~restarted:false) t.slots;
   (try
-     while not (Atomic.get t.stop) do
+     while not (Channel.stopped t.intake) do
        accept_tick t
      done
-   with Unix.Unix_error _ when Atomic.get t.stop -> ());
+   with Unix.Unix_error _ when Channel.stopped t.intake -> ());
   Channel.close_intake t.intake;
   let reports = shutdown_workers t in
   { restarts = t.restarts_total; reports }

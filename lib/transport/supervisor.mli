@@ -25,7 +25,7 @@
     crash loop backs off exponentially, and a global [max_restarts]
     budget stops the deployment rather than flapping forever.
 
-    Shutdown (stop flag set, typically from a signal handler):
+    Shutdown ([SIGINT]/[SIGTERM] or an exhausted restart budget):
     half-close every control socket — the worker's loop reads EOF,
     drains in-flight sessions and writes one final report frame back up
     the same socket ({!Server_loop.run}) — and send
@@ -76,17 +76,17 @@ val run :
   ?max_restarts:int ->
   ?drain_timeout_s:float ->
   ?rng:Ppst_rng.Secure_rng.t ->
-  ?stop:bool Atomic.t ->
   ?disk_faults:Faults.Disk.t ->
   listener:Unix.file_descr ->
   workers:int ->
   worker_main:(slot:int -> restarted:bool -> control:Unix.file_descr -> unit) ->
   unit ->
   summary
-(** Fork [workers] children and dispatch until [stop] reads [true]
-    (set it from a SIGTERM/SIGINT handler — it is the only
-    async-signal-safe input), then shut down gracefully and return the
-    merged summary.  [listener] comes from {!Channel.listen} (backlog
+(** Fork [workers] children and dispatch until [SIGINT] or [SIGTERM]
+    (whose handlers, installed here, {!Channel.stop} the parent's
+    intake, so an idle parent stops at once; each forked worker starts
+    with both at their default), then shut down gracefully and return
+    the merged summary.  [listener] comes from {!Channel.listen} (backlog
     64), bound {e before} forking so every worker generation serves the
     same address.  [worker_main] runs {e in the child} with the child
     end of its control socketpair; it must serve fds received on
@@ -103,10 +103,11 @@ val run :
     fd exhaustion never kills the parent: connections are taken by the
     shared step {!Channel.take}, whose [EMFILE]/[ENFILE] path frees the
     intake's reserve descriptor to take the pending connection, which
-    the parent answers [Message.Busy] and closes (counted in
-    [supervisor.accept.emfile]); the same errno from the spawn-time
+    the parent answers [Message.Busy] and closes ({!Channel.shed};
+    counted in [supervisor.accept.emfile] and
+    [supervisor.busy_rejected]); the same errno from the spawn-time
     [socketpair] defers the fork to the restart backoff schedule.  A
-    forked worker closes the listener and the reserve.  [?disk_faults]
-    injects those errnos deterministically for chaos tests
-    ({!Faults.Disk}).
+    forked worker closes the intake (listener, reserve, self-pipe).
+    [?disk_faults] injects those errnos deterministically for chaos
+    tests ({!Faults.Disk}).
     @raise Invalid_argument on [workers < 1]. *)

@@ -26,7 +26,10 @@
 # retry + resume machinery must repair every cut, the three revealed
 # distances must be identical, and all three servers must print the same
 # closed-form crypto-op totals at exit (the 2-worker one summed from its
-# workers' drain reports).  (The codec corruption fuzz and the
+# workers' drain reports).  Then a 2-worker server whose every third
+# descriptor allocation fails (--disk-chaos emfile-every-3) serves three
+# clients, and its exit summary must count every Busy they were sent,
+# the supervisor's own sheds included.  (The codec corruption fuzz and the
 # per-frame-index disconnect matrix run inside `dune runtest` —
 # test/test_resilience.ml.)
 #
@@ -86,11 +89,12 @@
 # checked.
 #
 # A second source check keeps one connection intake: under lib/ and
-# bin/, Unix.bind, Unix.listen and Unix.accept may appear only in
-# lib/transport/channel.ml, whose listen and take steps every server
-# socket goes through (Server_loop, Supervisor, Metrics_endpoint), so
-# fd exhaustion and a failed accept are handled one way.  test/ and
-# bench/ open their own sockets and are not checked.
+# bin/, Unix.bind, Unix.listen, Unix.accept and Unix.pipe may appear
+# only in lib/transport/channel.ml, whose listen, take, shed and stop
+# steps every server socket goes through (Server_loop, Supervisor,
+# Metrics_endpoint), so fd exhaustion, a failed accept and a stop
+# (the intake's self-pipe is the one wake-up) are handled one way.
+# test/ and bench/ open their own sockets and are not checked.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -101,9 +105,9 @@ if [ -n "$spawners" ]; then
 fi
 echo "ci: one source of Domains (lib/parallel/pool.ml) OK"
 
-intakes="$(grep -rlE 'Unix\.(bind|listen|accept)' lib bin | grep -vx 'lib/transport/channel.ml' || true)"
+intakes="$(grep -rlE 'Unix\.(bind|listen|accept|pipe)' lib bin | grep -vx 'lib/transport/channel.ml' || true)"
 if [ -n "$intakes" ]; then
-  echo "ci: Unix.bind/listen/accept outside lib/transport/channel.ml:" $intakes >&2
+  echo "ci: Unix.bind/listen/accept/pipe outside lib/transport/channel.ml:" $intakes >&2
   exit 1
 fi
 echo "ci: one connection intake (lib/transport/channel.ml) OK"
@@ -259,6 +263,36 @@ for port in 17971 17972 17973; do
   fi
 done
 echo "ci: chaos smoke OK (distance $chaos_distance, clean = drop-every-64 = 2 workers, crypto ops counted)"
+
+# Busy accounting under --workers: with every third descriptor
+# allocation failing, both the supervisor (on its accepts) and the
+# workers (on the connections passed to them) shed connections with
+# Busy.  The exit summary's rejected count must equal the Busy retries
+# three sequential clients logged, the supervisor's own sheds included.
+busy_port=17980
+./_build/default/bin/ppst_server.exe -p "$busy_port" --seed ci-busy --workers 2 \
+  --disk-chaos emfile-every-3 "$chaos_dir/y.csv" >"$chaos_dir/server-busy.log" 2>&1 &
+busy_pid=$!
+trap 'kill "$busy_pid" 2>/dev/null || true; rm -f "$trace" "$trace2" "$doctored"; rm -rf "$chaos_dir"' EXIT INT TERM
+sleep 1
+for i in 1 2 3; do
+  if ! ./_build/default/bin/ppst_client.exe pair -p "$busy_port" --seed "ci-busy-$i" \
+      "$chaos_dir/x.csv" >"$chaos_dir/busy-$i.log" 2>&1; then
+    echo "ci: Busy summary FAILED: client $i did not complete" >&2
+    cat "$chaos_dir/busy-$i.log" "$chaos_dir/server-busy.log" >&2 || true
+    exit 1
+  fi
+done
+kill "$busy_pid" 2>/dev/null || true
+wait "$busy_pid" 2>/dev/null || true
+logged="$(cat "$chaos_dir"/busy-*.log | grep -c 'failed (Ppst_transport.Channel.Busy' || true)"
+printed="$(sed -n 's/^sessions: [0-9]* accepted, \([0-9]*\) rejected (Busy).*/\1/p' "$chaos_dir/server-busy.log")"
+if [ "$logged" -eq 0 ] || [ "$printed" != "$logged" ]; then
+  echo "ci: Busy summary FAILED: server printed '$printed' rejected (Busy), clients logged $logged Busy retries" >&2
+  cat "$chaos_dir"/busy-*.log "$chaos_dir/server-busy.log" >&2 || true
+  exit 1
+fi
+echo "ci: --workers Busy summary OK ($printed rejected = $logged client Busy retries)"
 
 # Overload smoke: capacity 2, quotas sized to admit the honest series
 # with headroom, 6 concurrent clients.

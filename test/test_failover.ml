@@ -481,9 +481,6 @@ let start_supervised ?(catalog = false) ?disk_faults ~workers ~spool ~crash_at
   flush stderr;
   match Unix.fork () with
   | 0 ->
-    let stop = Atomic.make false in
-    Sys.set_signal Sys.sigterm
-      (Sys.Signal_handle (fun _ -> Atomic.set stop true));
     let worker_main ~slot ~restarted ~control =
       let faults =
         if restarted || crash_at = 0 then None
@@ -509,7 +506,7 @@ let start_supervised ?(catalog = false) ?disk_faults ~workers ~spool ~crash_at
     in
     let summary =
       Supervisor.run ~restart_policy:fast_restart_policy ~drain_timeout_s:5.0
-        ?disk_faults ~stop ~listener ~workers ~worker_main ()
+        ?disk_faults ~listener ~workers ~worker_main ()
     in
     (* exit code carries the restart count (bounded) back to the test *)
     Unix._exit (Stdlib.min 100 summary.Supervisor.restarts)
@@ -1140,6 +1137,62 @@ let test_worker_fd_exhaustion () =
           Unix.close listener)
         (fun () -> check_busy_then_served ~port ~seed:"worker-emfile"))
 
+(* Out of descriptors, a loop sheds inside its take: a peer that
+   connects and sends nothing reads Busy, then EOF, at once, rather than
+   after a refusing session's wait for its first frame. *)
+let test_loop_fd_exhaustion_sheds_silent_peer () =
+  let loop =
+    Server_loop.create ~config:(emfile_at_first_take ()) ~port:0
+      ~handler:(real_handler ~seed:"silent-emfile") ()
+  in
+  let runner = Thread.create Server_loop.run loop in
+  Fun.protect
+    ~finally:(fun () ->
+      Server_loop.shutdown loop;
+      Thread.join runner)
+    (fun () ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let t0 = Monoclock.now () in
+          let deadline = t0 +. 5.0 in
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server_loop.port loop));
+          (match Option.map Message.decode (Channel.read_frame ~deadline fd) with
+           | Some (Message.Reply (Message.Busy _)) -> ()
+           | _ -> Alcotest.fail "silent peer not answered Busy");
+          if Channel.read_frame ~deadline fd <> None then
+            Alcotest.fail "a frame after the Busy";
+          let waited = Monoclock.now () -. t0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "Busy and EOF %.3f s after connect" waited)
+            true (waited < 0.1)))
+
+(* SIGTERM stops an idle supervisor's intake through its self-pipe, so
+   the parent does not wait out a select tick: five supervisors, each
+   gone within 100 ms of the signal. *)
+let test_idle_supervisor_stops_at_once () =
+  for i = 1 to 5 do
+    let spool = fresh_dir "stop" in
+    let pid, port =
+      start_supervised ~workers:1 ~spool ~crash_at:0 ~seed:(Printf.sprintf "stop-%d" i) ()
+    in
+    Fun.protect
+      ~finally:(fun () -> rm_rf spool)
+      (fun () ->
+        (* answered by the worker: the parent and its worker are up *)
+        (match raw_request ~port Message.Health_req with
+         | Message.Health_reply _ -> ()
+         | _ -> Alcotest.fail "no Health_reply");
+        Thread.delay 0.1 (* the probe's session ends, the parent idles *);
+        let t0 = Monoclock.now () in
+        ignore (stop_supervised pid);
+        let waited = Monoclock.now () -. t0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "supervisor %d exited %.3f s after SIGTERM" i waited)
+          true (waited < 0.1))
+  done
+
 let test_worker_survives_bare_control_byte () =
   with_worker ~seed:"bare-byte" (fun control ->
       (* a data byte without a descriptor: what a receiver that cannot
@@ -1259,6 +1312,10 @@ let () =
             test_worker_fd_exhaustion;
           Alcotest.test_case "worker survives a bare control byte" `Quick
             test_worker_survives_bare_control_byte;
+          Alcotest.test_case "loop fd exhaustion sheds a silent peer at once" `Quick
+            test_loop_fd_exhaustion_sheds_silent_peer;
+          Alcotest.test_case "idle supervisor stops at once" `Quick
+            test_idle_supervisor_stops_at_once;
         ] );
       ( "resume",
         [

@@ -44,6 +44,71 @@ let test_key_nonce_validation () =
     (Invalid_argument "Chacha20.nonce_of_string: need 12 bytes") (fun () ->
       ignore (Chacha20.nonce_of_string "short"))
 
+(* The array-based block function [Chacha20.block] replaced (state in a
+   16-entry array, one quarter round per call), kept as the oracle for
+   the unrolled version. *)
+module Oracle = struct
+  let mask32 = 0xFFFFFFFF
+  let rotl32 x n = ((x lsl n) lor (x lsr (32 - n))) land mask32
+
+  let quarter_round st a b c d =
+    st.(a) <- (st.(a) + st.(b)) land mask32;
+    st.(d) <- rotl32 (st.(d) lxor st.(a)) 16;
+    st.(c) <- (st.(c) + st.(d)) land mask32;
+    st.(b) <- rotl32 (st.(b) lxor st.(c)) 12;
+    st.(a) <- (st.(a) + st.(b)) land mask32;
+    st.(d) <- rotl32 (st.(d) lxor st.(a)) 8;
+    st.(c) <- (st.(c) + st.(d)) land mask32;
+    st.(b) <- rotl32 (st.(b) lxor st.(c)) 7
+
+  let words s =
+    Array.init (String.length s / 4) (fun i ->
+        Int32.to_int (String.get_int32_le s (4 * i)) land mask32)
+
+  let block ~key ~nonce counter =
+    let init =
+      Array.concat
+        [ [| 0x61707865; 0x3320646e; 0x79622d32; 0x6b206574 |]; words key;
+          [| counter land mask32 |]; words nonce ]
+    in
+    let st = Array.copy init in
+    for _ = 1 to 10 do
+      quarter_round st 0 4 8 12;
+      quarter_round st 1 5 9 13;
+      quarter_round st 2 6 10 14;
+      quarter_round st 3 7 11 15;
+      quarter_round st 0 5 10 15;
+      quarter_round st 1 6 11 12;
+      quarter_round st 2 7 8 13;
+      quarter_round st 3 4 9 14
+    done;
+    let out = Bytes.create 64 in
+    Array.iteri
+      (fun i w -> Bytes.set_int32_le out (4 * i) (Int32.of_int ((w + init.(i)) land mask32)))
+      st;
+    Bytes.to_string out
+end
+
+let test_block_matches_oracle () =
+  Alcotest.(check string) "oracle reproduces RFC 8439 2.3.2" rfc_keystream
+    (Oracle.block ~key:rfc_key ~nonce:rfc_nonce 1);
+  let st = Random.State.make [| 8439 |] in
+  let draw n = String.init n (fun _ -> Char.chr (Random.State.int st 256)) in
+  for i = 1 to 10_000 do
+    let key = draw 32 and nonce = draw 12 in
+    (* full 32-bit counters, and a few wider ones that must wrap *)
+    let counter =
+      if i mod 100 = 0 then Random.State.bits st lsl 20
+      else Random.State.bits st lor (Random.State.int st 4 lsl 30)
+    in
+    let got =
+      Bytes.to_string
+        (Chacha20.block (Chacha20.key_of_string key) (Chacha20.nonce_of_string nonce) counter)
+    in
+    if got <> Oracle.block ~key ~nonce counter then
+      Alcotest.failf "block %d differs from the array oracle (counter %d)" i counter
+  done
+
 let test_deterministic_streams () =
   let a = Secure_rng.of_seed_string "determinism-test" in
   let b = Secure_rng.of_seed_string "determinism-test" in
@@ -225,6 +290,7 @@ let () =
           Alcotest.test_case "RFC 8439 block vector" `Quick test_rfc8439_block;
           Alcotest.test_case "counter separates blocks" `Quick test_block_counter_distinct;
           Alcotest.test_case "key/nonce validation" `Quick test_key_nonce_validation;
+          Alcotest.test_case "10,000 blocks = array oracle" `Quick test_block_matches_oracle;
         ] );
       ( "secure_rng",
         [

@@ -559,6 +559,20 @@ let test_shutdown_wakes_idle_loop () =
     Unix.close parent
   done
 
+(* [Metrics_endpoint.stop] stops the sidecar's intake, whose self-pipe
+   wakes its take: five stops of idle endpoints, every one within
+   50 ms. *)
+let test_metrics_endpoint_stops_at_once () =
+  for _ = 1 to 5 do
+    let endpoint = Metrics_endpoint.start ~port:0 () in
+    Thread.delay 0.05 (* let the responder reach its select *);
+    let t0 = Monoclock.now () in
+    Metrics_endpoint.stop endpoint;
+    let waited = Monoclock.now () -. t0 in
+    Alcotest.(check bool) (Printf.sprintf "stop returned in %.3f s" waited) true
+      (waited < 0.05)
+  done
+
 let () =
   Alcotest.run "transport"
     [
@@ -640,5 +654,7 @@ let () =
             test_tcp_server_seconds_reported;
           Alcotest.test_case "shutdown wakes an idle loop" `Quick
             test_shutdown_wakes_idle_loop;
+          Alcotest.test_case "metrics endpoint stops at once" `Quick
+            test_metrics_endpoint_stops_at_once;
         ] );
     ]
