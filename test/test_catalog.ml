@@ -303,6 +303,43 @@ let test_catalog_requires_capability () =
    with Channel.Protocol_error _ -> ());
   Ppst.Client.finish client
 
+(* The transcript of one seeded top-1 query: the MD5 of every request
+   and reply frame as [Channel.tcp] would encode it.  The stage-1
+   pruning round, a secure maximum over every candidate's segments, is
+   not provisioned offline, so its noise comes from pool misses, which
+   no pairwise golden transcript draws.  A changed digest is a changed
+   protocol, not a value to regenerate. *)
+let test_query_transcript_pinned () =
+  let store, x = test_catalog ~count:6 ~length:8 ~max_value:30 in
+  let rng s = Secure_rng.of_seed_string s in
+  let server =
+    Ppst.Server.of_store ~rng:(rng "pinned-query/server") ~store ~max_value:30 ()
+  in
+  let buf = Buffer.create (1 lsl 16) in
+  let handler req =
+    Buffer.add_string buf (Message.encode (Message.Request req));
+    let reply = Ppst.Server.handle server req in
+    Buffer.add_string buf (Message.encode (Message.Reply reply));
+    reply
+  in
+  let client =
+    Ppst.Client.connect ~query:true ~rng:(rng "pinned-query/client") ~series:x
+      ~max_value:30 ~distance:`Dtw (Channel.local handler)
+  in
+  let report = Ppst.Query.top_k ~spec:(Ppst.Protocol.spec `Dtw) ~k:1 client in
+  Ppst.Client.finish client;
+  let misses = Ppst.Cost.pool_misses (Ppst.Client.cost client) in
+  Alcotest.(check int) "stage-1 noise drawn as pool misses" 488 misses;
+  Alcotest.(check int) "pruned" 1 report.Ppst.Query.pruned;
+  Alcotest.(check string) "transcript MD5" "be830cd72c4b8da96a306eee2ff96e09"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)));
+  Alcotest.(check (list (pair int int)))
+    "top-1 equals the plaintext scan"
+    (plaintext_top_k ~dist:Distance.dtw_sq ~k:1 store x)
+    (Array.to_list report.Ppst.Query.hits
+    |> List.map (fun (h : Ppst.Query.hit) ->
+           (h.Ppst.Query.index, Bigint.to_int_exn h.Ppst.Query.distance)))
+
 (* --- admission ------------------------------------------------------------- *)
 
 let test_admission_declare_query () =
@@ -538,6 +575,8 @@ let () =
             test_within_matches_prediction;
           Alcotest.test_case "capability required" `Quick
             test_catalog_requires_capability;
+          Alcotest.test_case "top-1 transcript pinned" `Quick
+            test_query_transcript_pinned;
         ] );
       ( "admission",
         [
