@@ -318,47 +318,43 @@ let divmod (a : t) (b : t) : t * t =
   end
   else divmod_knuth a b
 
+(* Both codecs run a bit accumulator over whole limbs: bytes enter (or
+   leave) at the accumulator's top (bottom), and a limb is taken (or
+   loaded) once 31 bits (fewer than 8) are held, so the accumulator
+   never exceeds 38 bits. *)
 let of_bytes_be (s : string) : t =
   let len = String.length s in
-  if len = 0 then zero
-  else begin
-    let nbits = len * 8 in
-    let nlimbs = ((nbits + base_bits - 1) / base_bits) + 1 in
-    let r = Array.make nlimbs 0 in
-    (* Byte k from the right contributes at bit offset 8k. *)
-    for k = 0 to len - 1 do
-      let byte = Char.code s.[len - 1 - k] in
-      if byte <> 0 then begin
-        let bit = 8 * k in
-        let limb = bit / base_bits and off = bit mod base_bits in
-        let t = r.(limb) lor ((byte lsl off) land base_mask) in
-        r.(limb) <- t;
-        if off > base_bits - 8 then
-          r.(limb + 1) <- r.(limb + 1) lor (byte lsr (base_bits - off))
-      end
-    done;
-    normalize r
-  end
+  let r = Array.make (((len * 8) + base_bits - 1) / base_bits) 0 in
+  let acc = ref 0 and held = ref 0 and limb = ref 0 in
+  for k = len - 1 downto 0 do
+    acc := !acc lor (Char.code (String.unsafe_get s k) lsl !held);
+    held := !held + 8;
+    if !held >= base_bits then begin
+      r.(!limb) <- !acc land base_mask;
+      incr limb;
+      acc := !acc lsr base_bits;
+      held := !held - base_bits
+    end
+  done;
+  if !held > 0 then r.(!limb) <- !acc;
+  normalize r
 
 let to_bytes_be (a : t) : string =
-  if is_zero a then ""
-  else begin
-    let nbytes = (num_bits a + 7) / 8 in
-    let buf = Bytes.create nbytes in
-    for k = 0 to nbytes - 1 do
-      (* Byte k from the right = bits [8k, 8k+8). *)
-      let bit = 8 * k in
-      let limb = bit / base_bits and off = bit mod base_bits in
-      let lo = a.(limb) lsr off in
-      let hi =
-        if off > base_bits - 8 && limb + 1 < Array.length a then
-          a.(limb + 1) lsl (base_bits - off)
-        else 0
-      in
-      Bytes.set buf (nbytes - 1 - k) (Char.chr ((lo lor hi) land 0xFF))
-    done;
-    Bytes.to_string buf
-  end
+  let nbytes = (num_bits a + 7) / 8 in
+  let buf = Bytes.create nbytes in
+  let acc = ref 0 and held = ref 0 and limb = ref 0 in
+  for k = nbytes - 1 downto 0 do
+    if !held < 8 then begin
+      (* the top byte may reach past the last limb *)
+      if !limb < Array.length a then acc := !acc lor (a.(!limb) lsl !held);
+      incr limb;
+      held := !held + base_bits
+    end;
+    Bytes.unsafe_set buf k (Char.unsafe_chr (!acc land 0xFF));
+    acc := !acc lsr 8;
+    held := !held - 8
+  done;
+  Bytes.unsafe_to_string buf
 
 let pp fmt (a : t) =
   if is_zero a then Format.pp_print_string fmt "0x0"

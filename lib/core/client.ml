@@ -515,8 +515,8 @@ let extremes t ~extreme ~single instances =
     let packing = if packing_active t then Some (packing_spec t) else None in
     let per_factor = match packing with Some (_, capacity) -> capacity | None -> 1 in
     let noise =
-      Array.init ((total + per_factor - 1) / per_factor) (fun _ ->
-          Paillier.rn_acquire t.pk t.pool t.noise_rng)
+      Paillier.pool_take ~workers:t.workers t.pk t.pool t.noise_rng
+        ((total + per_factor - 1) / per_factor)
     in
     sync_pool_misses t;
     (* one encryption per noise factor; one homomorphic op per offset
@@ -525,9 +525,7 @@ let extremes t ~extreme ~single instances =
     ops.Cost.homomorphic <-
       (ops.Cost.homomorphic + if packing = None then total else 2 * total);
     (* Enc(m) under noise factor [u] *)
-    let encrypt u m =
-      Paillier.encrypt_with_rn t.pk ~rn:(Paillier.rn_realize t.pk noise.(u)) m
-    in
+    let encrypt u m = Paillier.encrypt_with_rn t.pk ~rn:noise.(u) m in
     let apply fold =
       Parallel.map_array t.workers
         (fun i -> Masking.apply_plan plans.(i) instances.(i) ~fold:(fold i))

@@ -6,21 +6,36 @@ type prepared = { candidates : Paillier.ciphertext array; unmask : Bigint.t }
    extremes: a duplicated r_min (r_max) would let two decoys share the
    extreme offset and slightly sharpen the server's guessing attack, so we
    redraw collisions (the range has at least 2^γ values, collisions are
-   rare). *)
-let draw_offsets ~rng ~session ~count =
-  let module S = Ppst_rng.Secure_rng in
-  let lo = session.Params.offset_lo and hi = session.Params.offset_hi in
+   rare).  [draw] takes one uniform offset from the range. *)
+let distinct_sorted ~draw ~equal ~compare ~count =
   let rec fill acc n =
     if n = 0 then acc
     else begin
-      let r = S.in_range rng ~lo ~hi in
-      if List.exists (Bigint.equal r) acc then fill acc n
-      else fill (r :: acc) (n - 1)
+      let r = draw () in
+      if List.exists (equal r) acc then fill acc n else fill (r :: acc) (n - 1)
     end
   in
   let offsets = Array.of_list (fill [] count) in
-  Array.sort Bigint.compare offsets;
+  Array.sort compare offsets;
   offsets
+
+(* An offset range below 2^61 is drawn with [Secure_rng.int], which
+   reads the same bytes with the same mask and rejections as
+   [Secure_rng.below] on the range's size, so both paths give the same
+   offsets from the same stream; only wider ranges pay for Bigint. *)
+let draw_offsets ~rng ~session ~count =
+  let module S = Ppst_rng.Secure_rng in
+  let lo = session.Params.offset_lo and hi = session.Params.offset_hi in
+  if Bigint.num_bits hi <= 61 then begin
+    let lo = Bigint.to_int_exn lo in
+    let span = Bigint.to_int_exn hi - lo + 1 in
+    Array.map Bigint.of_int
+      (distinct_sorted ~count ~equal:Int.equal ~compare:Int.compare ~draw:(fun () ->
+           lo + S.int rng span))
+  end
+  else
+    distinct_sorted ~count ~equal:Bigint.equal ~compare:Bigint.compare ~draw:(fun () ->
+        S.in_range rng ~lo ~hi)
 
 (* The candidate construction split in two: [plan] performs every rng
    draw (offsets, decoy sources, shuffle permutation) — stateful,

@@ -299,14 +299,45 @@ let pool_push_all pool rns =
   Array.iter (fun rn -> Queue.add rn pool.store) rns;
   Mutex.unlock pool.lock
 
-let pool_refill ?(workers = Ppst_parallel.Pool.sequential) pk pool rng count =
+(* [count] uniform noise factors, from exactly the units [count] calls
+   of [random_unit] accept, in the same order.  The units are drawn
+   sequentially (rng order independent of the worker count) with no
+   per-unit test, and their powers fan out over [workers].  The batch
+   is then tested once: a prime factor of n divides the product of the
+   factors mod n^2 exactly when it divides some r^n, so exactly when it
+   divides some r.  A batch of one tests its unit, as [random_unit]
+   does, since the GCD of the wider product costs more.  On the rare
+   failure the units that pass their own test are kept and the
+   shortfall is drawn one at a time; no test consumes randomness, so
+   the kept units and the top-up are the first [count] units of the raw
+   stream, as [random_unit] would accept them. *)
+let draw_noise ?(workers = Ppst_parallel.Pool.sequential) pk rng count =
+  let rs = Array.init count (fun _ -> Ppst_rng.Secure_rng.below rng pk.n) in
+  let realize = Ppst_parallel.Pool.map_array workers (rn_of_unit pk) in
+  let rns = realize rs in
+  let tested =
+    if count = 1 then rs.(0)
+    else
+      let mont = mont_n2 pk in
+      Modular.of_mont_ctx pk.ctx_n2
+        (Array.fold_left (Montgomery.mont_mul_raw mont) (Montgomery.one_raw mont) rns)
+  in
+  if Modular.coprime tested pk.n then rns
+  else begin
+    let kept =
+      Array.of_seq
+        (Seq.filter_map
+           (fun i -> if Modular.coprime rs.(i) pk.n then Some rns.(i) else None)
+           (Seq.init count Fun.id))
+    in
+    let shortfall = Array.init (count - Array.length kept) (fun _ -> random_unit pk rng) in
+    Array.append kept (realize shortfall)
+  end
+
+let pool_refill ?workers pk pool rng count =
   check_pool_key pk pool;
   Ppst_telemetry.Metrics.observe m_pool_refill (float_of_int count);
-  (* Draw the units sequentially (rng order independent of worker count),
-     exponentiate in parallel, then enqueue in draw order — consumers see
-     factors exactly in the order the units were drawn. *)
-  let rs = Array.init count (fun _ -> random_unit pk rng) in
-  pool_push_all pool (Ppst_parallel.Pool.map_array workers (rn_of_unit pk) rs)
+  pool_push_all pool (draw_noise ?workers pk rng count)
 
 (* Subgroup noise: draw one unit h, set hn = h^n, and produce factors
    hn^a for short random exponents a of bits/2 + 64 bits through a
@@ -342,34 +373,25 @@ let pool_refill_fast ?(workers = Ppst_parallel.Pool.sequential) pk pool rng coun
   let exps = Array.init count (fun _ -> noise_exponent g rng) in
   pool_push_all pool (Ppst_parallel.Pool.map_array workers (noise_power g) exps)
 
-(* A unit of encryption randomness: either a precomputed [r^n] factor
-   popped from the pool, or — on a pool miss — a raw unit [r] whose
-   exponentiation is still owed.  Splitting acquisition (sequential,
-   consumes rng/pool state) from realization (pure, parallelizable) lets
-   the client fan out its masking encryptions deterministically. *)
-type rn_source = Pooled of rn | Owed of Bigint.t
-
-let rn_acquire pk pool rng =
+(* The pool's entries first, in production order, then the shortfall
+   as fresh noise, counted as misses: the factors [count] calls of
+   [encrypt_pooled] would use, drawn in one batch. *)
+let pool_take ?workers pk pool rng count =
   check_pool_key pk pool;
   Mutex.lock pool.lock;
-  match Queue.take_opt pool.store with
-  | Some rn ->
-    Mutex.unlock pool.lock;
-    Pooled rn
-  | None ->
-    pool.misses <- pool.misses + 1;
-    let r = random_unit pk rng in
-    Mutex.unlock pool.lock;
-    Ppst_telemetry.Metrics.incr m_pool_misses;
-    Owed r
-
-let rn_realize pk = function
-  | Pooled rn -> rn
-  | Owed r -> rn_of_unit pk r
+  let held = Stdlib.min count (Queue.length pool.store) in
+  let popped = Array.init held (fun _ -> Queue.pop pool.store) in
+  pool.misses <- pool.misses + (count - held);
+  Mutex.unlock pool.lock;
+  if held = count then popped
+  else begin
+    Ppst_telemetry.Metrics.incr ~by:(count - held) m_pool_misses;
+    Array.append popped (draw_noise ?workers pk rng (count - held))
+  end
 
 let encrypt_pooled pk pool rng m =
   check_plaintext pk m;
-  seal pk (rn_realize pk (rn_acquire pk pool rng)) m
+  seal pk (pool_take pk pool rng 1).(0) m
 
 let decrypt sk c =
   let pk = sk.public in

@@ -175,8 +175,12 @@ val pool_misses : randomness_pool -> int
 val pool_refill :
   ?workers:Ppst_parallel.Pool.t ->
   public_key -> randomness_pool -> Ppst_rng.Secure_rng.t -> int -> unit
-(** Precompute [count] more [r^n] factors.  The unit draws are
-    sequential; the exponentiations fan out over [workers].
+(** Precompute [count] more [r^n] factors: the same entries, in the same
+    order, as [count] calls of {!encrypt} on the same rng would use.
+    The unit draws are sequential and the exponentiations fan out over
+    [workers]; the batch's units are tested for coprimality with [n]
+    once, through the product of their factors, and only a failing
+    batch tests them one by one (SECURITY.md).
     @raise Key_mismatch if the pool belongs to another key. *)
 
 val pool_refill_fast :
@@ -191,37 +195,29 @@ val pool_refill_fast :
     {!noise_gen} and SECURITY.md).
     @raise Key_mismatch if the pool belongs to another key. *)
 
-val encrypt_pooled :
-  public_key -> randomness_pool -> Ppst_rng.Secure_rng.t -> Bigint.t -> ciphertext
-(** Like {!encrypt}, consuming one pooled factor; falls back to a fresh
-    exponentiation when the pool is empty and counts the miss
-    (see {!pool_misses}).
-    @raise Invalid_plaintext / @raise Key_mismatch as {!encrypt}. *)
-
-(** {2 Split acquisition}
-
-    [rn_acquire]/[rn_realize] separate the stateful part of pooled
-    encryption (pool pop or rng draw — sequential) from the expensive
-    pure part (the owed exponentiation on a miss — parallelizable).
-    [encrypt_pooled] is [encrypt_with_rn ~rn:(rn_realize pk (rn_acquire
-    pk pool rng))]. *)
-
 type rn
 (** A realized [r^n mod n²] factor, kept in Montgomery form so online
     encryption is a single in-form multiplication. *)
 
 val rn_of_bigint : public_key -> Bigint.t -> rn
 
-type rn_source
-
-val rn_acquire : public_key -> randomness_pool -> Ppst_rng.Secure_rng.t -> rn_source
-(** Dequeue one pooled [r^n] factor; on an empty pool draw a raw unit
-    [r] (counting a miss) whose exponentiation is owed.
+val pool_take :
+  ?workers:Ppst_parallel.Pool.t ->
+  public_key -> randomness_pool -> Ppst_rng.Secure_rng.t -> int -> rn array
+(** [count] noise factors: the pool's entries first, in production
+    order, then fresh factors for the shortfall, drawn as
+    {!pool_refill} draws them (exponentiations over [workers]) and
+    counted as misses (see {!pool_misses}).  The factors [count] calls
+    of {!encrypt_pooled} would use, in the same order.
     @raise Key_mismatch if the pool belongs to another key. *)
 
-val rn_realize : public_key -> rn_source -> rn
-(** The [r^n] factor itself; pays the owed exponentiation on a miss.
-    Pure — safe inside {!Ppst_parallel.Pool.map_array}. *)
+val encrypt_pooled :
+  public_key -> randomness_pool -> Ppst_rng.Secure_rng.t -> Bigint.t -> ciphertext
+(** Like {!encrypt}, consuming one pooled factor as
+    [pool_take pk pool rng 1] does; falls back to a fresh
+    exponentiation when the pool is empty and counts the miss
+    (see {!pool_misses}).
+    @raise Invalid_plaintext / @raise Key_mismatch as {!encrypt}. *)
 
 val encrypt_with_rn : public_key -> rn:rn -> Bigint.t -> ciphertext
 (** [g^m * rn mod n^2] — two multiplications, no rng.

@@ -305,18 +305,20 @@ let shutdown_workers t =
          slot.control <- None
        | None -> ());
       if slot.pid <> 0 then begin
-        let rec wait_dead () =
+        (* a worker exits soon after its report: poll from 1 ms,
+           doubling up to 20 ms, so an idle stop is not one 20 ms sleep *)
+        let rec wait_dead pause =
           match Unix.waitpid [ Unix.WNOHANG ] slot.pid with
           | 0, _ when Monoclock.now () < deadline +. 2.0 ->
-            Unix.sleepf 0.02;
-            wait_dead ()
+            Unix.sleepf pause;
+            wait_dead (Float.min 0.02 (2.0 *. pause))
           | 0, _ ->
             (try Unix.kill slot.pid Sys.sigkill with Unix.Unix_error _ -> ());
             (try ignore (Unix.waitpid [] slot.pid)
              with Unix.Unix_error _ -> ())
           | _ -> ()
         in
-        (try wait_dead () with Unix.Unix_error _ -> ());
+        (try wait_dead 0.001 with Unix.Unix_error _ -> ());
         slot.pid <- 0
       end)
     t.slots;

@@ -162,23 +162,42 @@ doctored="$(mktemp /tmp/ppst_ci_doctored.XXXXXX.jsonl)"
 trap 'rm -f "$trace" "$trace2" "$doctored"; rm -rf "$chaos_dir"' EXIT INT TERM
 # The 50ms floor keeps sub-50ms span jitter (scheduler noise on a
 # loaded CI host) out of the verdict, so a doubled span trips it only if
-# its total exceeds 50 ms.  One smoke's DTW span totals 35-55 ms on a
-# 2-vCPU host, too close to the floor, so each recording is three
-# back-to-back smoke runs with their traces concatenated: the first
-# trace and two more runs on one side, three fresh runs on the other.
-# The DTW span then totals about 100-180 ms, and the doctored copy
-# trips the floor through it.
+# its total exceeds 50 ms.  One smoke's DTW span (dp.dtw) totals 35-55 ms
+# on a 2-vCPU host, too close to the floor, and shrinks as the client
+# gets faster, so the first recording appends smoke runs (the first
+# trace is its first) until its DTW span totals at least three times
+# the floor, at most eight runs; the second recording takes as many
+# fresh runs.  The doctored copy then trips the floor through that span.
+floor_ms=50
 append_smoke() {
   dune exec bench/main.exe -- smoke --log-json \
     --trace-out "$chaos_dir/smoke-run.jsonl" >/dev/null
   cat "$chaos_dir/smoke-run.jsonl" >> "$1"
 }
-append_smoke "$trace"
-append_smoke "$trace"
-for _ in 1 2 3; do
+dtw_span_ms() {
+  python3 - "$1" <<'PYEOF'
+import json, sys
+total = 0.0
+with open(sys.argv[1]) as src:
+    for line in src:
+        line = line.strip()
+        if line:
+            o = json.loads(line)
+            if o.get("name") == "dp.dtw" and isinstance(o.get("dt"), (int, float)):
+                total += o["dt"]
+print(int(total * 1000))
+PYEOF
+}
+runs=1
+while [ "$(dtw_span_ms "$trace")" -lt $((3 * floor_ms)) ] && [ "$runs" -lt 8 ]; do
+  append_smoke "$trace"
+  runs=$((runs + 1))
+done
+for _ in $(seq "$runs"); do
   append_smoke "$trace2"
 done
-dune exec bin/ppst_analyze.exe -- diff "$trace" "$trace2" --latency-floor-ms 50
+echo "ci: regression diff over $runs smoke runs per recording (first recording's DTW span: $(dtw_span_ms "$trace") ms)"
+dune exec bin/ppst_analyze.exe -- diff "$trace" "$trace2" --latency-floor-ms "$floor_ms"
 python3 - "$trace" "$doctored" <<'PYEOF'
 import json, sys
 def double(o):
@@ -195,7 +214,7 @@ with open(sys.argv[1]) as src, open(sys.argv[2], "w") as dst:
             dst.write(json.dumps(double(json.loads(line))) + "\n")
 PYEOF
 diff_rc=0
-dune exec bin/ppst_analyze.exe -- diff "$trace" "$doctored" --latency-floor-ms 50 \
+dune exec bin/ppst_analyze.exe -- diff "$trace" "$doctored" --latency-floor-ms "$floor_ms" \
   >/dev/null 2>&1 || diff_rc=$?
 if [ "$diff_rc" -ne 1 ]; then
   echo "ci: regression diff FAILED: doctored 2x slowdown not flagged (exit $diff_rc)" >&2

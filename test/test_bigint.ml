@@ -236,6 +236,67 @@ let prop_string_roundtrip = qtest "decimal round-trip" arb_bigint (fun a ->
 let prop_hex_roundtrip = qtest "hex round-trip" arb_bigint (fun a ->
     Bigint.equal a (Bigint.of_string (Bigint.to_string_hex a)))
 
+(* The per-byte codecs the limb-wise ones replaced, kept as their
+   oracle: byte k from the right is bits [8k, 8k + 8), found by dividing
+   its offset by the 31-bit limb width. *)
+module Byte_oracle = struct
+  let base_bits = Nat.base_bits
+  let base_mask = (1 lsl base_bits) - 1
+
+  let of_bytes_be s =
+    let len = String.length s in
+    if len = 0 then Nat.zero
+    else begin
+      let r = Array.make ((((len * 8) + base_bits - 1) / base_bits) + 1) 0 in
+      for k = 0 to len - 1 do
+        let byte = Char.code s.[len - 1 - k] in
+        if byte <> 0 then begin
+          let bit = 8 * k in
+          let limb = bit / base_bits and off = bit mod base_bits in
+          r.(limb) <- r.(limb) lor ((byte lsl off) land base_mask);
+          if off > base_bits - 8 then
+            r.(limb + 1) <- r.(limb + 1) lor (byte lsr (base_bits - off))
+        end
+      done;
+      Nat.normalize r
+    end
+
+  let to_bytes_be (a : Nat.t) =
+    if Nat.is_zero a then ""
+    else begin
+      let nbytes = (Nat.num_bits a + 7) / 8 in
+      let buf = Bytes.create nbytes in
+      for k = 0 to nbytes - 1 do
+        let bit = 8 * k in
+        let limb = bit / base_bits and off = bit mod base_bits in
+        let lo = a.(limb) lsr off in
+        let hi =
+          if off > base_bits - 8 && limb + 1 < Array.length a then
+            a.(limb + 1) lsl (base_bits - off)
+          else 0
+        in
+        Bytes.set buf (nbytes - 1 - k) (Char.chr ((lo lor hi) land 0xFF))
+      done;
+      Bytes.to_string buf
+    end
+end
+
+let prop_byte_codec_oracle =
+  let gen =
+    QCheck2.Gen.(
+      let* zeros = int_range 0 8 in
+      let* body = string_size (int_range 0 (300 - zeros)) in
+      return (String.make zeros '\000' ^ body))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"byte codecs = per-byte oracle" ~count:1000
+       ~print:(fun s -> Printf.sprintf "%d bytes: %S" (String.length s) s)
+       gen
+       (fun s ->
+         let v = Nat.of_bytes_be s in
+         Nat.equal v (Byte_oracle.of_bytes_be s)
+         && Nat.to_bytes_be v = Byte_oracle.to_bytes_be v))
+
 let prop_bytes_roundtrip = qtest "bytes round-trip (magnitude)" arb_bigint (fun a ->
     Bigint.equal (Bigint.abs a) (Bigint.of_bytes_be (Bigint.to_bytes_be a)))
 
@@ -887,6 +948,7 @@ let () =
           prop_string_roundtrip;
           prop_hex_roundtrip;
           prop_bytes_roundtrip;
+          prop_byte_codec_oracle;
         ] );
       ( "arithmetic",
         [

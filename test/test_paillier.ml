@@ -360,6 +360,69 @@ let test_pool_fifo_transcript_identity () =
         (Paillier.equal_ciphertext c pooled.(i)))
     direct
 
+(* Bulk noise draws the nonces a loop of [encrypt] draws, in the same
+   order: a refill of N, and a [pool_take] whose shortfall is drawn
+   fresh (its powers on two lanes), give the ciphertexts of N [encrypt]
+   calls on the same seed.  A batch is tested once, through the product
+   of its factors, so a batch holding a non-unit takes the per-unit
+   fallback; at 16 bits about one raw draw in 150 is not a unit, and
+   the check below that the refills' batches hold one is what makes
+   the fallback run there.  Under n = 5 * 7 a third of the raw draws
+   are non-units, so every batch falls back, the shortfall's included,
+   and the fallback's own one-at-a-time draws meet non-units too. *)
+let test_bulk_noise_matches_encrypt () =
+  let count = 3000 and stocked = 1000 in
+  let two = Ppst_parallel.Pool.create 2 in
+  Fun.protect
+    ~finally:(fun () -> Ppst_parallel.Pool.shutdown two)
+    (fun () ->
+      let keygen bits =
+        fst
+          (Paillier.keygen ~bits
+             (Ppst_rng.Secure_rng.of_seed_string (Printf.sprintf "bulk-key-%d" bits)))
+      in
+      List.iter
+        (fun (bits, pk) ->
+          let seed () =
+            Ppst_rng.Secure_rng.of_seed_string (Printf.sprintf "bulk-noise-%d" bits)
+          in
+          let plains = Array.init count (fun i -> Bigint.erem (Bigint.of_int i) pk.Paillier.n) in
+          let direct =
+            let r = seed () in
+            Array.map (Paillier.encrypt pk r) plains
+          in
+          let refilled =
+            let r = seed () and pool = Paillier.pool_create pk in
+            Paillier.pool_refill pk pool r count;
+            Array.map (Paillier.encrypt_pooled pk pool r) plains
+          in
+          let taken =
+            let r = seed () and pool = Paillier.pool_create pk in
+            Paillier.pool_refill pk pool r stocked;
+            let rns = Paillier.pool_take ~workers:two pk pool r count in
+            Alcotest.(check int)
+              (Printf.sprintf "%d bits: shortfall counted as misses" bits)
+              (count - stocked) (Paillier.pool_misses pool);
+            Array.map2 (fun rn m -> Paillier.encrypt_with_rn pk ~rn m) rns plains
+          in
+          List.iter
+            (fun (path, cts) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%d bits: %s = encrypt loop" bits path)
+                true
+                (Array.for_all2 Paillier.equal_ciphertext direct cts))
+            [ ("refill", refilled); ("pool_take", taken) ];
+          if bits = 16 then begin
+            (* both refills above start from these raw draws *)
+            let r = seed () in
+            Alcotest.(check bool) "16 bits: a refill's batch holds a non-unit" true
+              (List.exists
+                 (fun v -> not (Modular.coprime v pk.Paillier.n))
+                 (List.init stocked (fun _ -> Ppst_rng.Secure_rng.below r pk.Paillier.n)))
+          end)
+        ((6, fst (Paillier.of_primes ~p:(Bigint.of_int 5) ~q:(Bigint.of_int 7)))
+        :: List.map (fun bits -> (bits, keygen bits)) [ 16; 20; 64 ]))
+
 let test_pool_refill_fast () =
   let r = rng () in
   let pool = Paillier.pool_create pk in
@@ -854,6 +917,8 @@ let () =
           Alcotest.test_case "fast (subgroup) refill" `Quick test_pool_refill_fast;
           Alcotest.test_case "noise generator" `Quick test_noise_gen;
           Alcotest.test_case "pool hammer (4 domains)" `Quick test_pool_hammer;
+          Alcotest.test_case "bulk noise = encrypt loop" `Quick
+            test_bulk_noise_matches_encrypt;
         ] );
       (* Alcotest pads every suite label to the longest one and cuts test
          names at 80 columns; this 15-character label, the longest, keeps

@@ -226,6 +226,80 @@ let test_offsets_sorted_distinct_in_range () =
               (Bigint.compare offsets.(i - 1) r < 0))
         offsets)
 
+(* The offset draw as written over Bigint, the reference for the
+   native-int draw: one [Secure_rng.in_range] per offset, a redraw on
+   collision, then a sort. *)
+let reference_offsets ~rng ~session ~count =
+  let lo = session.Ppst.Params.offset_lo and hi = session.Ppst.Params.offset_hi in
+  let rec fill acc n =
+    if n = 0 then acc
+    else begin
+      let r = Secure_rng.in_range rng ~lo ~hi in
+      if List.exists (Bigint.equal r) acc then fill acc n else fill (r :: acc) (n - 1)
+    end
+  in
+  let offsets = Array.of_list (fill [] count) in
+  Array.sort Bigint.compare offsets;
+  offsets
+
+(* A plan equals one built from the reference offsets and the same
+   decoy-source and shuffle draws, and leaves the stream where that
+   reference leaves it.  Value bounds run up to 2^62 - 1, so some
+   sessions have offset_hi above 2^61 and take the Bigint path; the
+   fixed sessions sit on both sides of the 2^61 boundary. *)
+let plan_matches_reference ~seed ~session =
+  let k = session.Ppst.Params.params.Ppst.Params.k and n_inputs = 3 in
+  let mine = Secure_rng.of_seed_string seed and theirs = Secure_rng.of_seed_string seed in
+  let p = Ppst.Masking.plan ~rng:mine ~session ~extreme:`Min ~n_inputs in
+  let offsets = reference_offsets ~rng:theirs ~session ~count:k in
+  let sources = Array.init (k - 1) (fun _ -> Secure_rng.int theirs n_inputs) in
+  let perm = Array.init (n_inputs + k - 1) Fun.id in
+  Secure_rng.shuffle_in_place theirs perm;
+  Bigint.equal p.Ppst.Masking.pivot offsets.(0)
+  && Array.for_all2 Bigint.equal p.Ppst.Masking.decoy_offsets (Array.sub offsets 1 (k - 1))
+  && p.Ppst.Masking.decoy_sources = sources
+  && p.Ppst.Masking.perm = perm
+  && Secure_rng.bytes mine 16 = Secure_rng.bytes theirs 16
+
+let wide_modulus = Bigint.succ (Bigint.shift_left Bigint.one 128)
+
+let session_of ~k ~slack value_bound =
+  Ppst.Params.plan_bound
+    (Ppst.Params.make ~k ~gamma_slack:slack ())
+    ~value_bound ~modulus:wide_modulus
+
+let prop_native_plans_equal_reference =
+  let gen =
+    QCheck2.Gen.(
+      let* k = int_range 4 40 in
+      let alpha = Ppst.Params.alpha (Ppst.Params.make ~k ()) in
+      let* slack = int_range 1 (alpha - 1) in
+      let* bits = int_range 1 62 in
+      let* low = int_bound ((1 lsl (bits - 1)) - 1) in
+      let* seed = string_size ~gen:printable (int_range 0 12) in
+      return (k, slack, (1 lsl (bits - 1)) + low, seed))
+  in
+  qtest "native plans = Bigint reference" ~count:300 gen
+    ~print:(fun (k, slack, vb, seed) ->
+      Printf.sprintf "k=%d slack=%d value_bound=%d seed=%S" k slack vb seed)
+    (fun (k, slack, vb, seed) ->
+      plan_matches_reference ~seed:("plan/" ^ seed)
+        ~session:(session_of ~k ~slack (Bigint.of_int vb)))
+
+let test_plans_around_the_native_bound () =
+  List.iter
+    (fun gamma ->
+      (* beta = gamma - 2 at the default slack *)
+      let session =
+        session_of ~k:10 ~slack:2 (Bigint.shift_left Bigint.one (gamma - 1))
+      in
+      Alcotest.(check int) "gamma" gamma session.Ppst.Params.gamma;
+      Alcotest.(check bool)
+        (Printf.sprintf "offset_hi = 2^%d: plan = reference" (gamma + 1))
+        true
+        (plan_matches_reference ~seed:(Printf.sprintf "boundary-%d" gamma) ~session))
+    [ 59; 60; 61; 90 ]
+
 let test_prepare_min_counts_and_correctness () =
   with_session (fun ~rng ~pk ~sk ~session ->
       let enc v = Paillier.encrypt pk rng (Bigint.of_int v) in
@@ -872,6 +946,9 @@ let () =
           Alcotest.test_case "candidates re-randomized" `Quick test_candidates_rerandomized;
           Alcotest.test_case "masked minimum exact (30 rounds)" `Quick
             test_masked_min_many_rounds;
+          prop_native_plans_equal_reference;
+          Alcotest.test_case "plans around the native bound" `Quick
+            test_plans_around_the_native_bound;
         ] );
       ( "end-to-end",
         [
