@@ -44,9 +44,10 @@
 # smoke runs' traces concatenated, must diff clean while a doctored
 # 2x-latency copy must be flagged; a
 # truncated trace tail is reported with its own exit code; the catalog
-# smoke runs with the metrics sidecar up and the exposition page (both
-# the HTTP endpoint and the in-protocol metrics verb) must carry the
-# server-side families; and the ladder smoke (`bash ladder/run.sh
+# smoke runs with the metrics sidecar up and the exposition page (the
+# HTTP endpoint, the in-protocol metrics verb and the stats verb, which
+# prints the resume table first) must carry the server-side families;
+# and the ladder smoke (`bash ladder/run.sh
 # smoke`) runs every benchmark workload and rung at toy size and checks
 # each emits exactly the metrics BENCHMARK.json names.
 #
@@ -487,7 +488,17 @@ fi
 curl -sf "http://127.0.0.1:$metrics_port/metrics" >"$cat_dir/scrape.txt"
 ./_build/default/bin/ppst_client.exe metrics -p "$catalog_port" \
   >"$cat_dir/metrics-verb.txt"
-for page in "$cat_dir/scrape.txt" "$cat_dir/metrics-verb.txt"; do
+# The stats verb prints the resume table ahead of the same page.  Every
+# connection counts toward --sessions 12, probes included: one health
+# probe, catalog, two queries, the scan, metrics and stats make seven.
+./_build/default/bin/ppst_client.exe stats -p "$catalog_port" \
+  >"$cat_dir/stats-verb.txt"
+if ! head -1 "$cat_dir/stats-verb.txt" | grep -q '^# resume table$'; then
+  echo "ci: observability smoke FAILED: stats page does not open with the resume table" >&2
+  head -5 "$cat_dir/stats-verb.txt" >&2 || true
+  exit 1
+fi
+for page in "$cat_dir/scrape.txt" "$cat_dir/metrics-verb.txt" "$cat_dir/stats-verb.txt"; do
   for family in ppst_server_sessions_accepted ppst_server_sessions_completed \
                 ppst_transport_rounds ppst_metrics_endpoint_scrapes; do
     if ! grep -q "^$family" "$page"; then
@@ -501,7 +512,7 @@ for page in "$cat_dir/scrape.txt" "$cat_dir/metrics-verb.txt"; do
     exit 1
   fi
 done
-echo "ci: observability smoke OK (endpoint + metrics verb expose the server families)"
+echo "ci: observability smoke OK (endpoint, metrics and stats verbs expose the server families)"
 
 kill "$catalog_pid" 2>/dev/null || true
 wait "$catalog_pid" 2>/dev/null || true
