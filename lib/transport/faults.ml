@@ -252,7 +252,7 @@ let profile_to_string = function
   | Drop_at n -> Printf.sprintf "drop-at-%d" n
   | Drop_every n -> Printf.sprintf "drop-every-%d" n
   | Corrupt_every (n, k) -> Printf.sprintf "corrupt-every-%d:%d" n k
-  | Delay_every (n, s) -> Printf.sprintf "delay-every-%d:%gms" n (s *. 1000.0)
+  | Delay_every (n, s) -> Printf.sprintf "delay-every-%d:%.0f" n (s *. 1000.0)
   | Short_every n -> Printf.sprintf "short-every-%d" n
   | Dup_every n -> Printf.sprintf "dup-every-%d" n
   | Flaky p -> Printf.sprintf "flaky-%g" p

@@ -216,13 +216,44 @@ let test_faults_profile_strings () =
       | Ok p ->
         Alcotest.(check string) ("round trip " ^ s) s (Faults.profile_to_string p)
       | Error m -> Alcotest.fail (s ^ ": " ^ m))
-    [ "off"; "drop-at-7"; "drop-every-64"; "short-every-9"; "dup-every-12" ];
+    [ "off"; "drop-at-7"; "drop-every-64"; "corrupt-every-9:3";
+      "delay-every-6:10"; "short-every-9"; "dup-every-12"; "flaky-0.01";
+      "crash-at-5"; "crash-write-at-4" ];
   (match Faults.profile_of_string "drop-every-0" with
    | Ok _ -> Alcotest.fail "zero period accepted"
    | Error _ -> ());
   (match Faults.profile_of_string "gibberish" with
    | Ok _ -> Alcotest.fail "gibberish accepted"
    | Error _ -> ())
+
+(* No tier-1 run injects delays or flaky drops, so their schedules are
+   checked on the injector itself. *)
+let test_faults_delay_and_flaky () =
+  let parse s =
+    match Faults.profile_of_string s with
+    | Ok p -> p
+    | Error m -> Alcotest.fail (s ^ ": " ^ m)
+  in
+  let d = Faults.create (parse "delay-every-4:25") in
+  for i = 1 to 40 do
+    Alcotest.(check bool)
+      (Printf.sprintf "frame %d" i)
+      true
+      (Faults.next d = if i mod 4 = 0 then Faults.Delay 0.025 else Faults.Pass)
+  done;
+  Alcotest.(check int) "ten delays" 10 (Faults.injected d);
+  let actions seed p =
+    let t = Faults.create ~seed (parse p) in
+    List.init 1000 (fun _ -> Faults.next t)
+  in
+  let a = actions 7 "flaky-0.3" in
+  Alcotest.(check bool) "same seed, same drops" true (a = actions 7 "flaky-0.3");
+  Alcotest.(check bool) "some frames drop, some pass" true
+    (List.mem Faults.Drop a && List.mem Faults.Pass a);
+  Alcotest.(check bool) "flaky-0 never drops" true
+    (List.for_all (( = ) Faults.Pass) (actions 7 "flaky-0"));
+  Alcotest.(check bool) "flaky-1 always drops" true
+    (List.for_all (( = ) Faults.Drop) (actions 7 "flaky-1"))
 
 (* --- resume table ------------------------------------------------------------ *)
 
@@ -640,6 +671,8 @@ let () =
           Alcotest.test_case "deterministic schedule" `Quick
             test_faults_deterministic_schedule;
           Alcotest.test_case "profile strings" `Quick test_faults_profile_strings;
+          Alcotest.test_case "delay and flaky schedules" `Quick
+            test_faults_delay_and_flaky;
         ] );
       ( "resume table",
         [
