@@ -18,123 +18,33 @@ let setup verbose log_level log_json trace_out =
   Ppst_telemetry.Telemetry.configure ~level:log_level ~json:log_json
     ?trace_out ()
 
-(* stats: one Stats_req round against a running server, no session state
-   needed.  Server_loop answers it even at capacity (the probe path), so
-   this works exactly when an operator needs it most. *)
-let fetch_stats host port =
-  let channel = Ppst_transport.Channel.connect ~host ~port () in
-  (match Ppst_transport.Channel.request channel Ppst_transport.Message.Stats_req with
-   | Ppst_transport.Message.Stats_reply text -> print_string text
-   | _ -> failwith "expected Stats_reply");
-  Ppst_transport.Channel.close channel
-
-(* health: the readiness probe.  Like stats it is answered even at
-   capacity and even while the server sheds load, so it reports the
-   truth exactly when the serving path is refusing work.  Exit status is
-   the probe status (0 ready / 1 at capacity / 2 shedding / 3 degraded —
-   serving but with durability lost, see PROTOCOL.md section 14). *)
-let fetch_health host port =
-  let channel = Ppst_transport.Channel.connect ~host ~port () in
-  let status =
-    match
-      Ppst_transport.Channel.request channel Ppst_transport.Message.Health_req
-    with
-    | Ppst_transport.Message.Health_reply { status; active; capacity; retry_after_s } ->
-      Printf.printf "status: %s\nactive: %d\ncapacity: %d\nretry_after_s: %.2f\n"
-        (match status with
-         | 0 -> "ready"
-         | 1 -> "at-capacity"
-         | 2 -> "shedding"
-         | 3 -> "degraded"
-         | _ -> "unknown")
-        active capacity retry_after_s;
-      status
-    | _ -> failwith "expected Health_reply"
-  in
-  Ppst_transport.Channel.close channel;
-  status
-
-(* metrics: the OpenMetrics exposition page over the protocol socket.
-   Unlike stats/health this is a negotiated capability: Hello offers
-   [flag_metrics], and a server configured with --no-metrics refuses
-   both the flag and the request.  The same page is what the HTTP
-   sidecar (ppst_server --metrics-port) serves to scrapers. *)
-let fetch_metrics host port =
-  let open Ppst_transport in
-  let channel = Channel.connect ~host ~port () in
-  (match
-     Channel.request channel
-       (Message.Hello { flags = Message.flag_metrics; spec = None })
-   with
-   | Message.Welcome { flags; _ } when flags land Message.flag_metrics <> 0 -> ()
-   | Message.Welcome _ ->
-     failwith "server does not grant the metrics capability"
-   | _ -> failwith "expected Welcome");
-  (match Channel.request channel Message.Metrics_req with
-   | Message.Metrics_reply text -> print_string text
-   | Message.Error_reply m -> failwith m
-   | _ -> failwith "expected Metrics_reply");
-  (try ignore (Channel.request channel Message.Bye) with _ -> ());
-  Channel.close channel
-
-(* catalog: raw catalog-list round, no series (and so no Client.t)
-   needed — the capability handshake is just Hello with the catalog
-   flag. *)
-let fetch_catalog host port =
-  let open Ppst_transport in
-  let channel = Channel.connect ~host ~port () in
-  (match
-     Channel.request channel
-       (Message.Hello { flags = Message.flag_catalog; spec = None })
-   with
-   | Message.Welcome { flags; _ } when flags land Message.flag_catalog <> 0 -> ()
-   | Message.Welcome _ ->
-     failwith "server does not grant the catalog capability"
-   | _ -> failwith "expected Welcome");
-  (match Channel.request channel Message.Catalog_list_request with
-   | Message.Catalog_list_reply { ids; lengths } ->
-     Array.iteri
-       (fun i id -> Printf.printf "%d\t%s\t%d\n" i id lengths.(i))
-       ids
-   | Message.Error_reply m -> failwith m
-   | _ -> failwith "expected Catalog_list_reply");
-  (try ignore (Channel.request channel Message.Bye) with _ -> ());
-  Channel.close channel
-
-(* A quota rejection is a policy verdict, not a transient fault: the
-   server said this session's declared shape exceeds its admission
-   limits, so retrying is pointless.  Report which quota and exit with
-   EX_UNAVAILABLE so scripts can tell it from a crypto failure. *)
-let quota_fatal f =
-  try f ()
-  with Ppst_transport.Channel.Quota_exceeded { quota; limit; requested } ->
+(* Three verdicts are final, and each has its own exit status so that
+   scripts can tell them apart from a crypto failure and from plain retry
+   exhaustion (75):
+   - 69 (EX_UNAVAILABLE), a quota rejection: the server's admission
+     control says this session's declared shape exceeds its limits, so
+     retrying is pointless;
+   - 76 (EX_PROTOCOL), a whole-server restart: the resume token's
+     boot-id prefix names a dead incarnation, so no retry can ever
+     reattach this session (the channel already failed fast instead of
+     burning its retry budget) and the operator must start afresh;
+   - 124, the convention timeout(1) established: the wall budget
+     (--budget-s) ran out, and connects, rounds and recovery all stop at
+     the deadline by design. *)
+let fatal_exits f =
+  try f () with
+  | Ppst_transport.Channel.Quota_exceeded { quota; limit; requested } ->
     Logs.err (fun m ->
         m "rejected by server admission control: %s quota (limit %d, requested %d)"
           quota limit requested);
     exit 69
-
-(* A whole-server restart is equally final: the resume token's boot-id
-   prefix names a dead incarnation, so no amount of retrying can ever
-   reattach this session — the channel already failed fast instead of
-   burning its retry budget.  EX_PROTOCOL distinguishes it from plain
-   exhaustion (75): the operator must start a fresh session, not wait. *)
-let restart_fatal f =
-  try f ()
-  with
   | Ppst_transport.Channel.Resume_rejected reason
     when Ppst_transport.Channel.is_server_restarted reason ->
     Logs.err (fun m ->
         m "session lost: the server restarted and cannot resume it (%s); \
            run again to start a fresh session" reason);
     exit 76
-
-(* The wall budget (--budget-s) ran out: connects, rounds and recovery
-   all stop at the deadline, by design.  Exit 124 — the convention
-   timeout(1) established — so scripts can tell "out of time" from
-   every other failure. *)
-let budget_fatal f =
-  try f ()
-  with Ppst_transport.Retry.Budget.Exceeded { budget_s } ->
+  | Ppst_transport.Retry.Budget.Exceeded { budget_s } ->
     Logs.err (fun m ->
         m "wall budget of %.3f s exhausted; giving up" budget_s);
     exit 124
@@ -174,9 +84,7 @@ let with_session ~host ~port ~k ~seed ~jobs ~retries ?budget ~query ~distance
     | Some s -> Ppst_rng.Secure_rng.of_seed_string (s ^ "/backoff")
     | None -> Ppst_rng.Secure_rng.system ()
   in
-  quota_fatal @@ fun () ->
-  restart_fatal @@ fun () ->
-  budget_fatal @@ fun () ->
+  fatal_exits @@ fun () ->
   let connect_session () =
     let channel =
       Ppst_transport.Channel.connect ~retry:policy ~rng:jitter_rng ?budget
@@ -501,48 +409,79 @@ let query_cmd =
           $ candidate_budget_s $ wavefront $ seed $ jobs $ retries $ verbose
           $ log_level $ log_json $ trace_out)
 
-let catalog_cmd =
-  let doc = "list the server's catalog (index, id, length per record)" in
-  let run_catalog host port verbose log_level log_json trace_out =
+module Message = Ppst_transport.Message
+
+(* The probe verbs: one request on a connection of its own, with no
+   series and no session state; each verb only prints the reply.  Stats
+   and health are answered even at capacity and while the server sheds
+   load, so they report the truth exactly when the serving path refuses
+   work.  Metrics and catalog are negotiated capabilities: Hello first
+   offers [flag], which a server configured without them (--no-metrics,
+   no catalog) does not grant. *)
+let probe_cmd name ~doc ?flag request print =
+  let run host port verbose log_level log_json trace_out =
     setup verbose log_level log_json trace_out;
-    fetch_catalog host port
+    let channel = Ppst_transport.Channel.connect ~host ~port () in
+    Option.iter
+      (fun flag ->
+        match
+          Ppst_transport.Channel.request channel
+            (Message.Hello { flags = flag; spec = None })
+        with
+        | Message.Welcome { flags; _ } when flags land flag <> 0 -> ()
+        | Message.Welcome _ ->
+          failwith (Printf.sprintf "server does not grant the %s capability" name)
+        | _ -> failwith "expected Welcome")
+      flag;
+    let reply = Ppst_transport.Channel.request channel request in
+    Ppst_transport.Channel.close channel;
+    match reply with
+    | Message.Error_reply m -> failwith m
+    | reply -> print reply
   in
-  Cmd.v (Cmd.info "catalog" ~doc)
-    Term.(const run_catalog $ host $ port $ verbose $ log_level $ log_json
-          $ trace_out)
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const run $ host $ port $ verbose $ log_level $ log_json $ trace_out)
+
+let catalog_cmd =
+  probe_cmd "catalog" ~doc:"list the server's catalog (index, id, length per record)"
+    ~flag:Message.flag_catalog Message.Catalog_list_request (function
+    | Message.Catalog_list_reply { ids; lengths } ->
+      Array.iteri (fun i id -> Printf.printf "%d\t%s\t%d\n" i id lengths.(i)) ids
+    | _ -> failwith "expected Catalog_list_reply")
 
 let stats_cmd =
-  let doc = "fetch and print the server's live metrics snapshot" in
-  let run_stats host port verbose log_level log_json trace_out =
-    setup verbose log_level log_json trace_out;
-    fetch_stats host port
-  in
-  Cmd.v (Cmd.info "stats" ~doc)
-    Term.(const run_stats $ host $ port $ verbose $ log_level $ log_json
-          $ trace_out)
+  probe_cmd "stats" ~doc:"fetch and print the server's live metrics snapshot"
+    Message.Stats_req (function
+    | Message.Stats_reply text -> print_string text
+    | _ -> failwith "expected Stats_reply")
 
+(* The same page the HTTP sidecar (ppst_server --metrics-port) serves to
+   scrapers. *)
 let metrics_cmd =
-  let doc = "fetch the server's OpenMetrics exposition page (counters, \
-             windowed rates and quantiles)" in
-  let run_metrics host port verbose log_level log_json trace_out =
-    setup verbose log_level log_json trace_out;
-    fetch_metrics host port
-  in
-  Cmd.v (Cmd.info "metrics" ~doc)
-    Term.(const run_metrics $ host $ port $ verbose $ log_level $ log_json
-          $ trace_out)
+  probe_cmd "metrics"
+    ~doc:"fetch the server's OpenMetrics exposition page (counters, \
+          windowed rates and quantiles)"
+    ~flag:Message.flag_metrics Message.Metrics_req (function
+    | Message.Metrics_reply text -> print_string text
+    | _ -> failwith "expected Metrics_reply")
 
+(* The exit status is the probe status: 3 (degraded) means serving with
+   durability lost, see PROTOCOL.md section 14. *)
 let health_cmd =
-  let doc =
-    "readiness probe (exit 0 ready, 1 at capacity, 2 shedding, 3 degraded)"
-  in
-  let run_health host port verbose log_level log_json trace_out =
-    setup verbose log_level log_json trace_out;
-    exit (fetch_health host port)
-  in
-  Cmd.v (Cmd.info "health" ~doc)
-    Term.(const run_health $ host $ port $ verbose $ log_level $ log_json
-          $ trace_out)
+  probe_cmd "health"
+    ~doc:"readiness probe (exit 0 ready, 1 at capacity, 2 shedding, 3 degraded)"
+    Message.Health_req (function
+    | Message.Health_reply { status; active; capacity; retry_after_s } ->
+      Printf.printf "status: %s\nactive: %d\ncapacity: %d\nretry_after_s: %.2f\n"
+        (match status with
+         | 0 -> "ready"
+         | 1 -> "at-capacity"
+         | 2 -> "shedding"
+         | 3 -> "degraded"
+         | _ -> "unknown")
+        active capacity retry_after_s;
+      exit status
+    | _ -> failwith "expected Health_reply")
 
 let doc = "secure time-series similarity client (series X owner, evaluator)"
 
