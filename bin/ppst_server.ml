@@ -4,6 +4,7 @@
    and print the process totals before exit. *)
 
 open Cmdliner
+module Faults = Ppst_transport.Faults
 
 let setup_logs verbose =
   Fmt_tty.setup_std_outputs ();
@@ -52,52 +53,47 @@ let run port series_file catalog_dir key_file max_value seed sessions concurrenc
   (match watchdog_timeout with
    | Some s when s <= 0.0 -> failwith "--watchdog-timeout-s must be positive"
    | _ -> ());
-  let fault_profile =
-    match chaos_profile with
+  (* --chaos-profile and --disk-chaos: a profile that does not parse
+     fails the boot, off installs nothing, and any other is built by
+     [make] and announced. *)
+  let chaos parse off print ~make ~target = function
     | None -> None
     | Some text ->
-      (match Ppst_transport.Faults.profile_of_string text with
+      (match parse text with
        | Error msg -> failwith msg
-       | Ok Ppst_transport.Faults.Off -> None
+       | Ok profile when profile = off -> None
        | Ok profile ->
-         (match profile with
-          | Ppst_transport.Faults.Crash_at _
-          | Ppst_transport.Faults.Crash_write_at _
-            when workers = 0 ->
-            failwith
-              "--chaos-profile crash-at-N/crash-write-at-N requires \
-               --workers >= 1: a single-process server would SIGKILL \
-               itself with nobody left to restart it"
-          | _ -> ());
+         let made = make profile in
          Logs.warn (fun m ->
-             m "CHAOS MODE: injecting %s (seed %d) into every session"
-               (Ppst_transport.Faults.profile_to_string profile)
-               chaos_seed);
-         Some profile)
+             m "CHAOS MODE: injecting %s %s" (print profile) target);
+         Some made)
+  in
+  let fault_profile =
+    chaos Faults.profile_of_string Faults.Off Faults.profile_to_string
+      chaos_profile
+      ~target:(Printf.sprintf "(seed %d) into every session" chaos_seed)
+      ~make:(function
+        | Faults.Crash_at _ | Faults.Crash_write_at _ when workers = 0 ->
+          failwith
+            "--chaos-profile crash-at-N/crash-write-at-N requires \
+             --workers >= 1: a single-process server would SIGKILL \
+             itself with nobody left to restart it"
+        | profile -> profile)
   in
   let make_faults ~restarted =
     match fault_profile with
-    | Some (Ppst_transport.Faults.Crash_at _ | Ppst_transport.Faults.Crash_write_at _)
-      when restarted ->
+    | Some (Faults.Crash_at _ | Faults.Crash_write_at _) when restarted ->
       (* a replacement worker must not re-arm the one-shot crash, or the
          deployment crash-loops instead of failing over *)
       None
-    | Some profile -> Some (Ppst_transport.Faults.create ~seed:chaos_seed profile)
+    | Some profile -> Some (Faults.create ~seed:chaos_seed profile)
     | None -> None
   in
   let faults = make_faults ~restarted:false in
   let disk_faults =
-    match disk_chaos with
-    | None -> None
-    | Some text ->
-      (match Ppst_transport.Faults.Disk.profile_of_string text with
-       | Error msg -> failwith msg
-       | Ok Ppst_transport.Faults.Disk.Off -> None
-       | Ok profile ->
-         Logs.warn (fun m ->
-             m "CHAOS MODE: injecting %s into disk/fd operations"
-               (Ppst_transport.Faults.Disk.profile_to_string profile));
-         Some (Ppst_transport.Faults.Disk.create profile))
+    chaos Faults.Disk.profile_of_string Faults.Disk.Off
+      Faults.Disk.profile_to_string disk_chaos ~make:Faults.Disk.create
+      ~target:"into disk/fd operations"
   in
   (* Boot-time spool probe: an unwritable spool is a configuration error
      and must fail the boot, not surface as a degraded server at the

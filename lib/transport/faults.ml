@@ -93,6 +93,40 @@ let next t =
         Metrics.incr m_injected);
       action)
 
+(* The profile grammar both injectors share: "off" (or the empty string)
+   is [off]; anything else is one row's prefix followed by a non-empty
+   argument, which the row's parser reads.  [what] names the flag in
+   every error. *)
+let parse_profile ~what ~off rows s =
+  if s = "off" || s = "" then Ok off
+  else
+    match
+      List.find_opt
+        (fun (prefix, _, _) ->
+          String.length s > String.length prefix && String.starts_with ~prefix s)
+        rows
+    with
+    | Some (prefix, _, parse) ->
+      let n = String.length prefix in
+      Result.map_error (Printf.sprintf "%s: %s" what)
+        (parse (String.sub s n (String.length s - n)))
+    | None ->
+      let forms = List.map (fun (prefix, arg, _) -> prefix ^ arg) rows in
+      let last = List.length forms - 1 in
+      Error
+        (Printf.sprintf "unknown %s %S (expected off, %s or %s)" what s
+           (String.concat ", " (List.filteri (fun i _ -> i < last) forms))
+           (List.nth forms last))
+
+let positive v =
+  match int_of_string_opt v with
+  | Some n when n >= 1 -> Ok n
+  | Some n -> Error (Printf.sprintf "%d is not a positive count" n)
+  | None -> Error (Printf.sprintf "%S is not an integer" v)
+
+(* A row whose argument is one positive count. *)
+let counted prefix make = (prefix, "N", fun v -> Result.map make (positive v))
+
 (* Environmental (disk / file-descriptor) fault injection.  Where the
    frame injector above sits in the wire path, a [Disk.t] sits in front
    of filesystem and fd-allocating syscalls — spool writes, catalog
@@ -195,56 +229,17 @@ module Disk = struct
     | Emfile_at n -> Printf.sprintf "emfile-at-%d" n
     | Emfile_every n -> Printf.sprintf "emfile-every-%d" n
 
-  let profile_of_string s =
-    let int_of v =
-      match int_of_string_opt v with
-      | Some n when n >= 1 -> Ok n
-      | Some n ->
-        Error (Printf.sprintf "disk chaos profile: %d is not a positive count" n)
-      | None ->
-        Error (Printf.sprintf "disk chaos profile: %S is not an integer" v)
-    in
-    let strip prefix =
-      if
-        String.length s > String.length prefix
-        && String.sub s 0 (String.length prefix) = prefix
-      then
-        Some
-          (String.sub s (String.length prefix)
-             (String.length s - String.length prefix))
-      else None
-    in
-    let ( let* ) = Result.bind in
-    match s with
-    | "off" | "" -> Ok Off
-    | _ ->
-      (match strip "enospc-at-" with
-       | Some rest -> let* n = int_of rest in Ok (Enospc_at n)
-       | None ->
-       match strip "enospc-every-" with
-       | Some rest -> let* n = int_of rest in Ok (Enospc_every n)
-       | None ->
-       match strip "eio-fsync-at-" with
-       | Some rest -> let* n = int_of rest in Ok (Eio_fsync_at n)
-       | None ->
-       match strip "eio-fsync-every-" with
-       | Some rest -> let* n = int_of rest in Ok (Eio_fsync_every n)
-       | None ->
-       match strip "torn-rename-at-" with
-       | Some rest -> let* n = int_of rest in Ok (Torn_rename_at n)
-       | None ->
-       match strip "emfile-at-" with
-       | Some rest -> let* n = int_of rest in Ok (Emfile_at n)
-       | None ->
-       match strip "emfile-every-" with
-       | Some rest -> let* n = int_of rest in Ok (Emfile_every n)
-       | None ->
-         Error
-           (Printf.sprintf
-              "unknown disk chaos profile %S (expected off, enospc-at-N, \
-               enospc-every-N, eio-fsync-at-N, eio-fsync-every-N, \
-               torn-rename-at-N, emfile-at-N or emfile-every-N)"
-              s))
+  let profile_of_string =
+    parse_profile ~what:"disk chaos profile" ~off:Off
+      [
+        counted "enospc-at-" (fun n -> Enospc_at n);
+        counted "enospc-every-" (fun n -> Enospc_every n);
+        counted "eio-fsync-at-" (fun n -> Eio_fsync_at n);
+        counted "eio-fsync-every-" (fun n -> Eio_fsync_every n);
+        counted "torn-rename-at-" (fun n -> Torn_rename_at n);
+        counted "emfile-at-" (fun n -> Emfile_at n);
+        counted "emfile-every-" (fun n -> Emfile_every n);
+      ]
 end
 
 let profile_to_string = function
@@ -259,80 +254,45 @@ let profile_to_string = function
   | Crash_at n -> Printf.sprintf "crash-at-%d" n
   | Crash_write_at n -> Printf.sprintf "crash-write-at-%d" n
 
-let profile_of_string s =
-  (* Parsed profiles go straight to [create]: validate here so a bad
-     [--chaos-profile] dies at argument parsing, not at first frame. *)
-  let int_of v = match int_of_string_opt v with
-    | Some n when n >= 1 -> Ok n
-    | Some n ->
-      Error (Printf.sprintf "chaos profile: %d is not a positive count" n)
-    | None -> Error (Printf.sprintf "chaos profile: %S is not an integer" v)
-  in
-  let split_colon v = match String.index_opt v ':' with
-    | None -> (v, None)
-    | Some i ->
-      (String.sub v 0 i, Some (String.sub v (i + 1) (String.length v - i - 1)))
-  in
-  let strip prefix =
-    if String.length s > String.length prefix
-       && String.sub s 0 (String.length prefix) = prefix
-    then Some (String.sub s (String.length prefix)
-                 (String.length s - String.length prefix))
-    else None
-  in
+(* "N" or "N:ARG": a positive period and, when given, its argument. *)
+let period_and v =
+  match String.index_opt v ':' with
+  | None -> Result.map (fun n -> (n, None)) (positive v)
+  | Some i ->
+    Result.map
+      (fun n -> (n, Some (String.sub v (i + 1) (String.length v - i - 1))))
+      (positive (String.sub v 0 i))
+
+(* Parsed profiles go straight to [create]: validate here so a bad
+   [--chaos-profile] dies at argument parsing, not at first frame. *)
+let profile_of_string =
   let ( let* ) = Result.bind in
-  match s with
-  | "off" | "" -> Ok Off
-  | _ ->
-    (match strip "drop-at-" with
-     | Some rest -> let* n = int_of rest in Ok (Drop_at n)
-     | None ->
-     match strip "drop-every-" with
-     | Some rest -> let* n = int_of rest in Ok (Drop_every n)
-     | None ->
-     match strip "corrupt-every-" with
-     | Some rest ->
-       let every, byte = split_colon rest in
-       let* n = int_of every in
-       (* the byte index may be 0 (first byte of the frame) *)
-       let* k =
-         match byte with
-         | None -> Ok 0
-         | Some b ->
-           (match int_of_string_opt b with
-            | Some k when k >= 0 -> Ok k
-            | _ -> Error (Printf.sprintf "chaos profile: bad byte index %S" b))
-       in
-       Ok (Corrupt_every (n, k))
-     | None ->
-     match strip "delay-every-" with
-     | Some rest ->
-       let every, ms = split_colon rest in
-       let* n = int_of every in
-       let* ms = match ms with None -> Ok 10 | Some m -> int_of m in
-       Ok (Delay_every (n, float_of_int ms /. 1000.0))
-     | None ->
-     match strip "short-every-" with
-     | Some rest -> let* n = int_of rest in Ok (Short_every n)
-     | None ->
-     match strip "dup-every-" with
-     | Some rest -> let* n = int_of rest in Ok (Dup_every n)
-     | None ->
-     match strip "flaky-" with
-     | Some rest ->
-       (match float_of_string_opt rest with
-        | Some p when p >= 0.0 && p <= 1.0 -> Ok (Flaky p)
-        | _ -> Error (Printf.sprintf "chaos profile: bad probability %S" rest))
-     | None ->
-     match strip "crash-write-at-" with
-     | Some rest -> let* n = int_of rest in Ok (Crash_write_at n)
-     | None ->
-     match strip "crash-at-" with
-     | Some rest -> let* n = int_of rest in Ok (Crash_at n)
-     | None ->
-       Error
-         (Printf.sprintf
-            "unknown chaos profile %S (expected off, drop-at-N, drop-every-N, \
-             corrupt-every-N[:BYTE], delay-every-N[:MS], short-every-N, \
-             dup-every-N, flaky-P, crash-at-N or crash-write-at-N)"
-            s))
+  parse_profile ~what:"chaos profile" ~off:Off
+    [
+      counted "drop-at-" (fun n -> Drop_at n);
+      counted "drop-every-" (fun n -> Drop_every n);
+      ( "corrupt-every-", "N[:BYTE]",
+        fun v ->
+          let* n, byte = period_and v in
+          (* the byte index may be 0 (first byte of the frame) *)
+          match byte with
+          | None -> Ok (Corrupt_every (n, 0))
+          | Some b ->
+            (match int_of_string_opt b with
+             | Some k when k >= 0 -> Ok (Corrupt_every (n, k))
+             | _ -> Error (Printf.sprintf "bad byte index %S" b)) );
+      ( "delay-every-", "N[:MS]",
+        fun v ->
+          let* n, ms = period_and v in
+          let* ms = match ms with None -> Ok 10 | Some m -> positive m in
+          Ok (Delay_every (n, float_of_int ms /. 1000.0)) );
+      counted "short-every-" (fun n -> Short_every n);
+      counted "dup-every-" (fun n -> Dup_every n);
+      ( "flaky-", "P",
+        fun v ->
+          match float_of_string_opt v with
+          | Some p when p >= 0.0 && p <= 1.0 -> Ok (Flaky p)
+          | _ -> Error (Printf.sprintf "bad probability %S" v) );
+      counted "crash-at-" (fun n -> Crash_at n);
+      counted "crash-write-at-" (fun n -> Crash_write_at n);
+    ]
