@@ -11,5 +11,5 @@ let and_gates ~m ~n ~d ~bits =
 
 let per_gate_seconds = 1e-5
 
-let estimated_seconds ?(gate_seconds = per_gate_seconds) ~m ~n ~d ~bits () =
-  float_of_int (and_gates ~m ~n ~d ~bits) *. gate_seconds
+let estimated_seconds ~m ~n ~d ~bits () =
+  float_of_int (and_gates ~m ~n ~d ~bits) *. per_gate_seconds

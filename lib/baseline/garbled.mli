@@ -16,4 +16,5 @@ val and_gates : m:int -> n:int -> d:int -> bits:int -> int
 val per_gate_seconds : float
 (** 10 µs per non-free gate — an optimistic 2014-era garbling figure. *)
 
-val estimated_seconds : ?gate_seconds:float -> m:int -> n:int -> d:int -> bits:int -> unit -> float
+val estimated_seconds : m:int -> n:int -> d:int -> bits:int -> unit -> float
+(** [and_gates] priced at {!per_gate_seconds} each. *)

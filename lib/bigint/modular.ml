@@ -68,20 +68,16 @@ let pow_mod_naive base exponent m =
   done;
   !acc
 
-let pow_mod ?ctx base exponent m =
+let pow_mod base exponent m =
   check_modulus m;
   if Bigint.is_negative exponent then
     invalid_arg "Modular.pow_mod: negative exponent (invert first)";
   let base = reduce base m in
-  if Bigint.is_odd m then begin
-    let ctx =
-      match ctx with
-      | Some c -> c
-      | None -> Montgomery.create (Bigint.magnitude m)
-    in
+  if Bigint.is_odd m then
     Bigint.of_nat
-      (Montgomery.pow_mod ctx (Bigint.magnitude base) (Bigint.magnitude exponent))
-  end
+      (Montgomery.pow_mod
+         (Montgomery.create (Bigint.magnitude m))
+         (Bigint.magnitude base) (Bigint.magnitude exponent))
   else pow_mod_naive base exponent m
 
 (* Reusable Montgomery context wrapped at the Bigint level, so callers with

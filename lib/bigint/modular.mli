@@ -30,10 +30,11 @@ val invert : Bigint.t -> Bigint.t -> Bigint.t
     @raise Not_invertible when [gcd a m <> 1].
     @raise Invalid_argument on an even or non-positive modulus. *)
 
-val pow_mod : ?ctx:Montgomery.ctx -> Bigint.t -> Bigint.t -> Bigint.t -> Bigint.t
+val pow_mod : Bigint.t -> Bigint.t -> Bigint.t -> Bigint.t
 (** [pow_mod b e m] = [b^e mod m], [e >= 0].  Uses Montgomery
-    exponentiation when [m] is odd (pass [?ctx] to reuse a context),
-    naive square-and-multiply otherwise. *)
+    exponentiation when [m] is odd (a caller with a fixed modulus reuses
+    one context through {!make_ctx} and {!pow_ctx}), naive
+    square-and-multiply otherwise. *)
 
 val pow_mod_naive : Bigint.t -> Bigint.t -> Bigint.t -> Bigint.t
 (** Reference square-and-multiply with a full division per step — the

@@ -22,28 +22,28 @@ type t = {
   mu : Mutex.t;
   now : unit -> float;
   slot_s : float;
-  retain : int;  (* boundaries kept behind the current slot *)
-  alpha : float;  (* EWMA smoothing factor *)
   epoch : float;
   mutable current_slot : int;
   boundaries : (int, boundary) Hashtbl.t;
   ewma : (string, float) Hashtbl.t;  (* counter name -> smoothed rate/s *)
 }
 
-let create ?now:clock ?(slot_s = 60.0) ?(retain = 16) ?(alpha = 0.3) () =
+(* Boundaries kept behind the current slot: enough for a 15-minute
+   window of one-minute slots. *)
+let retain = 16
+
+(* The EWMA smoothing factor. *)
+let alpha = 0.3
+
+let create ?now:clock ?(slot_s = 60.0) () =
   let clock = match clock with Some f -> f | None -> Telemetry.now in
   if slot_s <= 0.0 then invalid_arg "Rollup.create: slot_s must be positive";
-  if retain < 2 then invalid_arg "Rollup.create: retain must be >= 2";
-  if alpha <= 0.0 || alpha > 1.0 then
-    invalid_arg "Rollup.create: alpha must be in (0, 1]";
   let epoch = clock () in
   let t =
     {
       mu = Mutex.create ();
       now = clock;
       slot_s;
-      retain;
-      alpha;
       epoch;
       current_slot = 0;
       boundaries = Hashtbl.create 32;
@@ -94,21 +94,21 @@ let tick_locked t =
           let smoothed =
             match Hashtbl.find_opt t.ewma name with
             | None -> rate
-            | Some prev_rate -> (t.alpha *. rate) +. ((1.0 -. t.alpha) *. prev_rate)
+            | Some prev_rate -> (alpha *. rate) +. ((1.0 -. alpha) *. prev_rate)
           in
           Hashtbl.replace t.ewma name smoothed)
         (counter_deltas snap prev.b_samples)
     | None -> ());
     (* Record the snapshot at every boundary crossed (idle slots share
        it), bounded by the retention horizon. *)
-    let first = max (t.current_slot + 1) (slot - t.retain) in
+    let first = max (t.current_slot + 1) (slot - retain) in
     for i = first to slot do
       Hashtbl.replace t.boundaries i
         { b_time = t.epoch +. (float_of_int i *. t.slot_s); b_samples = snap }
     done;
     t.current_slot <- slot;
     Hashtbl.iter
-      (fun i _ -> if i < slot - t.retain then Hashtbl.remove t.boundaries i)
+      (fun i _ -> if i < slot - retain then Hashtbl.remove t.boundaries i)
       (Hashtbl.copy t.boundaries)
   end
 

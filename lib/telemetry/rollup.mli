@@ -13,19 +13,12 @@
 
 type t
 
-val create :
-  ?now:(unit -> float) ->
-  ?slot_s:float ->
-  ?retain:int ->
-  ?alpha:float ->
-  unit ->
-  t
+val create : ?now:(unit -> float) -> ?slot_s:float -> unit -> t
 (** [create ()] starts a rollup anchored at the current clock value.
-    [slot_s] is the slot width in seconds (default 60), [retain] how many
-    past boundaries are kept (default 16, enough for a 15-minute window),
-    [alpha] the EWMA smoothing factor in (0, 1] (default 0.3).
-    @raise Invalid_argument on non-positive [slot_s], [retain] < 2 or
-    [alpha] outside (0, 1]. *)
+    [slot_s] is the slot width in seconds (default 60).  It keeps 16
+    past boundaries, enough for a 15-minute window, and smooths the
+    EWMA rates with factor 0.3.
+    @raise Invalid_argument on non-positive [slot_s]. *)
 
 val tick : t -> unit
 (** Advance the ring if the clock crossed a slot boundary; otherwise a

@@ -21,8 +21,6 @@ let m_errors = Metrics.counter "metrics.endpoint.errors"
 
 type t = { intake : Channel.intake; port : int; thread : Thread.t }
 
-let default_render () = Exposition.render ~rollup:(Rollup.global ()) ()
-
 (* Read until the blank line ending the headers, EOF, a size cap or the
    deadline — whichever comes first.  The request itself is ignored
    (every path serves the page), so tolerance beats strictness here. *)
@@ -66,12 +64,12 @@ let write_all fd s =
   in
   go 0
 
-let handle_conn render fd =
+let handle_conn fd =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       drain_request fd;
-      let body = render () in
+      let body = Exposition.render ~rollup:(Rollup.global ()) () in
       let head =
         Printf.sprintf
           "HTTP/1.0 200 OK\r\n\
@@ -89,18 +87,18 @@ let handle_conn render fd =
    closes it. *)
 let refuse fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let rec serve intake render =
+let rec serve intake =
   match Channel.take intake ~refuse with
   | Closed -> ()
   | Conn (fd, _) ->
-    (try handle_conn render fd with _ -> Metrics.incr m_errors);
-    serve intake render
-  | Idle | (exception Unix.Unix_error _) -> serve intake render
+    (try handle_conn fd with _ -> Metrics.incr m_errors);
+    serve intake
+  | Idle | (exception Unix.Unix_error _) -> serve intake
 
-let start ?(render = default_render) ~port () =
+let start ~port () =
   let listener, port = Channel.listen ~loopback:true ~backlog:16 ~port () in
   let intake = Channel.intake (Channel.Listener listener) in
-  { intake; port; thread = Thread.create (fun () -> serve intake render) () }
+  { intake; port; thread = Thread.create serve intake }
 
 let port t = t.port
 

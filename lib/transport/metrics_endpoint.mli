@@ -14,10 +14,10 @@
 
 type t
 
-val start : ?render:(unit -> string) -> port:int -> unit -> t
+val start : port:int -> unit -> t
 (** Bind the loopback [port] ([0] picks a free one — see {!port}) and
-    start the responder thread.  [render] defaults to the process-wide
-    registry with its global rollup windows.
+    start the responder thread, which renders the process-wide registry
+    with its global rollup windows.
     @raise Unix.Unix_error when the port cannot be bound. *)
 
 val port : t -> int

@@ -3,10 +3,9 @@
    refill math by advancing time instead of sleeping.
 
    Each key owns a bucket of at most [burst] tokens refilling at
-   [rate_per_s]; a session admission costs one token (callers may
-   charge more via [?cost]).  A drained bucket answers [`Throttle
-   retry_after_s] with the exact time until the bucket holds the
-   requested cost again — Server_loop forwards that as the Busy
+   [rate_per_s]; a session admission costs one token.  A drained bucket
+   answers [`Throttle retry_after_s] with the exact time until the
+   bucket holds a token again — Server_loop forwards that as the Busy
    retry-after hint, so well-behaved clients back off precisely. *)
 
 type config = { rate_per_s : float; burst : float }
@@ -77,19 +76,18 @@ let refill_locked t b =
     b.last_refill <- now
   end
 
-let admit ?(cost = 1.0) t key =
-  if cost <= 0.0 then invalid_arg "Ratelimit.admit: cost must be positive";
+let admit t key =
   locked t (fun () ->
       let b = bucket_locked t key in
       refill_locked t b;
-      if b.tokens >= cost then begin
-        b.tokens <- b.tokens -. cost;
+      if b.tokens >= 1.0 then begin
+        b.tokens <- b.tokens -. 1.0;
         `Admit
       end
       else begin
         t.throttled_total <- t.throttled_total + 1;
         Ppst_telemetry.Metrics.incr m_throttled;
-        `Throttle ((cost -. b.tokens) /. t.config.rate_per_s)
+        `Throttle ((1.0 -. b.tokens) /. t.config.rate_per_s)
       end)
 
 let tokens t key =

@@ -24,10 +24,9 @@ val create : ?now:(unit -> float) -> ?max_peers:int -> config -> t
     @raise Invalid_argument on non-positive rate, burst < 1 or
     max_peers < 1. *)
 
-val admit : ?cost:float -> t -> string -> [ `Admit | `Throttle of float ]
-(** Charge [cost] (default 1.0) tokens against [key]'s bucket.
-    [`Throttle retry_after_s] reports the time until the bucket will
-    hold [cost] tokens again. *)
+val admit : t -> string -> [ `Admit | `Throttle of float ]
+(** Charge one token against [key]'s bucket.  [`Throttle retry_after_s]
+    reports the time until the bucket will hold a token again. *)
 
 val tokens : t -> string -> float
 (** Current token balance for [key] (after refill); the full burst for

@@ -47,6 +47,10 @@ type slot = {
 
 let healthy_after_s = 30.0
 
+(* Restarts over the supervisor's lifetime: a worker that dies once they
+   are spent stops the run. *)
+let max_restarts = 64
+
 (* Sharding: a reconnecting client's very first frame is [Resume] with
    the token at fixed offsets (4-byte length header, tag 0x0c, u32
    token length, then the 16 token bytes) — peek for it without
@@ -108,7 +112,6 @@ type t = {
   workers : int;
   worker_main : slot:int -> restarted:bool -> control:Unix.file_descr -> unit;
   policy : Retry.policy;
-  max_restarts : int;
   drain_timeout_s : float;
   rng : Ppst_rng.Secure_rng.t;
   on_event : event -> unit;
@@ -192,7 +195,7 @@ let reap t =
              slot.control <- None
            | None -> ());
           let stopping = Channel.stopped t.intake in
-          let budget_left = t.restarts_total < t.max_restarts in
+          let budget_left = t.restarts_total < max_restarts in
           let restarting = (not stopping) && budget_left in
           if restarting then begin
             let now = Monoclock.now () in
@@ -324,8 +327,7 @@ let shutdown_workers t =
     t.slots;
   reports
 
-let run ?on_event ?(restart_policy = Retry.default_policy) ?(max_restarts = 64)
-    ?(drain_timeout_s = 30.0) ?rng ?disk_faults ~listener ~workers ~worker_main () =
+let run ?on_event ?(restart_policy = Retry.default_policy) ?(drain_timeout_s = 30.0) ?rng ?disk_faults ~listener ~workers ~worker_main () =
   if workers < 1 then invalid_arg "Supervisor: workers must be >= 1";
   Channel.setup_sigpipe ();
   let t =
@@ -334,7 +336,6 @@ let run ?on_event ?(restart_policy = Retry.default_policy) ?(max_restarts = 64)
       workers;
       worker_main;
       policy = restart_policy;
-      max_restarts;
       drain_timeout_s;
       rng = (match rng with Some r -> r | None -> Ppst_rng.Secure_rng.system ());
       on_event = Option.value on_event ~default:(fun _ -> ());

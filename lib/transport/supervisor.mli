@@ -22,8 +22,8 @@
     shared transport {!Retry.policy}, with the exponent driven by the
     worker's {e consecutive} crash count (a worker that stayed up 30 s
     resets the streak) — an isolated crash restarts almost instantly, a
-    crash loop backs off exponentially, and a global [max_restarts]
-    budget stops the deployment rather than flapping forever.
+    crash loop backs off exponentially, and a global budget of 64
+    restarts stops the deployment rather than flapping forever.
 
     Shutdown ([SIGINT]/[SIGTERM] or an exhausted restart budget):
     half-close every control socket — the worker's loop reads EOF,
@@ -73,7 +73,6 @@ val slot_of_token : workers:int -> string -> int
 val run :
   ?on_event:(event -> unit) ->
   ?restart_policy:Retry.policy ->
-  ?max_restarts:int ->
   ?drain_timeout_s:float ->
   ?rng:Ppst_rng.Secure_rng.t ->
   ?disk_faults:Faults.Disk.t ->
@@ -94,8 +93,8 @@ val run :
     {!Server_loop.create_worker} loop is the intended body.  [restarted] tells
     a replacement worker it follows a crash (a chaos-injected worker
     uses it to drop its one-shot crash fault instead of dying again).
-    [?max_restarts] (default 64) caps supervisor-lifetime restarts;
-    exceeding it stops the run.  [?drain_timeout_s] (default 30)
+    It makes at most 64 restarts over its lifetime; a worker that dies
+    once they are spent stops the run.  [?drain_timeout_s] (default 30)
     bounds shutdown collection.  Call from a process with {e no}
     threads beyond the main one: fork from a threaded parent leaves
     children with dead lock holders.
