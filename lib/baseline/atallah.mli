@@ -13,15 +13,12 @@
 val yao_invocations : m:int -> n:int -> d:int -> int
 (** [3 * m * n * d²]. *)
 
-val fairplay_fast_seconds : float
-(** 1.25 s per Yao invocation (Fairplay, fast network — paper §7). *)
-
 val fairplay_slow_seconds : float
 (** 4 s per Yao invocation (slow network). *)
 
 val estimated_seconds : ?per_call:float -> m:int -> n:int -> d:int -> unit -> float
-(** Total estimated time; [per_call] defaults to
-    {!fairplay_fast_seconds}. *)
+(** Total estimated time; [per_call] defaults to 1.25 s per Yao
+    invocation (Fairplay, fast network — paper §7). *)
 
 val speedup_vs : measured_seconds:float -> m:int -> n:int -> d:int -> float
 (** How many times faster a measured secure run is than the Atallah

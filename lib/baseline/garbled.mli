@@ -13,8 +13,6 @@
 val and_gates : m:int -> n:int -> d:int -> bits:int -> int
 (** Non-free gate count for the whole DTW circuit on [bits]-bit values. *)
 
-val per_gate_seconds : float
-(** 10 µs per non-free gate — an optimistic 2014-era garbling figure. *)
-
 val estimated_seconds : m:int -> n:int -> d:int -> bits:int -> unit -> float
-(** [and_gates] priced at {!per_gate_seconds} each. *)
+(** {!and_gates} priced at 10 µs per non-free gate — an optimistic
+    2014-era garbling figure. *)

@@ -8,12 +8,6 @@ let one = { sign = 1; mag = Nat.one }
 let two = { sign = 1; mag = Nat.of_int 2 }
 let minus_one = { sign = -1; mag = Nat.one }
 
-let make ~sign mag =
-  if Nat.is_zero mag then zero
-  else if sign > 0 then { sign = 1; mag }
-  else if sign < 0 then { sign = -1; mag }
-  else invalid_arg "Bigint.make: zero sign with non-zero magnitude"
-
 let of_nat mag = if Nat.is_zero mag then zero else { sign = 1; mag }
 let magnitude t = t.mag
 
@@ -85,7 +79,6 @@ let mul a b =
   else { sign = a.sign * b.sign; mag = Nat.mul a.mag b.mag }
 
 let mul_int a v = mul a (of_int v)
-let add_int a v = add a (of_int v)
 
 (* Truncated division: quotient rounds toward zero, remainder takes the
    sign of the dividend (same convention as native [/] and [mod]). *)
@@ -248,19 +241,5 @@ let isqrt t =
     in
     refine initial
   end
-
-module Infix = struct
-  let ( + ) = add
-  let ( - ) = sub
-  let ( * ) = mul
-  let ( / ) = div
-  let ( mod ) = rem
-  let ( = ) = equal
-  let ( < ) a b = compare a b < 0
-  let ( <= ) a b = compare a b <= 0
-  let ( > ) a b = compare a b > 0
-  let ( >= ) a b = compare a b >= 0
-  let ( ~- ) = neg
-end
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -92,7 +92,6 @@ val erem : t -> t -> t
     @raise Division_by_zero *)
 
 val mul_int : t -> int -> t
-val add_int : t -> int -> t
 
 val pow : t -> int -> t
 (** [pow b e] for [e >= 0] (plain integer power, not modular).
@@ -106,22 +105,6 @@ val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 (** Arithmetic shift of the magnitude (sign preserved). *)
 
-(** {1 Infix operators} *)
-
-module Infix : sig
-  val ( + ) : t -> t -> t
-  val ( - ) : t -> t -> t
-  val ( * ) : t -> t -> t
-  val ( / ) : t -> t -> t
-  val ( mod ) : t -> t -> t
-  val ( = ) : t -> t -> bool
-  val ( < ) : t -> t -> bool
-  val ( <= ) : t -> t -> bool
-  val ( > ) : t -> t -> bool
-  val ( >= ) : t -> t -> bool
-  val ( ~- ) : t -> t
-end
-
 val pp : Format.formatter -> t -> unit
 
 (** {1 Internal access}
@@ -131,4 +114,3 @@ val pp : Format.formatter -> t -> unit
 
 val magnitude : t -> Nat.t
 val of_nat : Nat.t -> t
-val make : sign:int -> Nat.t -> t

@@ -1,15 +1,9 @@
-(** Modular arithmetic over {!Bigint}: reduction, inverses, GCD and fast
+(** Modular arithmetic over {!Bigint}: inverses, GCD and fast
     exponentiation (Montgomery-backed for odd moduli). *)
 
 exception Not_invertible
 (** Raised by {!invert} when the element shares a factor with the
     modulus. *)
-
-val reduce : Bigint.t -> Bigint.t -> Bigint.t
-(** Canonical residue in [\[0, m)]. *)
-
-val mul : Bigint.t -> Bigint.t -> Bigint.t -> Bigint.t
-(** [mul a b m], reduced into [\[0, m)]. *)
 
 val gcd : Bigint.t -> Bigint.t -> Bigint.t
 (** Non-negative GCD of the magnitudes ([gcd 0 0 = 0]), by binary GCD

@@ -355,10 +355,3 @@ let to_bytes_be (a : t) : string =
     held := !held - 8
   done;
   Bytes.unsafe_to_string buf
-
-let pp fmt (a : t) =
-  if is_zero a then Format.pp_print_string fmt "0x0"
-  else begin
-    Format.pp_print_string fmt "0x";
-    String.iter (fun c -> Format.fprintf fmt "%02x" (Char.code c)) (to_bytes_be a)
-  end

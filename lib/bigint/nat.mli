@@ -73,6 +73,3 @@ val of_bytes_be : string -> t
 
 val to_bytes_be : t -> string
 (** Minimal big-endian representation; [""] for zero. *)
-
-val pp : Format.formatter -> t -> unit
-(** Hex dump, for debugging. *)

@@ -130,17 +130,13 @@ let precompute_randomness t count =
         Cost.add_client_offline t.cost (Unix.gettimeofday () -. t0))
 
 let check_own_bounds series max_value =
-  let d = Series.dimension series in
-  for i = 0 to Series.length series - 1 do
-    let e = Series.get series i in
-    for l = 0 to d - 1 do
-      if e.(l) < 0 || e.(l) > max_value then
-        raise
-          (Incompatible
-             (Printf.sprintf "client coordinate %d of element %d is %d, outside [0, %d]"
-                l i e.(l) max_value))
-    done
-  done
+  match Series.find_outside series ~max_value with
+  | None -> ()
+  | Some (i, l, v) ->
+    raise
+      (Incompatible
+         (Printf.sprintf "client coordinate %d of element %d is %d, outside [0, %d]"
+            l i v max_value))
 
 let plan_session ~params ~series ~server_length ~max_value ~modulus ~distance =
   Params.plan params ~max_value ~dimension:(Series.dimension series)

@@ -114,6 +114,9 @@ val require_plan : t -> distance_kind -> unit
 (** @raise Invalid_argument when the session was planned for a different
     distance kind.  Every secure-distance driver calls this first. *)
 
+val show_kind : distance_kind -> string
+(** The kind as its constructor ([`Dtw] ...), for error messages. *)
+
 val client_element : t -> int -> int array
 (** The client's own element [x_i] (it owns this data; drivers use it for
     client-local plaintext costs such as ERP's deletion penalties). *)

@@ -92,12 +92,6 @@ type spec = {
 let spec ?band ?(strategy = `Full) ?gap ?(packing = false) algo =
   { algo; band; strategy; gap; packing }
 
-let algo_name = function
-  | `Dtw -> "`Dtw"
-  | `Dfd -> "`Dfd"
-  | `Erp -> "`Erp"
-  | `Euclidean -> "`Euclidean"
-
 (* Validation happens here rather than in [spec] so record literals get
    the same checks as the smart constructor.  [None] is Euclidean, the
    one distance that is not a DP. *)
@@ -118,7 +112,7 @@ let engine_of_spec s =
     | Some b, (`Dtw | `Dfd) -> Secure_dp.Band b
     | Some _, (`Erp | `Euclidean) ->
       invalid_arg
-        (Printf.sprintf "Protocol.run: band does not apply to %s" (algo_name s.algo))
+        (Printf.sprintf "Protocol.run: band does not apply to %s" (Client.show_kind s.algo))
   in
   let schedule =
     match (s.strategy, rule) with
@@ -185,10 +179,10 @@ type windows_result = {
   windows_stats : Stats.t;
 }
 
-let subsequence ?params ?seed ?max_value ?decryption ?offline ?jobs ~x ~y () =
+let subsequence ?seed ?max_value ~x ~y () =
   let distances, cost, stats, _session =
     run_session ~distance_kind:`Euclidean ~runner:Secure_euclidean.sliding_windows
-      ?params ?seed ?max_value ?decryption ?offline ?jobs ~x ~y ()
+      ?seed ?max_value ~x ~y ()
   in
   { window_distances = distances; windows_cost = cost; windows_stats = stats }
 

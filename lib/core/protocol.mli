@@ -114,19 +114,11 @@ type windows_result = {
 }
 
 val subsequence :
-  ?params:Params.t ->
-  ?seed:string ->
-  ?max_value:int ->
-  ?decryption:[ `Standard | `Crt ] ->
-  ?offline:bool ->
-  ?jobs:int ->
-  x:Series.t ->
-  y:Series.t ->
-  unit ->
-  windows_result
+  ?seed:string -> ?max_value:int -> x:Series.t -> y:Series.t -> unit -> windows_result
 (** Secure subsequence matching: Euclidean distance of server series [y]
     against every window of client series [x]
-    (see {!Secure_euclidean.sliding_windows}). *)
+    (see {!Secure_euclidean.sliding_windows}).  [seed] and [max_value] as
+    {!run}; both parties use the default {!Params} and one job. *)
 
 val expected_values_transferred :
   params:Params.t -> m:int -> n:int -> d:int -> spec -> int

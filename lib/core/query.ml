@@ -437,8 +437,7 @@ let scan ~spec t =
    store-backed server on a loopback channel and drive a query against
    it. *)
 
-let with_query_session ~(s : Protocol.spec) ?(params = Params.default) ?seed
-    ?max_value ?decryption ?offline ?(jobs = 1) ~x ~store f =
+let with_query_session ~(s : Protocol.spec) ?seed ?max_value ~x ~store f =
   let rng_of suffix =
     match seed with
     | Some s -> Secure_rng.of_seed_string (s ^ "/" ^ suffix)
@@ -451,32 +450,20 @@ let with_query_session ~(s : Protocol.spec) ?(params = Params.default) ?seed
     | None ->
       Stdlib.max 1 (Stdlib.max (Series.max_abs_value x) (Store.max_abs_value store))
   in
-  let workers = Parallel.create jobs in
-  Fun.protect
-    ~finally:(fun () -> Parallel.shutdown workers)
-    (fun () ->
-      let server =
-        Server.of_store ~params ?decryption ~workers ~rng:server_rng ~store
-          ~max_value:bound ()
-      in
-      let channel = Channel.local (Server.handle server) in
-      let client =
-        Client.connect ~params ?offline ~packing:s.Protocol.packing ~query:true
-          ~workers ~rng:client_rng ~series:x ~max_value:bound
-          ~distance:s.Protocol.algo channel
-      in
-      let result = f client in
-      Client.finish client;
-      (result, Channel.stats channel))
+  let server = Server.of_store ~rng:server_rng ~store ~max_value:bound () in
+  let channel = Channel.local (Server.handle server) in
+  let client =
+    Client.connect ~packing:s.Protocol.packing ~query:true ~rng:client_rng
+      ~series:x ~max_value:bound ~distance:s.Protocol.algo channel
+  in
+  let result = f client in
+  Client.finish client;
+  (result, Channel.stats channel)
 
-let run_top_k ~spec ?segments ?budget ?candidate_budget_s ?params ?seed
-    ?max_value ?decryption ?offline ?jobs ~k ~x ~store () =
-  with_query_session ~s:spec ?params ?seed ?max_value ?decryption ?offline
-    ?jobs ~x ~store (fun client ->
-      top_k ?segments ?budget ?candidate_budget_s ~spec ~k client)
+let run_top_k ~spec ?seed ?max_value ~k ~x ~store () =
+  with_query_session ~s:spec ?seed ?max_value ~x ~store (fun client ->
+      top_k ~spec ~k client)
 
-let run_within ~spec ?segments ?budget ?candidate_budget_s ?params ?seed
-    ?max_value ?decryption ?offline ?jobs ~radius ~x ~store () =
-  with_query_session ~s:spec ?params ?seed ?max_value ?decryption ?offline
-    ?jobs ~x ~store (fun client ->
-      within ?segments ?budget ?candidate_budget_s ~spec ~radius client)
+let run_within ~spec ?segments ?seed ~radius ~x ~store () =
+  with_query_session ~s:spec ?seed ~x ~store (fun client ->
+      within ?segments ~spec ~radius client)

@@ -139,37 +139,24 @@ val scan : spec:Protocol.spec -> Client.t -> report
 
 val run_top_k :
   spec:Protocol.spec ->
-  ?segments:int ->
-  ?budget:Ppst_transport.Retry.Budget.t ->
-  ?candidate_budget_s:float ->
-  ?params:Params.t ->
   ?seed:string ->
   ?max_value:int ->
-  ?decryption:[ `Standard | `Crt ] ->
-  ?offline:bool ->
-  ?jobs:int ->
   k:int ->
   x:Series.t ->
   store:Store.t ->
   unit ->
   report * Stats.t
 (** Stand up a store-backed {!Server} on a loopback channel, connect a
-    catalog-capable client for [x], and run {!top_k}.  Options as
+    catalog-capable client for [x], and run {!top_k}.  [seed] as
     {!Protocol.run}; [max_value] defaults to the larger of the two
-    sides' actual coordinate bounds.  Also returns the channel's wire
+    sides' actual coordinate bounds.  Both parties use the default
+    {!Params} and one job.  Also returns the channel's wire
     accounting. *)
 
 val run_within :
   spec:Protocol.spec ->
   ?segments:int ->
-  ?budget:Ppst_transport.Retry.Budget.t ->
-  ?candidate_budget_s:float ->
-  ?params:Params.t ->
   ?seed:string ->
-  ?max_value:int ->
-  ?decryption:[ `Standard | `Crt ] ->
-  ?offline:bool ->
-  ?jobs:int ->
   radius:Bigint.t ->
   x:Series.t ->
   store:Store.t ->

@@ -23,16 +23,12 @@ let m_encryptions = Metrics.counter "server.crypto.encryptions"
 let m_decryptions = Metrics.counter "server.crypto.decryptions"
 
 let check_bounds series max_value =
-  let len = Series.length series and d = Series.dimension series in
-  for i = 0 to len - 1 do
-    let e = Series.get series i in
-    for l = 0 to d - 1 do
-      if e.(l) < 0 || e.(l) > max_value then
-        invalid_arg
-          (Printf.sprintf "Server: coordinate %d of element %d is %d, outside [0, %d]"
-             l i e.(l) max_value)
-    done
-  done
+  match Series.find_outside series ~max_value with
+  | None -> ()
+  | Some (i, l, v) ->
+    invalid_arg
+      (Printf.sprintf "Server: coordinate %d of element %d is %d, outside [0, %d]"
+         l i v max_value)
 
 let create_db_with_key ?(decryption = `Standard) ?(workers = Parallel.sequential)
     ?max_reveals ?ids ~sk ~rng ~records ~max_value () =
@@ -81,9 +77,9 @@ let create_db ?(params = Params.default) ?decryption ?workers ?max_reveals ?ids 
   create_db_with_key ?decryption ?workers ?max_reveals ?ids ~sk ~rng ~records
     ~max_value ()
 
-let of_store ?params ?decryption ?workers ?max_reveals ~rng ~store ~max_value () =
-  create_db ?params ?decryption ?workers ?max_reveals ~ids:(Store.ids store) ~rng
-    ~records:(Store.records store) ~max_value ()
+let of_store ?max_reveals ~rng ~store ~max_value () =
+  create_db ?max_reveals ~ids:(Store.ids store) ~rng ~records:(Store.records store)
+    ~max_value ()
 
 let of_store_with_key ?decryption ?workers ?max_reveals ~sk ~rng ~store ~max_value () =
   create_db_with_key ?decryption ?workers ?max_reveals ~ids:(Store.ids store) ~sk ~rng

@@ -97,17 +97,10 @@ val create_db_with_key :
   t
 
 val of_store :
-  ?params:Params.t ->
-  ?decryption:[ `Standard | `Crt ] ->
-  ?workers:Parallel.t ->
-  ?max_reveals:int ->
-  rng:Secure_rng.t ->
-  store:Store.t ->
-  max_value:int ->
-  unit ->
-  t
-(** Stand up a catalog server over a {!Store}: records and ids are the
-    store's, in store order. *)
+  ?max_reveals:int -> rng:Secure_rng.t -> store:Store.t -> max_value:int -> unit -> t
+(** Stand up a catalog server over a {!Store} with a fresh key of the
+    default {!Params} size: records and ids are the store's, in store
+    order. *)
 
 val of_store_with_key :
   ?decryption:[ `Standard | `Crt ] ->

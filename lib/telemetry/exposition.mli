@@ -11,9 +11,6 @@
     come from the closed instrumentation vocabulary and values are
     numbers, so no per-session or data-dependent strings can appear. *)
 
-val metric_name : string -> string
-(** Registry name to exposition name: sanitize + ["ppst_"] prefix. *)
-
 val render : ?rollup:Rollup.t -> unit -> string
 (** Render the full page, terminated by [# EOF].  [rollup] is ticked
     before rendering. *)

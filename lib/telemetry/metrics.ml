@@ -1,13 +1,14 @@
 (* Process-wide registry of named counters, gauges and fixed-bucket
-   histograms.  Thread-safety under Domains comes from one mutex per
-   metric (update hot paths never contend on a global lock); the registry
-   itself is guarded by [reg_mu] only during get-or-create and snapshot.
+   histograms.  Thread-safety under Domains comes from an atomic per
+   counter and one mutex per gauge or histogram (update hot paths never
+   contend on a global lock); the registry itself is guarded by [reg_mu]
+   only during get-or-create and snapshot.
 
    The same leakage discipline as Telemetry applies: a metric can only
    carry numbers, and its name is a static string chosen at the
    instrumentation site. *)
 
-type counter = { c_mu : Mutex.t; mutable c_value : int }
+type counter = int Atomic.t
 type gauge = { g_mu : Mutex.t; mutable g_value : float }
 
 type histogram = {
@@ -50,21 +51,13 @@ let get_or_create name make match_existing =
 let counter name =
   get_or_create name
     (fun () ->
-      let c = { c_mu = Mutex.create (); c_value = 0 } in
+      let c = Atomic.make 0 in
       Hashtbl.add registry name (Counter c);
       c)
     (function Counter c -> Some c | _ -> None)
 
-let incr ?(by = 1) c =
-  Mutex.lock c.c_mu;
-  c.c_value <- c.c_value + by;
-  Mutex.unlock c.c_mu
-
-let counter_value c =
-  Mutex.lock c.c_mu;
-  let v = c.c_value in
-  Mutex.unlock c.c_mu;
-  v
+let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c by)
+let counter_value = Atomic.get
 
 let gauge name =
   get_or_create name
@@ -181,23 +174,3 @@ let scalars () =
       | Gauge_sample v -> Some (name, v)
       | Histogram_sample _ -> None)
     (snapshot ())
-
-let reset () =
-  let items = locked (fun () -> Hashtbl.fold (fun _ m acc -> m :: acc) registry []) in
-  List.iter
-    (function
-      | Counter c ->
-        Mutex.lock c.c_mu;
-        c.c_value <- 0;
-        Mutex.unlock c.c_mu
-      | Gauge g ->
-        Mutex.lock g.g_mu;
-        g.g_value <- 0.0;
-        Mutex.unlock g.g_mu
-      | Histogram h ->
-        Mutex.lock h.h_mu;
-        Array.fill h.counts 0 (Array.length h.counts) 0;
-        h.h_count <- 0;
-        h.h_sum <- 0.0;
-        Mutex.unlock h.h_mu)
-    items

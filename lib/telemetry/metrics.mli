@@ -50,5 +50,3 @@ val scalars : unit -> (string * float) list
     histograms are left out.  What a supervised worker reports to its
     parent when it drains ([Server_loop.run] on a worker loop). *)
 
-val reset : unit -> unit
-(** Zero every registered metric (registrations survive).  For tests. *)

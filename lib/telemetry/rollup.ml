@@ -57,9 +57,8 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-(* Counter deltas between two cumulative snapshots, clamped at zero so a
-   Metrics.reset between snapshots reads as "no activity", not a huge
-   negative window. *)
+(* Counter deltas between two cumulative snapshots; a counter missing
+   from [older] counts from zero. *)
 let counter_deltas newer older =
   let old_tbl = Hashtbl.create 16 in
   List.iter
@@ -190,46 +189,40 @@ let window t ~slots =
       in
       let span = Float.max (nowv -. base.b_time) 1e-9 in
       let live = Metrics.snapshot () in
-      let old_tbl = Hashtbl.create 16 in
-      List.iter (fun (name, s) -> Hashtbl.replace old_tbl name s) base.b_samples;
-      let counters = ref [] and histograms = ref [] in
-      List.iter
-        (fun (name, s) ->
-          match s with
-          | Metrics.Counter_sample v ->
-            let before =
-              match Hashtbl.find_opt old_tbl name with
-              | Some (Metrics.Counter_sample b) -> b
-              | _ -> 0
-            in
-            let delta = max 0 (v - before) in
-            counters :=
-              { wc_name = name; wc_delta = delta; wc_rate = float_of_int delta /. span }
-              :: !counters
-          | Metrics.Histogram_sample h ->
-            let older =
-              match Hashtbl.find_opt old_tbl name with
-              | Some (Metrics.Histogram_sample o) -> Some o
-              | _ -> None
-            in
-            let d = histogram_delta h older in
-            histograms :=
-              {
-                wh_name = name;
-                wh_count = d.Metrics.count;
-                wh_sum = d.Metrics.sum;
-                wh_p50 = quantile d.Metrics.buckets ~count:d.Metrics.count 0.50;
-                wh_p95 = quantile d.Metrics.buckets ~count:d.Metrics.count 0.95;
-                wh_p99 = quantile d.Metrics.buckets ~count:d.Metrics.count 0.99;
-              }
-              :: !histograms
-          | Metrics.Gauge_sample _ -> ())
-        live;
+      let counters =
+        List.map
+          (fun (name, delta) ->
+            { wc_name = name; wc_delta = delta; wc_rate = float_of_int delta /. span })
+          (counter_deltas live base.b_samples)
+      in
+      let histograms =
+        List.filter_map
+          (fun (name, s) ->
+            match s with
+            | Metrics.Histogram_sample h ->
+              let older =
+                match List.assoc_opt name base.b_samples with
+                | Some (Metrics.Histogram_sample o) -> Some o
+                | _ -> None
+              in
+              let d = histogram_delta h older in
+              Some
+                {
+                  wh_name = name;
+                  wh_count = d.Metrics.count;
+                  wh_sum = d.Metrics.sum;
+                  wh_p50 = quantile d.Metrics.buckets ~count:d.Metrics.count 0.50;
+                  wh_p95 = quantile d.Metrics.buckets ~count:d.Metrics.count 0.95;
+                  wh_p99 = quantile d.Metrics.buckets ~count:d.Metrics.count 0.99;
+                }
+            | _ -> None)
+          live
+      in
       {
         w_slots = slots;
         w_span_s = span;
-        w_counters = List.rev !counters;
-        w_histograms = List.rev !histograms;
+        w_counters = counters;
+        w_histograms = histograms;
       })
 
 let ewma t =

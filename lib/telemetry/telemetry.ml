@@ -18,8 +18,6 @@ type level = Quiet | Info | Debug
 
 let level_rank = function Quiet -> 0 | Info -> 1 | Debug -> 2
 
-let level_name = function Quiet -> "quiet" | Info -> "info" | Debug -> "debug"
-
 let level_of_string = function
   | "quiet" -> Quiet
   | "info" -> Info
@@ -170,25 +168,25 @@ let emit level ev =
 
 let next_id = Atomic.make 1
 
-type span_handle = { id : int; name : string; t0 : float; span_level : level; live : bool }
+type span_handle = { id : int; name : string; t0 : float; live : bool }
 
-let start ?(level = Info) ~name ?(attrs = []) () =
-  if enabled level then begin
+let start ~name ?(attrs = []) () =
+  if enabled Info then begin
     let id = Atomic.fetch_and_add next_id 1 in
     let t0 = now () in
-    emit level (Span_start { id; name; t = t0; attrs });
-    { id; name; t0; span_level = level; live = true }
+    emit Info (Span_start { id; name; t = t0; attrs });
+    { id; name; t0; live = true }
   end
-  else { id = 0; name; t0 = 0.0; span_level = level; live = false }
+  else { id = 0; name; t0 = 0.0; live = false }
 
 let finish ?(attrs = []) h =
   if h.live then begin
     let t = now () in
-    emit h.span_level (Span_end { id = h.id; name = h.name; t; dt = t -. h.t0; attrs })
+    emit Info (Span_end { id = h.id; name = h.name; t; dt = t -. h.t0; attrs })
   end
 
-let span ?level ~name ?attrs f =
-  let h = start ?level ~name ?attrs () in
+let span ~name ?attrs f =
+  let h = start ~name ?attrs () in
   match f () with
   | v ->
     finish h;

@@ -18,15 +18,7 @@
 
 type level = Quiet | Info | Debug
 
-val level_rank : level -> int
-val level_name : level -> string
-
-val level_of_string : string -> level
-(** ["quiet" | "info" | "debug"]; @raise Invalid_argument otherwise. *)
-
 type phase = Phase1 | Phase2 | Phase3 | Offline
-
-val phase_name : phase -> string
 
 (** The only payloads an attribute can carry. *)
 type value =
@@ -50,14 +42,11 @@ val now : unit -> float
 val event_to_json : event -> string
 (** One JSONL line, no trailing newline ([Trace_reader] parses it back). *)
 
-val event_pretty : event -> string
-
 (** {1 Sinks} *)
 
 type sink = { emit : event -> unit; flush : unit -> unit }
 
 val jsonl_sink : out_channel -> sink
-val pretty_sink : out_channel -> sink
 
 val add_sink : ?level:level -> sink -> unit
 (** Register a sink receiving events at or below [level] (default
@@ -66,8 +55,6 @@ val add_sink : ?level:level -> sink -> unit
 val clear_sinks : unit -> unit
 (** Unregister (and flush) every sink. *)
 
-val flush : unit -> unit
-
 val enabled : level -> bool
 (** [true] iff some registered sink would receive an event at [level]. *)
 
@@ -75,12 +62,14 @@ val enabled : level -> bool
 
 type span_handle
 
-val start : ?level:level -> name:string -> ?attrs:attr list -> unit -> span_handle
+val start : name:string -> ?attrs:attr list -> unit -> span_handle
+(** Open a span at level [Info]. *)
+
 val finish : ?attrs:attr list -> span_handle -> unit
 (** End-of-span attributes (e.g. an outcome only known at the end) are
     appended to the [Span_end] record. *)
 
-val span : ?level:level -> name:string -> ?attrs:attr list -> (unit -> 'a) -> 'a
+val span : name:string -> ?attrs:attr list -> (unit -> 'a) -> 'a
 (** [span ~name ~attrs f] emits start/end records around [f] (an
     escaping exception ends the span with [("error", Flag true)] and
     re-raises). *)

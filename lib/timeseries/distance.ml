@@ -229,30 +229,6 @@ let dfd a b =
 
 (* ERP (Chen & Ng): gaps are compared against a fixed reference element,
    which restores the triangle inequality that DTW lacks. *)
-let erp ~gap a b =
-  check_comparable_f "Distance.erp" a b;
-  if Array.length gap <> Series.Fseries.dimension a then
-    invalid_arg "Distance.erp: gap element dimension mismatch";
-  let m = Series.Fseries.length a and n = Series.Fseries.length b in
-  let mat = Array.make_matrix (m + 1) (n + 1) 0.0 in
-  for i = 1 to m do
-    mat.(i).(0) <- mat.(i - 1).(0) +. euclidean_f (Series.Fseries.get a (i - 1)) gap
-  done;
-  for j = 1 to n do
-    mat.(0).(j) <- mat.(0).(j - 1) +. euclidean_f (Series.Fseries.get b (j - 1)) gap
-  done;
-  for i = 1 to m do
-    for j = 1 to n do
-      let xi = Series.Fseries.get a (i - 1) and yj = Series.Fseries.get b (j - 1) in
-      mat.(i).(j) <-
-        min3f
-          (mat.(i - 1).(j - 1) +. euclidean_f xi yj)
-          (mat.(i - 1).(j) +. euclidean_f xi gap)
-          (mat.(i).(j - 1) +. euclidean_f yj gap)
-    done
-  done;
-  mat.(m).(n)
-
 let erp_sq ~gap a b =
   check_comparable "Distance.erp_sq" a b;
   if Array.length gap <> Series.dimension a then

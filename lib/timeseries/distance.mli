@@ -16,9 +16,6 @@ val sq_euclidean : int array -> int array -> int
 (** [sq_euclidean x y] = Σ (x_i - y_i)².
     @raise Invalid_argument on dimension mismatch. *)
 
-val sq_euclidean_f : float array -> float array -> float
-val euclidean_f : float array -> float array -> float
-
 (** {1 Whole-series distances, protocol semantics (integer, squared)} *)
 
 val euclidean_sq : Series.t -> Series.t -> int
@@ -46,8 +43,6 @@ val dtw_sq_matrix : Series.t -> Series.t -> int array array
 (** The full DP matrix (the intermediate the protocol must hide —
     used by leakage analysis and tests). *)
 
-val dfd_sq_matrix : Series.t -> Series.t -> int array array
-
 val dtw_sq_path : Series.t -> Series.t -> (int * int) list
 (** An optimal warping path (list of (i, j) couplings from (0,0) to
     (m-1,n-1)) — the other secret the protocol hides. *)
@@ -58,10 +53,8 @@ val euclidean : Series.Fseries.t -> Series.Fseries.t -> float
 val dtw : Series.Fseries.t -> Series.Fseries.t -> float
 val dfd : Series.Fseries.t -> Series.Fseries.t -> float
 
-val erp : gap:float array -> Series.Fseries.t -> Series.Fseries.t -> float
-(** Edit distance with Real Penalty (Chen & Ng, VLDB 2004), with the given
-    gap element — the paper cites it as another DP distance the protocol
-    framework extends to. *)
-
 val erp_sq : gap:int array -> Series.t -> Series.t -> int
-(** Integer ERP with squared-Euclidean cost, protocol-compatible. *)
+(** Edit distance with Real Penalty (Chen & Ng, VLDB 2004) with the given
+    gap element, on integers with squared-Euclidean cost, as the protocol
+    computes it; the paper cites ERP as another DP distance the protocol
+    framework extends to. *)

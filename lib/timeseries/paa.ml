@@ -20,9 +20,6 @@ let paa ~segments fs =
       done;
       !acc /. float_of_int (hi - lo))
 
-let paa_int ~segments s =
-  paa ~segments (Normalize.dequantize s)
-
 (* Standard-normal quantiles at i/alphabet, i = 1 .. alphabet-1, from the
    classic SAX table (Lin et al., DMKD 2007). *)
 let breakpoint_table =

@@ -23,9 +23,6 @@ val paa : segments:int -> Series.Fseries.t -> float array
     @raise Invalid_argument for multi-dimensional input, non-positive
     [segments], or [segments] exceeding the length. *)
 
-val paa_int : segments:int -> Series.t -> float array
-(** PAA of an integer series (values taken as floats). *)
-
 val sax_breakpoints : alphabet:int -> float array
 (** The [alphabet - 1] standard-normal breakpoints that make each symbol
     equiprobable for N(0,1) data (supported alphabets: 2..10).

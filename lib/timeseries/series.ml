@@ -51,6 +51,16 @@ let max_abs_value t =
     (fun acc e -> Array.fold_left (fun acc v -> max acc (abs v)) acc e)
     0 t.data
 
+let find_outside t ~max_value =
+  let rec go i l =
+    if i >= Array.length t.data then None
+    else if l >= t.dim then go (i + 1) 0
+    else
+      let v = t.data.(i).(l) in
+      if v < 0 || v > max_value then Some (i, l, v) else go i (l + 1)
+  in
+  go 0 0
+
 let equal a b =
   a.dim = b.dim
   && length a = length b

@@ -42,6 +42,12 @@ val max_abs_value : t -> int
 (** Largest absolute coordinate value; bounds the protocol's plaintext
     range analysis. *)
 
+val find_outside : t -> max_value:int -> (int * int * int) option
+(** The first coordinate, in element order, outside [\[0, max_value\]]:
+    [Some (element, coordinate, value)]; [None] when every one is in
+    range.  Both parties check their own series with it before a
+    session. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 

@@ -53,8 +53,6 @@ let create limits =
     frames_spent = 0;
   }
 
-let limits t = t.limits
-
 let m_rejects = Ppst_telemetry.Metrics.counter "server.quota.rejects"
 
 let check name limit requested =

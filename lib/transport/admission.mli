@@ -38,7 +38,6 @@ type t
     single thread ({!Server_loop} is thread-per-session). *)
 
 val create : limits -> t
-val limits : t -> limits
 
 val declare : t -> spec:Message.spec -> server_len:int -> verdict
 (** Admission at [Hello] time: checks the declared series length and

@@ -58,8 +58,6 @@ let create ?(seed = 1) profile =
     injected = 0;
   }
 
-let profile t = t.profile
-
 let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
@@ -178,8 +176,6 @@ module Disk = struct
       fds = 0;
       injected = 0;
     }
-
-  let profile t = t.profile
 
   let locked t f =
     Mutex.lock t.mu;

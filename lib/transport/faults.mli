@@ -58,8 +58,6 @@ val next : t -> action
     Thread-safe (one injector may be shared by every session of a
     server loop). *)
 
-val profile : t -> profile
-
 val frames : t -> int
 (** Frames seen so far. *)
 
@@ -104,8 +102,6 @@ module Disk : sig
   (** Count one operation of kind [op] and raise the profile's
       [Unix.Unix_error] if this is the operation it targets.
       Thread-safe. *)
-
-  val profile : t -> profile
 
   val injected : t -> int
   (** Faults injected so far. *)

@@ -93,9 +93,6 @@ module Breaker : sig
     cooldown_s : float;  (** minimum open duration; [> 0] *)
   }
 
-  val default_config : config
-  (** 3 consecutive sheds, 5 s cooldown. *)
-
   exception Open_circuit of { retry_after_s : float }
   (** An attempt was suppressed locally; [retry_after_s] is the
       remaining cooldown. *)
@@ -103,7 +100,8 @@ module Breaker : sig
   type t
 
   val create : ?now:(unit -> float) -> ?config:config -> unit -> t
-  (** [?now] defaults to the monotonic clock.
+  (** [?now] defaults to the monotonic clock, [?config] to 3 consecutive
+      sheds and a 5 s cooldown.
       @raise Invalid_argument on threshold < 1 or non-positive
       cooldown. *)
 

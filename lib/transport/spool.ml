@@ -44,8 +44,6 @@ let create ?disk_faults ~dir () =
   mkdir_p dir;
   { dir; disk_faults }
 
-let dir t = t.dir
-
 let put t ~key value =
   let final = path_of_key t key in
   let tmp = final ^ ".tmp" in

@@ -23,8 +23,6 @@ val validate : dir:string -> (unit, string) result
     a server can fail fast at startup instead of discovering an
     unusable spool at its first mid-session snapshot. *)
 
-val dir : t -> string
-
 val put : t -> key:string -> string -> unit
 (** Atomically replace [key]'s value.  After a crash at any point the
     key holds either its previous value or the new one, never a torn

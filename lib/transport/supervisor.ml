@@ -327,7 +327,8 @@ let shutdown_workers t =
     t.slots;
   reports
 
-let run ?on_event ?(restart_policy = Retry.default_policy) ?(drain_timeout_s = 30.0) ?rng ?disk_faults ~listener ~workers ~worker_main () =
+let run ?on_event ?(restart_policy = Retry.default_policy) ?(drain_timeout_s = 30.0)
+    ?disk_faults ~listener ~workers ~worker_main () =
   if workers < 1 then invalid_arg "Supervisor: workers must be >= 1";
   Channel.setup_sigpipe ();
   let t =
@@ -337,7 +338,7 @@ let run ?on_event ?(restart_policy = Retry.default_policy) ?(drain_timeout_s = 3
       worker_main;
       policy = restart_policy;
       drain_timeout_s;
-      rng = (match rng with Some r -> r | None -> Ppst_rng.Secure_rng.system ());
+      rng = Ppst_rng.Secure_rng.system ();
       on_event = Option.value on_event ~default:(fun _ -> ());
       disk_faults;
       slots =

@@ -74,7 +74,6 @@ val run :
   ?on_event:(event -> unit) ->
   ?restart_policy:Retry.policy ->
   ?drain_timeout_s:float ->
-  ?rng:Ppst_rng.Secure_rng.t ->
   ?disk_faults:Faults.Disk.t ->
   listener:Unix.file_descr ->
   workers:int ->
