@@ -104,23 +104,41 @@ let in_range t ~lo ~hi =
   if Bigint.compare lo hi > 0 then invalid_arg "Secure_rng.in_range: lo > hi";
   Bigint.add lo (below t (Bigint.succ (Bigint.sub hi lo)))
 
+(* Bits in a positive native int, halving the range at each step. *)
+let bit_width v =
+  let n = ref 1 and v = ref v in
+  if !v lsr 32 <> 0 then (n := !n + 32; v := !v lsr 32);
+  if !v lsr 16 <> 0 then (n := !n + 16; v := !v lsr 16);
+  if !v lsr 8 <> 0 then (n := !n + 8; v := !v lsr 8);
+  if !v lsr 4 <> 0 then (n := !n + 4; v := !v lsr 4);
+  if !v lsr 2 <> 0 then (n := !n + 2; v := !v lsr 2);
+  if !v lsr 1 <> 0 then incr n;
+  !n
+
 (* [below] on a native int: the same bytes, mask and rejections, with no
-   Bigint.  A bound below 2^62 needs at most 8 bytes, and the masked top
-   byte keeps the value below 2^62. *)
+   Bigint.  A bound below 2^62 needs at most 8 bytes; keeping the low
+   [nbits] of their big-endian value is masking the first byte.  A draw
+   the block still holds is read from it in place. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Secure_rng.int: bound must be positive";
-  let rec num_bits v = if v = 0 then 0 else 1 + num_bits (v lsr 1) in
-  let nbits = num_bits bound in
-  let nbytes = (nbits + 7) / 8 in
-  let mask = top_mask ~nbytes nbits in
-  let rec draw () =
-    let v = ref (byte t land mask) in
-    for _ = 2 to nbytes do
-      v := (!v lsl 8) lor byte t
-    done;
-    if !v < bound then !v else draw ()
-  in
-  draw ()
+  let nbits = bit_width bound in
+  let nbytes = (nbits + 7) / 8 and mask = (1 lsl nbits) - 1 in
+  let result = ref bound in
+  while !result >= bound do
+    let v = ref 0 in
+    if t.pos + nbytes <= Bytes.length t.buffer then begin
+      for i = t.pos to t.pos + nbytes - 1 do
+        v := (!v lsl 8) lor Char.code (Bytes.unsafe_get t.buffer i)
+      done;
+      t.pos <- t.pos + nbytes
+    end
+    else
+      for _ = 1 to nbytes do
+        v := (!v lsl 8) lor byte t
+      done;
+    result := !v land mask
+  done;
+  !result
 
 let shuffle_in_place t arr =
   for i = Array.length arr - 1 downto 1 do
