@@ -121,3 +121,5 @@ val profile_of_string : string -> (profile, string) result
     [crash-write-at-N]. *)
 
 val profile_to_string : profile -> string
+(** The form {!profile_of_string} reads back; a [Delay_every] prints its
+    delay in whole milliseconds. *)
