@@ -32,7 +32,7 @@ type t = {
    window of one-minute slots. *)
 let retain = 16
 
-(* The EWMA smoothing factor. *)
+(* EWMA smoothing: the weight of the newest slot's rate. *)
 let alpha = 0.3
 
 let create ?now:clock ?(slot_s = 60.0) () =
