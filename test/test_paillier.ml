@@ -482,6 +482,54 @@ let test_noise_paths_agree () =
             via_pool (fun pool r -> Paillier.pool_refill_fast ~workers:two pk pool r count) );
         ])
 
+(* The subgroup noise at the packed profile's key sizes, pinned: the MD5
+   of 64 factors, each as the decimal of its residue ([Enc(0)] under
+   the factor is the factor itself), from a seeded generator and from a
+   seeded 64-entry fast refill.  Any change to how the generator draws
+   h, builds its table or walks it must keep these bytes. *)
+let noise_digests =
+  [
+    (256, "0e07c2c7b8164339117229df3f4c114a", "f4d3ff751eb1622c4483832486ea582f");
+    (512, "3af47e7a8d575f64243c2be9a5e96dfa", "cccc97dd1af1fc2914fba37b72676b24");
+    (1024, "2bc7d73db99bfbe752bbcd8f0d69d20e", "66a1b94c7d780f5c05ba4d5a4d381947");
+  ]
+
+let test_noise_digests () =
+  let count = 64 in
+  let digest pk rns =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\n"
+            (List.map
+               (fun rn ->
+                 Bigint.to_string
+                   (Paillier.ciphertext_to_bigint
+                      (Paillier.encrypt_with_rn pk ~rn Bigint.zero)))
+               rns)))
+  in
+  List.iter
+    (fun (bits, gen_md5, pool_md5) ->
+      let pk, _ =
+        Paillier.keygen ~bits
+          (Ppst_rng.Secure_rng.of_seed_string (Printf.sprintf "kernel-%d" bits))
+      in
+      let seeded name = Ppst_rng.Secure_rng.of_seed_string (Printf.sprintf "%s-%d" name bits) in
+      let from_gen =
+        let r = seeded "noise-digest-gen" in
+        let g = Paillier.noise_gen_create pk r in
+        List.init count (fun _ -> Paillier.noise_gen_rn g pk r)
+      in
+      Alcotest.(check string) (Printf.sprintf "%d bits: noise_gen_create" bits) gen_md5
+        (digest pk from_gen);
+      let pool = Paillier.pool_create pk in
+      Paillier.pool_refill_fast pk pool (seeded "noise-digest-pool") count;
+      let from_pool = Array.to_list (Paillier.pool_take pk pool (seeded "spare") count) in
+      Alcotest.(check int) (Printf.sprintf "%d bits: no misses" bits) 0
+        (Paillier.pool_misses pool);
+      Alcotest.(check string) (Printf.sprintf "%d bits: pool_refill_fast" bits) pool_md5
+        (digest pk from_pool))
+    noise_digests
+
 let test_noise_gen () =
   let r = rng () in
   let g = Paillier.noise_gen_create pk r in
@@ -924,7 +972,10 @@ let () =
          names at 80 columns; this 15-character label, the longest, keeps
          the long names below cut where earlier reports cut them. *)
       ( "noise producers",
-        [ Alcotest.test_case "three paths agree" `Quick test_noise_paths_agree ] );
+        [
+          Alcotest.test_case "three paths agree" `Quick test_noise_paths_agree;
+          Alcotest.test_case "pinned at 256-1024 bits" `Quick test_noise_digests;
+        ] );
       ( "packing",
         [
           Alcotest.test_case "plain round-trip" `Quick test_pack_plain_roundtrip;
