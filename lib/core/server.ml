@@ -14,7 +14,7 @@ type t = {
   workers : Parallel.t;
   mutable noise : Paillier.noise_gen option;
       (* lazily built fast-noise table for packed-reply re-encryptions;
-         one full-width exponentiation amortized over the session *)
+         one CRT h^n and one table amortized over the session *)
 }
 
 (* Process totals beside each session's [ops] record: a serving process
@@ -151,12 +151,12 @@ let validate t (cs : Bigint.t array) =
   | exception Paillier.Invalid_ciphertext m -> raise (Bad_candidates m)
 
 (* Fresh-noise table for packed-reply re-encryptions, built lazily: one
-   full-width exponentiation amortized over the session. *)
+   CRT [h^n] and one table amortized over the session. *)
 let noise_gen t =
   match t.noise with
   | Some g -> g
   | None ->
-    let g = Paillier.noise_gen_create (public_key t) t.rng in
+    let g = Paillier.noise_gen_create_sk t.sk t.rng in
     t.noise <- Some g;
     g
 

@@ -341,20 +341,27 @@ let pool_refill ?workers pk pool rng count =
 
 (* Subgroup noise: draw one unit h, set hn = h^n, and produce factors
    hn^a for short random exponents a of bits/2 + 64 bits through a
-   fixed-base table — ~bits/(2w) multiplications per factor instead of
+   fixed-base comb — about one product per six exponent bits instead of
    a full-width ladder, an order of magnitude cheaper.  The factors are
    n-th residues drawn from the cyclic subgroup <h^n> rather than
    uniformly from all n-th residues, so only the packed profile opts in;
    see SECURITY.md.  This generator is the only code that draws h,
    builds the table or draws exponents: the fast refill and the server's
-   packed replies both take their noise from it. *)
+   packed replies both take their noise from it, the server through the
+   key holder's creation, which yields the same h and h^n. *)
 type noise_gen = { gen_n : Bigint.t; gen_table : Fixed_base.t; gen_ebits : int }
 
-let noise_gen_create pk rng =
-  let h = random_unit pk rng in
-  let hn = Modular.of_mont_ctx pk.ctx_n2 (rn_of_unit pk h) in
+let noise_gen_of_hn pk hn =
   let gen_ebits = (pk.bits / 2) + 64 in
+  let hn = Modular.of_mont_ctx pk.ctx_n2 hn in
   { gen_n = pk.n; gen_table = Fixed_base.create pk.ctx_n2 ~max_bits:gen_ebits hn; gen_ebits }
+
+let noise_gen_create pk rng = noise_gen_of_hn pk (rn_of_unit pk (random_unit pk rng))
+
+(* The key holder's generator: the same h from the same draws, and the
+   same h^n by CRT, so the same table and factors. *)
+let noise_gen_create_sk sk rng =
+  noise_gen_of_hn sk.public (rn_of_unit_sk sk (random_unit_sk sk rng))
 
 (* A factor's exponent draw is its stateful half; the table walk is pure,
    so a refill can fan it out. *)

@@ -224,18 +224,25 @@ val encrypt_with_rn : public_key -> rn:rn -> Bigint.t -> ciphertext
     @raise Invalid_plaintext as {!encrypt}. *)
 
 type noise_gen
-(** The subgroup-noise generator: one unit draw [h] and one full-width
-    [h^n] exponentiation at creation, a fixed-base table of [h^n], then
+(** The subgroup-noise generator: one unit draw [h] and its power [h^n]
+    at creation, a fixed-base comb table of [h^n] ({!Fixed_base}), then
     a stream of cheap factors [h^(n·a)] for fresh short exponents [a]
     of [bits/2 + 64] bits.  It is the only source of subgroup noise:
     {!pool_refill_fast} fills pools from it and the server's packed
-    replies draw from it directly.  The factors come
+    replies draw from it directly ({!noise_gen_create_sk}).  The factors come
     from the cyclic subgroup generated by [h^n] rather than uniformly
     from all n-th residues, so they are reserved for the packed profile
     (SECURITY.md, "The exception").  Immutable after creation and safe
     to share across Domains. *)
 
 val noise_gen_create : public_key -> Ppst_rng.Secure_rng.t -> noise_gen
+
+val noise_gen_create_sk : private_key -> Ppst_rng.Secure_rng.t -> noise_gen
+(** Key-holder creation: the same generator as {!noise_gen_create} on
+    the same rng (same draws, same [h^n], same factors), with [h] tested
+    as {!encrypt_sk} tests its units and [h^n] computed by CRT, two
+    half-width lifts instead of one full-width power.  The server's
+    packed replies use this. *)
 
 val noise_gen_rn : noise_gen -> public_key -> Ppst_rng.Secure_rng.t -> rn
 (** Draw one fresh noise factor (a short-exponent table walk).

@@ -724,21 +724,44 @@ let test_fixed_base_rejects () =
     (Invalid_argument "Fixed_base.create: window") (fun () ->
       ignore (Fixed_base.create ~window:0 ctx ~max_bits:16 (bi "3")))
 
+(* Every comb shape against [Modular.pow_mod]: teeth 1-8 over widths
+   that give one-bit rows, rows of fewer than four bits, uneven rows and
+   the packed profile's 577 and 1,088 bits.  A table may cover more bits
+   than asked for, never fewer; within its width it must get 0, 1, all
+   ones, random exponents and every single bit (so each row and
+   sub-comb boundary) right, and one bit wider must raise. *)
 let test_fixed_base_windows_agree () =
   let m = bi "0xffffffffffffffc5" in
   let ctx = Modular.make_ctx m in
   let base = bi "1234567" in
   let rng = Ppst_rng.Secure_rng.of_seed_string "fixed-base-windows" in
-  let tables =
-    List.map (fun w -> Fixed_base.create ~window:w ctx ~max_bits:64 base) [ 1; 3; 4; 8 ]
-  in
-  for _ = 1 to 25 do
-    let e = Ppst_rng.Secure_rng.bits rng 64 in
-    let expected = Modular.pow_mod base e m in
-    List.iter
-      (fun t -> Alcotest.check eq_bi "window-independent" expected (Fixed_base.pow ctx t e))
-      tables
-  done
+  List.iter
+    (fun max_bits ->
+      for window = 1 to 8 do
+        let t = Fixed_base.create ~window ctx ~max_bits base in
+        let covered = Fixed_base.max_bits t in
+        let shape = Printf.sprintf "max_bits %d, window %d" max_bits window in
+        if covered < max_bits then Alcotest.failf "%s: covers only %d bits" shape covered;
+        let check what e =
+          Alcotest.check eq_bi (Printf.sprintf "%s: %s" shape what) (Modular.pow_mod base e m)
+            (Fixed_base.pow ctx t e)
+        in
+        check "e = 0" Bigint.zero;
+        check "all ones" (Bigint.pred (Bigint.shift_left Bigint.one covered));
+        for _ = 1 to 4 do
+          check "random" (Ppst_rng.Secure_rng.bits rng covered)
+        done;
+        let single = ref (Bigint.erem base m) in
+        for bit = 0 to covered - 1 do
+          Alcotest.check eq_bi (Printf.sprintf "%s: bit %d" shape bit) !single
+            (Fixed_base.pow ctx t (Bigint.shift_left Bigint.one bit));
+          single := Bigint.erem (Bigint.mul !single !single) m
+        done;
+        match Fixed_base.pow ctx t (Bigint.shift_left Bigint.one covered) with
+        | _ -> Alcotest.failf "%s: a %d-bit exponent was accepted" shape (covered + 1)
+        | exception Invalid_argument _ -> ()
+      done)
+    [ 1; 7; 8; 9; 31; 33; 64; 96; 577; 1088 ]
 
 (* --- primes ------------------------------------------------------------ *)
 

@@ -436,10 +436,10 @@ let test_pool_refill_fast () =
   done;
   Alcotest.(check int) "no misses" 0 (Paillier.pool_misses pool)
 
-(* The subgroup-noise paths (the generator alone, the fast refill on one
-   and on two lanes) draw h, then one exponent per entry, from the
-   caller's rng: seeded alike they must yield the same noise in the same
-   order and leave the rng in the same state. *)
+(* The subgroup-noise paths (the generator made by either party, the
+   fast refill on one and on two lanes) draw h, then one exponent per
+   entry, from the caller's rng: seeded alike they must yield the same
+   noise in the same order and leave the rng in the same state. *)
 let test_noise_paths_agree () =
   let count = 6 and m = Bigint.of_int 4711 in
   let tail r = Ppst_rng.Secure_rng.bits r 64 in
@@ -453,15 +453,16 @@ let test_noise_paths_agree () =
     Alcotest.(check int) "no misses" 0 (Paillier.pool_misses pool);
     (cs, tail r)
   in
-  let reference =
+  let via_gen create =
     let r = rng () in
-    let g = Paillier.noise_gen_create pk r in
+    let g = create r in
     let cs =
       Array.init count (fun _ ->
           Paillier.encrypt_with_rn pk ~rn:(Paillier.noise_gen_rn g pk r) m)
     in
     (cs, tail r)
   in
+  let reference = via_gen (Paillier.noise_gen_create pk) in
   let two = Ppst_parallel.Pool.create 2 in
   Fun.protect
     ~finally:(fun () -> Ppst_parallel.Pool.shutdown two)
@@ -477,6 +478,7 @@ let test_noise_paths_agree () =
             (fst reference);
           Alcotest.check eq_bi (name ^ ": rng left alike") (snd reference) rest)
         [
+          ("noise_gen_create_sk", via_gen (Paillier.noise_gen_create_sk sk));
           ("pool_refill_fast", via_pool (fun pool r -> Paillier.pool_refill_fast pk pool r count));
           ( "pool_refill_fast, 2 lanes",
             via_pool (fun pool r -> Paillier.pool_refill_fast ~workers:two pk pool r count) );
@@ -485,8 +487,9 @@ let test_noise_paths_agree () =
 (* The subgroup noise at the packed profile's key sizes, pinned: the MD5
    of 64 factors, each as the decimal of its residue ([Enc(0)] under
    the factor is the factor itself), from a seeded generator and from a
-   seeded 64-entry fast refill.  Any change to how the generator draws
-   h, builds its table or walks it must keep these bytes. *)
+   seeded 64-entry fast refill; the key holder's generator must match
+   the first.  Any change to how the generator draws h, builds its table
+   or walks it must keep these bytes. *)
 let noise_digests =
   [
     (256, "0e07c2c7b8164339117229df3f4c114a", "f4d3ff751eb1622c4483832486ea582f");
@@ -509,18 +512,21 @@ let test_noise_digests () =
   in
   List.iter
     (fun (bits, gen_md5, pool_md5) ->
-      let pk, _ =
+      let pk, sk =
         Paillier.keygen ~bits
           (Ppst_rng.Secure_rng.of_seed_string (Printf.sprintf "kernel-%d" bits))
       in
       let seeded name = Ppst_rng.Secure_rng.of_seed_string (Printf.sprintf "%s-%d" name bits) in
-      let from_gen =
-        let r = seeded "noise-digest-gen" in
-        let g = Paillier.noise_gen_create pk r in
-        List.init count (fun _ -> Paillier.noise_gen_rn g pk r)
-      in
-      Alcotest.(check string) (Printf.sprintf "%d bits: noise_gen_create" bits) gen_md5
-        (digest pk from_gen);
+      List.iter
+        (fun (name, create) ->
+          let r = seeded "noise-digest-gen" in
+          let g = create r in
+          Alcotest.(check string) (Printf.sprintf "%d bits: %s" bits name) gen_md5
+            (digest pk (List.init count (fun _ -> Paillier.noise_gen_rn g pk r))))
+        [
+          ("noise_gen_create", Paillier.noise_gen_create pk);
+          ("noise_gen_create_sk", Paillier.noise_gen_create_sk sk);
+        ];
       let pool = Paillier.pool_create pk in
       Paillier.pool_refill_fast pk pool (seeded "noise-digest-pool") count;
       let from_pool = Array.to_list (Paillier.pool_take pk pool (seeded "spare") count) in
@@ -973,7 +979,7 @@ let () =
          the long names below cut where earlier reports cut them. *)
       ( "noise producers",
         [
-          Alcotest.test_case "three paths agree" `Quick test_noise_paths_agree;
+          Alcotest.test_case "four paths agree" `Quick test_noise_paths_agree;
           Alcotest.test_case "pinned at 256-1024 bits" `Quick test_noise_digests;
         ] );
       ( "packing",
