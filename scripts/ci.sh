@@ -49,7 +49,9 @@
 # prints the resume table first) must carry the server-side families;
 # and the ladder smoke (`bash ladder/run.sh
 # smoke`) runs every benchmark workload and rung at toy size and checks
-# each emits exactly the metrics BENCHMARK.json names.
+# each emits exactly the metrics BENCHMARK.json names; then
+# scripts/compare.sh judges a saved log of paired ladder runs by the
+# ladder's comparison rule, and doctored copies of it must be refused.
 #
 # (g) a failover smoke: a 4-worker supervised server with a
 # shared session spool serves one session whose worker is SIGKILLed
@@ -242,6 +244,45 @@ echo "ci: truncated trace tail reported with exit 3"
 # metrics BENCHMARK.json declares.
 bash ladder/run.sh smoke >/dev/null
 echo "ci: ladder smoke OK"
+
+# The ladder's comparison rule, judged from a saved log without running
+# anything (scripts/compare.sh --from): eleven real pair-packed pairs of
+# a parent and a change read as a server_cpu_s gain with no regression;
+# the same log with the change's session_cpu_s doubled must read as a
+# regression, and with one change run failed must be refused, each
+# exiting 1.
+compare_fixture=scripts/compare_fixture.jsonl
+bash scripts/compare.sh --from "$compare_fixture" >"$chaos_dir/compare.out"
+if ! grep -Eq '^  server_cpu_s .* gain$' "$chaos_dir/compare.out"; then
+  cat "$chaos_dir/compare.out" >&2
+  echo "ci: compare FAILED: the fixture's server_cpu_s gain was not found" >&2
+  exit 1
+fi
+python3 - "$compare_fixture" "$chaos_dir" <<'PYEOF'
+import json, sys
+runs = [json.loads(line) for line in open(sys.argv[1]) if line.strip()]
+for name in ("slower", "failed"):
+    doctored = json.loads(json.dumps(runs))
+    change = [r for r in doctored if r["side"] == "change"]
+    if name == "slower":
+        for r in change:
+            r["result"]["metrics"]["session_cpu_s"]["value"] *= 2
+    else:
+        change[-1]["exit"], change[-1]["result"]["failed"] = 1, 1
+    with open(f"{sys.argv[2]}/compare-{name}.jsonl", "w") as out:
+        out.writelines(json.dumps(r) + "\n" for r in doctored)
+PYEOF
+for doctored in 'slower:^  session_cpu_s .* regression$' 'failed:^  FAILED: pair'; do
+  compare_rc=0
+  bash scripts/compare.sh --from "$chaos_dir/compare-${doctored%%:*}.jsonl" \
+    >"$chaos_dir/compare.out" || compare_rc=$?
+  if [ "$compare_rc" -ne 1 ] || ! grep -Eq "${doctored#*:}" "$chaos_dir/compare.out"; then
+    cat "$chaos_dir/compare.out" >&2
+    echo "ci: compare FAILED: the ${doctored%%:*} change was not refused (exit $compare_rc)" >&2
+    exit 1
+  fi
+done
+echo "ci: comparison rule OK (gain read; doubled cost and failed run refused)"
 
 # Chaos smoke: clean run vs a fault-injected server; distances must match.
 ./_build/default/bin/ppst_datagen.exe --seed 4101 -n 12 "$chaos_dir/y.csv"
