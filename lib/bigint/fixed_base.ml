@@ -12,9 +12,8 @@
 
    in Montgomery form.  A power walks the columns c from span-1 down to
    0: one squaring per column after the first, then one product per
-   sub-comb whose teeth pattern at column c is nonzero.  That is
-   span - 1 squarings and at most combs * span products, against about
-   max_bits / w products for a BGMW table of w-bit digits.
+   sub-comb whose teeth pattern at column c is nonzero: span - 1
+   squarings and at most combs * span products.
 
    With teeth t (the [?window] argument, default 8) and combs 4 (fewer
    when a row holds fewer than 4 bits), the table holds combs * (2^t - 1)
@@ -45,12 +44,11 @@ let create ?(window = default_teeth) (ctx : Modular.ctx) ~max_bits (base : Bigin
   let span = (row + combs - 1) / combs in
   (* tooth.(k * combs + j) = base^(2^((k * combs + j) * span)): each from
      the one before by [span] squarings. *)
-  let square x = Montgomery.mont_mul_raw mont x x in
   let tooth = Array.make (teeth * combs) (Modular.to_mont_ctx ctx base) in
   for s = 1 to (teeth * combs) - 1 do
     let x = ref tooth.(s - 1) in
     for _ = 1 to span do
-      x := square !x
+      x := Montgomery.mont_mul_raw mont !x !x
     done;
     tooth.(s) <- !x
   done;

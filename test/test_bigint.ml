@@ -724,12 +724,13 @@ let test_fixed_base_rejects () =
     (Invalid_argument "Fixed_base.create: window") (fun () ->
       ignore (Fixed_base.create ~window:0 ctx ~max_bits:16 (bi "3")))
 
-(* Every comb shape against [Modular.pow_mod]: teeth 1-8 over widths
-   that give one-bit rows, rows of fewer than four bits, uneven rows and
-   the packed profile's 577 and 1,088 bits.  A table may cover more bits
-   than asked for, never fewer; within its width it must get 0, 1, all
-   ones, random exponents and every single bit (so each row and
-   sub-comb boundary) right, and one bit wider must raise. *)
+(* Every comb shape: teeth 1-8 over widths that give one-bit rows, rows
+   of fewer than four bits, uneven rows and the packed profile's 577 and
+   1,088 bits.  A table may cover more bits than asked for, never fewer.
+   Within its width 0, all ones and random exponents must equal
+   [Modular.pow_mod], and every single bit (so each row and sub-comb
+   boundary, 1 included) the base squared that many times; one bit
+   wider must raise. *)
 let test_fixed_base_windows_agree () =
   let m = bi "0xffffffffffffffc5" in
   let ctx = Modular.make_ctx m in
