@@ -250,18 +250,7 @@ let atallah ~measured_n ~measured_seconds =
 
 let entropy_table () =
   header "Section 5.4: information-entropy preservation of the masked sums";
-  line "%12s %14s %16s %14s %12s" "Gamma" "uniform H" "masked-sum H" "min-entropy"
-    "preserved";
-  List.iter
-    (fun bits ->
-      let g = 1 lsl bits in
-      line "%12s %14.3f %16.3f %14.3f %11.1f%%"
-        (Printf.sprintf "2^%d" bits)
-        (Ppst.Entropy.uniform_entropy g)
-        (Ppst.Entropy.triangular_sum_entropy g)
-        (Ppst.Entropy.min_entropy g)
-        (100.0 *. Ppst.Entropy.preserved_fraction g))
-    [ 4; 8; 12; 16; 20 ];
+  List.iter (line "%s") (Ppst.Entropy.table [ 4; 8; 12; 16; 20 ]);
   line "(paper Eq. 9: the masked sum preserves more than half of the uniform";
   line " entropy; exactly half by min-entropy)"
 
@@ -276,51 +265,51 @@ let extensions ~length =
       (if ok then "[= plaintext]" else "[MISMATCH!]")
   in
   (* full DTW as the reference point *)
-  let t0 = Unix.gettimeofday () in
+  let t0 = Telemetry.now () in
   let full = Ppst.Protocol.run ~spec:(Ppst.Protocol.spec `Dtw) ~seed:"ext-dtw" ~max_value ~x ~y () in
   report "secure DTW (reference)"
-    (Unix.gettimeofday () -. t0)
+    (Telemetry.now () -. t0)
     (Stats.total_values full.Ppst.Protocol.stats)
     (Ppst.Protocol.distance_int full = Distance.dtw_sq x y);
   (* banded DTW at several widths *)
   List.iter
     (fun band ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Telemetry.now () in
       let r = Ppst.Protocol.run ~spec:(Ppst.Protocol.spec ~band `Dtw) ~seed:"ext-band" ~max_value ~x ~y () in
       report
         (Printf.sprintf "banded DTW (Sakoe-Chiba r=%d)" band)
-        (Unix.gettimeofday () -. t0)
+        (Telemetry.now () -. t0)
         (Stats.total_values r.Ppst.Protocol.stats)
         (Some (Ppst.Protocol.distance_int r) = Distance.dtw_sq_banded ~band x y))
     [ length / 10; length / 4 ];
   (* wavefront batching: same content, two orders of magnitude fewer rounds *)
-  let t0 = Unix.gettimeofday () in
+  let t0 = Telemetry.now () in
   let wf = Ppst.Protocol.run ~spec:(Ppst.Protocol.spec ~strategy:`Wavefront `Dtw) ~seed:"ext-wf" ~max_value ~x ~y () in
   line "  %-46s %8.3f s %10d values  [rounds: %d vs %d]"
     "wavefront DTW (anti-diagonal batching)"
-    (Unix.gettimeofday () -. t0)
+    (Telemetry.now () -. t0)
     (Stats.total_values wf.Ppst.Protocol.stats)
     (Stats.rounds wf.Ppst.Protocol.stats)
     (Stats.rounds full.Ppst.Protocol.stats);
   assert (Ppst.Protocol.distance_int wf = Distance.dtw_sq x y);
   (* ERP with the origin gap *)
   let gap = [| 0 |] in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Telemetry.now () in
   let erp = Ppst.Protocol.run ~spec:(Ppst.Protocol.spec ~gap `Erp) ~seed:"ext-erp" ~max_value ~x ~y () in
   report "secure ERP (gap = origin)"
-    (Unix.gettimeofday () -. t0)
+    (Telemetry.now () -. t0)
     (Stats.total_values erp.Ppst.Protocol.stats)
     (Ppst.Protocol.distance_int erp = Distance.erp_sq ~gap x y);
   (* lockstep Euclidean *)
-  let t0 = Unix.gettimeofday () in
+  let t0 = Telemetry.now () in
   let euc = Ppst.Protocol.run ~spec:(Ppst.Protocol.spec `Euclidean) ~seed:"ext-euc" ~max_value ~x ~y () in
   report "secure Euclidean (lockstep)"
-    (Unix.gettimeofday () -. t0)
+    (Telemetry.now () -. t0)
     (Stats.total_values euc.Ppst.Protocol.stats)
     (Ppst.Protocol.distance_int euc = Distance.euclidean_sq x y);
   (* subsequence matching *)
   let pattern = Series.sub y ~pos:(length / 3) ~len:(length / 4) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Telemetry.now () in
   let sub = Ppst.Protocol.subsequence ~seed:"ext-sub" ~max_value ~x ~y:pattern () in
   let ok =
     Array.to_list sub.Ppst.Protocol.window_distances
@@ -334,7 +323,7 @@ let extensions ~length =
   report
     (Printf.sprintf "subsequence matching (%d windows)"
        (Array.length sub.Ppst.Protocol.window_distances))
-    (Unix.gettimeofday () -. t0)
+    (Telemetry.now () -. t0)
     (Stats.total_values sub.Ppst.Protocol.windows_stats)
     ok;
   line "(banded DTW cuts both time and traffic to O((m+n)·band); ERP costs";
@@ -408,12 +397,12 @@ let ablation ~length =
   let x = Generate.ecg_int ~seed:7001 ~length ~max_value in
   let y = Generate.ecg_int ~seed:7002 ~length ~max_value in
   let run ?decryption ?offline ?(params = Ppst.Params.default) label =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Telemetry.now () in
     let r =
       Ppst.Protocol.run ~spec:(Ppst.Protocol.spec `Dtw) ~params ?decryption ?offline ~seed:("abl-" ^ label)
         ~max_value ~x ~y ()
     in
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = Telemetry.now () -. t0 in
     check_against_plaintext `Dtw x y r;
     let c = r.Ppst.Protocol.cost in
     line "  %-44s wall %7.3f s | client on %6.3f off %6.3f | server %6.3f" label
@@ -481,14 +470,14 @@ let concurrent_sessions ~params ~x ~y ~sessions =
   let loop = Ppst_transport.Server_loop.create ~config ~port:0 ~handler () in
   let runner = Thread.create (fun () -> Ppst_transport.Server_loop.run loop) () in
   let port = Ppst_transport.Server_loop.port loop in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Telemetry.now () in
   let clients =
     List.init sessions (fun i ->
         Domain.spawn (fun () ->
             tcp_session ~params ~x ~port ~seed:(Printf.sprintf "smoke/client-%d" i)))
   in
   let distances = List.map Domain.join clients in
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = Telemetry.now () -. t0 in
   Ppst_transport.Server_loop.shutdown loop;
   Thread.join runner;
   List.iter

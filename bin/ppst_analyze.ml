@@ -4,19 +4,7 @@
 
 open Cmdliner
 
-let entropy gammas =
-  Printf.printf "%12s %14s %16s %14s %12s\n" "Gamma" "uniform H" "masked-sum H"
-    "min-entropy" "preserved";
-  List.iter
-    (fun bits ->
-      let g = 1 lsl bits in
-      Printf.printf "%12s %14.3f %16.3f %14.3f %11.1f%%\n"
-        (Printf.sprintf "2^%d" bits)
-        (Ppst.Entropy.uniform_entropy g)
-        (Ppst.Entropy.triangular_sum_entropy g)
-        (Ppst.Entropy.min_entropy g)
-        (100.0 *. Ppst.Entropy.preserved_fraction g))
-    gammas
+let entropy gammas = List.iter print_endline (Ppst.Entropy.table gammas)
 
 let attack beta slacks k trials seed =
   Printf.printf "gap-attack simulation: beta=%d k=%d trials=%d (baseline %.4f)\n"
@@ -87,21 +75,7 @@ let infer () =
    per-phase and per-round aggregation, plus the leakage lint ci.sh runs
    over every trace it produces. *)
 
-let opcode_name op =
-  let module M = Ppst_transport.Message in
-  if op = M.tag_hello then "hello"
-  else if op = M.tag_phase1_request then "phase1"
-  else if op = M.tag_min_request then "min"
-  else if op = M.tag_max_request then "max"
-  else if op = M.tag_reveal_request then "reveal"
-  else if op = M.tag_bye then "bye"
-  else if op = M.tag_catalog_request then "catalog"
-  else if op = M.tag_select_request then "select"
-  else if op = M.tag_batch_min_request then "batch-min"
-  else if op = M.tag_batch_max_request then "batch-max"
-  else if op = M.tag_stats_request then "stats"
-  else if op = M.tag_metrics_request then "metrics"
-  else Printf.sprintf "0x%02x" op
+let opcode_name = Ppst_transport.Message.request_name
 
 (* Exit codes under --lint: 1 = leakage violation (hard failure), 3 = the
    trace tail was cut mid-record (a killed writer, not corruption) — CI can

@@ -8,16 +8,6 @@
 
 open Cmdliner
 
-let setup_logs verbose =
-  Fmt_tty.setup_std_outputs ();
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some (if verbose then Logs.Debug else Logs.Info))
-
-let setup verbose log_level log_json trace_out =
-  setup_logs verbose;
-  Ppst_telemetry.Telemetry.configure ~level:log_level ~json:log_json
-    ?trace_out ()
-
 (* Three verdicts are final, and each has its own exit status so that
    scripts can tell them apart from a crypto failure and from plain retry
    exhaustion (75):
@@ -135,9 +125,9 @@ let with_session ~host ~port ~k ~seed ~jobs ~retries ?budget ~query ~distance
       m "connected; server series length %d; session %a"
         (Ppst.Client.server_length client)
         Ppst.Params.pp_session (Ppst.Client.session client));
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ppst_telemetry.Telemetry.now () in
   f client series;
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = Ppst_telemetry.Telemetry.now () -. t0 in
   Ppst.Client.finish client;
   Ppst_parallel.Pool.shutdown workers;
   (* the server ships its measured handler total in the final Bye_ack *)
@@ -243,8 +233,7 @@ let kind_of_distance : _ -> Ppst.Client.distance_kind = function
   | `Subsequence -> `Euclidean
 
 let run_pair host port series_file distance k band gap budget_s wavefront
-    search seed jobs retries verbose log_level log_json trace_out =
-  setup verbose log_level log_json trace_out;
+    search seed jobs retries () =
   let budget = budget_of_flag budget_s in
   (* Partial results terminate the process with 77 — but only after the
      session has been closed and the accounting printed, so the flag is
@@ -258,9 +247,7 @@ let run_pair host port series_file distance k band gap budget_s wavefront
 (* --- query: secure 1-vs-N catalog search ----------------------------------- *)
 
 let run_query host port series_file distance k band gap top within_r segments
-    budget_s candidate_budget_s wavefront seed jobs retries verbose log_level
-    log_json trace_out =
-  setup verbose log_level log_json trace_out;
+    budget_s candidate_budget_s wavefront seed jobs retries () =
   if top < 1 then failwith "--top must be >= 1";
   let budget = budget_of_flag budget_s in
   let partial = ref false in
@@ -375,20 +362,6 @@ let retries =
   Arg.(value & opt int 8 & info [ "retries" ] ~docv:"N"
          ~doc:"Attempts to establish (and, mid-session, to resume) the                session before giving up; exponential backoff with jitter                between attempts, honouring the server's Busy hint.")
 
-let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Debug logging.")
-
-let log_level =
-  Arg.(value & opt string "quiet" & info [ "log-level" ] ~docv:"quiet|info|debug"
-         ~doc:"Telemetry stderr verbosity: spans and counters only (never protocol values).")
-
-let log_json =
-  Arg.(value & flag & info [ "log-json" ]
-         ~doc:"Emit stderr telemetry as JSON lines instead of pretty text.")
-
-let trace_out =
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"
-         ~doc:"Append every telemetry event (debug level) as JSON lines to $(docv); read it back with ppst_analyze trace.")
-
 (* --- commands ---------------------------------------------------------------- *)
 
 let pair_cmd =
@@ -396,7 +369,7 @@ let pair_cmd =
   Cmd.v (Cmd.info "pair" ~doc)
     Term.(const run_pair $ host $ port $ series_file_req $ distance $ k $ band
           $ gap $ budget_s $ wavefront $ search $ seed $ jobs $ retries
-          $ verbose $ log_level $ log_json $ trace_out)
+          $ Log_flags.setup)
 
 let query_cmd =
   let doc =
@@ -406,8 +379,8 @@ let query_cmd =
   Cmd.v (Cmd.info "query" ~doc)
     Term.(const run_query $ host $ port $ series_file_req $ query_distance $ k
           $ band $ gap $ top $ within_r $ segments $ budget_s
-          $ candidate_budget_s $ wavefront $ seed $ jobs $ retries $ verbose
-          $ log_level $ log_json $ trace_out)
+          $ candidate_budget_s $ wavefront $ seed $ jobs $ retries
+          $ Log_flags.setup)
 
 module Message = Ppst_transport.Message
 
@@ -419,8 +392,7 @@ module Message = Ppst_transport.Message
    offers [flag], which a server configured without them (--no-metrics,
    no catalog) does not grant. *)
 let probe_cmd name ~doc ?flag request print =
-  let run host port verbose log_level log_json trace_out =
-    setup verbose log_level log_json trace_out;
+  let run host port () =
     let channel = Ppst_transport.Channel.connect ~host ~port () in
     Option.iter
       (fun flag ->
@@ -440,7 +412,7 @@ let probe_cmd name ~doc ?flag request print =
     | reply -> print reply
   in
   Cmd.v (Cmd.info name ~doc)
-    Term.(const run $ host $ port $ verbose $ log_level $ log_json $ trace_out)
+    Term.(const run $ host $ port $ Log_flags.setup)
 
 let catalog_cmd =
   probe_cmd "catalog" ~doc:"list the server's catalog (index, id, length per record)"

@@ -6,20 +6,11 @@
 open Cmdliner
 module Faults = Ppst_transport.Faults
 
-let setup_logs verbose =
-  Fmt_tty.setup_std_outputs ();
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some (if verbose then Logs.Debug else Logs.Info))
-
 let run port series_file catalog_dir key_file max_value seed sessions concurrency
     workers spool_dir idle_timeout deadline jobs chaos_profile chaos_seed
     disk_chaos resume_ttl no_resume no_crc max_cells max_series_len max_dim
     max_session_bytes max_session_frames rate_limit rate_burst shed_watermark
-    watchdog_timeout metrics_port no_metrics verbose log_level log_json
-    trace_out =
-  setup_logs verbose;
-  Ppst_telemetry.Telemetry.configure ~level:log_level ~json:log_json
-    ?trace_out ();
+    watchdog_timeout metrics_port no_metrics () =
   if jobs < 1 then failwith "--jobs must be >= 1";
   if concurrency < 1 then failwith "--concurrency must be >= 1";
   if sessions < 0 then failwith "--sessions must be >= 0";
@@ -537,20 +528,6 @@ let no_metrics =
   Arg.(value & flag & info [ "no-metrics" ]
          ~doc:"Never grant the metrics capability (Metrics_req is refused                even on the probe path).")
 
-let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Debug logging.")
-
-let log_level =
-  Arg.(value & opt string "quiet" & info [ "log-level" ] ~docv:"quiet|info|debug"
-         ~doc:"Telemetry stderr verbosity: spans and counters only (never protocol values).")
-
-let log_json =
-  Arg.(value & flag & info [ "log-json" ]
-         ~doc:"Emit stderr telemetry as JSON lines instead of pretty text.")
-
-let trace_out =
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"
-         ~doc:"Append every telemetry event (debug level) as JSON lines to $(docv); read it back with ppst_analyze trace.")
-
 let cmd =
   let doc = "secure time-series similarity server (series Y owner, key holder)" in
   Cmd.v
@@ -562,7 +539,6 @@ let cmd =
           $ no_crc
           $ max_cells $ max_series_len $ max_dim $ max_session_bytes
           $ max_session_frames $ rate_limit $ rate_burst $ shed_watermark
-          $ watchdog_timeout $ metrics_port $ no_metrics $ verbose $ log_level
-          $ log_json $ trace_out)
+          $ watchdog_timeout $ metrics_port $ no_metrics $ Log_flags.setup)
 
 let () = exit (Cmd.eval cmd)

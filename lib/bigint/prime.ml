@@ -31,7 +31,8 @@ let small_primes =
   done;
   Array.of_list !out
 
-let default_rounds = 40
+(* Miller-Rabin rounds: a compositeness error below 4^-40. *)
+let rounds = 40
 
 (* One Miller-Rabin round: [n] odd > 3, [n - 1 = d * 2^r] with [d] odd,
    witness [a] in [2, n-2].  Returns false when [a] proves compositeness. *)
@@ -51,7 +52,7 @@ let miller_rabin_round ctx n n_minus_1 d r a =
     !witness_found
   end
 
-let is_probable_prime ?(rounds = default_rounds) n =
+let is_probable_prime n =
   if Bigint.compare n Bigint.two < 0 then false
   else begin
     match Bigint.to_int_opt n with

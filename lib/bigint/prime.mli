@@ -3,10 +3,10 @@
 val small_primes : int array
 (** All primes up to 1000, used for trial division. *)
 
-val is_probable_prime : ?rounds:int -> Bigint.t -> bool
-(** Trial division by {!small_primes} followed by [rounds] Miller–Rabin
-    rounds with pseudo-random witnesses (default 40, for a compositeness
-    error below 4^-40). *)
+val is_probable_prime : Bigint.t -> bool
+(** Trial division by {!small_primes} followed by 40 Miller–Rabin rounds
+    with pseudo-random witnesses, for a compositeness error below
+    4^-40. *)
 
 exception No_prime_found of { bits : int; candidates : int }
 (** {!random_prime} drew [candidates] composites in a row.  A correct

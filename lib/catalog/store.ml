@@ -76,19 +76,8 @@ let load_dir dir =
 let escape_id id =
   String.map (fun c -> match c with '/' | '\\' | '#' -> '_' | c -> c) id
 
-let fsync_path path =
-  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-  | fd ->
-    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
-        try Unix.fsync fd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
 let save_dir ?disk_faults t dir =
-  let check op =
-    match disk_faults with
-    | None -> ()
-    | Some f -> Ppst_transport.Faults.Disk.check f op
-  in
+  let check = Ppst_transport.Faults.Disk.check_opt disk_faults in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   (* Crash safety: each CSV lands under a temp name that load_dir ignores
      (no .csv suffix), is fsynced, then atomically renamed over the final
@@ -102,11 +91,11 @@ let save_dir ?disk_faults t dir =
       check Ppst_transport.Faults.Disk.Write;
       Csv.save tmp series;
       check Ppst_transport.Faults.Disk.Fsync;
-      fsync_path tmp;
+      Ppst_transport.Spool.fsync_path tmp;
       check Ppst_transport.Faults.Disk.Rename;
       Sys.rename tmp final)
     (ids t);
-  fsync_path dir
+  Ppst_transport.Spool.fsync_path dir
 
 let generate ~seed ~count ~length ~dim ~max_value =
   if count <= 0 then invalid_arg "Store.generate: count must be positive";

@@ -54,8 +54,8 @@ let require_plan t expected =
          "this driver needs a session planned with ~distance:%s (got %s)"
          (show_kind expected) (show_kind t.distance))
 
-(* Per-phase wall-clock mirrored into the process metrics registry, so a
-   live Stats_req snapshot shows where sessions spend their time. *)
+(* Per-phase elapsed time mirrored into the process metrics registry, so
+   a live Stats_req snapshot shows where sessions spend their time. *)
 let m_phase_seconds =
   [|
     Metrics.gauge "protocol.phase1.seconds";
@@ -65,14 +65,15 @@ let m_phase_seconds =
 
 let phase_index = function Cost.Phase1 -> 0 | Cost.Phase2 -> 1 | Cost.Phase3 -> 2
 
-(* Attribute elapsed wall time to [phase], splitting out the time the
-   local channel spent inside the server handler so client and server
-   work are measured separately (Figures 6 and 10). *)
+(* Attribute elapsed time to [phase], splitting out the time the local
+   channel spent inside the server handler so client and server work are
+   measured separately (Figures 6 and 10).  Both readings are on
+   Telemetry's monotonic clock, as the handler time is. *)
 let timed t phase f =
-  let w0 = Unix.gettimeofday () in
+  let w0 = Telemetry.now () in
   let s0 = Channel.server_seconds t.channel in
   let result = f () in
-  let w1 = Unix.gettimeofday () in
+  let w1 = Telemetry.now () in
   let s1 = Channel.server_seconds t.channel in
   Cost.add_server_time t.cost phase (s1 -. s0);
   Cost.add_client_time t.cost phase (w1 -. w0 -. (s1 -. s0));
@@ -125,9 +126,9 @@ let precompute_randomness t count =
         let refill =
           if packing_active t then Paillier.pool_refill_fast else Paillier.pool_refill
         in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Telemetry.now () in
         refill ~workers:t.workers t.pk t.pool t.noise_rng count;
-        Cost.add_client_offline t.cost (Unix.gettimeofday () -. t0))
+        Cost.add_client_offline t.cost (Telemetry.now () -. t0))
 
 let check_own_bounds series max_value =
   match Series.find_outside series ~max_value with

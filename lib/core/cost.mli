@@ -1,5 +1,8 @@
-(** Per-party, per-phase accounting of cryptographic work and wall-clock
+(** Per-party, per-phase accounting of cryptographic work and elapsed
     time — the measurement harness behind the paper's Figures 5–11.
+    Every time here is a difference of two readings of the one monotonic
+    clock ({!Ppst_telemetry.Telemetry.now}), the clock of telemetry
+    spans and of the server's handler time in [Bye_ack].
 
     Phase numbering follows the paper: phase 1 computes the encrypted
     squared Euclidean distances, phase 2 finds encrypted minima, phase 3

@@ -27,6 +27,19 @@ let min_entropy gamma_cap =
 let preserved_fraction gamma_cap =
   triangular_sum_entropy gamma_cap /. uniform_entropy gamma_cap
 
+(* The Section 5.4 table as ppst_analyze and the bench print it. *)
+let table gamma_bits =
+  Printf.sprintf "%12s %14s %16s %14s %12s" "Gamma" "uniform H" "masked-sum H"
+    "min-entropy" "preserved"
+  :: List.map
+       (fun bits ->
+         let g = 1 lsl bits in
+         Printf.sprintf "%12s %14.3f %16.3f %14.3f %11.1f%%"
+           (Printf.sprintf "2^%d" bits)
+           (uniform_entropy g) (triangular_sum_entropy g) (min_entropy g)
+           (100.0 *. preserved_fraction g))
+       gamma_bits
+
 let normalize probs =
   let total = Array.fold_left ( +. ) 0.0 probs in
   if total <= 0.0 then invalid_arg "Entropy: empty distribution";

@@ -24,6 +24,11 @@ val preserved_fraction : int -> float
 (** [triangular_sum_entropy Γ /. uniform_entropy Γ] — the paper's claim
     is that this exceeds 1/2 for all [Γ >= 2]. *)
 
+val table : int list -> string list
+(** The Section 5.4 table over [Γ = 2^bits] for each of [bits]: a header
+    line, then one row per Γ with the four quantities above
+    (uniform, masked-sum and min-entropy in bits, preserved in percent). *)
+
 (** {1 General distributions (Eq. 6)} *)
 
 val convolve : float array -> float array -> float array

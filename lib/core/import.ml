@@ -20,5 +20,4 @@ module Wire = Ppst_transport.Wire
 module Netsim = Ppst_transport.Netsim
 module Telemetry = Ppst_telemetry.Telemetry
 module Metrics = Ppst_telemetry.Metrics
-module Rollup = Ppst_telemetry.Rollup
 module Exposition = Ppst_telemetry.Exposition

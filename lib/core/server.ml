@@ -67,9 +67,8 @@ let create_db_with_key ?(decryption = `Standard) ?(workers = Parallel.sequential
     noise = None;
   }
 
-let create_with_key ?decryption ?workers ?max_reveals ~sk ~rng ~series ~max_value () =
-  create_db_with_key ?decryption ?workers ?max_reveals ~sk ~rng ~records:[| series |]
-    ~max_value ()
+let create_with_key ?decryption ?workers ~sk ~rng ~series ~max_value () =
+  create_db_with_key ?decryption ?workers ~sk ~rng ~records:[| series |] ~max_value ()
 
 let create_db ?(params = Params.default) ?decryption ?workers ?max_reveals ?ids ~rng
     ~records ~max_value () =
@@ -77,12 +76,11 @@ let create_db ?(params = Params.default) ?decryption ?workers ?max_reveals ?ids 
   create_db_with_key ?decryption ?workers ?max_reveals ?ids ~sk ~rng ~records
     ~max_value ()
 
-let of_store ?max_reveals ~rng ~store ~max_value () =
-  create_db ?max_reveals ~ids:(Store.ids store) ~rng ~records:(Store.records store)
-    ~max_value ()
+let of_store ~rng ~store ~max_value () =
+  create_db ~ids:(Store.ids store) ~rng ~records:(Store.records store) ~max_value ()
 
-let of_store_with_key ?decryption ?workers ?max_reveals ~sk ~rng ~store ~max_value () =
-  create_db_with_key ?decryption ?workers ?max_reveals ~ids:(Store.ids store) ~sk ~rng
+let of_store_with_key ?decryption ~sk ~rng ~store ~max_value () =
+  create_db_with_key ?decryption ~ids:(Store.ids store) ~sk ~rng
     ~records:(Store.records store) ~max_value ()
 
 let create ?params ?decryption ?workers ?max_reveals ~rng ~series ~max_value () =
@@ -385,9 +383,8 @@ let handle t (req : Message.request) : Message.reply =
      page; a TCP daemon's Server_loop intercepts them before they reach
      here (prefixing Stats with its resume table, capability-gating
      Metrics). *)
-  | Message.Stats_req -> Message.Stats_reply (Exposition.render ~rollup:(Rollup.global ()) ())
-  | Message.Metrics_req ->
-    Message.Metrics_reply (Exposition.render ~rollup:(Rollup.global ()) ())
+  | Message.Stats_req -> Message.Stats_reply (Exposition.render ())
+  | Message.Metrics_req -> Message.Metrics_reply (Exposition.render ())
   (* An in-process / single-session server is ready by definition; the
      TCP daemon's Server_loop answers this itself with live capacity. *)
   | Message.Health_req ->

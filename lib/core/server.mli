@@ -50,7 +50,6 @@ val create :
 val create_with_key :
   ?decryption:[ `Standard | `Crt ] ->
   ?workers:Parallel.t ->
-  ?max_reveals:int ->
   sk:Paillier.private_key ->
   rng:Secure_rng.t ->
   series:Series.t ->
@@ -96,16 +95,13 @@ val create_db_with_key :
   unit ->
   t
 
-val of_store :
-  ?max_reveals:int -> rng:Secure_rng.t -> store:Store.t -> max_value:int -> unit -> t
+val of_store : rng:Secure_rng.t -> store:Store.t -> max_value:int -> unit -> t
 (** Stand up a catalog server over a {!Store} with a fresh key of the
     default {!Params} size: records and ids are the store's, in store
     order. *)
 
 val of_store_with_key :
   ?decryption:[ `Standard | `Crt ] ->
-  ?workers:Parallel.t ->
-  ?max_reveals:int ->
   sk:Paillier.private_key ->
   rng:Secure_rng.t ->
   store:Store.t ->

@@ -104,9 +104,9 @@ let render_rollup b rollup =
       Buffer.add_string b (Printf.sprintf "%s_ewma %s\n" base (fmt_float rate)))
     (Rollup.ewma rollup)
 
-let render ?rollup () =
+let render () =
   let b = Buffer.create 4096 in
   render_registry b;
-  (match rollup with None -> () | Some r -> render_rollup b r);
+  render_rollup b (Rollup.global ());
   Buffer.add_string b "# EOF\n";
   Buffer.contents b

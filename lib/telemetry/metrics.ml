@@ -24,17 +24,13 @@ type metric = Counter of counter | Gauge of gauge | Histogram of histogram
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 let reg_mu = Mutex.create ()
 
-let locked f =
-  Mutex.lock reg_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock reg_mu) f
-
 let kind_name = function
   | Counter _ -> "counter"
   | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
 
 let get_or_create name make match_existing =
-  locked (fun () ->
+  Mutex.protect reg_mu (fun () ->
       match Hashtbl.find_opt registry name with
       | Some existing -> begin
         match match_existing existing with
@@ -151,7 +147,8 @@ type sample =
 
 let snapshot () =
   let items =
-    locked (fun () -> Hashtbl.fold (fun name m acc -> (name, m) :: acc) registry [])
+    Mutex.protect reg_mu (fun () ->
+        Hashtbl.fold (fun name m acc -> (name, m) :: acc) registry [])
   in
   let items = List.sort (fun (a, _) (b, _) -> String.compare a b) items in
   List.map

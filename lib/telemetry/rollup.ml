@@ -53,10 +53,6 @@ let create ?now:clock ?(slot_s = 60.0) () =
   Hashtbl.replace t.boundaries 0 { b_time = epoch; b_samples = Metrics.snapshot () };
   t
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
 (* Counter deltas between two cumulative snapshots; a counter missing
    from [older] counts from zero. *)
 let counter_deltas newer older =
@@ -111,7 +107,7 @@ let tick_locked t =
       (Hashtbl.copy t.boundaries)
   end
 
-let tick t = locked t (fun () -> tick_locked t)
+let tick t = Mutex.protect t.mu (fun () -> tick_locked t)
 
 type windowed_counter = { wc_name : string; wc_delta : int; wc_rate : float }
 
@@ -171,7 +167,7 @@ let histogram_delta (newer : Metrics.histogram_snapshot) older =
 
 let window t ~slots =
   if slots < 1 then invalid_arg "Rollup.window: slots must be >= 1";
-  locked t (fun () ->
+  Mutex.protect t.mu (fun () ->
       tick_locked t;
       let nowv = t.now () in
       let target = max 0 (t.current_slot - slots + 1) in
@@ -226,7 +222,7 @@ let window t ~slots =
       })
 
 let ewma t =
-  locked t (fun () ->
+  Mutex.protect t.mu (fun () ->
       tick_locked t;
       Hashtbl.fold (fun name rate acc -> (name, rate) :: acc) t.ewma []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b))
@@ -239,14 +235,10 @@ let global_mu = Mutex.create ()
 let global_ref : t option ref = ref None
 
 let global () =
-  Mutex.lock global_mu;
-  let t =
-    match !global_ref with
-    | Some t -> t
-    | None ->
-      let t = create () in
-      global_ref := Some t;
-      t
-  in
-  Mutex.unlock global_mu;
-  t
+  Mutex.protect global_mu (fun () ->
+      match !global_ref with
+      | Some t -> t
+      | None ->
+        let t = create () in
+        global_ref := Some t;
+        t)

@@ -47,8 +47,10 @@ type event =
   | Span_end of { id : int; name : string; t : float; dt : float; attrs : attr list }
   | Point of { name : string; t : float; attrs : attr list }
 
-(* Monotonic seconds (same clock as Ppst_transport.Monoclock); never
-   affects protocol bytes, only timestamps in emitted records. *)
+(* CLOCK_MONOTONIC via the bechamel stub, in seconds: the one clock
+   every measured duration, span timestamp and deadline reads
+   (Ppst_transport.Monoclock re-exports it).  Immune to wall-clock
+   steps; never affects protocol bytes. *)
 let now () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
 (* --- rendering ------------------------------------------------------------ *)
@@ -155,10 +157,7 @@ let flush () = List.iter (fun (_, s) -> s.flush ()) (Atomic.get sinks)
 let enabled level = level_rank level <= level_rank (Atomic.get max_level)
 
 let emit level ev =
-  Mutex.lock emit_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock emit_mu)
-    (fun () ->
+  Mutex.protect emit_mu (fun () ->
       List.iter
         (fun (threshold, s) ->
           if level_rank level <= level_rank threshold then s.emit ev)

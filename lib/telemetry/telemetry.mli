@@ -37,7 +37,10 @@ type event =
   | Point of { name : string; t : float; attrs : attr list }
 
 val now : unit -> float
-(** Monotonic seconds (same clock family as [Ppst_transport.Monoclock]). *)
+(** Monotonic seconds from an arbitrary fixed origin: the one clock of
+    every measured duration (spans, [Cost]'s per-phase split, handler
+    time) and every deadline ([Ppst_transport.Monoclock.now] is this
+    function).  Only differences between two readings are meaningful. *)
 
 val event_to_json : event -> string
 (** One JSONL line, no trailing newline ([Trace_reader] parses it back). *)

@@ -166,15 +166,17 @@ let map_conn_errors f =
         _ ) ->
     conn_lost "%s: connection lost (%s)" fn (Unix.error_message e)
 
+(* Closing a descriptor whose peer or owner may already be gone: there is
+   nothing left to report. *)
+let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
 let drop_connection fd why =
   (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
   conn_lost "fault injection: %s" why
 
-let put_u32_be b off v =
-  Bytes.set b off (Char.chr ((v lsr 24) land 0xFF));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 16) land 0xFF));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set b (off + 3) (Char.chr (v land 0xFF))
+(* The length header and the CRC-32 trailer are big-endian 32-bit
+   words, read back unsigned. *)
+let u32 word = Int32.to_int word land 0xFFFF_FFFF
 
 let write_frame ?max_frame:(cap = default_max_frame) ?(crc = false) ?faults fd payload =
   let payload_len = String.length payload in
@@ -185,9 +187,9 @@ let write_frame ?max_frame:(cap = default_max_frame) ?(crc = false) ?faults fd p
      add ~40 ms per round trip on loopback. *)
   let len = if crc then payload_len + 4 else payload_len in
   let frame = Bytes.create (4 + len) in
-  put_u32_be frame 0 len;
+  Bytes.set_int32_be frame 0 (Int32.of_int len);
   Bytes.blit_string payload 0 frame 4 payload_len;
-  if crc then put_u32_be frame (4 + payload_len) (Crc32.digest payload);
+  if crc then Bytes.set_int32_be frame (4 + payload_len) (Int32.of_int (Crc32.digest payload));
   let total = 4 + len in
   let write_range first count =
     let rec go off remaining =
@@ -293,10 +295,6 @@ let read_exactly ?deadline ?progress_timeout_s ?(armed = true) fd n =
   in
   go 0 (if armed then progress_deadline_after_chunk () else None)
 
-let get_u32_be s off =
-  let b i = Char.code s.[off + i] in
-  (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
-
 let read_frame ?max_frame:(cap = default_max_frame) ?deadline ?progress_timeout_s
     ?(crc = false) ?faults fd =
   let action = match faults with None -> Faults.Pass | Some f -> Faults.next f in
@@ -318,7 +316,7 @@ let read_frame ?max_frame:(cap = default_max_frame) ?deadline ?progress_timeout_
       match read_exactly ?deadline ?progress_timeout_s ~armed:false fd 4 with
       | None -> None
       | Some header ->
-        let len = get_u32_be (Bytes.to_string header) 0 in
+        let len = u32 (Bytes.get_int32_be header 0) in
         if len > cap + (if crc then 4 else 0) then
           protocol_error "frame length %d exceeds cap" len;
         (match read_exactly ?deadline ?progress_timeout_s fd len with
@@ -336,7 +334,7 @@ let read_frame ?max_frame:(cap = default_max_frame) ?deadline ?progress_timeout_
              if len < 4 then
                frame_corrupt "frame shorter than its CRC-32 trailer";
              let payload = String.sub body 0 (len - 4) in
-             let expected = get_u32_be body (len - 4) in
+             let expected = u32 (String.get_int32_be body (len - 4)) in
              let actual = Crc32.digest payload in
              if actual <> expected then
                frame_corrupt "CRC-32 mismatch on a %d-byte frame" (len - 4);
@@ -362,7 +360,7 @@ let tcp_socket_connect ~host ~port =
   Unix.setsockopt fd Unix.TCP_NODELAY true;
   (try Unix.connect fd (Unix.ADDR_INET (addr, port))
    with e ->
-     Unix.close fd;
+     close_quiet fd;
      raise e);
   fd
 
@@ -395,7 +393,7 @@ let resume_session t st =
   let policy = match rc.retry with Some p -> p | None -> Retry.default_policy in
   let attempt_once () =
     Metrics.incr m_resume_attempts;
-    (try Unix.close st.fd with Unix.Unix_error _ -> ());
+    close_quiet st.fd;
     st.fd <- tcp_socket_connect ~host:rc.host ~port:rc.port;
     st.crc <- false;
     let encoded =
@@ -476,12 +474,12 @@ let request t req =
         | Message.Request r -> r
         | Message.Reply _ -> protocol_error "request decoded as reply"
       in
-      let t0 = Unix.gettimeofday () in
+      let h0 = Telemetry.now () in
       let reply =
         try handler decoded_req
         with e -> Message.Error_reply (Printexc.to_string e)
       in
-      t.server_seconds <- t.server_seconds +. (Unix.gettimeofday () -. t0);
+      t.server_seconds <- t.server_seconds +. (Telemetry.now () -. h0);
       let reply_encoded = Message.encode (Message.Reply reply) in
       if String.length reply_encoded > cap then
         protocol_error "frame length %d exceeds cap" (String.length reply_encoded);
@@ -560,7 +558,7 @@ let close t =
     t.closed <- true;
     match t.backend with
     | Local _ -> ()
-    | Tcp st -> (try Unix.close st.fd with Unix.Unix_error _ -> ())
+    | Tcp st -> close_quiet st.fd
   end
 
 let make ?(max_frame = default_max_frame) ?budget backend =
@@ -594,7 +592,7 @@ let listen ?(loopback = false) ~backlog ~port () =
   | Unix.ADDR_INET (_, bound) -> (fd, bound)
   | Unix.ADDR_UNIX _ -> (fd, port)
   | exception e ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
+    close_quiet fd;
     raise e
 
 type source = Listener of Unix.file_descr | Control of Unix.file_descr
@@ -612,8 +610,6 @@ type intake = {
   mutable pipe : (Unix.file_descr * Unix.file_descr) option;
   pipe_mu : Mutex.t;
 }
-
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let open_reserve () =
   try Some (Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0) with Unix.Unix_error _ -> None
@@ -674,7 +670,7 @@ let take intake ~refuse =
   | readable, _, _ when not (List.mem fd readable) -> Idle
   | _ -> (
     match
-      Option.iter (fun f -> Faults.Disk.check f Faults.Disk.Fd) intake.disk_faults;
+      Faults.Disk.check_opt intake.disk_faults Faults.Disk.Fd;
       take_from intake.source
     with
     | None -> Closed

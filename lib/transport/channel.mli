@@ -5,7 +5,7 @@
     - {!local}: in-process, backed by a server-side handler function.
       Every message is still serialized and deserialized through the real
       wire format, so byte counts equal what a socket run would transfer;
-      the handler's wall-clock time is accumulated separately, enabling
+      the handler's elapsed time is accumulated separately, enabling
       per-party timing (paper Figures 6 and 10).
     - {!connect}: TCP over [Unix], with length-prefixed frames, to a
       {!Server_loop} built on the same frame primitives.
@@ -106,7 +106,8 @@ val set_budget : t -> Retry.Budget.t option -> unit
     swap sub-budgets in and out here. *)
 
 val server_seconds : t -> float
-(** Wall-clock time spent inside the server handler.
+(** Time spent inside the server handler, on the monotonic clock
+    ({!Monoclock.now}) that also times the client's protocol phases.
 
     {e Local channels} accumulate it live: after every {!request} the
     value includes that request's handler time.
@@ -215,6 +216,10 @@ val retry_on_intr : (unit -> 'a) -> 'a
 
 val default_max_frame : int
 (** The frame cap when none is given: 256 MiB. *)
+
+val close_quiet : Unix.file_descr -> unit
+(** [Unix.close], ignoring a [Unix_error]: for a descriptor whose peer
+    or owner may already be gone. *)
 
 (** {1 Connection intake}
 

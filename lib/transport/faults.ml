@@ -58,15 +58,11 @@ let create ?(seed = 1) profile =
     injected = 0;
   }
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
-let frames t = locked t (fun () -> t.frames)
-let injected t = locked t (fun () -> t.injected)
+let frames t = Mutex.protect t.mu (fun () -> t.frames)
+let injected t = Mutex.protect t.mu (fun () -> t.injected)
 
 let next t =
-  locked t (fun () ->
+  Mutex.protect t.mu (fun () ->
       t.frames <- t.frames + 1;
       let n = t.frames in
       let action =
@@ -177,14 +173,10 @@ module Disk = struct
       injected = 0;
     }
 
-  let locked t f =
-    Mutex.lock t.mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
-  let injected t = locked t (fun () -> t.injected)
+  let injected t = Mutex.protect t.mu (fun () -> t.injected)
 
   let check t op =
-    locked t (fun () ->
+    Mutex.protect t.mu (fun () ->
         let count =
           match op with
           | Write ->
@@ -214,6 +206,8 @@ module Disk = struct
         | Emfile_at k, Fd when count = k -> fail Unix.EMFILE "accept"
         | Emfile_every k, Fd when count mod k = 0 -> fail Unix.EMFILE "accept"
         | _ -> ())
+
+  let check_opt t op = Option.iter (fun t -> check t op) t
 
   let profile_to_string = function
     | Off -> "off"

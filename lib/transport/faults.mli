@@ -103,6 +103,10 @@ module Disk : sig
       [Unix.Unix_error] if this is the operation it targets.
       Thread-safe. *)
 
+  val check_opt : t option -> op -> unit
+  (** {!check} when an injector is installed; [None] (production) does
+      nothing. *)
+
   val injected : t -> int
   (** Faults injected so far. *)
 

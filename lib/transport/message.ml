@@ -102,6 +102,35 @@ let tag_query_sketch = 0x91
 let tag_verdict_reply = 0x92
 let tag_metrics_reply = 0x93
 
+(* The name a trace table prints for each request tag. *)
+let request_names =
+  [
+    (tag_hello, "hello");
+    (tag_phase1_request, "phase1");
+    (tag_min_request, "min");
+    (tag_max_request, "max");
+    (tag_reveal_request, "reveal");
+    (tag_bye, "bye");
+    (tag_catalog_request, "catalog");
+    (tag_select_request, "select");
+    (tag_batch_min_request, "batch-min");
+    (tag_batch_max_request, "batch-max");
+    (tag_stats_request, "stats");
+    (tag_resume, "resume");
+    (tag_health_request, "health");
+    (tag_packed_min_request, "packed-min");
+    (tag_packed_max_request, "packed-max");
+    (tag_catalog_list_request, "catalog-list");
+    (tag_query_submit, "query-submit");
+    (tag_verdict_request, "verdict");
+    (tag_metrics_request, "metrics");
+  ]
+
+let request_name tag =
+  match List.assoc_opt tag request_names with
+  | Some name -> name
+  | None -> Printf.sprintf "0x%02x" tag
+
 (* Capability bits carried in [Hello.flags] (the client's offer) and
    echoed back in [Welcome.flags] (the server's grant = offer AND
    support).  A flags value of 0 encodes byte-identically to the PR 3

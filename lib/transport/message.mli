@@ -151,7 +151,7 @@ type reply =
       (** One fresh encryption of the extreme per requested instance, in
           request order. *)
   | Bye_ack of { server_seconds : float }
-      (** Final accounting reply: total wall-clock time the server spent
+      (** Final accounting reply: total monotonic-clock time the server spent
           inside its request handler this session.  A TCP server reports
           its measured total here (see {!Server_loop}); in-process
           servers send [0.] because {!Channel.local} times the handler
@@ -278,6 +278,11 @@ val tag_catalog_list_reply : int
 val tag_query_sketch : int
 val tag_verdict_reply : int
 val tag_metrics_reply : int
+
+val request_name : int -> string
+(** The name trace tables print for a request tag: [hello], [phase1],
+    [min], [packed-min], [query-submit], ... (one per request tag); any
+    other byte prints as [0xNN]. *)
 
 (** {1 Capability flags}
 

@@ -12,7 +12,6 @@
    (static metric names + numbers), so exposing it over plain HTTP adds
    no leakage beyond what the wire message already grants. *)
 
-module Rollup = Ppst_telemetry.Rollup
 module Exposition = Ppst_telemetry.Exposition
 module Metrics = Ppst_telemetry.Metrics
 
@@ -66,10 +65,10 @@ let write_all fd s =
 
 let handle_conn fd =
   Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    ~finally:(fun () -> Channel.close_quiet fd)
     (fun () ->
       drain_request fd;
-      let body = Exposition.render ~rollup:(Rollup.global ()) () in
+      let body = Exposition.render () in
       let head =
         Printf.sprintf
           "HTTP/1.0 200 OK\r\n\
@@ -83,12 +82,10 @@ let handle_conn fd =
       Metrics.incr m_scrapes)
 
 (* Out of descriptors, the shared intake takes the pending scrape
-   through its reserve; it is not a framed peer, so this refusal just
+   through its reserve; it is not a framed peer, so the refusal just
    closes it. *)
-let refuse fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 let rec serve intake =
-  match Channel.take intake ~refuse with
+  match Channel.take intake ~refuse:Channel.close_quiet with
   | Closed -> ()
   | Conn (fd, _) ->
     (try handle_conn fd with _ -> Metrics.incr m_errors);

@@ -1,5 +1,4 @@
-(* CLOCK_MONOTONIC via the bechamel stub: immune to wall-clock steps
-   (NTP, manual adjustment), which matters because session deadlines and
-   idle timeouts compare absolute instants across seconds of real time. *)
+(* The monotonic clock is defined once, in Telemetry: deadlines compare
+   instants on the same clock that times spans and session phases. *)
 
-let now () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
+let now = Ppst_telemetry.Telemetry.now

@@ -39,10 +39,6 @@ let create ?now ?(max_peers = 4096) config =
     throttled_total = 0;
   }
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
 (* Callers hold [t.mu].  Bounded table: when full, drop the fullest
    bucket — it belongs to the quietest peer, who loses nothing but a
    little burst allowance if it comes back. *)
@@ -77,7 +73,7 @@ let refill_locked t b =
   end
 
 let admit t key =
-  locked t (fun () ->
+  Mutex.protect t.mu (fun () ->
       let b = bucket_locked t key in
       refill_locked t b;
       if b.tokens >= 1.0 then begin
@@ -91,12 +87,12 @@ let admit t key =
       end)
 
 let tokens t key =
-  locked t (fun () ->
+  Mutex.protect t.mu (fun () ->
       match Hashtbl.find_opt t.buckets key with
       | None -> t.config.burst
       | Some b ->
         refill_locked t b;
         b.tokens)
 
-let peers t = locked t (fun () -> Hashtbl.length t.buckets)
-let throttled_total t = locked t (fun () -> t.throttled_total)
+let peers t = Mutex.protect t.mu (fun () -> Hashtbl.length t.buckets)
+let throttled_total t = Mutex.protect t.mu (fun () -> t.throttled_total)

@@ -28,10 +28,6 @@ let create ?now ~capacity ~ttl_s () =
     evicted_total = 0;
   }
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
 (* Callers hold [t.mu]. *)
 let sweep_locked t =
   let now = t.now () in
@@ -63,7 +59,7 @@ let evict_oldest_locked t =
     t.evicted_total <- t.evicted_total + 1
 
 let put t token value =
-  locked t (fun () ->
+  Mutex.protect t.mu (fun () ->
       ignore (sweep_locked t);
       Hashtbl.remove t.entries token;
       if Hashtbl.length t.entries >= t.capacity then evict_oldest_locked t;
@@ -71,7 +67,7 @@ let put t token value =
         { expires_at = t.now () +. t.ttl_s; value })
 
 let take t token =
-  locked t (fun () ->
+  Mutex.protect t.mu (fun () ->
       ignore (sweep_locked t);
       match Hashtbl.find_opt t.entries token with
       | None -> None
@@ -79,7 +75,7 @@ let take t token =
         Hashtbl.remove t.entries token;
         Some e.value)
 
-let sweep t = locked t (fun () -> sweep_locked t)
-let size t = locked t (fun () -> Hashtbl.length t.entries)
-let expired_total t = locked t (fun () -> t.expired_total)
-let evicted_total t = locked t (fun () -> t.evicted_total)
+let sweep t = Mutex.protect t.mu (fun () -> sweep_locked t)
+let size t = Mutex.protect t.mu (fun () -> Hashtbl.length t.entries)
+let expired_total t = Mutex.protect t.mu (fun () -> t.expired_total)
+let evicted_total t = Mutex.protect t.mu (fun () -> t.evicted_total)

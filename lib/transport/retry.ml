@@ -127,23 +127,19 @@ module Breaker = struct
       opened_total = 0;
     }
 
-  let locked t f =
-    Mutex.lock t.mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
   let state t =
-    locked t (fun () ->
+    Mutex.protect t.mu (fun () ->
         match t.state with
         | Closed -> `Closed
         | Open_until _ -> `Open
         | Half_open -> `Half_open)
 
-  let opened_total t = locked t (fun () -> t.opened_total)
+  let opened_total t = Mutex.protect t.mu (fun () -> t.opened_total)
 
   (* Ask permission to attempt.  [`Proceed] either means the breaker is
      closed or that this caller just won the half-open probe slot. *)
   let acquire t =
-    locked t (fun () ->
+    Mutex.protect t.mu (fun () ->
         match t.state with
         | Closed -> `Proceed
         | Half_open ->
@@ -162,7 +158,7 @@ module Breaker = struct
           end)
 
   let success t =
-    locked t (fun () ->
+    Mutex.protect t.mu (fun () ->
         t.state <- Closed;
         t.consecutive_sheds <- 0)
 
@@ -175,7 +171,7 @@ module Breaker = struct
 
   (* The attempt was shed (Busy / throttle, i.e. a [`Retry_after]). *)
   let shed t ~hint =
-    locked t (fun () ->
+    Mutex.protect t.mu (fun () ->
         match t.state with
         | Half_open -> trip_locked t ~hint
         | Closed | Open_until _ ->
@@ -187,7 +183,7 @@ module Breaker = struct
      the consecutive-shed streak — only sheds open the breaker — and
      ends a half-open probe without a verdict, back to closed. *)
   let failure t =
-    locked t (fun () ->
+    Mutex.protect t.mu (fun () ->
         t.consecutive_sheds <- 0;
         match t.state with Half_open -> t.state <- Closed | _ -> ())
 end

@@ -15,7 +15,6 @@
 
 module Telemetry = Ppst_telemetry.Telemetry
 module Metrics = Ppst_telemetry.Metrics
-module Rollup = Ppst_telemetry.Rollup
 module Exposition = Ppst_telemetry.Exposition
 
 (* Session lifecycle metrics, exposed to operators through Stats_req. *)
@@ -227,14 +226,14 @@ let create ?(config = default_config) ?on_session_end ?clock ?rng ?boot_id
   with
   | t -> t
   | exception e ->
-    (try Unix.close listener with Unix.Unix_error _ -> ());
+    Channel.close_quiet listener;
     raise e
 
-let create_worker ?(config = default_config) ?on_session_end ?clock ?rng
-    ?boot_id ~slot ~workers ~control ~handler () =
+let create_worker ?(config = default_config) ?on_session_end ?rng ?boot_id ~slot
+    ~workers ~control ~handler () =
   if slot < 0 || slot >= workers then
     invalid_arg "Server_loop.create_worker: slot outside [0, workers)";
-  make ~config ~on_session_end ~clock ~rng ~boot_id ~shard:(Some (slot, workers))
+  make ~config ~on_session_end ~clock:None ~rng ~boot_id ~shard:(Some (slot, workers))
     ~source:(Channel.Control control) ~bound_port:0 ~handler
 
 let port t = t.bound_port
@@ -245,12 +244,8 @@ let install_signal_handlers t =
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
   Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
-let active_sessions t = locked t (fun () -> t.active)
-let accepted t = locked t (fun () -> t.accepted)
+let active_sessions t = Mutex.protect t.mu (fun () -> t.active)
+let accepted t = Mutex.protect t.mu (fun () -> t.accepted)
 let resume_parked t = Resume_table.size t.resume
 
 let sweep_resume t =
@@ -290,10 +285,7 @@ let supported_flags t =
    random part until the dispatcher's token hash names its own slot
    (about [workers] draws), so a Resume lands where the session parks. *)
 let gen_token t =
-  Mutex.lock t.rng_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.rng_mu)
-    (fun () ->
+  Mutex.protect t.rng_mu (fun () ->
       let rec draw () =
         let token = t.boot_id ^ Ppst_rng.Secure_rng.bytes t.rng 12 in
         match t.shard with
@@ -303,10 +295,6 @@ let gen_token t =
       in
       draw ())
 
-(* The Metrics_reply / sidecar-endpoint payload: the registry and its
-   windowed rollups in OpenMetrics text form. *)
-let metrics_text () = Exposition.render ~rollup:(Rollup.global ()) ()
-
 (* The Stats_reply payload: this loop's resume table, then the same
    OpenMetrics page. *)
 let stats_text t =
@@ -314,7 +302,7 @@ let stats_text t =
     (Resume_table.size t.resume)
     (Resume_table.expired_total t.resume)
     (Resume_table.evicted_total t.resume)
-    (metrics_text ())
+    (Exposition.render ())
 
 (* A spool/snapshot write failed: sessions continue non-durably (the
    in-memory resume table still works), but cross-worker failover is
@@ -336,28 +324,32 @@ let durability_regained t =
 
 let is_degraded t = Atomic.get t.durability_lost
 
+(* The shed watermark compares in-flight crypto work against the
+   configured ceiling. *)
+let shedding t =
+  match t.config.shed_watermark with
+  | Some w -> Atomic.get t.inflight >= w
+  | None -> false
+
 (* Readiness, as reported to Health_req probes.  Shedding (2) dominates
    at-capacity (1): a load balancer must stop sending work before the
    session slots are even full.  Both dominate degraded (3, durability
    lost): overload states are transient and actionable right now, while
-   degraded only means new sessions lose crash-durability. *)
-let health_status t =
-  let shedding =
-    match t.config.shed_watermark with
-    | Some w -> Atomic.get t.inflight >= w
-    | None -> false
+   degraded only means new sessions lose crash-durability.  A probe that
+   holds a slot of its own ([probe_slot]) does not count it: an idle
+   server with one slot is ready, not at capacity. *)
+let health_reply t ~probe_slot =
+  let active = Mutex.protect t.mu (fun () -> t.active) - Bool.to_int probe_slot in
+  let status =
+    if shedding t then 2
+    else if active >= t.config.max_sessions then 1
+    else if Atomic.get t.durability_lost then 3
+    else 0
   in
-  if shedding then 2
-  else if locked t (fun () -> t.active) >= t.config.max_sessions then 1
-  else if Atomic.get t.durability_lost then 3
-  else 0
-
-let health_reply t =
-  let status = health_status t in
   Message.Health_reply
     {
       status;
-      active = locked t (fun () -> t.active);
+      active;
       capacity = t.config.max_sessions;
       retry_after_s = (if status = 0 then 0.0 else t.config.retry_after_s);
     }
@@ -397,8 +389,8 @@ let machine_env t =
         Atomic.incr t.inflight;
         Fun.protect ~finally:(fun () -> Atomic.decr t.inflight) call);
     stats_text = (fun () -> stats_text t);
-    metrics_text;
-    health = (fun () -> health_reply t);
+    metrics_text = Exposition.render;
+    health = health_reply t;
   }
 
 let event_of_exn : exn -> Session_machine.event = function
@@ -494,7 +486,7 @@ let serve_session t ~id ~peer fd =
               cost is paid by the session, never by the accept loop *)
            t.handler ~id ~peer))
   in
-  (try Unix.close fd with Unix.Unix_error _ -> ());
+  Channel.close_quiet fd;
   (match Session_machine.attached st with
    | Some s when park ->
      (* the spool already holds this session's last counted round; keep
@@ -518,7 +510,7 @@ let serve_session t ~id ~peer fd =
   (* before the slot is released, so a drained loop's totals are whole *)
   Metrics.gauge_add m_handler_seconds handler_seconds;
   List.iter2 (fun c (_, v) -> Metrics.incr ~by:v c) m_traffic (Stats.fields stats);
-  locked t (fun () ->
+  Mutex.protect t.mu (fun () ->
       t.active <- t.active - 1;
       Metrics.gauge_set m_active (float_of_int t.active));
   Metrics.incr
@@ -554,7 +546,7 @@ let refuse_session t ~shed ~retry_after_s fd =
        (fun () ->
          ignore
            (drive t fd (Session_machine.refusing (machine_env t) ~shed ~retry_after_s));
-         try Unix.close fd with Unix.Unix_error _ -> ())
+         Channel.close_quiet fd)
        ())
 
 (* Admission decision + thread spawn for one connected socket, from
@@ -578,15 +570,11 @@ let inject t fd peer =
         | `Admit -> None
         | `Throttle retry_after_s -> Some retry_after_s)
     in
-    let shedding =
-      match t.config.shed_watermark with
-      | Some w -> Atomic.get t.inflight >= w
-      | None -> false
-    in
+    let shedding = shedding t in
     let admitted =
       if throttled <> None || shedding then None
       else
-        locked t (fun () ->
+        Mutex.protect t.mu (fun () ->
             if t.active >= t.config.max_sessions then None
             else begin
               t.active <- t.active + 1;
@@ -660,7 +648,7 @@ let run t =
   let total_reached () =
     match t.config.max_total with
     | None -> false
-    | Some n -> locked t (fun () -> t.accepted >= n)
+    | Some n -> Mutex.protect t.mu (fun () -> t.accepted >= n)
   in
   let refuse fd =
     Metrics.incr m_busy_rejected;

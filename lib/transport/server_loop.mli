@@ -158,7 +158,7 @@ type session = {
           included) — a resumed session's earlier connections already
           reported theirs, so totals never double-count *)
   handler_seconds : float;
-      (** wall-clock inside the handler on this connection (same
+      (** seconds inside the handler on this connection (same
           delta discipline as [requests]) *)
   session_stats : Stats.t;
       (** this session's traffic, server perspective: received =
@@ -204,7 +204,6 @@ val create :
 val create_worker :
   ?config:config ->
   ?on_session_end:(session -> unit) ->
-  ?clock:(unit -> float) ->
   ?rng:Ppst_rng.Secure_rng.t ->
   ?boot_id:string ->
   slot:int ->
@@ -213,9 +212,10 @@ val create_worker :
   handler:(id:int -> peer:Unix.sockaddr -> app_handler) ->
   unit ->
   t
-(** Like {!create} but without a listener: {!run} serves the
-    connections passed in as file descriptors over the {!Supervisor}
-    control socket [control], which stays the caller's to close.
+(** Like {!create}, on the monotonic clock, but without a listener:
+    {!run} serves the connections passed in as file descriptors over
+    the {!Supervisor} control socket [control], which stays the
+    caller's to close.
     [slot] is this worker's index among [workers]: every resume token
     it mints satisfies [Supervisor.slot_of_token ~workers token = slot],
     so the dispatcher routes a Resume back to it.  {!port} returns [0].

@@ -67,7 +67,7 @@ type env = {
   in_handler : (unit -> Message.reply) -> Message.reply;
   stats_text : unit -> string;
   metrics_text : unit -> string;
-  health : unit -> Message.reply;
+  health : probe_slot:bool -> Message.reply;
 }
 
 type timer = Idle | Deadline | Probe
@@ -246,10 +246,11 @@ let violation message =
 (* The introspection pages, answered by the loop in both modes rather
    than by the protocol handler: they must reflect every session, not
    this one.  [metrics] gates the Metrics page; [denied] names the
-   refusal. *)
-let page env ~metrics ~denied = function
+   refusal; [probe_slot] says the asking connection holds a slot of its
+   own. *)
+let page env ~probe_slot ~metrics ~denied = function
   | Message.Stats_req -> Message.Stats_reply (env.stats_text ())
-  | Message.Health_req -> env.health ()
+  | Message.Health_req -> env.health ~probe_slot
   | _ -> if metrics then Message.Metrics_reply (env.metrics_text ()) else Message.Error_reply (denied ())
 
 (* --- requests ---------------------------------------------------------------- *)
@@ -369,11 +370,12 @@ let on_request c = function
       let c, actions = counted c (Message.Bye_ack { server_seconds = s.handler_seconds }) in
       close (c, drop @ actions) Completed
     | (Message.Stats_req | Message.Health_req | Message.Metrics_req) as probe ->
-      (* sessionless probes (no Hello yet) are open introspection; once
+      (* sessionless probes (no Hello yet) are open introspection, and
+         the slot they were admitted to is theirs, not a session's; once
          a session has negotiated, Metrics follows the granted
          capability *)
       counted c
-        (page c.env probe
+        (page c.env probe ~probe_slot:(not c.negotiated)
            ~metrics:
              (granted c.env.grants Message.flag_metrics
              && ((not c.negotiated) || granted s.granted Message.flag_metrics))
@@ -466,7 +468,8 @@ let refuse p event =
     (* probe connections carry no negotiated grant: the only gate is the
        server-side switch *)
     let reply =
-      page p.penv r ~metrics:(granted p.penv.grants Message.flag_metrics) ~denied:(fun () ->
+      page p.penv r ~probe_slot:false
+        ~metrics:(granted p.penv.grants Message.flag_metrics) ~denied:(fun () ->
           "capability violation: metrics exposition is disabled")
     in
     (Refusing p, notify reply :: (if p.answered > probe_budget then hang_up else []))

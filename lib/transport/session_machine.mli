@@ -58,7 +58,10 @@ type env = {
       (** wraps every application-handler call *)
   stats_text : unit -> string;
   metrics_text : unit -> string;
-  health : unit -> Message.reply;
+  health : probe_slot:bool -> Message.reply;
+      (** [~probe_slot:true]: the probe's own connection holds a session
+          slot (it was admitted but negotiated nothing), which the
+          answer must not count as an active session *)
 }
 
 (** The deadline a read was armed with. *)

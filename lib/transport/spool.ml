@@ -17,9 +17,6 @@
 
 type t = { dir : string; disk_faults : Faults.Disk.t option }
 
-let check_fault t op =
-  match t.disk_faults with None -> () | Some f -> Faults.Disk.check f op
-
 let hex_of_key key =
   let b = Buffer.create (2 * String.length key) in
   String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) key;
@@ -27,6 +24,7 @@ let hex_of_key key =
 
 let path_of_key t key = Filename.concat t.dir (hex_of_key key ^ ".snap")
 
+(* A best-effort durability barrier on a file or a directory. *)
 let fsync_path path =
   match Unix.openfile path [ Unix.O_RDONLY ] 0 with
   | fd ->
@@ -51,15 +49,15 @@ let put t ~key value =
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      check_fault t Faults.Disk.Write;
+      Faults.Disk.check_opt t.disk_faults Faults.Disk.Write;
       let off = ref 0 in
       let bytes = Bytes.of_string value in
       while !off < Bytes.length bytes do
         off := !off + Unix.write fd bytes !off (Bytes.length bytes - !off)
       done;
-      check_fault t Faults.Disk.Fsync;
+      Faults.Disk.check_opt t.disk_faults Faults.Disk.Fsync;
       Unix.fsync fd);
-  check_fault t Faults.Disk.Rename;
+  Faults.Disk.check_opt t.disk_faults Faults.Disk.Rename;
   Sys.rename tmp final;
   fsync_path t.dir
 

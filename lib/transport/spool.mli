@@ -23,6 +23,10 @@ val validate : dir:string -> (unit, string) result
     a server can fail fast at startup instead of discovering an
     unusable spool at its first mid-session snapshot. *)
 
+val fsync_path : string -> unit
+(** Open [path] (a file or a directory) read-only and fsync it, ignoring
+    errors: the barrier after a rename that atomic writers share. *)
+
 val put : t -> key:string -> string -> unit
 (** Atomically replace [key]'s value.  After a crash at any point the
     key holds either its previous value or the new one, never a torn

@@ -121,11 +121,9 @@ type t = {
   mutable next_rr : int;
 }
 
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 let spawn t slot ~restarted =
   match
-    Option.iter (fun f -> Faults.Disk.check f Faults.Disk.Fd) t.disk_faults;
+    Faults.Disk.check_opt t.disk_faults Faults.Disk.Fd;
     Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0
   with
   | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
@@ -149,10 +147,10 @@ let spawn t slot ~restarted =
      with Invalid_argument _ | Sys_error _ -> ());
     (try Sys.set_signal Sys.sigint Sys.Signal_default
      with Invalid_argument _ | Sys_error _ -> ());
-    close_quiet parent_fd;
+    Channel.close_quiet parent_fd;
     Channel.close_intake t.intake;
     Array.iter
-      (fun s -> match s.control with Some fd -> close_quiet fd | None -> ())
+      (fun s -> match s.control with Some fd -> Channel.close_quiet fd | None -> ())
       t.slots;
     let code =
       try
@@ -164,7 +162,7 @@ let spawn t slot ~restarted =
     (try flush stderr with Sys_error _ -> ());
     Unix._exit code
   | pid ->
-    close_quiet child_fd;
+    Channel.close_quiet child_fd;
     slot.control <- Some parent_fd;
     slot.pid <- pid;
     slot.spawned_at <- Monoclock.now ();
@@ -191,7 +189,7 @@ let reap t =
           slot.pid <- 0;
           (match slot.control with
            | Some fd ->
-             close_quiet fd;
+             Channel.close_quiet fd;
              slot.control <- None
            | None -> ());
           let stopping = Channel.stopped t.intake in
@@ -231,13 +229,13 @@ let respawn_due t =
    when no worker can take it. *)
 let dispatch t fd ~preferred =
   let rec try_slot i remaining =
-    if remaining = 0 then close_quiet fd
+    if remaining = 0 then Channel.close_quiet fd
     else
       let slot = t.slots.(i mod t.workers) in
       match slot.control with
       | Some control when slot.pid <> 0 -> (
         match Fd_passing.send_fd control ~fd with
-        | () -> close_quiet fd
+        | () -> Channel.close_quiet fd
         | exception (Unix.Unix_error _ | Channel.Connection_lost _) ->
           try_slot (i + 1) (remaining - 1))
       | _ -> try_slot (i + 1) (remaining - 1)
@@ -304,7 +302,7 @@ let shutdown_workers t =
     (fun slot ->
       (match slot.control with
        | Some fd ->
-         close_quiet fd;
+         Channel.close_quiet fd;
          slot.control <- None
        | None -> ());
       if slot.pid <> 0 then begin

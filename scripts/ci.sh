@@ -98,6 +98,15 @@
 # Metrics_endpoint), so fd exhaustion, a failed accept and a stop
 # (the intake's self-pipe is the one wake-up) are handled one way.
 # test/ and bench/ open their own sockets and are not checked.
+#
+# A third source check keeps one clock: under lib/, bin/ and bench/,
+# Unix.gettimeofday may appear only in lib/transport/spool.ml, whose
+# TTL sweep compares file mtimes (wall-clock instants), and the
+# monotonic read Monotonic_clock.now in exactly one file (Telemetry.now
+# in lib/telemetry/telemetry.ml; Monoclock.now is that function).  Every
+# duration the code measures (Cost's per-phase client and server split,
+# the server's handler time in Bye_ack, telemetry spans, deadlines, the
+# bench's timings) is then a difference of two readings of one clock.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -114,6 +123,18 @@ if [ -n "$intakes" ]; then
   exit 1
 fi
 echo "ci: one connection intake (lib/transport/channel.ml) OK"
+
+walls="$(grep -rl 'Unix\.gettimeofday' lib bin bench | grep -vx 'lib/transport/spool.ml' || true)"
+if [ -n "$walls" ]; then
+  echo "ci: Unix.gettimeofday outside lib/transport/spool.ml:" $walls >&2
+  exit 1
+fi
+clocks="$(grep -rl 'Monotonic_clock\.now' lib bin bench || true)"
+if [ "$(printf '%s' "$clocks" | grep -c .)" -ne 1 ]; then
+  echo "ci: Monotonic_clock.now must be read in exactly one file, not:" $clocks >&2
+  exit 1
+fi
+echo "ci: one clock ($clocks; the wall clock only for spool mtimes) OK"
 
 dune build @all
 dune runtest

@@ -213,7 +213,8 @@ let env w =
     stats_text = (fun () -> "# resume table\n");
     metrics_text = (fun () -> "# EOF\n");
     health =
-      (fun () -> Message.Health_reply { status = 0; active = 1; capacity = 2; retry_after_s = 0.0 });
+      (fun ~probe_slot:_ ->
+        Message.Health_reply { status = 0; active = 1; capacity = 2; retry_after_s = 0.0 });
   }
 
 let counts server =

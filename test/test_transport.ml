@@ -171,6 +171,31 @@ let test_message_unknown_tag () =
    | _ -> Alcotest.fail "unknown tag accepted"
    | exception Wire.Malformed _ -> ())
 
+(* Trace tables label rounds by request tag: every tag has its own name,
+   and only a byte that is no request tag prints as hex. *)
+let test_request_tag_names () =
+  let tags =
+    Message.
+      [
+        tag_hello; tag_phase1_request; tag_min_request; tag_max_request;
+        tag_reveal_request; tag_bye; tag_catalog_request; tag_select_request;
+        tag_batch_min_request; tag_batch_max_request; tag_stats_request;
+        tag_resume; tag_health_request; tag_packed_min_request;
+        tag_packed_max_request; tag_catalog_list_request; tag_query_submit;
+        tag_verdict_request; tag_metrics_request;
+      ]
+  in
+  let names = List.map Message.request_name tags in
+  Alcotest.(check int) "distinct names" (List.length tags)
+    (List.length (List.sort_uniq String.compare names));
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is not hex") false
+        (String.starts_with ~prefix:"0x" name))
+    names;
+  Alcotest.(check string) "a reply tag is no request" "0x81"
+    (Message.request_name Message.tag_welcome)
+
 let test_message_trailing_garbage () =
   let encoded = Message.encode (Message.Request Message.Phase1_request) ^ "extra" in
   (match Message.decode encoded with
@@ -595,6 +620,7 @@ let () =
           Alcotest.test_case "trailing garbage" `Quick test_message_trailing_garbage;
           Alcotest.test_case "truncated frame" `Quick test_message_truncated;
           prop_decode_fuzz;
+          Alcotest.test_case "request tag names" `Quick test_request_tag_names;
         ] );
       ( "stats",
         [
