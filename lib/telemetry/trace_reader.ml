@@ -382,7 +382,7 @@ let summarize entries =
       List.fold_left (fun acc r -> acc +. r.latency_s) 0.0 round_rows;
   }
 
-let pp_summary ?(opcode_name = fun o -> Printf.sprintf "0x%02x" o) fmt s =
+let pp_summary ~opcode_name fmt s =
   Format.fprintf fmt "@[<v>spans:@,";
   Format.fprintf fmt "  %-28s %8s %12s@," "name" "count" "total s";
   List.iter

@@ -76,4 +76,6 @@ val summarize : entry list -> summary
     request/reply pair is recorded with its frame payload sizes). *)
 
 val pp_summary :
-  ?opcode_name:(int -> string) -> Format.formatter -> summary -> unit
+  opcode_name:(int -> string) -> Format.formatter -> summary -> unit
+(** The per-phase and per-round tables; [opcode_name] labels a round's
+    request tag ([ppst_analyze] passes [Ppst_transport.Message.request_name]). *)

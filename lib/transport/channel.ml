@@ -174,6 +174,13 @@ let drop_connection fd why =
   (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
   conn_lost "fault injection: %s" why
 
+(* Write the first [len] bytes of [buf], however many calls it takes. *)
+let write_all fd buf len =
+  let rec go off =
+    if off < len then go (off + retry_on_intr (fun () -> Unix.write fd buf off (len - off)))
+  in
+  go 0
+
 (* The length header and the CRC-32 trailer are big-endian 32-bit
    words, read back unsigned. *)
 let u32 word = Int32.to_int word land 0xFFFF_FFFF
@@ -191,19 +198,11 @@ let write_frame ?max_frame:(cap = default_max_frame) ?(crc = false) ?faults fd p
   Bytes.blit_string payload 0 frame 4 payload_len;
   if crc then Bytes.set_int32_be frame (4 + payload_len) (Int32.of_int (Crc32.digest payload));
   let total = 4 + len in
-  let write_range first count =
-    let rec go off remaining =
-      if remaining > 0 then begin
-        let n = retry_on_intr (fun () -> Unix.write fd frame off remaining) in
-        go (off + n) (remaining - n)
-      end
-    in
-    go first count
-  in
+  let write_range = write_all fd frame in
   let action = match faults with None -> Faults.Pass | Some f -> Faults.next f in
   map_conn_errors (fun () ->
       match action with
-      | Faults.Pass -> write_range 0 total
+      | Faults.Pass -> write_range total
       | Faults.Drop -> drop_connection fd "connection dropped before send"
       | Faults.Corrupt k ->
         (* flip one bit of the body (trailer included), leaving the
@@ -214,16 +213,16 @@ let write_frame ?max_frame:(cap = default_max_frame) ?(crc = false) ?faults fd p
           Bytes.set frame pos
             (Char.chr (Char.code (Bytes.get frame pos) lxor 0x20))
         end;
-        write_range 0 total
+        write_range total
       | Faults.Delay s ->
         Thread.delay s;
-        write_range 0 total
+        write_range total
       | Faults.Short_write ->
-        write_range 0 (max 1 (total / 2));
+        write_range (max 1 (total / 2));
         drop_connection fd "connection dropped mid-frame (short write)"
       | Faults.Duplicate ->
-        write_range 0 total;
-        write_range 0 total;
+        write_range total;
+        write_range total;
         drop_connection fd "connection dropped after duplicated frame"
       | Faults.Crash ->
         (* deterministic process death at this frame index — only
@@ -232,7 +231,7 @@ let write_frame ?max_frame:(cap = default_max_frame) ?(crc = false) ?faults fd p
         Unix.kill (Unix.getpid ()) Sys.sigkill;
         assert false
       | Faults.Crash_mid_write ->
-        write_range 0 (max 1 (total / 2));
+        write_range (max 1 (total / 2));
         Unix.kill (Unix.getpid ()) Sys.sigkill;
         assert false)
 

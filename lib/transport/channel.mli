@@ -217,6 +217,11 @@ val retry_on_intr : (unit -> 'a) -> 'a
 val default_max_frame : int
 (** The frame cap when none is given: 256 MiB. *)
 
+val write_all : Unix.file_descr -> bytes -> int -> unit
+(** [write_all fd buf len] writes the first [len] bytes of [buf],
+    however many [Unix.write] calls it takes ({!retry_on_intr} for
+    each). *)
+
 val close_quiet : Unix.file_descr -> unit
 (** [Unix.close], ignoring a [Unix_error]: for a descriptor whose peer
     or owner may already be gone. *)

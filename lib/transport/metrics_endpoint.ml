@@ -51,18 +51,6 @@ let drain_request fd =
   in
   (try go () with Unix.Unix_error _ -> ())
 
-let write_all fd s =
-  let n = String.length s in
-  let b = Bytes.of_string s in
-  let rec go off =
-    if off < n then
-      match Unix.write fd b off (n - off) with
-      | 0 -> ()
-      | w -> go (off + w)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
-
 let handle_conn fd =
   Fun.protect
     ~finally:(fun () -> Channel.close_quiet fd)
@@ -78,7 +66,8 @@ let handle_conn fd =
            \r\n"
           (String.length body)
       in
-      write_all fd (head ^ body);
+      let page = head ^ body in
+      Channel.write_all fd (Bytes.of_string page) (String.length page);
       Metrics.incr m_scrapes)
 
 (* Out of descriptors, the shared intake takes the pending scrape

@@ -50,11 +50,7 @@ let put t ~key value =
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
       Faults.Disk.check_opt t.disk_faults Faults.Disk.Write;
-      let off = ref 0 in
-      let bytes = Bytes.of_string value in
-      while !off < Bytes.length bytes do
-        off := !off + Unix.write fd bytes !off (Bytes.length bytes - !off)
-      done;
+      Channel.write_all fd (Bytes.of_string value) (String.length value);
       Faults.Disk.check_opt t.disk_faults Faults.Disk.Fsync;
       Unix.fsync fd);
   Faults.Disk.check_opt t.disk_faults Faults.Disk.Rename;
