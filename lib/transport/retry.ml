@@ -32,7 +32,7 @@ let () =
 (* Uniform in [0, 1) from the CSPRNG: 30 bits is plenty for jitter. *)
 let unit_float rng = float_of_int (Ppst_rng.Secure_rng.int rng (1 lsl 30)) /. 1073741824.0
 
-(* A wall-clock budget for one whole logical operation.  Where [policy]
+(* An elapsed-time budget for one whole logical operation.  Where [policy]
    bounds the *count* of attempts, a budget bounds their total *elapsed
    time*, reconnect sleeps included: every retry path the budget is
    threaded through stops — and clamps its final backoff sleep — at the

@@ -21,7 +21,7 @@ exception Exhausted of { attempts : int; last : exn }
 (** Raised when every attempt failed with a retryable error; [last] is
     the final attempt's exception. *)
 
-(** Wall-clock budget for one whole logical operation.
+(** Elapsed-time budget for one whole logical operation.
 
     A {!policy} bounds how many times something is attempted; a budget
     bounds the total {e elapsed} time of the operation, reconnect and

@@ -603,10 +603,7 @@ let inject t fd peer =
 
 let drain t =
   let give_up = Monoclock.now () +. t.config.drain_timeout_s in
-  Mutex.lock t.mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mu)
-    (fun () ->
+  Mutex.protect t.mu (fun () ->
       while t.active > 0 && Monoclock.now () < give_up do
         (* Condition.wait has no timeout; poll on a short tick so a
            stuck session cannot wedge the drain past its budget. *)

@@ -12,22 +12,14 @@ let put_u8 w v =
 
 let put_u32 w v =
   if v < 0 || v > 0xFFFFFFFF then invalid_arg "Wire.put_u32: out of range";
-  Buffer.add_char w (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char w (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char w (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char w (Char.chr (v land 0xFF))
+  Buffer.add_int32_be w (Int32.of_int v)
 
 let put_bytes w s =
   put_u32 w (String.length s);
   Buffer.add_string w s
 
 (* IEEE-754 double as 8 big-endian bytes (its Int64 bit pattern). *)
-let put_f64 w v =
-  let bits = Int64.bits_of_float v in
-  for i = 7 downto 0 do
-    Buffer.add_char w
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * i)) 0xFFL)))
-  done
+let put_f64 w v = Buffer.add_int64_be w (Int64.bits_of_float v)
 
 let put_bigint w v =
   let open Ppst_bigint in
@@ -60,20 +52,15 @@ let get_u8 r =
 
 let get_u32 r =
   need r 4;
-  let b i = Char.code r.data.[r.pos + i] in
-  let v = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
+  let v = Int32.to_int (String.get_int32_be r.data r.pos) land 0xFFFF_FFFF in
   r.pos <- r.pos + 4;
   v
 
 let get_f64 r =
   need r 8;
-  let bits = ref 0L in
-  for i = 0 to 7 do
-    bits := Int64.logor (Int64.shift_left !bits 8)
-        (Int64.of_int (Char.code r.data.[r.pos + i]))
-  done;
+  let bits = String.get_int64_be r.data r.pos in
   r.pos <- r.pos + 8;
-  Int64.float_of_bits !bits
+  Int64.float_of_bits bits
 
 let get_bytes r =
   let len = get_u32 r in
