@@ -181,10 +181,6 @@ let write_all fd buf len =
   in
   go 0
 
-(* The length header and the CRC-32 trailer are big-endian 32-bit
-   words, read back unsigned. *)
-let u32 word = Int32.to_int word land 0xFFFF_FFFF
-
 let write_frame ?max_frame:(cap = default_max_frame) ?(crc = false) ?faults fd payload =
   let payload_len = String.length payload in
   if payload_len > cap then protocol_error "frame too large: %d bytes" payload_len;
@@ -315,7 +311,7 @@ let read_frame ?max_frame:(cap = default_max_frame) ?deadline ?progress_timeout_
       match read_exactly ?deadline ?progress_timeout_s ~armed:false fd 4 with
       | None -> None
       | Some header ->
-        let len = u32 (Bytes.get_int32_be header 0) in
+        let len = Wire.u32_at (Bytes.to_string header) 0 in
         if len > cap + (if crc then 4 else 0) then
           protocol_error "frame length %d exceeds cap" len;
         (match read_exactly ?deadline ?progress_timeout_s fd len with
@@ -333,7 +329,7 @@ let read_frame ?max_frame:(cap = default_max_frame) ?deadline ?progress_timeout_
              if len < 4 then
                frame_corrupt "frame shorter than its CRC-32 trailer";
              let payload = String.sub body 0 (len - 4) in
-             let expected = u32 (String.get_int32_be body (len - 4)) in
+             let expected = Wire.u32_at body (len - 4) in
              let actual = Crc32.digest payload in
              if actual <> expected then
                frame_corrupt "CRC-32 mismatch on a %d-byte frame" (len - 4);

@@ -387,8 +387,7 @@ let on_request c = function
 let crc_trailer frame =
   let n = String.length frame in
   n > 4
-  && Crc32.digest (String.sub frame 0 (n - 4))
-     = Int32.to_int (String.get_int32_be frame (n - 4)) land 0xFFFF_FFFF
+  && Crc32.digest (String.sub frame 0 (n - 4)) = Wire.u32_at frame (n - 4)
 
 let on_frame c frame =
   let bytes = String.length frame in

@@ -50,9 +50,11 @@ let get_u8 r =
   r.pos <- r.pos + 1;
   v
 
+let u32_at s pos = Int32.to_int (String.get_int32_be s pos) land 0xFFFF_FFFF
+
 let get_u32 r =
   need r 4;
-  let v = Int32.to_int (String.get_int32_be r.data r.pos) land 0xFFFF_FFFF in
+  let v = u32_at r.data r.pos in
   r.pos <- r.pos + 4;
   v
 

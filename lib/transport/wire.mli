@@ -34,6 +34,13 @@ type reader
 val reader : string -> reader
 val get_u8 : reader -> int
 val get_u32 : reader -> int
+
+val u32_at : string -> int -> int
+(** [u32_at s pos] is the unsigned big-endian 32-bit word at [pos] of
+    [s], as {!put_u32} writes it and as {!Channel} frames carry their
+    length header and CRC-32 trailer.  Not bounds-checked against
+    {!Malformed}: a [pos] past the end raises [Invalid_argument]. *)
+
 val get_f64 : reader -> float
 val get_bytes : reader -> string
 val get_bigint : reader -> Ppst_bigint.Bigint.t
