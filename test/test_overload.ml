@@ -546,6 +546,12 @@ let test_health_probe () =
       (match Channel.request a (Message.Hello { flags = 0; spec = None }) with
        | Message.Welcome _ -> ()
        | _ -> Alcotest.fail "A's Hello failed");
+      (* a probe inside A's established session counts that session *)
+      (match Channel.request a Message.Health_req with
+       | Message.Health_reply { status; active; _ } ->
+         Alcotest.(check int) "A's own session is active" 1 active;
+         Alcotest.(check int) "A's probe sees the server full" 1 status
+       | _ -> Alcotest.fail "expected Health_reply");
       (* the probe is answered even though the serving path is full *)
       let b = Channel.connect ~host:"127.0.0.1" ~port () in
       (match Channel.request b Message.Health_req with
